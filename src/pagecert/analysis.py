@@ -104,36 +104,25 @@ def neighborhood_purity(G: DirectedGraph, labels: np.ndarray, v: int) -> float:
 
     v itself is excluded; an empty neighborhood gives 0.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = G.node_count
-    adj: dict[int, set[int]] = {}
-    for s, d in G.edges:
-        adj.setdefault(int(s), set()).add(int(d))
-        adj.setdefault(int(d), set()).add(int(s))
-    one = adj.get(int(v), set())
-    two = set(one)
-    for u in one:
-        two |= adj.get(u, set())
-    two.discard(int(v))
+    return _purity(_undirected_adjacency(G), np.asarray(labels, dtype=np.int64), int(v))
+
+
+def _undirected_adjacency(G: DirectedGraph) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(G.node_count)]
+    for s, d in G.edges.tolist():
+        adj[s].add(d)
+        adj[d].add(s)
+    return adj
+
+
+def _purity(adj: list[set[int]], labels: np.ndarray, v: int) -> float:
+    two = set(adj[v])
+    for u in adj[v]:
+        two |= adj[u]
+    two.discard(v)
     if not two:
         return 0.0
-    same = sum(1 for u in two if labels[u] == labels[v])
-    return same / len(two)
-
-
-def _two_hop_sets(G: DirectedGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(G.node_count)]
-    for s, d in G.edges:
-        adj[int(s)].add(int(d))
-        adj[int(d)].add(int(s))
-    out = []
-    for v in range(G.node_count):
-        two = set(adj[v])
-        for u in adj[v]:
-            two |= adj[u]
-        two.discard(v)
-        out.append(two)
-    return out
+    return sum(1 for u in two if labels[u] == labels[v]) / len(two)
 
 
 @dataclass(eq=False)
@@ -166,14 +155,11 @@ def build_report(
     purity_rows: list[tuple[float, float]] = []
     if purity_labels is not None:
         labels = np.asarray(purity_labels, dtype=np.int64)
-        hops = _two_hop_sets(G)
+        adj = _undirected_adjacency(G)
         edges = np.linspace(0.0, 1.0, purity_buckets + 1)
         buckets: dict[int, list[float]] = {}
         for r in records:
-            v = _node_of(r)
-            nb = hops[v]
-            pur = (sum(1 for u in nb if labels[u] == labels[v]) / len(nb)
-                   if nb else 0.0)
+            pur = _purity(adj, labels, int(_node_of(r)))
             k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
                     purity_buckets - 1)
             buckets.setdefault(max(k, 0), []).append(_margin_of(r))

@@ -3,7 +3,8 @@
 Config files are flat "key = value" lines with dotted keys ('#' comments);
 every key can be overridden on the command line with --set key=value. Each
 run writes a manifest (resolved config, package version, input digests)
-from which it can be reproduced byte-for-byte via --from-manifest.
+from which it can be reproduced byte-for-byte via --from-manifest; a re-run
+first re-hashes the recorded inputs and stops with exit 4 if one changed.
 
 Exit codes: 0 ok, 2 config error, 3 solver error, 4 graph/scenario
 validation error.
@@ -183,6 +184,18 @@ def validate_config(path) -> tuple[list[str], list[str]]:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _changed_inputs(digests: dict[str, str], cfg: RunConfig) -> list[str]:
+    """Recorded input keys whose file is now missing or has another digest."""
+    changed = []
+    for key, digest in sorted(digests.items()):
+        p = cfg.get(key)
+        if not p or not Path(p).is_file():
+            changed.append(f"{key} (missing)")
+        elif _sha256(Path(p)) != digest:
+            changed.append(f"{key} (digest mismatch)")
+    return changed
 
 
 def _load_inputs(cfg: RunConfig):
@@ -435,6 +448,12 @@ def main(argv=None) -> int:
                 print(f"config error: {e}", file=sys.stderr)
             print(f"{len(cfg.errors)} errors, {len(cfg.warnings)} warnings")
             return 2 if cfg.errors else 0
+        if args.from_manifest:
+            changed = _changed_inputs(manifest.get("input_digests", {}), cfg)
+            if changed:
+                print("validation error: inputs differ from the manifest: "
+                      + ", ".join(changed), file=sys.stderr)
+                return 4
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -347,12 +347,17 @@ def apply_policy(G: DirectedGraph, S: PerturbationScenario, P: EdgePolicy) -> Di
     The result has edge set E_f union F_plus, where F_plus holds the fragile
     edges whose final state is present.
     """
-    idx = S.fragile_index_of(P.flips) if len(P) else np.empty(0, np.int64)
     flipped = np.zeros(S.fragile_count, dtype=bool)
-    flipped[idx] = True
+    if len(P):
+        flipped[S.fragile_index_of(P.flips)] = True
+    return flipped_graph(S, flipped)
+
+
+def flipped_graph(S: PerturbationScenario, flipped: np.ndarray) -> DirectedGraph:
+    """The perturbed graph for a boolean flip mask over S.fragile_edges."""
     present = S.fragile_in_base ^ flipped
     edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
-    return DirectedGraph.from_edges(G.node_count, edges, allow_self_loops=True)
+    return DirectedGraph.from_edges(S.node_count, edges, allow_self_loops=True)
 
 
 def perturbation_counts(S: PerturbationScenario, P: EdgePolicy) -> tuple[np.ndarray, int]:

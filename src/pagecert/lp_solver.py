@@ -24,13 +24,12 @@ from scipy.linalg.blas import dger
 class SolverTolerances:
     feasibility: float = 1e-7     # accepted constraint violation
     optimality: float = 1e-9      # reduced-cost threshold
-    pivot: float = 1e-9           # smallest usable pivot element
-    stall_window: int = 50        # iterations without progress before Bland
-    refactor_every: int = 100
-    max_iterations: int | None = None
 
 
 DEFAULT_TOLERANCES = SolverTolerances()
+PIVOT_TOL = 1e-9          # smallest usable pivot element
+STALL_WINDOW = 50         # iterations without progress before Bland
+REFACTOR_EVERY = 100      # pivots between basis-inverse refactorizations
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
@@ -234,7 +233,7 @@ class _Simplex:
     def run_phase(self, c: np.ndarray, allowed: np.ndarray) -> str:
         """Maximize c over the current basis; returns "optimal" or "unbounded"."""
         tols = self.tols
-        max_iter = tols.max_iterations or (2000 + 50 * (self.m + self.total))
+        max_iter = 2000 + 50 * (self.m + self.total)
         bland = False
         stall = 0
         last_obj = -np.inf
@@ -257,7 +256,7 @@ class _Simplex:
                 scores = np.where(cand, d / self.col_norms, -np.inf)
                 j = int(np.argmax(scores))
             w = self.Binv @ self.column(j)
-            pos = w > tols.pivot
+            pos = w > PIVOT_TOL
             if not pos.any():
                 return "unbounded"
             ratios = np.where(pos, self.xB / np.where(pos, w, 1.0), np.inf)
@@ -275,7 +274,7 @@ class _Simplex:
             self.xB = np.maximum(self.xB, 0.0)
             self.basis[leave] = j
             self.pivots += 1
-            if self.pivots % tols.refactor_every == 0:
+            if self.pivots % REFACTOR_EVERY == 0:
                 self.refactor()
 
             obj = float(c[self.basis] @ self.xB)
@@ -284,12 +283,11 @@ class _Simplex:
                 last_obj = obj
             else:
                 stall += 1
-                if stall >= tols.stall_window and not bland:
+                if stall >= STALL_WINDOW and not bland:
                     bland = True
 
     def drive_out_artificials(self) -> None:
         """Pivot basic artificials out; delete rows that turn out redundant."""
-        tols = self.tols
         redundant = []
         for i in range(self.m):
             if not self.is_artificial[self.basis[i]]:
@@ -297,7 +295,7 @@ class _Simplex:
             row = np.asarray(self.A.T @ self.Binv[i]).ravel()
             row[self.is_artificial] = 0.0
             row[self.basis] = 0.0
-            cands = np.nonzero(np.abs(row) > tols.pivot)[0]
+            cands = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
             if cands.size == 0:
                 redundant.append(i)
                 continue

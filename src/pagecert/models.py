@@ -233,14 +233,7 @@ def save_logits_csv(H: np.ndarray, path) -> None:
 
 
 def load_logits_csv(path) -> np.ndarray:
-    rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return check_logits(np.asarray(rows))
+    return check_logits(load_features_csv(path))
 
 
 def load_features_csv(path) -> np.ndarray:

@@ -28,20 +28,8 @@ class EnumerationResult:
     extra: dict
 
 
-def _dense_value(edges: np.ndarray, n: int, alpha: float, r: np.ndarray,
-                 z: np.ndarray) -> float:
-    """r^T pi(z) evaluated with dense linear algebra only."""
-    A = np.zeros((n, n))
-    A[edges[:, 0], edges[:, 1]] = 1.0
-    deg = A.sum(axis=1)
-    if np.any(deg == 0):
-        raise ValueError("dangling node in enumerated graph")
-    P = A / deg[:, None]
-    pi = (1.0 - alpha) * np.linalg.solve(np.eye(n) - alpha * P.T, z)
-    return float(r @ pi)
-
-
 def _dense_ppr(edges: np.ndarray, n: int, alpha: float, z: np.ndarray) -> np.ndarray:
+    """pi(z) evaluated with dense linear algebra only."""
     A = np.zeros((n, n))
     A[edges[:, 0], edges[:, 1]] = 1.0
     deg = A.sum(axis=1)
@@ -99,7 +87,7 @@ def brute_force_pagerank_opt(
     count = 0
     for mask in iter_feasible_masks(S, respect_global):
         count += 1
-        val = _dense_value(_perturbed_edges(S, mask), n, alpha, r, z)
+        val = float(r @ _dense_ppr(_perturbed_edges(S, mask), n, alpha, z))
         tup = _policy_tuple(S, mask)
         if best is None or val > best or (val == best and tup < best_tuple):
             best, best_tuple, best_mask = val, tup, mask

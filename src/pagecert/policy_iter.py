@@ -6,6 +6,15 @@ fragile edge by the value gained from flipping it, and keeps the best
 strictly improving flips per node within budget. The fixed point maximizes
 r^T pi(z) simultaneously for every teleport z, so one run per ordered class
 pair certifies all nodes at once.
+
+Ties: a flip that is already selected keeps its place unless a rival beats
+it by more than IMPROVE_TOL, so two flips whose scores differ only by
+rounding cannot swap places every round.
+
+Pair margins: the run for (c1, c2) uses the reward r = -h with
+h = H[:, c1] - H[:, c2], so its final value x solves (I - alpha P) x = -h on
+the optimal graph, and the worst margins pi(e_t)^T h of every node t are
+-(1 - alpha) x. pair_worst_margins returns them without another solve.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from . import models, ppr
 from ._parallel import map_parallel
-from .graph import DirectedGraph, EdgePolicy, PerturbationScenario
+from .graph import DirectedGraph, EdgePolicy, PerturbationScenario, flipped_graph
 
 IMPROVE_TOL = 1e-12
 ITERATION_CAP = 100
@@ -53,12 +62,6 @@ class LocalCertificate:
     marginal: bool               # |margin| within numerical noise of zero
 
 
-def _flipped_graph(S: PerturbationScenario, flipped: np.ndarray) -> DirectedGraph:
-    present = S.fragile_in_base ^ flipped
-    edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
-    return DirectedGraph.from_edges(S.node_count, edges, allow_self_loops=True)
-
-
 def optimize_local(
     G: DirectedGraph,
     S: PerturbationScenario,
@@ -77,42 +80,36 @@ def optimize_local(
     src = S.fragile_edges[:, 0]
     dst = S.fragile_edges[:, 1]
     sign = np.where(S.fragile_in_base, -1.0, 1.0)
-    budget = S.local_budget
 
     flipped = np.zeros(m, dtype=bool)
     if init is not None and len(init):
         flipped[S.fragile_index_of(init.flips)] = True
 
-    # Per-source blocks over the canonical (src-sorted) fragile order.
-    block_nodes, block_starts = (np.unique(src, return_index=True)
-                                 if m else (np.empty(0, np.int64), np.empty(0, np.int64)))
-    block_ends = np.append(block_starts[1:], m)
+    # The fragile order is sorted by src, and so is every per-source sort
+    # below, so position i holds an edge of source src[i] whose rank within
+    # its source's block is i minus the block start.
+    rank_in_block = np.arange(m) - np.searchsorted(src, src)
+    budget_at = S.local_budget[src]
 
     trace: list[np.ndarray] = []
     alpha = float(alpha)
     for k in range(1, ITERATION_CAP + 1):
-        graph_k = _flipped_graph(S, flipped)
+        graph_k = flipped_graph(S, flipped)
         x = ppr.mean_reward(graph_k, alpha, r, method=method).values
         trace.append(x)
         if m == 0:
             return _finish(S, flipped, x, k, trace, alpha, graph_k)
-        l = sign * (x[dst] - (x[src] - r[src]) / alpha)
+        # a selected flip loses its place only to a rival better by more
+        # than IMPROVE_TOL
+        score = sign * (x[dst] - (x[src] - r[src]) / alpha) + IMPROVE_TOL * flipped
 
-        new_flipped = np.zeros(m, dtype=bool)
         # sort within each source block by score desc, keeping currently
         # selected edges first on exact ties, then by target id
         curr_rank = np.where(flipped, 0, 1)
-        order = np.lexsort((dst, curr_rank, -l, src))
-        l_sorted = l[order]
-        for v, s0, s1 in zip(block_nodes, block_starts, block_ends):
-            b = int(budget[v])
-            if b == 0:
-                continue
-            blk = order[s0:s1]
-            eligible = int(np.searchsorted(-l_sorted[s0:s1], -IMPROVE_TOL))
-            take = min(b, eligible)
-            if take:
-                new_flipped[blk[:take]] = True
+        order = np.lexsort((dst, curr_rank, -score, src))
+        take = (rank_in_block < budget_at) & (score[order] > IMPROVE_TOL)
+        new_flipped = np.zeros(m, dtype=bool)
+        new_flipped[order[take]] = True
 
         if np.array_equal(new_flipped, flipped):
             return _finish(S, flipped, x, k, trace, alpha, graph_k)
@@ -156,7 +153,9 @@ def pair_worst_margins(
 
     Returns, per pair, the vector of worst-case margins
     min over admissible graphs of pi(e_t)^T (H[:, c1] - H[:, c2]) for every
-    node t, together with the optimization result that attains it.
+    node t, together with the optimization result that attains it. The
+    margins are -(1 - alpha) times the result's value (see the module
+    docstring).
     """
     H = models.check_logits(H)
     K = H.shape[1]
@@ -165,8 +164,7 @@ def pair_worst_margins(
         c1, c2 = pair
         h = H[:, c1] - H[:, c2]
         res = optimize_local(G, S, alpha, -h, method=method)
-        margins = ppr.diffused_margins(res.graph, alpha, h, method=method)
-        return pair, (margins, res)
+        return pair, (-(1.0 - alpha) * res.value, res)
 
     return dict(map_parallel(run, class_pairs(K)))
 

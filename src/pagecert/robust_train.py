@@ -69,11 +69,9 @@ class WorstCaseBundle:
         Exact while the stored adversarial graphs stay optimal; between
         refreshes of the inner problem this is the Danskin-fixed surrogate.
         """
-        for l, yl in enumerate(self.labels):
-            for c in range(self.class_count):
-                if c == yl:
-                    continue
-                self.margins[l, c] = self.pprs[l, c] @ (H[:, yl] - H[:, c])
+        # diff[l, c] = H[:, labels[l]] - H[:, c], zero at the own class
+        diff = H.T[self.labels][:, None, :] - H.T[None, :, :]
+        self.margins[...] = np.einsum("lkn,lkn->lk", self.pprs, diff)
 
     def certified_ratio(self, eps: float = policy_iter.MARGIN_EPS) -> float:
         worst = np.where(
@@ -93,7 +91,11 @@ def compute_worst_bundle(
     labels,
     method: str = "auto",
 ) -> WorstCaseBundle:
-    """Solve the inner problem for every labeled node and rival class."""
+    """Solve the inner problem for every labeled node and rival class.
+
+    Pairs whose first class labels no node are solved too (one run covers
+    all nodes) but not stored.
+    """
     H = models.check_logits(H)
     K = H.shape[1]
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -103,19 +105,15 @@ def compute_worst_bundle(
     pprs = np.zeros((L, K, G.node_count))
     pair_policies = {}
     pair_graphs = {}
-    for c1 in np.unique(labels):
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, method=method)
+    for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
-        for c2 in range(K):
-            if c2 == c1:
-                continue
-            h = H[:, c1] - H[:, c2]
-            res = policy_iter.optimize_local(G, S, alpha, -h, method=method)
-            pair_policies[(int(c1), c2)] = res.policy
-            pair_graphs[(int(c1), c2)] = res.graph
-            rows = ppr.ppr_rows(res.graph, alpha, nodes[sel], method=method)
-            for k, l in enumerate(sel):
-                pprs[l, c2] = rows[k]
-                margins[l, c2] = rows[k] @ h
+        if not sel.size:
+            continue
+        pair_policies[(c1, c2)] = res.policy
+        pair_graphs[(c1, c2)] = res.graph
+        pprs[sel, c2] = ppr.ppr_rows(res.graph, alpha, nodes[sel], method=method)
+        margins[sel, c2] = pair_margins[nodes[sel]]
     return WorstCaseBundle(
         nodes=nodes, labels=labels, class_count=K,
         margins=margins, pprs=pprs,
@@ -175,16 +173,12 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
                        n: int) -> np.ndarray:
     """Map margin gradients to logit-space gradients via the stored
     PageRank rows (Danskin: the rows are treated as constants)."""
-    K = bundle.class_count
-    dH = np.zeros((n, K))
-    for l, yl in enumerate(bundle.labels):
-        for c in range(K):
-            if c == yl or g_margins[l, c] == 0.0:
-                continue
-            row = g_margins[l, c] * bundle.pprs[l, c]
-            dH[:, yl] += row
-            dH[:, c] -= row
-    return dH
+    # rows[l, c] = g[l, c] * pprs[l, c] enters dH[:, labels[l]] with a plus
+    # and dH[:, c] with a minus; at c = labels[l] the two cancel
+    rows = g_margins[:, :, None] * bundle.pprs
+    to_label = np.zeros((bundle.class_count, n))
+    np.add.at(to_label, bundle.labels, rows.sum(axis=1))
+    return (to_label - rows.sum(axis=0)).T
 
 
 def _clean_ce_loss_grad(

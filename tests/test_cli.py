@@ -105,6 +105,21 @@ class TestPipelines:
         for name in ("certificates.jsonl", "summary.csv", "scenario.txt"):
             assert (out / name).read_bytes() == (redo / name).read_bytes()
 
+    def test_rerun_from_manifest_checks_input_digests(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, "orig")
+        assert main(["--config", str(cfg)]) == 0
+        manifest = str(tmp_path / "orig" / "manifest.json")
+        redo = f"paths.output={tmp_path / 'redo'}"
+        gpath = tmp_path / "graph.tsv"
+        gpath.write_text(gpath.read_text() + "0\t11\n")
+        capsys.readouterr()
+        assert main(["--from-manifest", manifest, "--set", redo]) == 4
+        assert "paths.graph (digest mismatch)" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
+        (tmp_path / "labels.tsv").unlink()
+        assert main(["--from-manifest", manifest, "--set", redo]) == 4
+        assert "paths.labels (missing)" in capsys.readouterr().err
+
     def test_certify_global_zero_budget_matches_clean_margins(self, tmp_path):
         cfg = base_config(
             tmp_path, "glob", mode="certify-global",

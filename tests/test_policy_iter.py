@@ -120,6 +120,30 @@ class TestOptimizeLocal:
         assert abs(cold.objective_per_z(z) - warm.objective_per_z(z)) <= 1e-10
         assert warm.iterations <= cold.iterations
 
+    def test_near_tie_does_not_cycle(self):
+        # Two fragile edges of one source score within ~1e-16 of each other
+        # and used to swap places every round until the iteration cap.
+        from pagecert.graph import DirectedGraph
+        pairs = np.array([
+            (0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (0, 10), (1, 2),
+            (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 4), (2, 6),
+            (2, 7), (2, 10), (3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7),
+            (5, 13), (6, 13), (7, 9), (8, 11), (8, 12), (8, 13), (8, 14),
+            (8, 15), (9, 10), (9, 11), (9, 13), (9, 15), (10, 11), (10, 13),
+            (10, 14), (10, 15), (11, 12), (11, 13), (12, 13), (12, 15),
+            (13, 14), (13, 15),
+        ])
+        G = DirectedGraph.from_edges(16, np.concatenate([pairs, pairs[:, ::-1]]))
+        S = build_scenario(G, "remove-only", strength=4)
+        r = np.zeros(16)
+        r[6] = 1.0
+        res = optimize_local(G, S, ALPHA, r)
+        per_node = np.bincount(res.policy.flips[:, 0], minlength=16)
+        assert np.all(per_node <= S.local_budget)
+        again = optimize_local(G, S, ALPHA, r, init=res.policy)
+        assert again.iterations == 1
+        assert np.array_equal(again.policy.flips, res.policy.flips)
+
 
 class TestCertifyLocalAll:
     def test_no_fragile_edges_gives_clean_margins(self, rng):
@@ -215,5 +239,9 @@ class TestCertifyLocalAll:
         # each pair's margins are minima over admissible graphs, so they
         # cannot exceed the clean margins
         clean = diffused_margins(G, ALPHA, H)
-        for (c1, c2), (margins, _) in pairs.items():
+        for (c1, c2), (margins, res) in pairs.items():
             assert np.all(margins <= clean[:, c1] - clean[:, c2] + 1e-9)
+            # taken from the policy value, bit for bit the diffused margins
+            # on the optimal graph
+            h = H[:, c1] - H[:, c2]
+            assert np.array_equal(margins, diffused_margins(res.graph, ALPHA, h))

@@ -169,6 +169,24 @@ class TestBundle:
                 direct = bundle.pprs[l, c] @ (H[:, yv] - H[:, c])
                 assert abs(direct - bundle.margins[l, c]) <= 1e-8
 
+    def test_margin_grads_match_loop_reference(self, rng):
+        from pagecert.robust_train import _margin_grads_to_H
+        L, K, n = 5, 3, 7
+        labels = np.array([0, 2, 1, 2, 0])
+        bundle = make_bundle(np.zeros((L, K)), labels, n)
+        bundle.pprs = rng.random((L, K, n))
+        g = rng.normal(size=(L, K))
+        g[np.arange(L), labels] = 0.0
+        g[1, 0] = 0.0
+        want = np.zeros((n, K))
+        for l, yl in enumerate(labels):
+            for c in range(K):
+                if c != yl:
+                    want[:, yl] += g[l, c] * bundle.pprs[l, c]
+                    want[:, c] -= g[l, c] * bundle.pprs[l, c]
+        assert np.allclose(_margin_grads_to_H(bundle, g, n), want,
+                           rtol=0.0, atol=1e-13)
+
 
 class TestGradCheck:
     def test_linear_model_ce_exact(self, rng):
