@@ -44,7 +44,6 @@ KNOWN_KEYS = {
     "scenario.mode": "remove-only | add-and-remove",
     "scenario.strength": "local attack strength s",
     "scenario.global_budget": "global budget B (blank = unlimited)",
-    "solver.method": "auto | dense | iterative",
     "solver.bound_method": "closed_form | policy_opt",
     "solver.lp_feasibility": "LP feasibility tolerance (default 1e-7)",
     "solver.lp_optimality": "LP optimality tolerance (default 1e-9)",
@@ -173,6 +172,19 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     sm = raw.get("scenario.mode")
     if sm and sm not in ("remove-only", "add-and-remove"):
         cfg.errors.append(f"scenario.mode must be remove-only|add-and-remove, got {sm!r}")
+    bm = raw.get("solver.bound_method")
+    if bm and bm not in ("closed_form", "policy_opt"):
+        cfg.errors.append(
+            f"solver.bound_method must be closed_form|policy_opt, got {bm!r}"
+        )
+    margin = cfg.get_float("train.margin")
+    if margin is not None and margin < 0:
+        cfg.errors.append(f"train.margin must be nonnegative, got {margin}")
+    for key, least in (("train.epochs", 1), ("train.cadence", 1),
+                       ("train.per_class", 1), ("train.patience", 0)):
+        v = cfg.get_int(key)
+        if v is not None and v < least:
+            cfg.errors.append(f"{key} must be >= {least}, got {v}")
     return cfg
 
 
@@ -237,7 +249,6 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
             G, cfg.alpha, X, y,
             reg=cfg.get_float("train.reg", 1e-2),
             seed=cfg.seed,
-            method=cfg.get("solver.method", "auto"),
         )
         return H
     K = int(y.max()) + 1
@@ -281,7 +292,6 @@ def run(cfg: RunConfig) -> int:
         return 2
     outdir = Path(cfg.raw["paths.output"])
     outdir.mkdir(parents=True, exist_ok=True)
-    method = cfg.get("solver.method", "auto")
     outputs: list[str] = []
 
     if cfg.mode == "gen-sbm":
@@ -306,7 +316,7 @@ def run(cfg: RunConfig) -> int:
         H = _logits_for(cfg, G, y)
         graph.dump_scenario(S, outdir / "scenario.txt")
         outputs.append("scenario.txt")
-        certs = policy_iter.certify_local_all(G, S, cfg.alpha, H, method=method)
+        certs = policy_iter.certify_local_all(G, S, cfg.alpha, H)
         analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
         outputs.append("certificates.jsonl")
         full = y if y is not None and (y >= 0).all() else None
@@ -343,7 +353,6 @@ def run(cfg: RunConfig) -> int:
         certs = qclp_global.certify_global(
             G, S, cfg.alpha, H, targets,
             bound_method=cfg.get("solver.bound_method", "closed_form"),
-            solve_method=method,
             tols=tols,
         )
         analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
@@ -358,16 +367,16 @@ def run(cfg: RunConfig) -> int:
         S = _build_scenario(cfg, G)
         X = _load_features(cfg)
         train_idx, val_idx, _ = models.train_val_test_split(
-            y, per_class=cfg.get_int("train.per_class", 20) or 20, seed=cfg.seed
+            y, per_class=cfg.get_int("train.per_class", 20), seed=cfg.seed
         )
         config = robust_train.RobustLossConfig(
             kind=cfg.get("train.loss", "ce"),
             hinge_margin=cfg.get_float("train.margin", 1.0),
-            recompute_every=cfg.get_int("train.cadence", 1) or 1,
+            recompute_every=cfg.get_int("train.cadence", 1),
             learning_rate=cfg.get_float("train.lr", 1e-2),
             weight_decay=cfg.get_float("train.reg", 5e-2),
-            patience=cfg.get_int("train.patience", 100) or 100,
-            max_epochs=cfg.get_int("train.epochs", 1000) or 1000,
+            patience=cfg.get_int("train.patience", 100),
+            max_epochs=cfg.get_int("train.epochs", 1000),
             seed=cfg.seed,
         )
         model = models.init_mlp(
@@ -376,7 +385,6 @@ def run(cfg: RunConfig) -> int:
         )
         trained, history = robust_train.train_robust(
             model, X, y, G, S, cfg.alpha, config, train_idx, val_idx,
-            method=method,
         )
         models.save_model(trained, outdir / "model.bin")
         analysis.write_table_csv(

@@ -151,7 +151,6 @@ def feature_propagation_logits(
     lr: float = 0.5,
     max_iter: int = 20000,
     tol: float = 1e-8,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diffuse features, fit multinomial logistic regression, return H = X W.
 
@@ -167,7 +166,7 @@ def feature_propagation_logits(
     K = int(y[rows].max()) + 1
     if K < 2:
         raise ModelError("need at least two classes")
-    Xd = ppr.diffused_margins(G, alpha, X, method=method)
+    Xd = ppr.diffused_margins(G, alpha, X)
     Xl, yl = Xd[rows], y[rows]
     onehot = np.zeros((rows.size, K))
     onehot[np.arange(rows.size), yl] = 1.0
@@ -193,11 +192,10 @@ def feature_propagation_logits(
     return X @ W, W
 
 
-def predict(G: DirectedGraph, alpha: float, H: np.ndarray, method: str = "auto"
-            ) -> np.ndarray:
+def predict(G: DirectedGraph, alpha: float, H: np.ndarray) -> np.ndarray:
     """Argmax over diffused logits, ties broken toward the lowest class id."""
     H = check_logits(H)
-    diff = ppr.diffused_margins(G, alpha, H, method=method)
+    diff = ppr.diffused_margins(G, alpha, H)
     return np.argmax(diff, axis=1)
 
 

@@ -20,7 +20,6 @@ the optimal graph, and the worst margins pi(e_t)^T h of every node t are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class IterationCapError(RuntimeError):
 class PolicyIterationResult:
     policy: EdgePolicy
     value: np.ndarray                      # final mean-reward vector x
-    objective_per_z: Callable[[np.ndarray], float]
     iterations: int
     trace: list[np.ndarray]
     graph: DirectedGraph                   # the optimal perturbed graph
@@ -68,12 +66,12 @@ def optimize_local(
     alpha: float,
     r: np.ndarray,
     init: EdgePolicy | None = None,
-    method: str = "auto",
 ) -> PolicyIterationResult:
     """Maximize r^T pi(z) over local-budget-admissible perturbed graphs.
 
     The global budget of S is ignored here. The returned configuration is
-    optimal for every teleport z at once; objective_per_z evaluates it.
+    optimal for every teleport z at once, with objective (1 - alpha) z^T x
+    for the returned value x.
     """
     r = np.asarray(r, dtype=np.float64)
     m = S.fragile_count
@@ -95,10 +93,10 @@ def optimize_local(
     alpha = float(alpha)
     for k in range(1, ITERATION_CAP + 1):
         graph_k = flipped_graph(S, flipped)
-        x = ppr.mean_reward(graph_k, alpha, r, method=method).values
+        x = ppr.mean_reward(graph_k, alpha, r).values
         trace.append(x)
         if m == 0:
-            return _finish(S, flipped, x, k, trace, alpha, graph_k)
+            break
         # a selected flip loses its place only to a rival better by more
         # than IMPROVE_TOL
         score = sign * (x[dst] - (x[src] - r[src]) / alpha) + IMPROVE_TOL * flipped
@@ -112,29 +110,19 @@ def optimize_local(
         new_flipped[order[take]] = True
 
         if np.array_equal(new_flipped, flipped):
-            return _finish(S, flipped, x, k, trace, alpha, graph_k)
+            break
         flipped = new_flipped
-    raise IterationCapError(
-        f"policy iteration exceeded {ITERATION_CAP} iterations (tie cycling?)",
-        trace,
-    )
-
-
-def _finish(S, flipped, x, iterations, trace, alpha, graph) -> PolicyIterationResult:
-    policy = EdgePolicy.from_pairs(S.fragile_edges[flipped])
-    x_final = x.copy()
-
-    def objective(z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        return float((1.0 - alpha) * (z @ x_final))
-
+    else:
+        raise IterationCapError(
+            f"policy iteration exceeded {ITERATION_CAP} iterations (tie cycling?)",
+            trace,
+        )
     return PolicyIterationResult(
-        policy=policy,
-        value=x_final,
-        objective_per_z=objective,
-        iterations=iterations,
+        policy=EdgePolicy.from_pairs(S.fragile_edges[flipped]),
+        value=x,
+        iterations=k,
         trace=trace,
-        graph=graph,
+        graph=graph_k,
     )
 
 
@@ -147,7 +135,6 @@ def pair_worst_margins(
     S: PerturbationScenario,
     alpha: float,
     H: np.ndarray,
-    method: str = "auto",
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
     """Run one local optimization per ordered class pair (c1, c2).
 
@@ -163,7 +150,7 @@ def pair_worst_margins(
     def run(pair):
         c1, c2 = pair
         h = H[:, c1] - H[:, c2]
-        res = optimize_local(G, S, alpha, -h, method=method)
+        res = optimize_local(G, S, alpha, -h)
         return pair, (-(1.0 - alpha) * res.value, res)
 
     return dict(map_parallel(run, class_pairs(K)))
@@ -175,7 +162,6 @@ def certify_local_all(
     alpha: float,
     H: np.ndarray,
     y: np.ndarray | None = None,
-    method: str = "auto",
 ) -> list[LocalCertificate]:
     """Exact worst-case-margin certificates for every node under local budgets.
 
@@ -186,14 +172,14 @@ def certify_local_all(
     H = models.check_logits(H)
     K = H.shape[1]
     if y is None:
-        y = models.predict(G, alpha, H, method=method)
+        y = models.predict(G, alpha, H)
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (G.node_count,):
         raise ValueError("need one class per node")
     if y.min() < 0 or y.max() >= K:
         raise ValueError("class id out of range")
 
-    pairs = pair_worst_margins(G, S, alpha, H, method=method)
+    pairs = pair_worst_margins(G, S, alpha, H)
     certs = []
     for t in range(G.node_count):
         yt = int(y[t])

@@ -3,7 +3,8 @@
 All three operations reduce to solving (I - a*M) x = rhs where M is the
 row-stochastic transition matrix P = D^-1 A or its transpose. The spectral
 radius of a*M is at most a < 1, so a stationary fixed-point iteration
-converges geometrically; for small graphs a dense LU solve is used instead.
+converges geometrically; graphs of up to DENSE_LIMIT nodes use a dense LU
+solve instead. The graph's size alone picks the solver; no option does.
 
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the
@@ -46,14 +47,20 @@ class ValueVector:
 
 
 def transition_matrix(G: DirectedGraph) -> sp.csr_matrix:
-    """Row-stochastic P = D^-1 A; errors on zero out-degree nodes."""
-    if np.any(G.out_degree == 0):
-        bad = int(np.nonzero(G.out_degree == 0)[0][0])
+    """Row-stochastic P = D^-1 A; errors on zero out-degree nodes.
+
+    G.edges is sorted by (src, dst) without duplicates, so its dst column is
+    already the CSR column index array and the row pointers are the
+    cumulative out-degrees.
+    """
+    deg = G.out_degree
+    if np.any(deg == 0):
+        bad = int(np.nonzero(deg == 0)[0][0])
         raise KernelInputError(f"node {bad} has no outgoing edge")
-    e = G.edges
-    w = 1.0 / G.out_degree[e[:, 0]]
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    data = np.repeat(1.0 / deg, deg)
     return sp.csr_matrix(
-        (w, (e[:, 0], e[:, 1])), shape=(G.node_count, G.node_count)
+        (data, G.edges[:, 1], indptr), shape=(G.node_count, G.node_count)
     )
 
 
@@ -72,21 +79,19 @@ def solve_transport(
     alpha: float,
     rhs: np.ndarray,
     transpose: bool = False,
-    method: str = "auto",
 ) -> np.ndarray:
     """Solve (I - alpha * P[^T]) x = rhs for one or many right-hand sides.
 
-    rhs may be (n,) or (n, k). method is "auto" (dense below DENSE_LIMIT
-    nodes, iterative above), "dense", or "iterative".
+    rhs may be (n,) or (n, k). Dense LU up to DENSE_LIMIT nodes, stationary
+    iteration above.
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
     squeeze = rhs.ndim == 1
     b = rhs.reshape(G.node_count, -1)
-    if method == "auto":
-        method = "dense" if G.node_count <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        P = transition_matrix(G).toarray()
+    P = transition_matrix(G)
+    if G.node_count <= DENSE_LIMIT:
+        P = P.toarray()
         if transpose:
             P = P.T
         M = np.eye(G.node_count) - alpha * P
@@ -94,8 +99,7 @@ def solve_transport(
         res = _relative_residual(M @ x - b, b)
         if res > RESIDUAL_TOL * 1e3:
             raise ConvergenceError(f"dense solve residual {res:.3e}")
-    elif method == "iterative":
-        P = transition_matrix(G)
+    else:
         if transpose:
             P = P.T.tocsr()
         x = b.copy()
@@ -111,16 +115,11 @@ def solve_transport(
                 converged = True
                 break
         if not converged:
-            P2 = transition_matrix(G)
-            if transpose:
-                P2 = P2.T.tocsr()
-            res = _relative_residual(x - alpha * (P2 @ x) - b, b)
+            res = _relative_residual(x - alpha * (P @ x) - b, b)
             raise ConvergenceError(
                 f"stationary iteration hit the {cap}-iteration cap with "
                 f"relative residual {res:.3e}"
             )
-    else:
-        raise KernelInputError(f"unknown solve method {method!r}")
     return x[:, 0] if squeeze else x
 
 
@@ -130,16 +129,14 @@ def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(num / den))
 
 
-def ppr_vector(
-    G: DirectedGraph, alpha: float, z: np.ndarray, method: str = "auto"
-) -> PageRankVector:
+def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
     """Topic-sensitive PageRank for teleport distribution z."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (G.node_count,):
         raise KernelInputError("teleport vector has wrong length")
     if z.min() < -1e-12 or abs(z.sum() - 1.0) > 1e-8:
         raise KernelInputError("teleport vector must be a probability distribution")
-    x = solve_transport(G, alpha, z, transpose=True, method=method)
+    x = solve_transport(G, alpha, z, transpose=True)
     pi = (1.0 - alpha) * x
     if pi.min() < -1e-12:
         raise ConvergenceError(f"negative PageRank entry {pi.min():.3e}")
@@ -149,22 +146,18 @@ def ppr_vector(
     return PageRankVector(values=pi, alpha=float(alpha), teleport=z.copy())
 
 
-def mean_reward(
-    G: DirectedGraph, alpha: float, r: np.ndarray, method: str = "auto"
-) -> ValueVector:
+def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:
     """Mean reward before teleportation: solves (I - alpha*D^-1*A) x = r."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (G.node_count,):
         raise KernelInputError("reward vector has wrong length")
     if not np.all(np.isfinite(r)):
         raise KernelInputError("reward vector must be finite")
-    x = solve_transport(G, alpha, r, transpose=False, method=method)
+    x = solve_transport(G, alpha, r, transpose=False)
     return ValueVector(values=x)
 
 
-def diffused_margins(
-    G: DirectedGraph, alpha: float, h: np.ndarray, method: str = "auto"
-) -> np.ndarray:
+def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray) -> np.ndarray:
     """pi(e_t)^T h for every target t at once, as (1-alpha) * mean reward.
 
     h may be a single length-N vector or an (N, k) stack of columns; the
@@ -175,12 +168,10 @@ def diffused_margins(
         raise KernelInputError("logit vector has wrong length")
     if not np.all(np.isfinite(h)):
         raise KernelInputError("logit values must be finite")
-    return (1.0 - alpha) * solve_transport(G, alpha, h, transpose=False, method=method)
+    return (1.0 - alpha) * solve_transport(G, alpha, h, transpose=False)
 
 
-def ppr_rows(
-    G: DirectedGraph, alpha: float, targets, method: str = "auto"
-) -> np.ndarray:
+def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
     """Personalized PageRank vectors pi(e_t) for a batch of targets.
 
     Returns an array of shape (len(targets), N); row i is pi(e_targets[i]).
@@ -188,18 +179,16 @@ def ppr_rows(
     targets = np.asarray(targets, dtype=np.int64).ravel()
     Z = np.zeros((G.node_count, targets.size))
     Z[targets, np.arange(targets.size)] = 1.0
-    X = solve_transport(G, alpha, Z, transpose=True, method=method)
+    X = solve_transport(G, alpha, Z, transpose=True)
     pi = (1.0 - alpha) * X.T
     return np.maximum(pi, 0.0)
 
 
-def diffuse_transpose(
-    G: DirectedGraph, alpha: float, s: np.ndarray, method: str = "auto"
-) -> np.ndarray:
+def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray) -> np.ndarray:
     """(1-alpha) (I - alpha*P^T)^-1 s for an arbitrary vector or matrix s.
 
     This is the adjoint of margin diffusion, used to backpropagate
     through diffused logits.
     """
     s = np.asarray(s, dtype=np.float64)
-    return (1.0 - alpha) * solve_transport(G, alpha, s, transpose=True, method=method)
+    return (1.0 - alpha) * solve_transport(G, alpha, s, transpose=True)

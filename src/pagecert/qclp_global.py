@@ -129,7 +129,6 @@ def policy_opt_graph_cache(
     G: DirectedGraph,
     S: PerturbationScenario,
     alpha: float,
-    method: str = "auto",
 ) -> tuple[list[DirectedGraph], np.ndarray]:
     """For each node v, the local-budget-optimal graph maximizing pi(z)_v.
 
@@ -142,7 +141,7 @@ def policy_opt_graph_cache(
     def run(v):
         e_v = np.zeros(n)
         e_v[v] = 1.0
-        res = policy_iter.optimize_local(G, S, alpha, e_v, method=method)
+        res = policy_iter.optimize_local(G, S, alpha, e_v)
         return tuple(map(tuple, res.policy.flips.tolist())), res.graph
 
     results = map_parallel(run, range(n))
@@ -164,7 +163,6 @@ def compute_upper_bounds(
     method: str = "closed_form",
     z: np.ndarray | None = None,
     graph_cache: tuple[list[DirectedGraph], np.ndarray] | None = None,
-    solve_method: str = "auto",
 ) -> np.ndarray:
     """Per-node upper bounds on the LP occupation variables.
 
@@ -181,14 +179,14 @@ def compute_upper_bounds(
     if z is None:
         raise BoundError("policy_opt bounds need the certification teleport z")
     if graph_cache is None:
-        graph_cache = policy_opt_graph_cache(G, S, alpha, method=solve_method)
+        graph_cache = policy_opt_graph_cache(G, S, alpha)
     graphs, node_graph = graph_cache
     pi_max = np.zeros(S.node_count)
     for g_idx, graph in enumerate(graphs):
         nodes = np.nonzero(node_graph == g_idx)[0]
         if nodes.size == 0:
             continue
-        pi = ppr.ppr_vector(graph, alpha, z, method=solve_method).values
+        pi = ppr.ppr_vector(graph, alpha, z).values
         pi_max[nodes] = pi[nodes]
     return pi_max * slack
 
@@ -402,7 +400,6 @@ def certify_global(
     targets,
     y: np.ndarray | None = None,
     bound_method: str = "closed_form",
-    solve_method: str = "auto",
     tols: lp_solver.SolverTolerances = lp_solver.DEFAULT_TOLERANCES,
 ) -> list[GlobalCertificate]:
     """Margin lower bounds for the targets under local plus global budgets.
@@ -420,7 +417,7 @@ def certify_global(
     if targets.size == 0:
         raise BoundError("need at least one certification target")
     if y is None:
-        y = models.predict(G, alpha, H, method=solve_method)
+        y = models.predict(G, alpha, H)
     y = np.asarray(y, dtype=np.int64)
 
     mdps = {}
@@ -432,7 +429,7 @@ def certify_global(
 
     cache = None
     if bound_method == "policy_opt":
-        cache = policy_opt_graph_cache(G, S, alpha, method=solve_method)
+        cache = policy_opt_graph_cache(G, S, alpha)
 
     def run(t):
         t = int(t)
@@ -441,7 +438,6 @@ def certify_global(
         z[t] = 1.0
         xbar = compute_upper_bounds(
             G, S, alpha, method=bound_method, z=z, graph_cache=cache,
-            solve_method=solve_method,
         )
         best_bound = np.inf
         best_class = yt
@@ -470,7 +466,7 @@ def certify_global(
         status = "robust" if best_bound > MARGIN_EPS else "unknown"
         if status != "robust":
             attacked = apply_policy(G, S, attack)
-            pi = ppr.ppr_rows(attacked, alpha, [t], method=solve_method)[0]
+            pi = ppr.ppr_rows(attacked, alpha, [t])[0]
             diffs = pi @ H
             margins = diffs[yt] - diffs
             margins[yt] = np.inf

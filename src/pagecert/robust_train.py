@@ -89,7 +89,6 @@ def compute_worst_bundle(
     H: np.ndarray,
     nodes,
     labels,
-    method: str = "auto",
 ) -> WorstCaseBundle:
     """Solve the inner problem for every labeled node and rival class.
 
@@ -105,14 +104,14 @@ def compute_worst_bundle(
     pprs = np.zeros((L, K, G.node_count))
     pair_policies = {}
     pair_graphs = {}
-    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, method=method)
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H)
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
         if not sel.size:
             continue
         pair_policies[(c1, c2)] = res.policy
         pair_graphs[(c1, c2)] = res.graph
-        pprs[sel, c2] = ppr.ppr_rows(res.graph, alpha, nodes[sel], method=method)
+        pprs[sel, c2] = ppr.ppr_rows(res.graph, alpha, nodes[sel])
         margins[sel, c2] = pair_margins[nodes[sel]]
     return WorstCaseBundle(
         nodes=nodes, labels=labels, class_count=K,
@@ -183,10 +182,10 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
 
 def _clean_ce_loss_grad(
     G: DirectedGraph, alpha: float, H: np.ndarray, nodes: np.ndarray,
-    labels: np.ndarray, method: str = "auto",
+    labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy on clean diffused logits and its gradient w.r.t. H."""
-    Hd = ppr.diffused_margins(G, alpha, H, method=method)
+    Hd = ppr.diffused_margins(G, alpha, H)
     logits = Hd[nodes]
     idx = np.arange(nodes.size)
     loss = float(np.sum(_logsumexp(logits) - logits[idx, labels]))
@@ -195,7 +194,7 @@ def _clean_ce_loss_grad(
     full = np.zeros_like(Hd)
     full[nodes] = gd
     # adjoint of diffusion: dH = Pi^T (dL/dH_diff)
-    dH = ppr.diffuse_transpose(G, alpha, full, method=method)
+    dH = ppr.diffuse_transpose(G, alpha, full)
     return loss, dH
 
 
@@ -208,11 +207,10 @@ def robust_loss_and_grad(
     labels: np.ndarray,
     bundle: WorstCaseBundle | None,
     hinge_margin: float,
-    method: str = "auto",
 ) -> tuple[float, np.ndarray]:
     """Loss value and dLoss/dH for one of the three training losses."""
     if kind == "ce":
-        return _clean_ce_loss_grad(G, alpha, H, nodes, labels, method=method)
+        return _clean_ce_loss_grad(G, alpha, H, nodes, labels)
     assert bundle is not None
     bundle.refresh_margins(H)
     if kind == "rce":
@@ -220,7 +218,7 @@ def robust_loss_and_grad(
         g = _rce_grad_margins(bundle)
         return loss, _margin_grads_to_H(bundle, g, H.shape[0])
     # cem
-    ce, dH = _clean_ce_loss_grad(G, alpha, H, nodes, labels, method=method)
+    ce, dH = _clean_ce_loss_grad(G, alpha, H, nodes, labels)
     idx = np.arange(len(bundle.labels))
     hinge = np.maximum(0.0, hinge_margin - bundle.margins)
     hinge[idx, bundle.labels] = 0.0
@@ -240,7 +238,6 @@ def train_robust(
     config: RobustLossConfig,
     train_idx,
     val_idx,
-    method: str = "auto",
 ) -> tuple[MlpModel, list[dict]]:
     """Full-batch gradient descent on the chosen loss with early stopping.
 
@@ -266,12 +263,10 @@ def train_robust(
         H, acts = models.mlp_forward(model, X)
         needs_bundle = config.kind in ("rce", "cem")
         if needs_bundle and (bundle is None or epoch % config.recompute_every == 0):
-            bundle = compute_worst_bundle(
-                G, S, alpha, H, train_idx, labels, method=method
-            )
+            bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
         loss, dH = robust_loss_and_grad(
             config.kind, G, alpha, H, train_idx, labels, bundle,
-            config.hinge_margin, method=method,
+            config.hinge_margin,
         )
         if needs_bundle:
             cert_ratio = bundle.certified_ratio()
@@ -279,9 +274,7 @@ def train_robust(
             float(np.sum(w * w)) for w in model.weights
         )
         loss += reg
-        val_loss, _ = _clean_ce_loss_grad(
-            G, alpha, H, val_idx, y[val_idx], method=method
-        )
+        val_loss, _ = _clean_ce_loss_grad(G, alpha, H, val_idx, y[val_idx])
         if not np.isfinite(loss) or not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"loss diverged at epoch {epoch}", history
@@ -318,7 +311,6 @@ def _total_loss(
     alpha: float,
     config: RobustLossConfig,
     train_idx: np.ndarray,
-    method: str,
 ) -> tuple[float, dict]:
     """Loss with the inner problem re-solved from scratch, plus a signature
     of the active nondifferentiable structure (for grad checks)."""
@@ -326,11 +318,10 @@ def _total_loss(
     labels = y[train_idx]
     bundle = None
     if config.kind in ("rce", "cem"):
-        bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels,
-                                      method=method)
+        bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
     loss, _ = robust_loss_and_grad(
         config.kind, G, alpha, H, train_idx, labels, bundle,
-        config.hinge_margin, method=method,
+        config.hinge_margin,
     )
     signature: dict = {}
     if bundle is not None:
@@ -363,7 +354,6 @@ def grad_check(
     alpha: float,
     config: RobustLossConfig,
     h: float = 1e-5,
-    method: str = "auto",
 ) -> GradCheckResult:
     """Central finite differences of the full loss vs the analytic gradient.
 
@@ -379,11 +369,10 @@ def grad_check(
     H, acts = models.mlp_forward(model, X)
     bundle = None
     if config.kind in ("rce", "cem"):
-        bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels,
-                                      method=method)
+        bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
     _, dH = robust_loss_and_grad(
         config.kind, G, alpha, H, train_idx, labels, bundle,
-        config.hinge_margin, method=method,
+        config.hinge_margin,
     )
     dws, dbs = models.mlp_backward(model, acts, dH)
     analytic = np.concatenate(
@@ -400,11 +389,11 @@ def grad_check(
         theta[i] = theta0[i] + h
         probe.set_params_flat(theta)
         f_plus, pol_plus = _total_loss(probe, X, y, G, S, alpha, config,
-                                       train_idx, method)
+                                       train_idx)
         theta[i] = theta0[i] - h
         probe.set_params_flat(theta)
         f_minus, pol_minus = _total_loss(probe, X, y, G, S, alpha, config,
-                                         train_idx, method)
+                                         train_idx)
         if pol_plus != pol_minus:
             kinks.append(i)
             continue

@@ -144,10 +144,10 @@ class TestCriterion2Soundness:
                 )
                 sol = lp_solver.solve_lp(inst.lp)
                 res = policy_iter.optimize_local(G, S_full, ALPHA, r)
-                assert sol.objective >= res.objective_per_z(z) - 1e-8
+                assert sol.objective >= (1 - ALPHA) * (z @ res.value) - 1e-8
                 _, _, integral = qclp_global.recover_pagerank(sol, inst)
                 if integral:
-                    assert abs(sol.objective - res.objective_per_z(z)) <= 1e-6
+                    assert abs(sol.objective - (1 - ALPHA) * (z @ res.value)) <= 1e-6
                     eq_checked += 1
         elapsed = time.time() - t0
         assert sound >= 200

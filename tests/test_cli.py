@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from pagecert import robust_train
 from pagecert.cli import main, resolve_config, validate_config
 from pagecert.graph import generate_sbm, sbm_block_labels
 
@@ -57,6 +59,32 @@ class TestConfigValidation:
         cfg = base_config(tmp_path, "u", extra="bogus.key = 1")
         _, warnings = validate_config(cfg)
         assert any("bogus.key" in w for w in warnings)
+
+    def test_solver_method_key_is_gone(self, tmp_path, capsys):
+        # the graph's size picks the PageRank solver; an old config that
+        # still names one warns and runs
+        cfg = base_config(tmp_path, "sm", extra="solver.method = dense")
+        _, warnings = validate_config(cfg)
+        assert "unknown key 'solver.method' ignored" in warnings
+        assert main(["--list-keys"]) == 0
+        assert "solver.method" not in capsys.readouterr().out
+        assert main(["--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("setting", [
+        "solver.bound_method = bogus",
+        "train.margin = -1",
+        "train.epochs = 0",
+        "train.cadence = 0",
+        "train.per_class = 0",
+        "train.patience = -1",
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, setting):
+        cfg = base_config(tmp_path, "bad", mode="certify-global", extra=setting)
+        errors, _ = validate_config(cfg)
+        assert any(e.startswith(setting.split(" = ")[0]) for e in errors)
+        assert main(["--config", str(cfg), "--validate"]) == 2
+        assert main(["--config", str(cfg)]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_mode_error(self):
         cfg = resolve_config({"mode": "frobnicate"})
@@ -168,7 +196,8 @@ class TestPipelines:
         assert main(["--config", str(rcfg)]) == 0
         assert (tmp_path / "rep" / "summary.csv").exists()
 
-    def test_train_mode(self, tmp_path):
+    @staticmethod
+    def _train_config(tmp_path, extra=""):
         gpath, lpath = write_fixture(tmp_path, n=24, p_in=0.8, p_out=0.05)
         labels = sbm_block_labels(24, 2)
         feats = tmp_path / "x.csv"
@@ -194,8 +223,13 @@ train.loss = cem
 train.epochs = 15
 train.hidden = 0
 train.per_class = 4
+{extra}
 """.strip() + "\n"
         )
+        return cfg
+
+    def test_train_mode(self, tmp_path):
+        cfg = self._train_config(tmp_path)
         assert main(["--config", str(cfg)]) == 0
         out = tmp_path / "train"
         assert (out / "model.bin").exists()
@@ -203,6 +237,18 @@ train.per_class = 4
         assert (out / "logits.csv").exists()
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,val_loss,certified_ratio"
+
+    def test_train_patience_zero_is_kept(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(model, X, y, G, S, alpha, config, *rest, **options):
+            seen.append(config)
+            return model, []
+
+        monkeypatch.setattr(robust_train, "train_robust", record)
+        cfg = self._train_config(tmp_path, extra="train.patience = 0")
+        assert main(["--config", str(cfg)]) == 0
+        assert [c.patience for c in seen] == [0]
 
     def test_certify_with_feature_propagation_logits(self, tmp_path):
         gpath, lpath = write_fixture(tmp_path, n=16, p_in=0.8, p_out=0.05)

@@ -31,7 +31,7 @@ class TestOptimizeLocal:
         assert res.iterations == 1
         z = rng.dirichlet(np.ones(4))
         pi = ppr_vector(G, ALPHA, z)
-        assert abs(res.objective_per_z(z) - r @ pi.values) <= 1e-10
+        assert abs((1 - ALPHA) * (z @ res.value) - r @ pi.values) <= 1e-10
 
     def test_zero_reward_selects_nothing(self, rng):
         G, S = random_instance(rng, 7, extra=3)
@@ -50,8 +50,8 @@ class TestOptimizeLocal:
             for k in range(3):
                 z = rng.dirichlet(np.ones(n))
                 best = oracle.brute_force_pagerank_opt(G, S, ALPHA, r, z)
-                assert res.objective_per_z(z) <= best.optimum + 1e-8
-                assert res.objective_per_z(z) >= best.optimum - 1e-8
+                assert (1 - ALPHA) * (z @ res.value) <= best.optimum + 1e-8
+                assert (1 - ALPHA) * (z @ res.value) >= best.optimum - 1e-8
 
     def test_add_and_remove_matches_oracle(self):
         rng = np.random.default_rng(77)
@@ -62,7 +62,7 @@ class TestOptimizeLocal:
         res = optimize_local(G, S, ALPHA, r)
         z = rng.dirichlet(np.ones(4))
         best = oracle.brute_force_pagerank_opt(G, S, ALPHA, r, z)
-        assert abs(res.objective_per_z(z) - best.optimum) <= 1e-8
+        assert abs((1 - ALPHA) * (z @ res.value) - best.optimum) <= 1e-8
 
     def test_budget_feasibility_always(self, rng):
         for seed in range(8):
@@ -89,7 +89,7 @@ class TestOptimizeLocal:
         for _ in range(3):
             z = rng.dirichlet(np.ones(7))
             best = oracle.brute_force_pagerank_opt(G, S, ALPHA, r, z)
-            assert abs(res.objective_per_z(z) - best.optimum) <= 1e-8
+            assert abs((1 - ALPHA) * (z @ res.value) - best.optimum) <= 1e-8
 
     def test_iteration_cap_raises_with_trace(self, rng, monkeypatch):
         import pagecert.policy_iter as pi_mod
@@ -117,7 +117,8 @@ class TestOptimizeLocal:
         cold = optimize_local(G, S, ALPHA, r)
         warm = optimize_local(G, S, ALPHA, r, init=cold.policy)
         z = rng.dirichlet(np.ones(7))
-        assert abs(cold.objective_per_z(z) - warm.objective_per_z(z)) <= 1e-10
+        assert abs((1 - ALPHA) * (z @ cold.value)
+                   - (1 - ALPHA) * (z @ warm.value)) <= 1e-10
         assert warm.iterations <= cold.iterations
 
     def test_near_tie_does_not_cycle(self):

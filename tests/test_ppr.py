@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pagecert.graph import DirectedGraph
+from pagecert import ppr
+from pagecert.graph import DirectedGraph, build_scenario, flipped_graph
 from pagecert.ppr import (
     ConvergenceError,
     KernelInputError,
@@ -11,6 +12,7 @@ from pagecert.ppr import (
     ppr_rows,
     ppr_vector,
     solve_transport,
+    transition_matrix,
 )
 
 from conftest import random_connected_graph
@@ -22,13 +24,18 @@ def two_cycle() -> DirectedGraph:
     return DirectedGraph.from_edges(2, [(0, 1), (1, 0)])
 
 
-def dense_ppr(G: DirectedGraph, alpha: float, z: np.ndarray) -> np.ndarray:
-    """Independent dense-inversion oracle."""
+def dense_transition(G: DirectedGraph) -> np.ndarray:
+    """Independent dense P = A / deg."""
     n = G.node_count
     A = np.zeros((n, n))
     A[G.edges[:, 0], G.edges[:, 1]] = 1.0
-    P = A / A.sum(axis=1)[:, None]
-    return (1 - alpha) * np.linalg.inv(np.eye(n) - alpha * P.T) @ z
+    return A / A.sum(axis=1)[:, None]
+
+
+def dense_ppr(G: DirectedGraph, alpha: float, z: np.ndarray) -> np.ndarray:
+    """Independent dense-inversion oracle."""
+    P = dense_transition(G)
+    return (1 - alpha) * np.linalg.inv(np.eye(G.node_count) - alpha * P.T) @ z
 
 
 class TestPprVector:
@@ -46,11 +53,12 @@ class TestPprVector:
         pi = ppr_vector(G, ALPHA, np.array([0.0, 1.0]))
         assert np.allclose(pi.values, [0.0, 1.0], atol=1e-10)
 
-    def test_matches_dense_oracle_on_random_digraph(self, rng):
+    def test_matches_dense_oracle_on_random_digraph(self, rng, monkeypatch):
         G = random_connected_graph(rng, 6, extra=3)
         z = np.zeros(6)
         z[2] = 1.0
-        pi = ppr_vector(G, ALPHA, z, method="iterative")
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        pi = ppr_vector(G, ALPHA, z)
         assert np.allclose(pi.values, dense_ppr(G, ALPHA, z), atol=1e-9)
 
     def test_normalization_and_nonnegativity(self, rng):
@@ -131,33 +139,56 @@ class TestDiffusedMargins:
 
 class TestSolverAgreement:
     @pytest.mark.parametrize("n", [5, 17, 50])
-    def test_dense_vs_iterative(self, n):
+    def test_dense_vs_iterative(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         G = random_connected_graph(rng, n, extra=n // 2)
         r = rng.normal(size=n)
-        xd = solve_transport(G, ALPHA, r, method="dense")
-        xi = solve_transport(G, ALPHA, r, method="iterative")
+        xd = solve_transport(G, ALPHA, r)
+        yd = solve_transport(G, ALPHA, r, transpose=True)
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        xi = solve_transport(G, ALPHA, r)
+        yi = solve_transport(G, ALPHA, r, transpose=True)
         assert np.allclose(xd, xi, atol=1e-8)
-        yd = solve_transport(G, ALPHA, r, transpose=True, method="dense")
-        yi = solve_transport(G, ALPHA, r, transpose=True, method="iterative")
         assert np.allclose(yd, yi, atol=1e-8)
 
-    def test_residual_tolerance(self, rng):
+    def test_residual_tolerance(self, rng, monkeypatch):
         G = random_connected_graph(rng, 40, extra=10)
         r = rng.normal(size=40)
-        x = solve_transport(G, 0.99, r, method="iterative")
-        from pagecert.ppr import transition_matrix
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        x = solve_transport(G, 0.99, r)
         res = x - 0.99 * (transition_matrix(G) @ x) - r
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(r) * 10
 
 
 class TestConvergenceFailure:
     def test_cap_exhaustion_reports_residual(self, rng, monkeypatch):
-        import pagecert.ppr as ppr_mod
         G = random_connected_graph(rng, 20, extra=5)
-        monkeypatch.setattr(ppr_mod, "_iteration_cap", lambda alpha: 2)
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        monkeypatch.setattr(ppr, "_iteration_cap", lambda alpha: 2)
         with pytest.raises(ConvergenceError, match="residual"):
-            solve_transport(G, 0.95, rng.normal(size=20), method="iterative")
+            solve_transport(G, 0.95, rng.normal(size=20))
+
+
+class TestTransitionMatrix:
+    def test_matches_dense_row_normalized_adjacency(self):
+        # Hub 0 links both ways to every node, 1..8 form a ring, and the
+        # fragile set holds self-loops and chords. flipped_graph hands an
+        # unsorted edge list to DirectedGraph.from_edges, whose (src, dst)
+        # order without duplicates is what the CSR build relies on.
+        n = 9
+        fixed = ([(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)]
+                 + [(v, v % (n - 1) + 1) for v in range(1, n)])
+        fragile = [(0, 0), (2, 6), (5, 5), (6, 2), (7, 3), (8, 8)]
+        G = DirectedGraph.from_edges(n, fixed + fragile[:3],
+                                     allow_self_loops=True)
+        S = build_scenario(G, "custom", fixed_edges=fixed,
+                           fragile_edges=fragile)
+        Gf = flipped_graph(S, np.arange(S.fragile_count) % 3 != 1)
+        assert np.any(Gf.edges[:, 0] == Gf.edges[:, 1])
+        P = transition_matrix(Gf)
+        assert P.has_canonical_format
+        assert P.nnz == Gf.edge_count
+        assert np.array_equal(P.toarray(), dense_transition(Gf))
 
 
 class TestPprRows:

@@ -232,9 +232,9 @@ class TestAssembleLp:
             sol = lp_solver.solve_lp(inst.lp)
             res = optimize_local(G, S, ALPHA, r)
             _, _, integral = recover_pagerank(sol, inst)
-            assert sol.objective >= res.objective_per_z(z) - 1e-8
+            assert sol.objective >= (1 - ALPHA) * (z @ res.value) - 1e-8
             if integral:
-                assert abs(sol.objective - res.objective_per_z(z)) <= 1e-6
+                assert abs(sol.objective - (1 - ALPHA) * (z @ res.value)) <= 1e-6
 
     def test_lp_soundness_against_oracle(self):
         # the relaxation never undercuts the true constrained optimum

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pagecert import ppr
 from pagecert.graph import DirectedGraph, build_scenario, generate_sbm, sbm_block_labels
 from pagecert.models import MlpModel, init_mlp, mlp_logits
 from pagecert.policy_iter import certify_local_all
@@ -219,7 +220,7 @@ class TestGradCheck:
         assert res.checked > 0
         assert res.max_rel_error <= 1e-4
 
-    def test_policy_tie_flagged_as_kink(self):
+    def test_policy_tie_flagged_as_kink(self, monkeypatch):
         # twin nodes 1 and 2 (same neighbors, same logits) make the edge
         # scores tie exactly; weight perturbations break the tie in opposite
         # directions, so the stencil endpoints disagree on the policy
@@ -243,8 +244,8 @@ class TestGradCheck:
         W[2] = [0.4, -0.4]  # identical rows -> exact tie between twins
         model = MlpModel(weights=[W], biases=[np.zeros(2)])
         config = RobustLossConfig(kind="rce")
-        res = grad_check(model, X, y, G, S, ALPHA, config, h=1e-5,
-                         method="iterative")
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        res = grad_check(model, X, y, G, S, ALPHA, config, h=1e-5)
         assert res.kinks, "the constructed tie must be flagged"
         assert res.max_rel_error <= 1e-4  # remaining params still check out
 
