@@ -24,7 +24,7 @@ def record_to_dict(rec) -> dict:
             "status": rec.status,
             "bound_type": "exact",
             "marginal": bool(rec.marginal),
-            "witness_flips": [[int(a), int(b)] for a, b in rec.witness.flips],
+            "witness_flips": rec.witness.flips.tolist(),
         }
     if isinstance(rec, GlobalCertificate):
         return {
@@ -35,7 +35,7 @@ def record_to_dict(rec) -> dict:
             "status": rec.status,
             "bound_type": "lower",
             "attack_verified": bool(rec.attack_verified),
-            "witness_flips": [[int(a), int(b)] for a, b in rec.rounded_attack.flips],
+            "witness_flips": rec.rounded_attack.flips.tolist(),
         }
     raise TypeError(f"not a certificate record: {type(rec)!r}")
 

@@ -52,7 +52,8 @@ KNOWN_KEYS = {
     "train.loss": "ce | rce | cem",
     "train.margin": "hinge margin M",
     "train.lr": "learning rate",
-    "train.reg": "weight decay",
+    "train.reg": "L2 weight: weight decay in train (default 5e-2); penalty of "
+                 "the feature-propagation logistic fit in certify modes (default 1e-2)",
     "train.patience": "early-stopping patience",
     "train.epochs": "max epochs",
     "train.hidden": "hidden width (0 = linear)",
@@ -63,6 +64,12 @@ KNOWN_KEYS = {
     "sbm.p_in": "within-block edge probability",
     "sbm.p_out": "cross-block edge probability",
 }
+
+_INT_KEYS = ("seed", "scenario.strength", "scenario.global_budget", "targets.count",
+             "targets.seed", "train.patience", "train.epochs", "train.hidden",
+             "train.cadence", "train.per_class", "sbm.n", "sbm.blocks")
+_FLOAT_KEYS = ("alpha", "solver.lp_feasibility", "solver.lp_optimality",
+               "train.margin", "train.lr", "train.reg", "sbm.p_in", "sbm.p_out")
 
 _REQUIRED = {
     "certify-local": ["paths.graph", "paths.output"],
@@ -154,16 +161,20 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     for key in _REQUIRED[cfg.mode]:
         if not raw.get(key):
             cfg.errors.append(f"{key} required for mode {cfg.mode}")
-    alpha = cfg.get_float("alpha", 0.85)
+    # parse every numeric key here, so a malformed value is reported before
+    # anything runs
+    num = {key: cfg.get_int(key) for key in _INT_KEYS}
+    num.update({key: cfg.get_float(key) for key in _FLOAT_KEYS})
+    alpha = num["alpha"]
     if alpha is not None:
         if not 0.0 < alpha < 1.0:
             cfg.errors.append(f"alpha must be in (0, 1), got {alpha}")
         cfg.alpha = alpha
-    cfg.seed = cfg.get_int("seed", 0) or 0
-    s = cfg.get_int("scenario.strength")
+    cfg.seed = num["seed"] or 0
+    s = num["scenario.strength"]
     if s is not None and s < 0:
         cfg.warnings.append("scenario.strength is negative; budgets clamp at 0")
-    b = cfg.get_int("scenario.global_budget")
+    b = num["scenario.global_budget"]
     if b is not None and b < 0:
         cfg.errors.append("scenario.global_budget must be nonnegative")
     loss = raw.get("train.loss")
@@ -177,12 +188,13 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         cfg.errors.append(
             f"solver.bound_method must be closed_form|policy_opt, got {bm!r}"
         )
-    margin = cfg.get_float("train.margin")
+    margin = num["train.margin"]
     if margin is not None and margin < 0:
         cfg.errors.append(f"train.margin must be nonnegative, got {margin}")
     for key, least in (("train.epochs", 1), ("train.cadence", 1),
-                       ("train.per_class", 1), ("train.patience", 0)):
-        v = cfg.get_int(key)
+                       ("train.per_class", 1), ("train.patience", 0),
+                       ("train.hidden", 0)):
+        v = num[key]
         if v is not None and v < least:
             cfg.errors.append(f"{key} must be >= {least}, got {v}")
     return cfg

@@ -82,8 +82,6 @@ class DirectedGraph:
                 raise GraphFormatError(f"{dup} duplicate edges")
             logger.warning("deduplicated %d duplicate edges", dup)
             keys = np.unique(keys)
-        else:
-            keys = keys  # already sorted
         e = decode_keys(keys, node_count)
         deg = np.bincount(e[:, 0], minlength=node_count).astype(np.int64)
         return cls(node_count, _readonly(e), _readonly(deg))
@@ -358,14 +356,6 @@ def flipped_graph(S: PerturbationScenario, flipped: np.ndarray) -> DirectedGraph
     present = S.fragile_in_base ^ flipped
     edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
     return DirectedGraph.from_edges(S.node_count, edges, allow_self_loops=True)
-
-
-def perturbation_counts(S: PerturbationScenario, P: EdgePolicy) -> tuple[np.ndarray, int]:
-    """Per-node and total perturbed-edge counts of a policy (for budget checks)."""
-    if not len(P):
-        return np.zeros(S.node_count, dtype=np.int64), 0
-    per_node = np.bincount(P.flips[:, 0], minlength=S.node_count)
-    return per_node, int(len(P))
 
 
 def generate_sbm(

@@ -109,9 +109,6 @@ class LpSolution:
     x: np.ndarray | None
     stats: dict
 
-    def value_of(self, lp: LinearProgram, name: str) -> float:
-        return float(self.x[lp.names.index(name)])
-
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint/bound violation of a candidate point."""

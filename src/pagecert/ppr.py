@@ -46,6 +46,16 @@ class ValueVector:
     values: np.ndarray
 
 
+def _edge_weights(G: DirectedGraph) -> np.ndarray:
+    """1/out_degree of each edge's source, in G.edges order (sorted by
+    source, so one repeat per node); errors on zero out-degree nodes."""
+    deg = G.out_degree
+    if np.any(deg == 0):
+        bad = int(np.nonzero(deg == 0)[0][0])
+        raise KernelInputError(f"node {bad} has no outgoing edge")
+    return np.repeat(1.0 / deg, deg)
+
+
 def transition_matrix(G: DirectedGraph) -> sp.csr_matrix:
     """Row-stochastic P = D^-1 A; errors on zero out-degree nodes.
 
@@ -53,12 +63,8 @@ def transition_matrix(G: DirectedGraph) -> sp.csr_matrix:
     already the CSR column index array and the row pointers are the
     cumulative out-degrees.
     """
-    deg = G.out_degree
-    if np.any(deg == 0):
-        bad = int(np.nonzero(deg == 0)[0][0])
-        raise KernelInputError(f"node {bad} has no outgoing edge")
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    data = np.repeat(1.0 / deg, deg)
+    data = _edge_weights(G)
+    indptr = np.concatenate(([0], np.cumsum(G.out_degree)))
     return sp.csr_matrix(
         (data, G.edges[:, 1], indptr), shape=(G.node_count, G.node_count)
     )
@@ -89,9 +95,9 @@ def solve_transport(
     rhs = np.asarray(rhs, dtype=np.float64)
     squeeze = rhs.ndim == 1
     b = rhs.reshape(G.node_count, -1)
-    P = transition_matrix(G)
     if G.node_count <= DENSE_LIMIT:
-        P = P.toarray()
+        P = np.zeros((G.node_count, G.node_count))
+        P[G.edges[:, 0], G.edges[:, 1]] = _edge_weights(G)
         if transpose:
             P = P.T
         M = np.eye(G.node_count) - alpha * P
@@ -100,6 +106,7 @@ def solve_transport(
         if res > RESIDUAL_TOL * 1e3:
             raise ConvergenceError(f"dense solve residual {res:.3e}")
     else:
+        P = transition_matrix(G)
         if transpose:
             P = P.T.tocsr()
         x = b.copy()

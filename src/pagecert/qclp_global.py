@@ -64,26 +64,19 @@ class AuxiliaryMdp:
         m = self.fragile_edges.shape[0]
         on_mask = np.asarray(on_mask, dtype=bool)
         size = n + m
-        rows, cols, data = [], [], []
+        fs, fd = self.fixed_edges.T
+        src, dst = self.fragile_edges.T
+        aux = n + np.arange(m)
+        # aux state e goes on to dst with prob alpha, or back off to src
+        rows = np.concatenate([fs, src, aux])
+        cols = np.concatenate([fd, aux, np.where(on_mask, dst, src)])
+        data = np.concatenate([
+            self.alpha / self.degrees[fs], 1.0 / self.degrees[src],
+            np.where(on_mask, self.alpha, 1.0),
+        ])
         rew = np.zeros(size)
         rew[:n] = self.rewards
-        for s, d in self.fixed_edges:
-            rows.append(int(s))
-            cols.append(int(d))
-            data.append(self.alpha / self.degrees[s])
-        for e, (s, d) in enumerate(self.fragile_edges):
-            rows.append(int(s))
-            cols.append(n + e)
-            data.append(1.0 / self.degrees[s])
-            if on_mask[e]:
-                rows.append(n + e)
-                cols.append(int(d))
-                data.append(self.alpha)
-            else:
-                rows.append(n + e)
-                cols.append(int(s))
-                data.append(1.0)
-                rew[n + e] = -self.rewards[s]
+        rew[n:] = np.where(on_mask, 0.0, -self.rewards[src])
         T = sp.csr_matrix((data, (rows, cols)), shape=(size, size)).toarray()
         return np.linalg.solve(np.eye(size) - T, rew)
 
@@ -96,9 +89,7 @@ def build_aux_mdp(
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (S.node_count,):
         raise BoundError("reward vector has wrong length")
-    fixed_out = (np.bincount(S.fixed_edges[:, 0], minlength=S.node_count)
-                 if S.fixed_edges.size else np.zeros(S.node_count, np.int64))
-    degrees = fixed_out + S.fragile_out_counts()
+    degrees = _fixed_out_counts(S) + S.fragile_out_counts()
     return AuxiliaryMdp(
         node_count=S.node_count,
         alpha=float(alpha),
@@ -109,11 +100,15 @@ def build_aux_mdp(
     )
 
 
+def _fixed_out_counts(S: PerturbationScenario) -> np.ndarray:
+    """|fixed out-edges| per node."""
+    return np.bincount(S.fixed_edges[:, 0], minlength=S.node_count)
+
+
 def bound_slack(S: PerturbationScenario) -> np.ndarray:
     """(1 - |F^v|/d_v)^-1 per node; the worst-case inflation of the LP
     occupation variable over the PageRank score."""
-    fixed_out = (np.bincount(S.fixed_edges[:, 0], minlength=S.node_count)
-                 if S.fixed_edges.size else np.zeros(S.node_count, np.int64))
+    fixed_out = _fixed_out_counts(S)
     frag_out = S.fragile_out_counts()
     d = fixed_out + frag_out
     if np.any(fixed_out == 0):
@@ -184,10 +179,7 @@ def compute_upper_bounds(
     pi_max = np.zeros(S.node_count)
     for g_idx, graph in enumerate(graphs):
         nodes = np.nonzero(node_graph == g_idx)[0]
-        if nodes.size == 0:
-            continue
-        pi = ppr.ppr_vector(graph, alpha, z).values
-        pi_max[nodes] = pi[nodes]
+        pi_max[nodes] = ppr.ppr_vector(graph, alpha, z).values[nodes]
     return pi_max * slack
 
 
@@ -207,14 +199,13 @@ class RelaxedLpInstance:
     xbar: np.ndarray
     degrees: np.ndarray
 
-    def x_index(self, v: int) -> int:
-        return v
-
-    def x0_index(self, e: int) -> int:
+    def x0_index(self, e):
+        """Column of fragile edge e's "off" variable (e may be an array)."""
         return self.scenario.node_count + 2 * e
 
-    def x1_index(self, e: int) -> int:
-        return self.scenario.node_count + 2 * e + 1
+    def x1_index(self, e):
+        """Column of fragile edge e's "on" variable (e may be an array)."""
+        return self.x0_index(e) + 1
 
 
 def assemble_relaxed_lp(
@@ -232,85 +223,53 @@ def assemble_relaxed_lp(
     xbar = np.asarray(xbar, dtype=np.float64)
     if np.any(~np.isfinite(xbar)) or np.any(xbar <= 0):
         raise BoundError("upper bounds must be positive and finite")
-
-    def x0(e):
-        return n + 2 * e
-
-    def x1(e):
-        return n + 2 * e + 1
-
-    nvars = n + 2 * m
-    c = np.zeros(nvars)
-    c[:n] = mdp.rewards
-    for e, (i, _) in enumerate(S.fragile_edges):
-        c[x0(e)] = -mdp.rewards[i]
-
-    rows, cols, data = [], [], []
-    senses, rhs, row_names = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-
-    # flow conservation per node: x_v - incoming fixed - incoming "on"
-    # - returning "off" = (1 - alpha) z_v
-    for v in range(n):
-        add(v, v, 1.0)
-        senses.append("=")
-        rhs.append((1.0 - alpha) * z[v])
-        row_names.append(f"flow_{v}")
-    for i, j in S.fixed_edges:
-        add(int(j), int(i), -alpha / d[i])
-    for e, (i, j) in enumerate(S.fragile_edges):
-        add(int(j), x1(e), -alpha)     # incoming "on" edges
-        add(int(i), x0(e), -1.0)       # returning "off" edges
-
-    # coupling per fragile edge: x0 + x1 = x_i / d_i
-    base = n
-    for e, (i, _) in enumerate(S.fragile_edges):
-        add(base + e, x0(e), 1.0)
-        add(base + e, x1(e), 1.0)
-        add(base + e, int(i), -1.0 / d[i])
-        senses.append("=")
-        rhs.append(0.0)
-        row_names.append(f"aux_{S.fragile_edges[e, 0]}_{S.fragile_edges[e, 1]}")
-
-    # local budget per node: sum of perturbing shares <= (b_v / d_v) x_v
-    base = n + m
-    for v in range(n):
-        senses.append("<=")
-        rhs.append(0.0)
-        row_names.append(f"local_{v}")
-        add(base + v, v, -float(S.local_budget[v]) / d[v])
-    for e, (i, _) in enumerate(S.fragile_edges):
-        pert = x0(e) if S.fragile_in_base[e] else x1(e)
-        add(base + int(i), pert, 1.0)
-
-    # single linearized global row: perturbing shares scaled by d_i / xbar_i
-    grow = n + m + n
-    senses.append("<=")
-    rhs.append(float(S.global_budget))
-    row_names.append("global")
-    for e, (i, _) in enumerate(S.fragile_edges):
-        pert = x0(e) if S.fragile_in_base[e] else x1(e)
-        add(grow, pert, d[i] / xbar[i])
-
-    names = [f"x_{v}" for v in range(n)]
-    for i, j in S.fragile_edges:
-        names.append(f"x0_{i}_{j}")
-        names.append(f"x1_{i}_{j}")
-    ub = np.full(nvars, np.inf)
-    ub[:n] = xbar
-
-    A = sp.csr_matrix((data, (rows, cols)), shape=(len(rhs), nvars))
-    lp = lp_solver.LinearProgram.build(
-        c, A, senses, rhs, upper_bounds=ub, names=names, row_names=row_names
-    )
-    return RelaxedLpInstance(
-        lp=lp, scenario=S, alpha=alpha, z=z.copy(), xbar=xbar.copy(),
+    # the instance owns the variable layout; its lp is filled in below
+    inst = RelaxedLpInstance(
+        lp=None, scenario=S, alpha=alpha, z=z.copy(), xbar=xbar.copy(),
         degrees=mdp.degrees.copy(),
     )
+    src, dst = S.fragile_edges.T
+    fs, fd = S.fixed_edges.T
+    x0, x1 = inst.x0_index(np.arange(m)), inst.x1_index(np.arange(m))
+    pert = np.where(S.fragile_in_base, x0, x1)   # the perturbing share
+    nodes, aux_row, ones = np.arange(n), n + np.arange(m), np.ones(m)
+
+    # COO blocks in order. Flow per node: x_v - incoming fixed - incoming
+    # "on" - returning "off" = (1 - alpha) z_v. Coupling per fragile edge:
+    # x0 + x1 - x_i / d_i = 0. Local budget per node: perturbing shares
+    # - (b_v / d_v) x_v <= 0. One linearized global row: perturbing shares
+    # scaled by d_i / xbar_i <= B.
+    rows = np.concatenate([nodes, fd, dst, src, aux_row, aux_row, aux_row,
+                           n + m + nodes, n + m + src, np.full(m, n + m + n)])
+    cols = np.concatenate([nodes, fs, x1, x0, x0, x1, src, nodes, pert, pert])
+    # -(b / d), not -b / d: the int negation would store +0.0 for b_v = 0
+    data = np.concatenate([
+        np.ones(n), -alpha / d[fs], np.full(m, -alpha), -ones,
+        ones, ones, -1.0 / d[src],
+        -(S.local_budget / d), ones, d[src] / xbar[src],
+    ])
+    senses = ["="] * (n + m) + ["<="] * (n + 1)
+    rhs = np.concatenate([(1.0 - alpha) * z, np.zeros(m + n),
+                          [float(S.global_budget)]])
+    tags = [f"{i}_{j}" for i, j in S.fragile_edges.tolist()]
+    row_names = ([f"flow_{v}" for v in range(n)] + [f"aux_{t}" for t in tags]
+                 + [f"local_{v}" for v in range(n)] + ["global"])
+    names = np.empty(n + 2 * m, dtype=object)
+    names[:n] = [f"x_{v}" for v in range(n)]
+    names[x0] = [f"x0_{t}" for t in tags]
+    names[x1] = [f"x1_{t}" for t in tags]
+
+    c = np.zeros(n + 2 * m)
+    c[:n], c[x0] = mdp.rewards, -mdp.rewards[src]
+    ub = np.full(n + 2 * m, np.inf)
+    ub[:n] = xbar
+
+    A = sp.csr_matrix((data, (rows, cols)), shape=(rhs.size, n + 2 * m))
+    inst.lp = lp_solver.LinearProgram.build(
+        c, A, senses, rhs, upper_bounds=ub, names=names.tolist(),
+        row_names=row_names,
+    )
+    return inst
 
 
 def recover_pagerank(
@@ -326,28 +285,16 @@ def recover_pagerank(
     S = instance.scenario
     x = solution.x
     n = S.node_count
-    k = np.zeros(n)
-    integral = True
-    flips = []
-    for e in range(S.fragile_count):
-        i = int(S.fragile_edges[e, 0])
-        x0 = x[instance.x0_index(e)]
-        x1 = x[instance.x1_index(e)]
-        if x0 > ACTIVITY_TOL:
-            k[i] += 1
-            if x1 > ACTIVITY_TOL:
-                integral = False
-        turned_off = x0 > ACTIVITY_TOL
-        turned_on = x1 > ACTIVITY_TOL
-        if S.fragile_in_base[e] and turned_off:
-            flips.append(S.fragile_edges[e])
-        elif not S.fragile_in_base[e] and turned_on:
-            flips.append(S.fragile_edges[e])
+    edge = np.arange(S.fragile_count)
+    off = x[instance.x0_index(edge)] > ACTIVITY_TOL
+    on = x[instance.x1_index(edge)] > ACTIVITY_TOL
+    k = np.bincount(S.fragile_edges[off, 0], minlength=n)
+    integral = not np.any(off & on)
+    flipped = np.where(S.fragile_in_base, off, on)
     pi = (1.0 - k / instance.degrees) * x[:n]
     vec = ppr.PageRankVector(values=np.maximum(pi, 0.0), alpha=instance.alpha,
                              teleport=instance.z.copy())
-    policy = EdgePolicy.from_pairs(np.asarray(flips, dtype=np.int64).reshape(-1, 2))
-    return vec, policy, integral
+    return vec, EdgePolicy.from_pairs(S.fragile_edges[flipped]), integral
 
 
 @dataclass(eq=False)
@@ -372,24 +319,20 @@ def _rounded_attack(
     """
     S = instance.scenario
     x = solution.x
-    flips = []
-    for e in range(S.fragile_count):
-        x0 = x[instance.x0_index(e)]
-        x1 = x[instance.x1_index(e)]
-        on = x1 >= x0
-        if on != bool(S.fragile_in_base[e]):
-            flips.append((e, abs(x1 - x0)))
-    by_node: dict[int, list[tuple[int, float]]] = {}
-    for e, wgt in flips:
-        by_node.setdefault(int(S.fragile_edges[e, 0]), []).append((e, wgt))
-    kept: list[tuple[int, float]] = []
-    for v, items in sorted(by_node.items()):
-        items.sort(key=lambda t: (-t[1], t[0]))
-        kept.extend(items[: int(S.local_budget[v])])
-    kept.sort(key=lambda t: (-t[1], t[0]))
-    kept = kept[: S.global_budget]
-    idx = sorted(e for e, _ in kept)
-    return EdgePolicy.from_pairs(S.fragile_edges[idx])
+    edge = np.arange(S.fragile_count)
+    x0 = x[instance.x0_index(edge)]
+    x1 = x[instance.x1_index(edge)]
+    cand = np.nonzero((x1 >= x0) != S.fragile_in_base)[0]
+    neg_w = -np.abs(x1 - x0)[cand]
+    src = S.fragile_edges[cand, 0]
+    # per source: largest |x1 - x0| first, ties to the lower edge index;
+    # rank within the source's block is position minus the block start
+    order = np.lexsort((cand, neg_w, src))
+    src = src[order]
+    rank = np.arange(cand.size) - np.searchsorted(src, src)
+    kept = order[rank < S.local_budget[src]]
+    kept = kept[np.lexsort((cand[kept], neg_w[kept]))][: S.global_budget]
+    return EdgePolicy.from_pairs(S.fragile_edges[np.sort(cand[kept])])
 
 
 def certify_global(
@@ -420,12 +363,8 @@ def certify_global(
         y = models.predict(G, alpha, H)
     y = np.asarray(y, dtype=np.int64)
 
-    mdps = {}
-    for c1 in range(K):
-        for c2 in range(K):
-            if c1 != c2:
-                r = -(H[:, c1] - H[:, c2])
-                mdps[(c1, c2)] = build_aux_mdp(G, S, alpha, r)
+    mdps = {(c1, c2): build_aux_mdp(G, S, alpha, -(H[:, c1] - H[:, c2]))
+            for c1 in range(K) for c2 in range(K) if c1 != c2}
 
     cache = None
     if bound_method == "policy_opt":

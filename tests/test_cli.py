@@ -77,6 +77,11 @@ class TestConfigValidation:
         "train.cadence = 0",
         "train.per_class = 0",
         "train.patience = -1",
+        "train.hidden = -1",
+        "sbm.p_out = abc",
+        "train.lr = abc",
+        "targets.count = abc",
+        "solver.lp_feasibility = zz",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, setting):
         cfg = base_config(tmp_path, "bad", mode="certify-global", extra=setting)

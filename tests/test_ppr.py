@@ -74,6 +74,12 @@ class TestPprVector:
         with pytest.raises(KernelInputError, match="node 2"):
             ppr_vector(G, ALPHA, np.array([1.0, 0.0, 0.0]))
 
+    def test_zero_degree_node_rejected_on_stationary_path(self, monkeypatch):
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
+        G = DirectedGraph.from_edges(3, [(0, 1), (1, 0), (0, 2)])
+        with pytest.raises(KernelInputError, match="node 2"):
+            ppr_vector(G, ALPHA, np.array([1.0, 0.0, 0.0]))
+
     def test_bad_teleport_rejected(self):
         with pytest.raises(KernelInputError):
             ppr_vector(two_cycle(), ALPHA, np.array([0.7, 0.7]))

@@ -7,6 +7,7 @@ from pagecert.policy_iter import optimize_local
 from pagecert.ppr import mean_reward, ppr_vector
 from pagecert.qclp_global import (
     BoundError,
+    _rounded_attack,
     assemble_relaxed_lp,
     build_aux_mdp,
     certify_global,
@@ -205,6 +206,27 @@ class TestAssembleLp:
         )
         assert inst.lp.n_vars == 3 + 2 * 2
         assert inst.lp.n_rows == 3 + 2 + 3 + 1
+        # d = (2, 2, 2), both fragile edges are clean edges (their "off"
+        # share perturbs), xbar = slack = (2, 1, 2), B = |F| = 2.
+        # columns: x_0 x_1 x_2 | x0_0_2 x1_0_2 | x0_2_0 x1_2_0
+        a = ALPHA
+        assert inst.lp.names == ["x_0", "x_1", "x_2", "x0_0_2", "x1_0_2",
+                                 "x0_2_0", "x1_2_0"]
+        expected = np.array([
+            [1.0, -a / 2, 0.0, -1.0, 0.0, 0.0, -a],     # flow_0
+            [-a / 2, 1.0, -a / 2, 0.0, 0.0, 0.0, 0.0],  # flow_1
+            [0.0, -a / 2, 1.0, 0.0, -a, -1.0, 0.0],     # flow_2
+            [-0.5, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0],       # aux_0_2
+            [0.0, 0.0, -0.5, 0.0, 0.0, 1.0, 1.0],       # aux_2_0
+            [-0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],       # local_0
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],        # local_1 (b_1 = 0)
+            [0.0, 0.0, -0.5, 0.0, 0.0, 1.0, 0.0],       # local_2
+            [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],        # global
+        ])
+        assert np.array_equal(inst.lp.matrix.toarray(), expected)
+        assert np.array_equal(inst.lp.objective, [1, 1, 1, -1, 0, -1, 0])
+        assert np.array_equal(inst.lp.rhs, [1 - a, 0, 0, 0, 0, 0, 0, 0, 2])
+        assert list(inst.lp.senses) == ["="] * 5 + ["<="] * 4
 
     def test_zero_budgets_give_clean_value(self, rng):
         G = random_connected_graph(rng, 6, extra=2)
@@ -328,6 +350,32 @@ class TestRecovery:
         vec, policy, integral = recover_pagerank(sol, inst)
         if integral and len(policy) == len(nonedges):
             assert np.allclose(vec.values[:1], sol.x[:1])
+
+
+class TestRoundedAttack:
+    def test_ties_then_local_then_global_drops(self):
+        # ring 0-1-2-3-4 with fragile additions out of 0, 1, 2 and the clean
+        # edge (2, 1) fragile; an edge flips iff its rounded state (on iff
+        # x1 >= x0) differs from the clean graph
+        G = ring_graph(5)
+        fragile = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 1), (2, 4)]
+        fixed = [tuple(e) for e in G.edges.tolist() if tuple(e) != (2, 1)]
+        S = build_scenario(G, "custom", fixed_edges=fixed,
+                           fragile_edges=fragile,
+                           local_budgets=[1, 2, 1, 0, 0], global_budget=3)
+        mdp = build_aux_mdp(G, S, ALPHA, np.zeros(5))
+        inst = assemble_relaxed_lp(mdp, S, np.full(5, 0.2),
+                                   compute_upper_bounds(G, S, ALPHA))
+        # |x1 - x0| per edge: .5, .5 (tie), .25, .125, .375 (turned off),
+        # and (2, 4) stays off, so it is no flip
+        x = np.zeros(inst.lp.n_vars)
+        x[inst.x0_index(np.arange(6))] = [0, 0, 0, 0.125, 0.375, 0.5]
+        x[inst.x1_index(np.arange(6))] = [0.5, 0.5, 0.25, 0.25, 0, 0]
+        sol = lp_solver.LpSolution("optimal", 0.0, x, {})
+        attack = _rounded_attack(sol, inst)
+        # node 0 keeps (0, 2) over its tie (0, 3) by the lower edge index;
+        # then B = 3 drops the smallest survivor, (1, 4)
+        assert attack.as_set() == {(0, 2), (1, 3), (2, 1)}
 
 
 class TestExternalSolverPath:
