@@ -1,10 +1,14 @@
 """Command-line orchestration: config parsing, pipelines, and run manifests.
 
 Config files are flat "key = value" lines with dotted keys ('#' comments);
-every key can be overridden on the command line with --set key=value. Each
-run writes a manifest (resolved config, package version, input digests)
-from which it can be reproduced byte-for-byte via --from-manifest; a re-run
-first re-hashes the recorded inputs and stops with exit 4 if one changed.
+every key can be overridden on the command line with --set key=value. The
+``KEYS`` table gives each key its kind, default, doc and lower bound once;
+``resolve_config`` parses every value against it before anything runs, so a
+malformed or out-of-range value is a config error, and the pipelines read
+only parsed values. Each run writes a manifest (resolved config, package
+version, input digests) from which it can be reproduced byte-for-byte via
+--from-manifest; a re-run first re-hashes the recorded inputs and stops with
+exit 4 if one changed.
 
 Exit codes: 0 ok, 2 config error, 3 solver error, 4 graph/scenario
 validation error.
@@ -29,48 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-KNOWN_KEYS = {
-    "mode": "certify-local | certify-global | train | attack | gen-sbm | report",
-    "alpha": "damping factor (default 0.85)",
-    "seed": "base RNG seed",
-    "paths.graph": "edge-list input",
-    "paths.labels": "node<TAB>label input",
-    "paths.features": "feature CSV/binary input (certify modes: feature propagation)",
-    "paths.logits": "external logits CSV (takes precedence over features/labels)",
-    "paths.certificates": "certificates JSON-lines (input of report mode)",
-    "paths.output": "output directory",
-    "graph.symmetrize": "add reverse edges on load (default true)",
-    "graph.lcc": "restrict to largest connected component (default false)",
-    "scenario.mode": "remove-only | add-and-remove",
-    "scenario.strength": "local attack strength s",
-    "scenario.global_budget": "global budget B (blank = unlimited)",
-    "solver.bound_method": "closed_form | policy_opt",
-    "solver.lp_feasibility": "LP feasibility tolerance (default 1e-7)",
-    "solver.lp_optimality": "LP optimality tolerance (default 1e-9)",
-    "targets.count": "number of sampled targets for certify-global",
-    "targets.seed": "sampling seed",
-    "train.loss": "ce | rce | cem",
-    "train.margin": "hinge margin M",
-    "train.lr": "learning rate",
-    "train.reg": "L2 weight: weight decay in train (default 5e-2); penalty of "
-                 "the feature-propagation logistic fit in certify modes (default 1e-2)",
-    "train.patience": "early-stopping patience",
-    "train.epochs": "max epochs",
-    "train.hidden": "hidden width (0 = linear)",
-    "train.cadence": "inner-problem recompute cadence",
-    "train.per_class": "labeled nodes per class for train and val splits",
-    "sbm.n": "node count",
-    "sbm.blocks": "block count",
-    "sbm.p_in": "within-block edge probability",
-    "sbm.p_out": "cross-block edge probability",
-}
-
-_INT_KEYS = ("seed", "scenario.strength", "scenario.global_budget", "targets.count",
-             "targets.seed", "train.patience", "train.epochs", "train.hidden",
-             "train.cadence", "train.per_class", "sbm.n", "sbm.blocks")
-_FLOAT_KEYS = ("alpha", "solver.lp_feasibility", "solver.lp_optimality",
-               "train.margin", "train.lr", "train.reg", "sbm.p_in", "sbm.p_out")
-
 _REQUIRED = {
     "certify-local": ["paths.graph", "paths.output"],
     "certify-global": ["paths.graph", "paths.output"],
@@ -79,6 +41,59 @@ _REQUIRED = {
     "gen-sbm": ["paths.output", "sbm.n", "sbm.blocks", "sbm.p_in", "sbm.p_out"],
     "report": ["paths.graph", "paths.certificates", "paths.output"],
 }
+
+# key -> (kind, default, doc, least). kind is int, float, bool, str or the
+# tuple of allowed strings; a None default leaves the key unset; least is the
+# smallest value a numeric key accepts. train.reg's default depends on the
+# mode, so its two readers supply it.
+KEYS = {
+    "mode": (tuple(_REQUIRED), None,
+             "certify-local | certify-global | train | attack | gen-sbm | report", None),
+    "alpha": (float, 0.85, "damping factor (default 0.85)", None),
+    "seed": (int, 0, "base RNG seed", 0),
+    "paths.graph": (str, None, "edge-list input", None),
+    "paths.labels": (str, None, "node<TAB>label input", None),
+    "paths.features": (str, None,
+                       "feature CSV/binary input (certify modes: feature propagation)", None),
+    "paths.logits": (str, None,
+                     "external logits CSV (takes precedence over features/labels)", None),
+    "paths.certificates": (str, None, "certificates JSON-lines (input of report mode)",
+                           None),
+    "paths.output": (str, None, "output directory", None),
+    "graph.symmetrize": (bool, True, "add reverse edges on load (default true)", None),
+    "graph.lcc": (bool, False, "restrict to largest connected component (default false)",
+                  None),
+    "scenario.mode": (("remove-only", "add-and-remove"), "remove-only",
+                      "remove-only | add-and-remove", None),
+    "scenario.strength": (int, None, "local attack strength s", None),
+    "scenario.global_budget": (int, None, "global budget B (blank = unlimited)", 0),
+    "solver.bound_method": (("closed_form", "policy_opt"), "closed_form",
+                            "closed_form | policy_opt", None),
+    "solver.lp_feasibility": (float, 1e-7, "LP feasibility tolerance (default 1e-7)", None),
+    "solver.lp_optimality": (float, 1e-9, "LP optimality tolerance (default 1e-9)", None),
+    "targets.count": (int, None, "number of sampled targets for certify-global", 1),
+    "targets.seed": (int, 0, "sampling seed", 0),
+    "train.loss": (("ce", "rce", "cem"), "ce", "ce | rce | cem", None),
+    "train.margin": (float, 1.0, "hinge margin M", 0),
+    "train.lr": (float, 1e-2, "learning rate", None),
+    "train.reg": (float, None,
+                  "L2 weight: weight decay in train (default 5e-2); penalty of "
+                  "the feature-propagation logistic fit in certify modes (default 1e-2)",
+                  None),
+    "train.patience": (int, 100, "early-stopping patience", 0),
+    "train.epochs": (int, 1000, "max epochs", 1),
+    "train.hidden": (int, 64, "hidden width (0 = linear)", 0),
+    "train.cadence": (int, 1, "inner-problem recompute cadence", 1),
+    "train.per_class": (int, 20, "labeled nodes per class for train and val splits", 1),
+    "sbm.n": (int, None, "node count", 1),
+    "sbm.blocks": (int, None, "block count", 1),
+    "sbm.p_in": (float, None, "within-block edge probability", None),
+    "sbm.p_out": (float, None, "cross-block edge probability", None),
+}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -101,102 +116,65 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(path.read_text(encoding="utf-8"), str(path))
 
 
+def _parse(key: str, text: str):
+    """One key's value from its text; a blank text means the default."""
+    kind, default, _, least = KEYS[key]
+    if not text:
+        return default
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigError(f"{key} must be {'|'.join(kind)}, got {text!r}")
+        return text
+    try:
+        value = _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: not {_KIND_NAMES[kind]}: {text!r}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass
 class RunConfig:
-    """Typed view of a resolved flat config."""
+    """A resolved flat config: the raw text and every ``KEYS`` entry parsed.
+
+    ``cfg[key]`` reads a parsed value; a key missing from ``KEYS`` raises
+    ``KeyError``.
+    """
 
     raw: dict[str, str]
-    mode: str = ""
-    alpha: float = 0.85
-    seed: int = 0
+    values: dict[str, object] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.raw.get(key, default)
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        v = self.raw.get(key)
-        if v is None or v == "":
-            return default
-        try:
-            return float(v)
-        except ValueError:
-            self.errors.append(f"{key}: not a number: {v!r}")
-            return default
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        v = self.raw.get(key)
-        if v is None or v == "":
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            self.errors.append(f"{key}: not an integer: {v!r}")
-            return default
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        v = self.raw.get(key)
-        if v is None or v == "":
-            return default
-        if v.lower() in ("1", "true", "yes", "on"):
-            return True
-        if v.lower() in ("0", "false", "no", "off"):
-            return False
-        self.errors.append(f"{key}: not a boolean: {v!r}")
-        return default
+    def __getitem__(self, key: str):
+        return self.values[key]
 
 
 def resolve_config(raw: dict[str, str]) -> RunConfig:
     cfg = RunConfig(raw=dict(raw))
     for key in raw:
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             cfg.warnings.append(f"unknown key {key!r} ignored")
-    cfg.mode = raw.get("mode", "")
-    if cfg.mode not in _REQUIRED:
-        cfg.errors.append(
-            f"mode must be one of {sorted(_REQUIRED)}, got {cfg.mode!r}"
-        )
+    for key, (_, default, _, _) in KEYS.items():
+        try:
+            cfg.values[key] = _parse(key, raw.get(key, ""))
+        except ConfigError as exc:
+            cfg.errors.append(str(exc))
+            cfg.values[key] = default
+    mode = cfg["mode"]
+    if mode is None:
+        if not raw.get("mode"):
+            cfg.errors.append("mode required")
         return cfg
-    for key in _REQUIRED[cfg.mode]:
+    for key in _REQUIRED[mode]:
         if not raw.get(key):
-            cfg.errors.append(f"{key} required for mode {cfg.mode}")
-    # parse every numeric key here, so a malformed value is reported before
-    # anything runs
-    num = {key: cfg.get_int(key) for key in _INT_KEYS}
-    num.update({key: cfg.get_float(key) for key in _FLOAT_KEYS})
-    alpha = num["alpha"]
-    if alpha is not None:
-        if not 0.0 < alpha < 1.0:
-            cfg.errors.append(f"alpha must be in (0, 1), got {alpha}")
-        cfg.alpha = alpha
-    cfg.seed = num["seed"] or 0
-    s = num["scenario.strength"]
+            cfg.errors.append(f"{key} required for mode {mode}")
+    if not 0.0 < cfg["alpha"] < 1.0:
+        cfg.errors.append(f"alpha must be in (0, 1), got {cfg['alpha']}")
+    s = cfg["scenario.strength"]
     if s is not None and s < 0:
         cfg.warnings.append("scenario.strength is negative; budgets clamp at 0")
-    b = num["scenario.global_budget"]
-    if b is not None and b < 0:
-        cfg.errors.append("scenario.global_budget must be nonnegative")
-    loss = raw.get("train.loss")
-    if loss and loss not in ("ce", "rce", "cem"):
-        cfg.errors.append(f"train.loss must be ce|rce|cem, got {loss!r}")
-    sm = raw.get("scenario.mode")
-    if sm and sm not in ("remove-only", "add-and-remove"):
-        cfg.errors.append(f"scenario.mode must be remove-only|add-and-remove, got {sm!r}")
-    bm = raw.get("solver.bound_method")
-    if bm and bm not in ("closed_form", "policy_opt"):
-        cfg.errors.append(
-            f"solver.bound_method must be closed_form|policy_opt, got {bm!r}"
-        )
-    margin = num["train.margin"]
-    if margin is not None and margin < 0:
-        cfg.errors.append(f"train.margin must be nonnegative, got {margin}")
-    for key, least in (("train.epochs", 1), ("train.cadence", 1),
-                       ("train.per_class", 1), ("train.patience", 0),
-                       ("train.hidden", 0)):
-        v = num[key]
-        if v is not None and v < least:
-            cfg.errors.append(f"{key} must be >= {least}, got {v}")
     return cfg
 
 
@@ -214,7 +192,7 @@ def _changed_inputs(digests: dict[str, str], cfg: RunConfig) -> list[str]:
     """Recorded input keys whose file is now missing or has another digest."""
     changed = []
     for key, digest in sorted(digests.items()):
-        p = cfg.get(key)
+        p = cfg.values.get(key)  # manifest keys come from outside and may be unknown
         if not p or not Path(p).is_file():
             changed.append(f"{key} (missing)")
         elif _sha256(Path(p)) != digest:
@@ -223,44 +201,39 @@ def _changed_inputs(digests: dict[str, str], cfg: RunConfig) -> list[str]:
 
 
 def _load_inputs(cfg: RunConfig):
-    G = graph.load_graph(
-        cfg.raw["paths.graph"],
-        symmetrize=cfg.get_bool("graph.symmetrize", True),
-        restrict_lcc=cfg.get_bool("graph.lcc", False),
-    )
+    G = graph.load_graph(cfg["paths.graph"], symmetrize=cfg["graph.symmetrize"],
+                         restrict_lcc=cfg["graph.lcc"])
     y = None
-    if cfg.get("paths.labels"):
-        y = graph.load_labels(cfg.raw["paths.labels"], G.node_count)
+    if cfg["paths.labels"]:
+        y = graph.load_labels(cfg["paths.labels"], G.node_count)
     return G, y
 
 
 def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph):
-    return graph.build_scenario(
-        G,
-        mode=cfg.get("scenario.mode", "remove-only"),
-        strength=cfg.get_int("scenario.strength"),
-        global_budget=cfg.get_int("scenario.global_budget"),
-    )
+    return graph.build_scenario(G, mode=cfg["scenario.mode"],
+                                strength=cfg["scenario.strength"],
+                                global_budget=cfg["scenario.global_budget"])
+
+
+def _check_rows(what: str, M: np.ndarray, node_count: int) -> np.ndarray:
+    if M.shape[0] != node_count:
+        raise ConfigError(f"{what} rows {M.shape[0]} != node count {node_count}")
+    return M
 
 
 def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
     """Logits source, by precedence: external CSV, feature propagation
     (features + labels), one-hot label propagation."""
-    if cfg.get("paths.logits"):
-        H = models.load_logits_csv(cfg.raw["paths.logits"])
-        if H.shape[0] != G.node_count:
-            raise ConfigError(
-                f"logits rows {H.shape[0]} != node count {G.node_count}"
-            )
-        return H
+    if cfg["paths.logits"]:
+        return _check_rows("logits", models.load_logits_csv(cfg["paths.logits"]),
+                           G.node_count)
     if y is None:
         raise ConfigError("need paths.logits or paths.labels to form logits")
-    if cfg.get("paths.features"):
-        X = _load_features(cfg)
+    if cfg["paths.features"]:
+        reg = cfg["train.reg"]
         H, _ = models.feature_propagation_logits(
-            G, cfg.alpha, X, y,
-            reg=cfg.get_float("train.reg", 1e-2),
-            seed=cfg.seed,
+            G, cfg["alpha"], _load_features(cfg, G.node_count), y,
+            reg=1e-2 if reg is None else reg, seed=cfg["seed"],
         )
         return H
     K = int(y.max()) + 1
@@ -269,17 +242,28 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
     return models.label_propagation_logits(y, G.node_count, K)
 
 
-def _load_features(cfg: RunConfig) -> np.ndarray:
-    fpath = Path(cfg.raw["paths.features"])
-    return (models.load_features_bin(fpath) if fpath.suffix == ".bin"
-            else models.load_features_csv(fpath))
+def _load_features(cfg: RunConfig, node_count: int) -> np.ndarray:
+    fpath = Path(cfg["paths.features"])
+    X = (models.load_features_bin(fpath) if fpath.suffix == ".bin"
+         else models.load_features_csv(fpath))
+    return _check_rows("features", X, node_count)
+
+
+def _sample_targets(cfg: RunConfig, node_count: int) -> np.ndarray:
+    """certify-global's targets: targets.count nodes drawn with targets.seed,
+    or every node."""
+    count = cfg["targets.count"]
+    if count is None or count >= node_count:
+        return np.arange(node_count)
+    rng = np.random.default_rng(cfg["targets.seed"])
+    return np.sort(rng.choice(node_count, size=count, replace=False))
 
 
 def _write_manifest(cfg: RunConfig, outdir: Path, outputs: list[str]) -> None:
     digests = {}
     for key in ("paths.graph", "paths.labels", "paths.features",
                 "paths.logits", "paths.certificates"):
-        p = cfg.get(key)
+        p = cfg[key]
         if p and Path(p).exists():
             digests[key] = _sha256(Path(p))
     manifest = {
@@ -302,17 +286,15 @@ def run(cfg: RunConfig) -> int:
         for e in cfg.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    outdir = Path(cfg.raw["paths.output"])
+    mode, alpha, seed = cfg["mode"], cfg["alpha"], cfg["seed"]
+    outdir = Path(cfg["paths.output"])
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
-    if cfg.mode == "gen-sbm":
-        G = graph.generate_sbm(
-            cfg.get_int("sbm.n"), cfg.get_int("sbm.blocks"),
-            cfg.get_float("sbm.p_in"), cfg.get_float("sbm.p_out"),
-            cfg.seed,
-        )
-        labels = graph.sbm_block_labels(cfg.get_int("sbm.n"), cfg.get_int("sbm.blocks"))
+    if mode == "gen-sbm":
+        n, blocks = cfg["sbm.n"], cfg["sbm.blocks"]
+        G = graph.generate_sbm(n, blocks, cfg["sbm.p_in"], cfg["sbm.p_out"], seed)
+        labels = graph.sbm_block_labels(n, blocks)
         epath, lpath = outdir / "graph.tsv", outdir / "labels.tsv"
         with epath.open("w", encoding="utf-8") as fh:
             for s, d in G.edges:
@@ -322,81 +304,27 @@ def run(cfg: RunConfig) -> int:
                 fh.write(f"{v}\t{c}\n")
         outputs += ["graph.tsv", "labels.tsv"]
 
-    elif cfg.mode in ("certify-local", "attack"):
+    elif mode == "train":
         G, y = _load_inputs(cfg)
         S = _build_scenario(cfg, G)
-        H = _logits_for(cfg, G, y)
-        graph.dump_scenario(S, outdir / "scenario.txt")
-        outputs.append("scenario.txt")
-        certs = policy_iter.certify_local_all(G, S, cfg.alpha, H)
-        analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
-        outputs.append("certificates.jsonl")
-        full = y if y is not None and (y >= 0).all() else None
-        report = analysis.build_report(certs, G, true_labels=full, purity_labels=y)
-        analysis.write_summary_csv(report, outdir / "summary.csv")
-        outputs.append("summary.csv")
-        if cfg.mode == "attack":
-            with (outdir / "attacks.jsonl").open("w", encoding="utf-8") as fh:
-                for c in certs:
-                    if c.status == "nonrobust" and len(c.witness):
-                        fh.write(json.dumps({
-                            "node": int(c.node),
-                            "worst_margin": float(c.worst_margin),
-                            "flips": [[int(a), int(b)] for a, b in c.witness.flips],
-                        }) + "\n")
-            outputs.append("attacks.jsonl")
-
-    elif cfg.mode == "certify-global":
-        G, y = _load_inputs(cfg)
-        S = _build_scenario(cfg, G)
-        H = _logits_for(cfg, G, y)
-        graph.dump_scenario(S, outdir / "scenario.txt")
-        outputs.append("scenario.txt")
-        count = cfg.get_int("targets.count")
-        if count is not None and count < G.node_count:
-            rng = np.random.default_rng(cfg.get_int("targets.seed", 0))
-            targets = np.sort(rng.choice(G.node_count, size=count, replace=False))
-        else:
-            targets = np.arange(G.node_count)
-        tols = lp_solver.SolverTolerances(
-            feasibility=cfg.get_float("solver.lp_feasibility", 1e-7),
-            optimality=cfg.get_float("solver.lp_optimality", 1e-9),
-        )
-        certs = qclp_global.certify_global(
-            G, S, cfg.alpha, H, targets,
-            bound_method=cfg.get("solver.bound_method", "closed_form"),
-            tols=tols,
-        )
-        analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
-        outputs.append("certificates.jsonl")
-        full = y if y is not None and (y >= 0).all() else None
-        report = analysis.build_report(certs, G, true_labels=full, purity_labels=y)
-        analysis.write_summary_csv(report, outdir / "summary.csv")
-        outputs.append("summary.csv")
-
-    elif cfg.mode == "train":
-        G, y = _load_inputs(cfg)
-        S = _build_scenario(cfg, G)
-        X = _load_features(cfg)
+        X = _load_features(cfg, G.node_count)
         train_idx, val_idx, _ = models.train_val_test_split(
-            y, per_class=cfg.get_int("train.per_class", 20), seed=cfg.seed
+            y, per_class=cfg["train.per_class"], seed=seed
         )
+        reg = cfg["train.reg"]
         config = robust_train.RobustLossConfig(
-            kind=cfg.get("train.loss", "ce"),
-            hinge_margin=cfg.get_float("train.margin", 1.0),
-            recompute_every=cfg.get_int("train.cadence", 1),
-            learning_rate=cfg.get_float("train.lr", 1e-2),
-            weight_decay=cfg.get_float("train.reg", 5e-2),
-            patience=cfg.get_int("train.patience", 100),
-            max_epochs=cfg.get_int("train.epochs", 1000),
-            seed=cfg.seed,
+            kind=cfg["train.loss"],
+            hinge_margin=cfg["train.margin"],
+            recompute_every=cfg["train.cadence"],
+            learning_rate=cfg["train.lr"],
+            weight_decay=5e-2 if reg is None else reg,
+            patience=cfg["train.patience"],
+            max_epochs=cfg["train.epochs"],
         )
-        model = models.init_mlp(
-            X.shape[1], cfg.get_int("train.hidden", 64) or 0,
-            int(y.max()) + 1, seed=cfg.seed,
-        )
+        model = models.init_mlp(X.shape[1], cfg["train.hidden"], int(y.max()) + 1,
+                                seed=seed)
         trained, history = robust_train.train_robust(
-            model, X, y, G, S, cfg.alpha, config, train_idx, val_idx,
+            model, X, y, G, S, alpha, config, train_idx, val_idx,
         )
         models.save_model(trained, outdir / "model.bin")
         analysis.write_table_csv(
@@ -409,13 +337,42 @@ def run(cfg: RunConfig) -> int:
         models.save_logits_csv(H, outdir / "logits.csv")
         outputs += ["model.bin", "history.csv", "logits.csv"]
 
-    elif cfg.mode == "report":
+    else:  # certify-local, attack, certify-global, report
         G, y = _load_inputs(cfg)
-        records = analysis.read_certificates_jsonl(cfg.raw["paths.certificates"])
+        if mode == "report":
+            certs = analysis.read_certificates_jsonl(cfg["paths.certificates"])
+        else:
+            S = _build_scenario(cfg, G)
+            H = _logits_for(cfg, G, y)
+            graph.dump_scenario(S, outdir / "scenario.txt")
+            outputs.append("scenario.txt")
+            if mode == "certify-global":
+                tols = lp_solver.SolverTolerances(
+                    feasibility=cfg["solver.lp_feasibility"],
+                    optimality=cfg["solver.lp_optimality"],
+                )
+                certs = qclp_global.certify_global(
+                    G, S, alpha, H, _sample_targets(cfg, G.node_count),
+                    bound_method=cfg["solver.bound_method"], tols=tols,
+                )
+            else:
+                certs = policy_iter.certify_local_all(G, S, alpha, H)
+            analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
+            outputs.append("certificates.jsonl")
         full = y if y is not None and (y >= 0).all() else None
-        report = analysis.build_report(records, G, true_labels=full, purity_labels=y)
+        report = analysis.build_report(certs, G, true_labels=full, purity_labels=y)
         analysis.write_summary_csv(report, outdir / "summary.csv")
         outputs.append("summary.csv")
+        if mode == "attack":
+            with (outdir / "attacks.jsonl").open("w", encoding="utf-8") as fh:
+                for c in certs:
+                    if c.status == "nonrobust" and len(c.witness):
+                        fh.write(json.dumps({
+                            "node": int(c.node),
+                            "worst_margin": float(c.worst_margin),
+                            "flips": c.witness.flips.tolist(),
+                        }) + "\n")
+            outputs.append("attacks.jsonl")
 
     _write_manifest(cfg, outdir, outputs)
     return 0
@@ -441,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_keys:
-        for key, doc in KNOWN_KEYS.items():
+        for key, (_, _, doc, _) in KEYS.items():
             print(f"{key:28s} {doc}")
         return 0
 

@@ -94,16 +94,6 @@ class DirectedGraph:
         """Sorted int64 keys of all edges."""
         return encode_edges(self.edges, self.node_count)
 
-    def contains(self, pairs) -> np.ndarray:
-        """Boolean membership test for an array of (src, dst) pairs."""
-        keys = self.edge_keys()
-        probe = encode_edges(np.asarray(pairs, dtype=np.int64), self.node_count)
-        pos = np.searchsorted(keys, probe)
-        pos = np.minimum(pos, keys.size - 1) if keys.size else pos
-        if not keys.size:
-            return np.zeros(probe.shape, dtype=bool)
-        return keys[pos] == probe
-
 
 @dataclass(frozen=True, eq=False)
 class EdgePolicy:

@@ -235,13 +235,22 @@ def load_logits_csv(path) -> np.ndarray:
 
 
 def load_features_csv(path) -> np.ndarray:
+    """Comma-separated rows of numbers, all as wide as the first row."""
     rows = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise ModelError(f"{path}:{lineno}: not a number in {line!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ModelError(
+                    f"{path}:{lineno}: {len(row)} values, expected {len(rows[0])}"
+                )
+            rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -35,7 +35,6 @@ class RobustLossConfig:
     weight_decay: float = 5e-2
     patience: int = 100
     max_epochs: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("ce", "rce", "cem"):

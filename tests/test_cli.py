@@ -82,6 +82,11 @@ class TestConfigValidation:
         "train.lr = abc",
         "targets.count = abc",
         "solver.lp_feasibility = zz",
+        "graph.symmetrize = maybe",
+        "graph.lcc = sure",
+        "seed = -1",
+        "targets.count = 0",
+        "sbm.blocks = 0",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, setting):
         cfg = base_config(tmp_path, "bad", mode="certify-global", extra=setting)
@@ -275,6 +280,18 @@ train.per_class = 4
         records = [json.loads(l) for l in
                    (tmp_path / "fp" / "certificates.jsonl").read_text().splitlines()]
         assert len(records) == 16
+
+    @pytest.mark.parametrize("rows, code, message", [
+        (["1,0"] * 5 + ["0,abc"] + ["0,1"] * 6, 4, "x.csv:6: not a number"),
+        (["1,0"] * 5 + ["0,1,1"] + ["0,1"] * 6, 4, "x.csv:6: 3 values, expected 2"),
+        (["1,0"] * 11, 2, "features rows 11 != node count 12"),
+    ], ids=["non-number", "ragged-row", "row-count"])
+    def test_bad_feature_file_is_reported(self, tmp_path, capsys, rows, code, message):
+        feats = tmp_path / "x.csv"
+        feats.write_text("\n".join(rows) + "\n")
+        cfg = base_config(tmp_path, "bf", extra=f"paths.features = {feats}")
+        assert main(["--config", str(cfg)]) == code
+        assert message in capsys.readouterr().err
 
     def test_missing_graph_file_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
