@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,10 +43,19 @@ _REQUIRED = {
     "report": ["paths.graph", "paths.certificates", "paths.output"],
 }
 
+
+@dataclass(frozen=True)
+class Above:
+    """An exclusive lower bound: the key's value must be greater than bound."""
+
+    bound: float
+
+
 # key -> (kind, default, doc, least). kind is int, float, bool, str or the
 # tuple of allowed strings; a None default leaves the key unset; least is the
-# smallest value a numeric key accepts. train.reg's default depends on the
-# mode, so its two readers supply it.
+# smallest value a numeric key accepts, or Above(bound) for a key that must
+# exceed bound. train.reg's default depends on the mode, so its two readers
+# supply it.
 KEYS = {
     "mode": (tuple(_REQUIRED), None,
              "certify-local | certify-global | train | attack | gen-sbm | report", None),
@@ -69,8 +79,10 @@ KEYS = {
     "scenario.global_budget": (int, None, "global budget B (blank = unlimited)", 0),
     "solver.bound_method": (("closed_form", "policy_opt"), "closed_form",
                             "closed_form | policy_opt", None),
-    "solver.lp_feasibility": (float, 1e-7, "LP feasibility tolerance (default 1e-7)", None),
-    "solver.lp_optimality": (float, 1e-9, "LP optimality tolerance (default 1e-9)", None),
+    "solver.lp_feasibility": (float, 1e-7, "LP feasibility tolerance (default 1e-7)",
+                              Above(0)),
+    "solver.lp_optimality": (float, 1e-9, "LP optimality tolerance (default 1e-9)",
+                             Above(0)),
     "targets.count": (int, None, "number of sampled targets for certify-global", 1),
     "targets.seed": (int, 0, "sampling seed", 0),
     "train.loss": (("ce", "rce", "cem"), "ce", "ce | rce | cem", None),
@@ -129,7 +141,12 @@ def _parse(key: str, text: str):
         value = _BOOLS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: not {_KIND_NAMES[kind]}: {text!r}") from None
-    if least is not None and value < least:
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {text!r}")
+    if isinstance(least, Above):
+        if not value > least.bound:
+            raise ConfigError(f"{key} must be > {least.bound}, got {value}")
+    elif least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
 
@@ -172,6 +189,13 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
             cfg.errors.append(f"{key} required for mode {mode}")
     if not 0.0 < cfg["alpha"] < 1.0:
         cfg.errors.append(f"alpha must be in (0, 1), got {cfg['alpha']}")
+    n, blocks = cfg["sbm.n"], cfg["sbm.blocks"]
+    if n is not None and blocks is not None and n < blocks:
+        cfg.errors.append(f"sbm.n must be >= sbm.blocks, got {n} < {blocks}")
+    p_in, p_out = cfg["sbm.p_in"], cfg["sbm.p_out"]
+    if p_in is not None and p_out is not None and not 0.0 <= p_out <= p_in <= 1.0:
+        cfg.errors.append(f"sbm.p_in and sbm.p_out need 0 <= p_out <= p_in <= 1, "
+                          f"got p_in {p_in}, p_out {p_out}")
     s = cfg["scenario.strength"]
     if s is not None and s < 0:
         cfg.warnings.append("scenario.strength is negative; budgets clamp at 0")

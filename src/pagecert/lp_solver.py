@@ -1,12 +1,14 @@
 """Deterministic linear programming: internal simplex plus a text export path.
 
-The internal backend is a two-phase revised simplex over sparse constraint
-rows with a dense basis inverse. Pricing scales reduced costs by static
-column norms; after a stall it falls back to Bland's rule, which guarantees
-termination on the highly degenerate instances the certification pipeline
-produces. Instances beyond a few thousand rows should be exported in
-CPLEX-LP text form and solved externally, then read back with
-import_solution.
+The internal backend is a revised simplex over sparse constraint rows with
+a dense basis inverse. Phase 1 finds a feasible vertex from artificials; a
+caller that knows a primal feasible basis passes it as ``start`` and skips
+phase 1 (certify_global starts every relaxed LP at the clean graph's
+basis). Pricing scales reduced costs by static column norms; after a stall
+it falls back to Bland's rule, which guarantees termination on the highly
+degenerate instances the certification pipeline produces. Instances beyond
+a few thousand rows should be exported in CPLEX-LP text form and solved
+externally, then read back with import_solution.
 """
 
 from __future__ import annotations
@@ -133,88 +135,104 @@ def bound_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return max(v, 0.0)
 
 
+def _check_start(start, n_struct: int, n_eq: int) -> np.ndarray:
+    """A start basis's structural columns: one per "=" row, distinct."""
+    start = np.asarray(start, dtype=np.int64).ravel()
+    if start.size != n_eq:
+        raise LpFormatError(
+            f"start lists {start.size} columns; the LP has {n_eq} '=' rows"
+        )
+    if start.size and (start.min() < 0 or start.max() >= n_struct):
+        raise LpFormatError(f"start columns must lie in [0, {n_struct})")
+    if np.unique(start).size != start.size:
+        raise LpFormatError("start columns must be distinct")
+    return start
+
+
 class _Simplex:
     """Revised simplex working state for one standardized problem.
 
     Columns: n structural, then one slack per inequality row, then one
-    artificial per row that needs it. The basis inverse is dense and
+    artificial per row that needs it. Finite upper bounds become explicit
+    "<=" rows after the constraint rows. The basis inverse is dense and
     refactorized periodically.
+
+    Without a start basis the rhs is made nonnegative and the artificials
+    form the initial basis, for phase 1. A start basis (structural columns,
+    one per "=" row, plus every slack) needs neither: it is factored and
+    checked for primal feasibility, and phase 2 starts from it.
     """
 
-    def __init__(self, lp: LinearProgram, tols: SolverTolerances):
+    def __init__(self, lp: LinearProgram, tols: SolverTolerances,
+                 start: np.ndarray | None = None):
         self.tols = tols
         n = lp.n_vars
         A = lp.matrix.tocoo()
-        rows = [A.row]
-        cols = [A.col]
-        data = [A.data]
-        senses = list(lp.senses)
-        b = list(lp.rhs)
-        # variable upper bounds become explicit rows
-        for j in np.nonzero(np.isfinite(lp.upper_bounds))[0]:
-            rows.append(np.array([len(b)]))
-            cols.append(np.array([j]))
-            data.append(np.array([1.0]))
-            senses.append("<=")
-            b.append(float(lp.upper_bounds[j]))
-        m = len(b)
-        rows = np.concatenate(rows).astype(np.int64)
-        cols = np.concatenate(cols).astype(np.int64)
-        data = np.concatenate(data).astype(np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        senses = np.asarray(senses, dtype="<U2")
+        ub_cols = np.flatnonzero(np.isfinite(lp.upper_bounds))
+        m = lp.n_rows + ub_cols.size
+        rows = np.concatenate([A.row, lp.n_rows + np.arange(ub_cols.size)])
+        cols = np.concatenate([A.col, ub_cols])
+        data = np.concatenate([A.data, np.ones(ub_cols.size)])
+        b = np.concatenate([lp.rhs, lp.upper_bounds[ub_cols]])
+        le = np.concatenate([lp.senses == "<=", np.ones(ub_cols.size, dtype=bool)])
 
-        # normalize rhs >= 0
-        neg = b < 0
-        if neg.any():
-            flip = neg[rows]
-            data = np.where(flip, -data, data)
+        if start is None:
+            # normalize rhs >= 0; rows without a usable slack get an artificial
+            neg = b < 0
+            data = np.where(neg[rows], -data, data)
             b = np.where(neg, -b, b)
-
+            art_rows = np.flatnonzero(~le | neg)
+        else:
+            neg = np.zeros(m, dtype=bool)
+            art_rows = np.empty(0, dtype=np.int64)
+        slack_rows = np.flatnonzero(le)
         slack_col = np.full(m, -1, dtype=np.int64)
-        slack_sign = np.zeros(m)
-        next_col = n
-        for i in range(m):
-            if senses[i] == "<=":
-                slack_col[i] = next_col
-                slack_sign[i] = -1.0 if neg[i] else 1.0
-                next_col += 1
+        slack_col[slack_rows] = n + np.arange(slack_rows.size)
         art_col = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            if slack_col[i] < 0 or slack_sign[i] < 0:
-                art_col[i] = next_col
-                next_col += 1
-
-        extra_rows, extra_cols, extra_data = [], [], []
-        for i in range(m):
-            if slack_col[i] >= 0:
-                extra_rows.append(i)
-                extra_cols.append(slack_col[i])
-                extra_data.append(slack_sign[i])
-            if art_col[i] >= 0:
-                extra_rows.append(i)
-                extra_cols.append(art_col[i])
-                extra_data.append(1.0)
-        rows = np.concatenate([rows, np.asarray(extra_rows, dtype=np.int64)])
-        cols = np.concatenate([cols, np.asarray(extra_cols, dtype=np.int64)])
-        data = np.concatenate([data, np.asarray(extra_data)])
+        art_col[art_rows] = n + slack_rows.size + np.arange(art_rows.size)
+        rows = np.concatenate([rows, slack_rows, art_rows])
+        cols = np.concatenate([cols, slack_col[slack_rows], art_col[art_rows]])
+        data = np.concatenate([data, np.where(neg[slack_rows], -1.0, 1.0),
+                               np.ones(art_rows.size)])
 
         self.n_struct = n
         self.m = m
-        self.total = next_col
-        self.A = sp.csc_matrix((data, (rows, cols)), shape=(m, self.total))
+        self.total = n + slack_rows.size + art_rows.size
+        self._set_matrix(sp.csc_matrix((data, (rows, cols)), shape=(m, self.total)))
         self.b = b
         self.is_artificial = np.zeros(self.total, dtype=bool)
-        self.is_artificial[art_col[art_col >= 0]] = True
-        self.basis = np.where(art_col >= 0, art_col, slack_col).astype(np.int64)
-        self.Binv = np.asfortranarray(np.eye(m))
-        self.xB = b.copy()
+        self.is_artificial[art_col[art_rows]] = True
         self.col_norms = np.sqrt(np.asarray(self.A.multiply(self.A).sum(axis=0)).ravel())
         self.col_norms = np.maximum(self.col_norms, 1.0)
         self.pivots = 0
+        if start is None:
+            self.basis = np.where(art_col >= 0, art_col, slack_col)
+            self.Binv = np.asfortranarray(np.eye(m))
+            self.xB = b.copy()
+        else:
+            self.basis = slack_col.copy()
+            self.basis[~le] = _check_start(start, n, int(np.count_nonzero(~le)))
+            self.refactor()
+            lowest = float(self.xB.min(initial=0.0))
+            if lowest < -tols.feasibility:
+                raise LpError(
+                    f"start basis is not primal feasible: a basic variable "
+                    f"is {lowest:.3e} < -{tols.feasibility:g}"
+                )
+            self.xB = np.maximum(self.xB, 0.0)
+
+    def _set_matrix(self, A: sp.csc_matrix) -> None:
+        """Keep A, its transpose for pricing, and its CSC arrays for
+        column scatters, so no pivot builds a sparse object."""
+        self.A = A
+        self.AT = A.T
+        self.indptr, self.indices, self.data = A.indptr, A.indices, A.data
 
     def column(self, j: int) -> np.ndarray:
-        return self.A[:, j].toarray().ravel()
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[self.indices[lo:hi]] = self.data[lo:hi]
+        return col
 
     def refactor(self) -> None:
         B = self.A[:, self.basis].toarray()
@@ -242,7 +260,7 @@ class _Simplex:
                     f"simplex exceeded {max_iter} iterations"
                 )
             y = c[self.basis] @ self.Binv
-            d = c - self.A.T @ y
+            d = c - self.AT @ y
             d[self.basis] = 0.0
             cand = (d > tols.optimality) & allowed
             if not cand.any():
@@ -289,7 +307,7 @@ class _Simplex:
         for i in range(self.m):
             if not self.is_artificial[self.basis[i]]:
                 continue
-            row = np.asarray(self.A.T @ self.Binv[i]).ravel()
+            row = np.asarray(self.AT @ self.Binv[i]).ravel()
             row[self.is_artificial] = 0.0
             row[self.basis] = 0.0
             cands = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
@@ -309,7 +327,7 @@ class _Simplex:
             self.basis[i] = j
         if redundant:
             keep = np.setdiff1d(np.arange(self.m), np.asarray(redundant))
-            self.A = self.A[keep].tocsc()
+            self._set_matrix(self.A[keep].tocsc())
             self.b = self.b[keep]
             self.basis = self.basis[keep]
             self.m = keep.size
@@ -321,14 +339,22 @@ class _Simplex:
         return x[: self.n_struct]
 
 
-def solve_lp(lp: LinearProgram, tols: SolverTolerances = DEFAULT_TOLERANCES) -> LpSolution:
+def solve_lp(lp: LinearProgram, tols: SolverTolerances = DEFAULT_TOLERANCES,
+             start: np.ndarray | None = None) -> LpSolution:
     """Solve to a vertex-optimal basic solution; deterministic across runs.
+
+    Without ``start`` phase 1 finds a feasible vertex from artificials.
+    ``start`` lists the structural columns of a known primal feasible basis,
+    one per "=" row; the slacks of all "<=" rows (upper-bound rows
+    included) complete it, and only phase 2 runs. A start of the wrong
+    length, with repeated or non-structural columns, raises LpFormatError;
+    a start whose basic values fall below -tols.feasibility raises LpError.
 
     Infeasible/unbounded are reported as statuses. Numerical breakdown (a
     singular basis, iteration explosion, or a returned point failing the
     independent feasibility audit) raises NumericalBreakdownError.
     """
-    state = _Simplex(lp, tols)
+    state = _Simplex(lp, tols, start)
     stats: dict = {}
 
     phase1_cost = np.zeros(state.total)

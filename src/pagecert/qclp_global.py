@@ -207,6 +207,17 @@ class RelaxedLpInstance:
         """Column of fragile edge e's "on" variable (e may be an array)."""
         return self.x0_index(e) + 1
 
+    def clean_basis(self) -> np.ndarray:
+        """Structural columns of the clean graph's vertex, one per "=" row:
+        every x_v, then per fragile edge x1 if the edge is in the base graph
+        and x0 otherwise. With every slack added this basis is primal
+        feasible in exact arithmetic, because xbar dominates every feasible
+        x; solve_lp clamps the rounding left over."""
+        S = self.scenario
+        e = np.arange(S.fragile_count)
+        return np.concatenate([np.arange(S.node_count), np.where(
+            S.fragile_in_base, self.x1_index(e), self.x0_index(e))])
+
 
 def assemble_relaxed_lp(
     mdp: AuxiliaryMdp,
@@ -386,7 +397,7 @@ def certify_global(
             if c == yt:
                 continue
             inst = assemble_relaxed_lp(mdps[(yt, c)], S, z, xbar)
-            sol = lp_solver.solve_lp(inst.lp, tols)
+            sol = lp_solver.solve_lp(inst.lp, tols, start=inst.clean_basis())
             if sol.status != "optimal":
                 raise lp_solver.NumericalBreakdownError(
                     f"relaxed LP for target {t}, class {c} came back "

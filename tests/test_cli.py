@@ -87,6 +87,12 @@ class TestConfigValidation:
         "seed = -1",
         "targets.count = 0",
         "sbm.blocks = 0",
+        "solver.lp_feasibility = 0",
+        "solver.lp_optimality = -1e-9",
+        "train.margin = nan",
+        "train.lr = inf",
+        "train.reg = -inf",
+        "sbm.p_in = nan",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, setting):
         cfg = base_config(tmp_path, "bad", mode="certify-global", extra=setting)
@@ -95,6 +101,21 @@ class TestConfigValidation:
         assert main(["--config", str(cfg), "--validate"]) == 2
         assert main(["--config", str(cfg)]) == 2
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        (["sbm.n=2", "sbm.blocks=3"], "sbm.n must be >= sbm.blocks, got 2 < 3"),
+        (["sbm.p_in=0.1", "sbm.p_out=0.5"], "0 <= p_out <= p_in <= 1"),
+        (["sbm.p_in=1.5"], "0 <= p_out <= p_in <= 1"),
+        (["sbm.p_out=-0.1"], "0 <= p_out <= p_in <= 1"),
+    ], ids=["n-below-blocks", "p-out-above-p-in", "p-in-above-1", "p-out-negative"])
+    def test_gen_sbm_checks_before_output(self, tmp_path, capsys, settings, message):
+        out = tmp_path / "sbm"
+        base = ["mode=gen-sbm", f"paths.output={out}", "sbm.n=30", "sbm.blocks=3",
+                "sbm.p_in=0.5", "sbm.p_out=0.05"]
+        argv = [a for s in base + settings for a in ("--set", s)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mode_error(self):
         cfg = resolve_config({"mode": "frobnicate"})

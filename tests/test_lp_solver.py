@@ -4,13 +4,16 @@ import scipy.sparse as sp
 
 from pagecert.lp_solver import (
     LinearProgram,
+    LpError,
     LpFormatError,
+    NumericalBreakdownError,
     export_lp_text,
     import_solution,
     max_violation,
     parse_lp_text,
     solve_lp,
 )
+from pagecert.lp_solver import DEFAULT_TOLERANCES, _Simplex
 
 from rational_simplex import solve_exact
 
@@ -82,6 +85,163 @@ class TestSolve:
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert abs(sol.objective - 2.0) <= 1e-9
+
+
+def planted_basis_lp(seed):
+    """A random LP with a known primal feasible start basis: "=" rows are
+    met by positive values on a random column set J, "<=" rows and upper
+    bounds keep room at that point."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    k = int(rng.integers(1, n))
+    m_le = int(rng.integers(0, 8))
+    J = rng.choice(n, size=k, replace=False)
+    xJ = np.round(rng.uniform(0.5, 3.0, size=k), 2)
+    A_eq = np.round(rng.normal(size=(k, n)) * 3, 2)
+    A_le = np.round(rng.normal(size=(m_le, n)) * 3, 2)
+    b_eq = A_eq[:, J] @ xJ
+    b_le = A_le[:, J] @ xJ + np.round(rng.uniform(0.0, 2.0, size=m_le), 2)
+    ub = np.full(n, np.inf)
+    capped = rng.random(n) < 0.5
+    ub[capped] = 4.0
+    A = np.vstack([A_eq, A_le])
+    senses = ["="] * k + ["<="] * m_le
+    c = np.round(rng.normal(size=n) * 3, 2)
+    lp = LinearProgram.build(c, A, senses, np.concatenate([b_eq, b_le]),
+                             upper_bounds=ub)
+    return lp, J
+
+
+class TestStartBasis:
+    def eq_lp(self):
+        # max x + y st x + y = 2, x - y <= 0
+        return LinearProgram.build(
+            [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "<="], [2.0, 0.0]
+        )
+
+    @pytest.mark.parametrize("start", [[0], [0, 1, 2], [1, 1], [0, 3], [-1, 0]],
+                             ids=["short", "long", "duplicate", "slack", "negative"])
+    def test_malformed_start_raises(self, start):
+        # two "=" rows, so a start needs two distinct structural columns
+        lp = LinearProgram.build(
+            [1.0, 1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+            ["=", "=", "<="], [2.0, 1.0, 5.0],
+        )
+        assert solve_lp(lp, start=[0, 1]).status == "optimal"
+        with pytest.raises(LpFormatError, match="start"):
+            solve_lp(lp, start=start)
+
+    def test_infeasible_start_raises(self):
+        # x basic in the "=" row gives x = 2 and slack 0 - 2 < 0
+        with pytest.raises(LpError, match="not primal feasible"):
+            solve_lp(self.eq_lp(), start=[0])
+
+    def test_singular_start_raises(self):
+        lp = LinearProgram.build(
+            [1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [2.0, 4.0]
+        )
+        with pytest.raises(NumericalBreakdownError, match="singular"):
+            solve_lp(lp, start=[0, 1])
+
+    def test_feasible_start_skips_phase_one(self):
+        sol = solve_lp(self.eq_lp(), start=[1])
+        assert sol.status == "optimal"
+        assert abs(sol.objective - 2.0) <= 1e-9
+        assert "phase1_pivots" not in sol.stats
+        assert max_violation(self.eq_lp(), sol.x) <= 1e-9
+        assert solve_lp(self.eq_lp()).stats["phase1_pivots"] > 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: simple_lp(),
+        lambda: LinearProgram.build([1.0, 2.0], [[1.0, 1.0]], ["<="], [10.0],
+                                    upper_bounds=[4.0, 3.0]),
+        lambda: LinearProgram.build([1.0, 1.0], [[1.0, 1.0]] * 8 + [[1.0, 0.0]],
+                                    ["<="] * 9, [1.0] * 8 + [0.5]),
+    ], ids=["one-var", "upper-bounds", "degenerate"])
+    def test_slack_start_matches_phase_one(self, build):
+        lp = build()
+        a, b = solve_lp(lp), solve_lp(lp, start=[])
+        assert a.status == b.status == "optimal"
+        assert abs(a.objective - b.objective) <= 1e-9
+
+    def test_unbounded_from_start(self):
+        lp = LinearProgram.build([1.0, 1.0], [[1.0, -1.0]], ["="], [1.0])
+        assert solve_lp(lp, start=[0]).status == "unbounded"
+
+    def test_planted_starts_match_phase_one_and_rational_oracle(self):
+        hits = exact = 0
+        for seed in range(40):
+            lp, J = planted_basis_lp(seed)
+            sol = solve_lp(lp, start=J)
+            ref = solve_lp(lp)
+            assert sol.status == ref.status, f"seed {seed}"
+            if sol.status != "optimal":
+                continue
+            hits += 1
+            assert abs(sol.objective - ref.objective) <= 1e-8, f"seed {seed}"
+            assert max_violation(lp, sol.x) <= 1e-7, f"seed {seed}"
+            if lp.n_vars * lp.n_rows <= 40:
+                status, obj, _ = solve_exact(
+                    lp.objective.tolist(), lp.matrix.toarray().tolist(),
+                    list(lp.senses), lp.rhs.tolist(),
+                    [None if not np.isfinite(u) else float(u)
+                     for u in lp.upper_bounds],
+                )
+                assert status == "optimal", f"seed {seed}"
+                assert abs(sol.objective - float(obj)) <= 1e-8, f"seed {seed}"
+                exact += 1
+        assert hits >= 20 and exact >= 10
+
+
+def loop_standard_form(lp):
+    """Per-row reference for the phase-1 standard form: upper-bound rows
+    after the constraint rows, rhs made nonnegative, one slack per "<="
+    row in row order, then one artificial per row without a usable slack."""
+    A = lp.matrix.toarray().tolist()
+    senses, b = list(lp.senses), list(lp.rhs)
+    n = lp.n_vars
+    for j in range(n):
+        if np.isfinite(lp.upper_bounds[j]):
+            A.append([1.0 if k == j else 0.0 for k in range(n)])
+            senses.append("<=")
+            b.append(float(lp.upper_bounds[j]))
+    m = len(b)
+    neg = [v < 0 for v in b]
+    A = [[-v for v in row] if neg[i] else row for i, row in enumerate(A)]
+    b = [abs(v) for v in b]
+    slack = [i for i in range(m) if senses[i] == "<="]
+    art = [i for i in range(m) if senses[i] != "<=" or neg[i]]
+    cols = np.zeros((m, n + len(slack) + len(art)))
+    cols[:, :n] = A
+    basis = [0] * m
+    for k, i in enumerate(slack):
+        cols[i, n + k] = -1.0 if neg[i] else 1.0
+        basis[i] = n + k
+    for k, i in enumerate(art):
+        cols[i, n + len(slack) + k] = 1.0
+        basis[i] = n + len(slack) + k
+    return cols, np.array(b), basis, n + len(slack)
+
+
+class TestStandardForm:
+    def test_matches_per_row_reference(self):
+        for seed in range(30):
+            rng = np.random.default_rng(900 + seed)
+            n, m = int(rng.integers(1, 8)), int(rng.integers(0, 8))
+            lp = LinearProgram.build(
+                rng.normal(size=n), rng.normal(size=(m, n)),
+                rng.choice(["<=", "="], size=m), rng.normal(size=m),
+                upper_bounds=np.where(rng.random(n) < 0.5, 2.0, np.inf),
+            )
+            state = _Simplex(lp, DEFAULT_TOLERANCES)
+            A, b, basis, first_art = loop_standard_form(lp)
+            assert np.array_equal(state.A.toarray(), A), f"seed {seed}"
+            assert np.array_equal(state.b, b), f"seed {seed}"
+            assert state.basis.tolist() == basis, f"seed {seed}"
+            assert np.flatnonzero(state.is_artificial).tolist() == \
+                list(range(first_art, A.shape[1])), f"seed {seed}"
+            assert all(np.array_equal(state.column(j), A[:, j])
+                       for j in range(A.shape[1])), f"seed {seed}"
 
 
 class TestAgainstRationalOracle:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from pagecert import lp_solver, oracle
-from pagecert.graph import DirectedGraph, apply_policy, build_scenario
+from pagecert import lp_solver, oracle, qclp_global
+from pagecert.graph import (
+    DirectedGraph, apply_policy, build_scenario, generate_sbm,
+    largest_connected_component,
+)
 from pagecert.policy_iter import optimize_local
 from pagecert.ppr import mean_reward, ppr_vector
 from pagecert.qclp_global import (
@@ -472,3 +475,75 @@ class TestCertifyGlobal:
                                bound_method="policy_opt")
         for a, b in zip(loose, tight):
             assert b.lower_bound_margin >= a.lower_bound_margin - 1e-9
+
+
+def addrem_relaxed_lp(seed):
+    """An add-and-remove relaxed LP on a small SBM: the instance family on
+    which phase 1 broke down (singular refactorizations, false
+    infeasibility)."""
+    rng = np.random.default_rng(seed)
+    n, blocks = int(rng.integers(6, 16)), int(rng.integers(2, 4))
+    G, _ = largest_connected_component(generate_sbm(n, blocks, 0.5, 0.1, seed))
+    N = G.node_count
+    S = build_scenario(G, "add-and-remove", local_budgets=rng.integers(0, 4, N),
+                       global_budget=int(rng.integers(0, 12)))
+    z = np.zeros(N)
+    z[int(rng.integers(N))] = 1.0
+    mdp = build_aux_mdp(G, S, ALPHA, rng.normal(size=N))
+    return assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
+
+
+class TestCleanBasis:
+    @pytest.mark.parametrize("mode", ["remove-only", "add-and-remove"])
+    def test_clean_basis_is_the_clean_graph_vertex(self, rng, mode):
+        # a zero reward makes every vertex optimal, so the solve stays at
+        # the start basis, which must be the clean graph's occupation
+        G, S = random_instance(rng, 7, extra=3, mode=mode, global_budget=2)
+        z = rng.dirichlet(np.ones(7))
+        inst = assemble_relaxed_lp(build_aux_mdp(G, S, ALPHA, np.zeros(7)), S, z,
+                                   compute_upper_bounds(G, S, ALPHA))
+        assert inst.clean_basis().size == np.count_nonzero(inst.lp.senses == "=")
+        sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
+        assert sol.stats["pivots"] == 0
+        vec, pol, integral = recover_pagerank(sol, inst)
+        assert integral and len(pol) == 0
+        assert np.max(np.abs(vec.values - ppr_vector(G, ALPHA, z).values)) <= 1e-12
+
+    def test_certify_global_starts_at_the_clean_basis(self, rng, monkeypatch):
+        G, S = random_instance(rng, 7, extra=3, global_budget=2)
+        H = rng.normal(size=(7, 2))
+        solve, starts = lp_solver.solve_lp, []
+
+        def record(lp, tols, start=None):
+            starts.append(start)
+            sol = solve(lp, tols, start=start)
+            assert "phase1_pivots" not in sol.stats
+            return sol
+
+        monkeypatch.setattr(qclp_global.lp_solver, "solve_lp", record)
+        certify_global(G, S, ALPHA, H, [0, 3])
+        assert len(starts) == 2 and all(s is not None for s in starts)
+
+    def test_addrem_sweep_matches_highs(self):
+        from scipy.optimize import linprog
+
+        solved = 0
+        for seed in range(40):
+            inst = addrem_relaxed_lp(seed)
+            lp = inst.lp
+            if inst.scenario.fragile_count == 0:
+                continue
+            sol = lp_solver.solve_lp(lp, start=inst.clean_basis())
+            assert sol.status == "optimal", f"seed {seed}"
+            eq = lp.senses == "="
+            ref = linprog(
+                -lp.objective, A_ub=lp.matrix[~eq], b_ub=lp.rhs[~eq],
+                A_eq=lp.matrix[eq], b_eq=lp.rhs[eq],
+                bounds=[(0, u if np.isfinite(u) else None) for u in lp.upper_bounds],
+                method="highs-ds",
+            )
+            assert ref.status == 0, f"seed {seed}"
+            assert abs(sol.objective + ref.fun) <= 1e-7 * abs(ref.fun) + 1e-12, \
+                f"seed {seed}"
+            solved += 1
+        assert solved >= 30
