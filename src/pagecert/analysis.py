@@ -13,8 +13,8 @@ from .policy_iter import LocalCertificate
 from .qclp_global import GlobalCertificate
 
 
-def record_to_dict(rec) -> dict:
-    """Flatten a certificate into the JSON-lines schema (stable key order)."""
+def _record_head(rec) -> tuple[dict, np.ndarray]:
+    """Every key of a record but the last, "witness_flips", and its flips."""
     if isinstance(rec, LocalCertificate):
         return {
             "node": int(rec.node),
@@ -24,8 +24,7 @@ def record_to_dict(rec) -> dict:
             "status": rec.status,
             "bound_type": "exact",
             "marginal": bool(rec.marginal),
-            "witness_flips": rec.witness.flips.tolist(),
-        }
+        }, rec.witness.flips
     if isinstance(rec, GlobalCertificate):
         return {
             "node": int(rec.node),
@@ -35,15 +34,31 @@ def record_to_dict(rec) -> dict:
             "status": rec.status,
             "bound_type": "lower",
             "attack_verified": bool(rec.attack_verified),
-            "witness_flips": rec.rounded_attack.flips.tolist(),
-        }
+        }, rec.rounded_attack.flips
     raise TypeError(f"not a certificate record: {type(rec)!r}")
 
 
+def record_to_dict(rec) -> dict:
+    """Flatten a certificate into the JSON-lines schema (stable key order)."""
+    head, flips = _record_head(rec)
+    return {**head, "witness_flips": flips.tolist()}
+
+
 def write_certificates_jsonl(records, path) -> None:
+    """One json.dumps(record_to_dict(rec)) line per record.
+
+    Local records of one class pair share their witness, so each distinct
+    flips array is serialised once and spliced in as the last key.
+    """
+    witness_json: dict[int, tuple[np.ndarray, str]] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(record_to_dict(rec)) + "\n")
+            head, flips = _record_head(rec)
+            # the array is kept in the entry, so its id is not reused
+            if id(flips) not in witness_json:
+                witness_json[id(flips)] = (flips, json.dumps(flips.tolist()))
+            fh.write(f'{json.dumps(head)[:-1]}, "witness_flips": '
+                     f"{witness_json[id(flips)][1]}}}\n")
 
 
 def read_certificates_jsonl(path) -> list[dict]:

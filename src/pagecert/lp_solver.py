@@ -16,10 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dger
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class LinearProgram:
     @classmethod
     def build(cls, objective, rows, senses, rhs, upper_bounds=None,
               names=None, row_names=None) -> "LinearProgram":
+        import scipy.sparse as sp
+
         c = np.asarray(objective, dtype=np.float64)
         n = c.size
         A = sp.csr_matrix(rows, shape=(len(rhs), n), dtype=np.float64) if not sp.issparse(rows) \
@@ -165,6 +169,8 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram, tols: SolverTolerances,
                  start: np.ndarray | None = None):
+        import scipy.sparse as sp
+
         self.tols = tols
         n = lp.n_vars
         A = lp.matrix.tocoo()
@@ -247,6 +253,8 @@ class _Simplex:
 
     def run_phase(self, c: np.ndarray, allowed: np.ndarray) -> str:
         """Maximize c over the current basis; returns "optimal" or "unbounded"."""
+        from scipy.linalg.blas import dger
+
         tols = self.tols
         max_iter = 2000 + 50 * (self.m + self.total)
         bland = False
@@ -485,6 +493,8 @@ def parse_lp_text(path) -> LinearProgram:
     One constraint or bound per line; Maximize and Minimize sections are
     accepted (Minimize is normalized to max by negating the objective).
     """
+    import scipy.sparse as sp
+
     text = Path(path).read_text(encoding="utf-8")
     section = None
     obj: dict[str, float] = {}

@@ -6,6 +6,11 @@ radius of a*M is at most a < 1, so a stationary fixed-point iteration
 converges geometrically; graphs of up to DENSE_LIMIT nodes use a dense LU
 solve instead. The graph's size alone picks the solver; no option does.
 
+scipy is loaded only where it is used: transition_matrix (the stationary
+path above DENSE_LIMIT), the relaxed-LP route (qclp_global, lp_solver) and
+graph.largest_connected_component. Local certificates and training on a
+graph of at most DENSE_LIMIT nodes run on numpy alone.
+
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the
 reward identity r^T pi(z) = (1-a) z^T x holds exactly for the mean-reward
@@ -16,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import DirectedGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_LIMIT = 512
 RESIDUAL_TOL = 1e-10
@@ -63,6 +71,8 @@ def transition_matrix(G: DirectedGraph) -> sp.csr_matrix:
     already the CSR column index array and the row pointers are the
     cumulative out-degrees.
     """
+    import scipy.sparse as sp
+
     data = _edge_weights(G)
     indptr = np.concatenate(([0], np.cumsum(G.out_degree)))
     return sp.csr_matrix(
@@ -96,11 +106,14 @@ def solve_transport(
     squeeze = rhs.ndim == 1
     b = rhs.reshape(G.node_count, -1)
     if G.node_count <= DENSE_LIMIT:
-        P = np.zeros((G.node_count, G.node_count))
-        P[G.edges[:, 0], G.edges[:, 1]] = _edge_weights(G)
+        # I - alpha * P[^T] built in one array; every entry, self-loops
+        # included, equals that of np.eye(n) - alpha * P[^T] bit for bit
+        src, dst = G.edges.T
         if transpose:
-            P = P.T
-        M = np.eye(G.node_count) - alpha * P
+            src, dst = dst, src
+        M = np.zeros((G.node_count, G.node_count))
+        M[src, dst] = -(alpha * _edge_weights(G))
+        M.flat[:: G.node_count + 1] += 1.0
         x = np.linalg.solve(M, b)
         res = _relative_residual(M @ x - b, b)
         if res > RESIDUAL_TOL * 1e3:
@@ -141,6 +154,8 @@ def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (G.node_count,):
         raise KernelInputError("teleport vector has wrong length")
+    if not np.all(np.isfinite(z)):
+        raise KernelInputError("teleport vector must be finite")
     if z.min() < -1e-12 or abs(z.sum() - 1.0) > 1e-8:
         raise KernelInputError("teleport vector must be a probability distribution")
     x = solve_transport(G, alpha, z, transpose=True)
@@ -184,6 +199,8 @@ def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
     Returns an array of shape (len(targets), N); row i is pi(e_targets[i]).
     """
     targets = np.asarray(targets, dtype=np.int64).ravel()
+    if np.any((targets < 0) | (targets >= G.node_count)):
+        raise KernelInputError(f"targets must be node ids in [0, {G.node_count})")
     Z = np.zeros((G.node_count, targets.size))
     Z[targets, np.arange(targets.size)] = 1.0
     X = solve_transport(G, alpha, Z, transpose=True)

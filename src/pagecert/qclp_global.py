@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp_solver, models, policy_iter, ppr
 from ._parallel import map_parallel
@@ -60,6 +59,8 @@ class AuxiliaryMdp:
         Solves (I - T) val = rew on the auxiliary state space directly;
         used to validate the construction against independent estimates.
         """
+        import scipy.sparse as sp
+
         n = self.node_count
         m = self.fragile_edges.shape[0]
         on_mask = np.asarray(on_mask, dtype=bool)
@@ -226,6 +227,8 @@ def assemble_relaxed_lp(
     xbar: np.ndarray,
 ) -> RelaxedLpInstance:
     """Build the relaxed budget-constrained LP for the auxiliary process."""
+    import scipy.sparse as sp
+
     n = S.node_count
     m = S.fragile_count
     alpha = mdp.alpha
@@ -370,6 +373,8 @@ def certify_global(
     targets = np.asarray(targets, dtype=np.int64).ravel()
     if targets.size == 0:
         raise BoundError("need at least one certification target")
+    if targets.min() < 0 or targets.max() >= G.node_count:
+        raise BoundError(f"targets must be node ids in [0, {G.node_count})")
     if y is None:
         y = models.predict(G, alpha, H)
     y = np.asarray(y, dtype=np.int64)

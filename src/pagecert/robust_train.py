@@ -159,11 +159,9 @@ def loss_cem(bundle: WorstCaseBundle, H_diff: np.ndarray,
     Zero hinge (exactly the plain cross-entropy) once every labeled node is
     certified with margin >= hinge_margin.
     """
-    idx = np.arange(len(bundle.labels))
-    logits = H_diff[bundle.nodes]
-    ce = float(np.sum(_logsumexp(logits) - logits[idx, bundle.labels]))
+    ce = _clean_ce_loss(H_diff, bundle.nodes, bundle.labels)
     hinge = np.maximum(0.0, hinge_margin - bundle.margins)
-    hinge[idx, bundle.labels] = 0.0
+    hinge[np.arange(len(bundle.labels)), bundle.labels] = 0.0
     return ce + float(hinge.sum())
 
 
@@ -179,22 +177,24 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
     return (to_label - rows.sum(axis=0)).T
 
 
+def _clean_ce_loss(Hd: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> float:
+    """Cross-entropy of the clean diffused logits Hd at nodes."""
+    logits = Hd[nodes]
+    return float(np.sum(_logsumexp(logits) - logits[np.arange(nodes.size), labels]))
+
+
 def _clean_ce_loss_grad(
-    G: DirectedGraph, alpha: float, H: np.ndarray, nodes: np.ndarray,
+    G: DirectedGraph, alpha: float, Hd: np.ndarray, nodes: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Cross-entropy on clean diffused logits and its gradient w.r.t. H."""
-    Hd = ppr.diffused_margins(G, alpha, H)
-    logits = Hd[nodes]
-    idx = np.arange(nodes.size)
-    loss = float(np.sum(_logsumexp(logits) - logits[idx, labels]))
-    gd = _softmax(logits)
-    gd[idx, labels] -= 1.0
+    """Cross-entropy on the clean diffused logits Hd and its gradient w.r.t. H."""
+    gd = _softmax(Hd[nodes])
+    gd[np.arange(nodes.size), labels] -= 1.0
     full = np.zeros_like(Hd)
     full[nodes] = gd
     # adjoint of diffusion: dH = Pi^T (dL/dH_diff)
     dH = ppr.diffuse_transpose(G, alpha, full)
-    return loss, dH
+    return _clean_ce_loss(Hd, nodes, labels), dH
 
 
 def robust_loss_and_grad(
@@ -206,10 +206,16 @@ def robust_loss_and_grad(
     labels: np.ndarray,
     bundle: WorstCaseBundle | None,
     hinge_margin: float,
+    Hd: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss value and dLoss/dH for one of the three training losses."""
+    """Loss value and dLoss/dH for one of the three training losses.
+
+    Hd, the clean diffused logits of H, is solved for when not given.
+    """
+    if kind != "rce" and Hd is None:
+        Hd = ppr.diffused_margins(G, alpha, H)
     if kind == "ce":
-        return _clean_ce_loss_grad(G, alpha, H, nodes, labels)
+        return _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
     assert bundle is not None
     bundle.refresh_margins(H)
     if kind == "rce":
@@ -217,7 +223,7 @@ def robust_loss_and_grad(
         g = _rce_grad_margins(bundle)
         return loss, _margin_grads_to_H(bundle, g, H.shape[0])
     # cem
-    ce, dH = _clean_ce_loss_grad(G, alpha, H, nodes, labels)
+    ce, dH = _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
     idx = np.arange(len(bundle.labels))
     hinge = np.maximum(0.0, hinge_margin - bundle.margins)
     hinge[idx, bundle.labels] = 0.0
@@ -260,12 +266,14 @@ def train_robust(
 
     for epoch in range(config.max_epochs):
         H, acts = models.mlp_forward(model, X)
+        # one clean diffusion per epoch serves the train and the val loss
+        Hd = ppr.diffused_margins(G, alpha, H)
         needs_bundle = config.kind in ("rce", "cem")
         if needs_bundle and (bundle is None or epoch % config.recompute_every == 0):
             bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
         loss, dH = robust_loss_and_grad(
             config.kind, G, alpha, H, train_idx, labels, bundle,
-            config.hinge_margin,
+            config.hinge_margin, Hd=Hd,
         )
         if needs_bundle:
             cert_ratio = bundle.certified_ratio()
@@ -273,7 +281,7 @@ def train_robust(
             float(np.sum(w * w)) for w in model.weights
         )
         loss += reg
-        val_loss, _ = _clean_ce_loss_grad(G, alpha, H, val_idx, y[val_idx])
+        val_loss = _clean_ce_loss(Hd, val_idx, y[val_idx])
         if not np.isfinite(loss) or not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"loss diverged at epoch {epoch}", history

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from pagecert.analysis import (
@@ -10,9 +12,10 @@ from pagecert.analysis import (
     write_certificates_jsonl,
     write_summary_csv,
 )
-from pagecert.graph import DirectedGraph, EdgePolicy
+from pagecert.graph import DirectedGraph, EdgePolicy, build_scenario
 from pagecert.models import save_logits_csv, load_logits_csv
 from pagecert.policy_iter import LocalCertificate, certify_local_all
+from pagecert.qclp_global import certify_global
 
 from conftest import random_instance
 
@@ -105,6 +108,21 @@ class TestSerialization:
             assert rec["status"] == c.status
             assert rec["bound_type"] == "exact"
             assert abs(rec["worst_margin"] - c.worst_margin) == 0.0
+
+    def test_file_is_one_record_to_dict_per_line(self, tmp_path, rng):
+        # the writer serialises each shared witness once and splices it in;
+        # the bytes must match dumping every record whole
+        G, _ = random_instance(rng, 9, extra=4)
+        S = build_scenario(G, "remove-only", strength=9, global_budget=3)
+        H = rng.normal(size=(9, 3))
+        certs = (certify_local_all(G, S, ALPHA, H)
+                 + certify_global(G, S, ALPHA, H, targets=[0, 4]))
+        assert len({id(c.witness.flips) for c in certs[:9]}) < 9
+        assert any(len(c.witness) for c in certs[:9])
+        p = tmp_path / "c.jsonl"
+        write_certificates_jsonl(certs, p)
+        assert p.read_text() == "".join(
+            json.dumps(record_to_dict(c)) + "\n" for c in certs)
 
     def test_record_schema_keys(self, rng):
         G, S = random_instance(rng, 5, extra=2)

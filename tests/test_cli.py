@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +271,24 @@ train.per_class = 4
         assert (out / "logits.csv").exists()
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,val_loss,certified_ratio"
+
+    def test_import_and_train_load_no_scipy(self, tmp_path):
+        # graphs of at most ppr.DENSE_LIMIT nodes never need a sparse matrix
+        # or the LP, so neither the import nor a train run may load scipy
+        cfg = self._train_config(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import pagecert.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     def test_train_patience_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []

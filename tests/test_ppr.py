@@ -88,6 +88,13 @@ class TestPprVector:
         with pytest.raises(KernelInputError):
             ppr_vector(two_cycle(), 1.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("z", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_nonfinite_teleport_rejected(self, z):
+        # every comparison with NaN is false, so only an explicit check
+        # keeps a NaN teleport from coming back as an all-NaN PageRank
+        with pytest.raises(KernelInputError, match="finite"):
+            ppr_vector(two_cycle(), ALPHA, np.array(z))
+
 
 class TestMeanReward:
     def test_zero_reward(self):
@@ -197,6 +204,27 @@ class TestTransitionMatrix:
         assert np.array_equal(P.toarray(), dense_transition(Gf))
 
 
+class TestDenseSolve:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bit_identical_to_eye_minus_alpha_p(self, rng, transpose):
+        # the dense path builds I - alpha * P[^T] in one array; its entries,
+        # self-loops included, are the same IEEE values as the textbook
+        # expression, so LAPACK returns the same bits
+        n = 40
+        edges = rng.integers(0, n, size=(160, 2))
+        loops = np.repeat(np.arange(0, n, 3), 2).reshape(-1, 2)
+        ring = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+        G = DirectedGraph.from_edges(n, np.concatenate([edges, loops, ring]),
+                                     allow_self_loops=True, dedupe=True)
+        assert np.any(G.edges[:, 0] == G.edges[:, 1])
+        b = rng.normal(size=(n, 3))
+        P = transition_matrix(G).toarray()
+        expected = np.linalg.solve(
+            np.eye(n) - ALPHA * (P.T if transpose else P), b)
+        got = solve_transport(G, ALPHA, b, transpose=transpose)
+        assert np.array_equal(got, expected)
+
+
 class TestPprRows:
     def test_rows_match_single_solves(self, rng):
         G = random_connected_graph(rng, 9, extra=3)
@@ -205,6 +233,13 @@ class TestPprRows:
             z = np.zeros(9)
             z[t] = 1.0
             assert np.allclose(rows[k], ppr_vector(G, ALPHA, z).values, atol=1e-10)
+
+    @pytest.mark.parametrize("targets", [[-1], [9], [0, 9]])
+    def test_out_of_range_target_rejected(self, rng, targets):
+        # numpy would wrap -1 to node 8's row and give a bare IndexError on 9
+        G = random_connected_graph(rng, 9, extra=3)
+        with pytest.raises(KernelInputError, match=r"\[0, 9\)"):
+            ppr_rows(G, ALPHA, targets)
 
 
 class TestDiffuseTranspose:

@@ -427,6 +427,14 @@ class TestCertifyGlobal:
                             for k in range(2) if k != c.label])
             assert abs(c.lower_bound_margin - clean) <= 1e-7
 
+    @pytest.mark.parametrize("targets", [[-1], [6], [0, 6]])
+    def test_out_of_range_target_rejected(self, rng, targets):
+        # -1 used to certify node 5 and report it as node -1
+        G, S = random_instance(rng, 6, extra=2, global_budget=2)
+        H = rng.normal(size=(6, 2))
+        with pytest.raises(BoundError, match=r"\[0, 6\)"):
+            certify_global(G, S, ALPHA, H, targets=targets)
+
     def test_lower_bound_sound_vs_exact_margin(self):
         for seed in range(6):
             rng = np.random.default_rng(seed + 7)
