@@ -1,7 +1,10 @@
-"""Bounded worker pool shared by the certification modules.
+"""Bounded worker pool for the global route.
 
-Tasks are pure functions over immutable inputs, so results are identical
-whatever the interleaving; they are always merged in submission order.
+qclp_global maps certify_global's targets and the policy_opt bound
+cache's per-node runs over it. Local certificates and training run their
+class pairs in one lockstep loop (policy_iter) and use no pool. Tasks are
+pure functions over immutable inputs, so results are identical whatever
+the interleaving; they are always merged in submission order.
 CERT_THREADS controls the pool width (default 1 = sequential, the most
 reproducible setting; the work is numpy-bound so threads help mainly on
 large instances where BLAS releases the GIL).

@@ -44,21 +44,36 @@ def record_to_dict(rec) -> dict:
     return {**head, "witness_flips": flips.tolist()}
 
 
-def write_certificates_jsonl(records, path) -> None:
-    """One json.dumps(record_to_dict(rec)) line per record.
+def _write_spliced_jsonl(path, rows, key: str) -> None:
+    """One json.dumps({**head, key: flips.tolist()}) line per (head, flips).
 
-    Local records of one class pair share their witness, so each distinct
-    flips array is serialised once and spliced in as the last key.
+    Rows often share one flips array (the local records of one class pair
+    share their witness), so each distinct array is serialised once and
+    spliced in as the last key.
     """
-    witness_json: dict[int, tuple[np.ndarray, str]] = {}
+    flips_json: dict[int, tuple[np.ndarray, str]] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            head, flips = _record_head(rec)
+        for head, flips in rows:
             # the array is kept in the entry, so its id is not reused
-            if id(flips) not in witness_json:
-                witness_json[id(flips)] = (flips, json.dumps(flips.tolist()))
-            fh.write(f'{json.dumps(head)[:-1]}, "witness_flips": '
-                     f"{witness_json[id(flips)][1]}}}\n")
+            if id(flips) not in flips_json:
+                flips_json[id(flips)] = (flips, json.dumps(flips.tolist()))
+            fh.write(f'{json.dumps(head)[:-1]}, "{key}": '
+                     f"{flips_json[id(flips)][1]}}}\n")
+
+
+def write_certificates_jsonl(records, path) -> None:
+    """One json.dumps(record_to_dict(rec)) line per record."""
+    _write_spliced_jsonl(path, map(_record_head, records), "witness_flips")
+
+
+def write_attacks_jsonl(records, path) -> None:
+    """One {"node", "worst_margin", "flips"} line per non-robust local
+    certificate with a non-empty witness."""
+    _write_spliced_jsonl(path, (
+        ({"node": int(c.node), "worst_margin": float(c.worst_margin)},
+         c.witness.flips)
+        for c in records if c.status == "nonrobust" and len(c.witness)
+    ), "flips")
 
 
 def read_certificates_jsonl(path) -> list[dict]:

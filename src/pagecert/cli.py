@@ -388,14 +388,7 @@ def run(cfg: RunConfig) -> int:
         analysis.write_summary_csv(report, outdir / "summary.csv")
         outputs.append("summary.csv")
         if mode == "attack":
-            with (outdir / "attacks.jsonl").open("w", encoding="utf-8") as fh:
-                for c in certs:
-                    if c.status == "nonrobust" and len(c.witness):
-                        fh.write(json.dumps({
-                            "node": int(c.node),
-                            "worst_margin": float(c.worst_margin),
-                            "flips": c.witness.flips.tolist(),
-                        }) + "\n")
+            analysis.write_attacks_jsonl(certs, outdir / "attacks.jsonl")
             outputs.append("attacks.jsonl")
 
     _write_manifest(cfg, outdir, outputs)

@@ -7,6 +7,12 @@ strictly improving flips per node within budget. The fixed point maximizes
 r^T pi(z) simultaneously for every teleport z, so one run per ordered class
 pair certifies all nodes at once.
 
+One loop serves every caller: it advances a stack of rewards in lockstep,
+solving all live rewards' graphs in one ppr.solve_transport call per round,
+and a reward leaves the stack when its flips stop changing. optimize_local
+is the one-reward case; pair_worst_margins runs all K(K-1) class pairs
+together.
+
 Ties: a flip that is already selected keeps its place unless a rival beats
 it by more than IMPROVE_TOL, so two flips whose scores differ only by
 rounding cannot swap places every round.
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, ppr
-from ._parallel import map_parallel
 from .graph import DirectedGraph, EdgePolicy, PerturbationScenario, flipped_graph
 
 IMPROVE_TOL = 1e-12
@@ -74,14 +79,35 @@ def optimize_local(
     for the returned value x.
     """
     r = np.asarray(r, dtype=np.float64)
+    if r.shape != (S.node_count,):
+        raise ppr.KernelInputError("reward vector has wrong length")
+    flipped = np.zeros((1, S.fragile_count), dtype=bool)
+    if init is not None and len(init):
+        flipped[0, S.fragile_index_of(init.flips)] = True
+    return _policy_iteration(S, alpha, r[:, None], flipped, ["the reward"])[0]
+
+
+def _policy_iteration(
+    S: PerturbationScenario,
+    alpha: float,
+    R: np.ndarray,
+    flipped: np.ndarray,
+    names: list[str],
+) -> list[PolicyIterationResult]:
+    """Policy iteration for every reward column R[:, j] in lockstep.
+
+    flipped[j] is reward j's starting flip mask and is updated in place.
+    Each round solves every live reward on its own graph in one
+    ppr.solve_transport call; a reward leaves when its mask stops changing.
+    An IterationCapError names the first reward still live, by names[j],
+    and carries its value trace.
+    """
+    if not np.all(np.isfinite(R)):
+        raise ppr.KernelInputError("reward vector must be finite")
     m = S.fragile_count
     src = S.fragile_edges[:, 0]
     dst = S.fragile_edges[:, 1]
     sign = np.where(S.fragile_in_base, -1.0, 1.0)
-
-    flipped = np.zeros(m, dtype=bool)
-    if init is not None and len(init):
-        flipped[S.fragile_index_of(init.flips)] = True
 
     # The fragile order is sorted by src, and so is every per-source sort
     # below, so position i holds an edge of source src[i] whose rank within
@@ -89,41 +115,50 @@ def optimize_local(
     rank_in_block = np.arange(m) - np.searchsorted(src, src)
     budget_at = S.local_budget[src]
 
-    trace: list[np.ndarray] = []
+    traces: list[list[np.ndarray]] = [[] for _ in names]
+    results: list[PolicyIterationResult | None] = [None] * len(names)
+    live = list(range(len(names)))
     alpha = float(alpha)
     for k in range(1, ITERATION_CAP + 1):
-        graph_k = flipped_graph(S, flipped)
-        x = ppr.mean_reward(graph_k, alpha, r).values
-        trace.append(x)
-        if m == 0:
+        if not live:
             break
-        # a selected flip loses its place only to a rival better by more
-        # than IMPROVE_TOL
-        score = sign * (x[dst] - (x[src] - r[src]) / alpha) + IMPROVE_TOL * flipped
-
-        # sort within each source block by score desc, keeping currently
-        # selected edges first on exact ties, then by target id
-        curr_rank = np.where(flipped, 0, 1)
-        order = np.lexsort((dst, curr_rank, -score, src))
-        take = (rank_in_block < budget_at) & (score[order] > IMPROVE_TOL)
-        new_flipped = np.zeros(m, dtype=bool)
-        new_flipped[order[take]] = True
-
-        if np.array_equal(new_flipped, flipped):
-            break
-        flipped = new_flipped
-    else:
+        graphs = [flipped_graph(S, flipped[j]) for j in live]
+        X = ppr.solve_transport(graphs, alpha, R[:, live])
+        moved = []
+        for i, j in enumerate(live):
+            x, r = X[:, i], R[:, j]
+            traces[j].append(x)
+            if m:
+                # a selected flip loses its place only to a rival better by
+                # more than IMPROVE_TOL
+                score = (sign * (x[dst] - (x[src] - r[src]) / alpha)
+                         + IMPROVE_TOL * flipped[j])
+                # sort within each source block by score desc, keeping
+                # currently selected edges first on exact ties, then by target
+                curr_rank = np.where(flipped[j], 0, 1)
+                order = np.lexsort((dst, curr_rank, -score, src))
+                take = (rank_in_block < budget_at) & (score[order] > IMPROVE_TOL)
+                new_flipped = np.zeros(m, dtype=bool)
+                new_flipped[order[take]] = True
+                if not np.array_equal(new_flipped, flipped[j]):
+                    flipped[j] = new_flipped
+                    moved.append(j)
+                    continue
+            results[j] = PolicyIterationResult(
+                policy=EdgePolicy.from_pairs(S.fragile_edges[flipped[j]]),
+                value=x,
+                iterations=k,
+                trace=traces[j],
+                graph=graphs[i],
+            )
+        live = moved
+    if live:
         raise IterationCapError(
-            f"policy iteration exceeded {ITERATION_CAP} iterations (tie cycling?)",
-            trace,
+            f"policy iteration for {names[live[0]]} exceeded {ITERATION_CAP} "
+            "iterations (tie cycling?)",
+            traces[live[0]],
         )
-    return PolicyIterationResult(
-        policy=EdgePolicy.from_pairs(S.fragile_edges[flipped]),
-        value=x,
-        iterations=k,
-        trace=trace,
-        graph=graph_k,
-    )
+    return results
 
 
 def class_pairs(class_count: int) -> list[tuple[int, int]]:
@@ -136,24 +171,24 @@ def pair_worst_margins(
     alpha: float,
     H: np.ndarray,
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
-    """Run one local optimization per ordered class pair (c1, c2).
+    """Optimize every ordered class pair (c1, c2) in one lockstep run.
 
     Returns, per pair, the vector of worst-case margins
     min over admissible graphs of pi(e_t)^T (H[:, c1] - H[:, c2]) for every
     node t, together with the optimization result that attains it. The
     margins are -(1 - alpha) times the result's value (see the module
-    docstring).
+    docstring). Each pair's result is bit for bit that of
+    optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2])).
     """
     H = models.check_logits(H)
-    K = H.shape[1]
-
-    def run(pair):
-        c1, c2 = pair
-        h = H[:, c1] - H[:, c2]
-        res = optimize_local(G, S, alpha, -h)
-        return pair, (-(1.0 - alpha) * res.value, res)
-
-    return dict(map_parallel(run, class_pairs(K)))
+    pairs = class_pairs(H.shape[1])
+    c1, c2 = np.array(pairs).T
+    R = -(H[:, c1] - H[:, c2])
+    flipped = np.zeros((len(pairs), S.fragile_count), dtype=bool)
+    names = [f"class pair {pair}" for pair in pairs]
+    results = _policy_iteration(S, alpha, R, flipped, names)
+    return {pair: (-(1.0 - alpha) * res.value, res)
+            for pair, res in zip(pairs, results)}
 
 
 def certify_local_all(

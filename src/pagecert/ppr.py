@@ -6,6 +6,14 @@ radius of a*M is at most a < 1, so a stationary fixed-point iteration
 converges geometrically; graphs of up to DENSE_LIMIT nodes use a dense LU
 solve instead. The graph's size alone picks the solver; no option does.
 
+solve_transport also takes a sequence of graphs on the same nodes, one
+right-hand-side column each, as policy iteration solves every live class
+pair's graph in one call per round. The dense path stacks their matrices
+into one LU call (per DENSE_STACK_BYTES of matrices); the stationary path
+iterates one block-diagonal operator and takes each block's value at the
+iteration where it first passes its own stop test. Either way each column
+is bit for bit what a single-graph call returns.
+
 scipy is loaded only where it is used: transition_matrix (the stationary
 path above DENSE_LIMIT), the relaxed-LP route (qclp_global, lp_solver) and
 graph.largest_connected_component. Local certificates and training on a
@@ -20,6 +28,7 @@ vector x solving (I - a*P) x = r.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,6 +40,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DENSE_LIMIT = 512
+DENSE_STACK_BYTES = 1 << 25   # bytes of matrices per stacked dense LU solve
 RESIDUAL_TOL = 1e-10
 
 
@@ -91,61 +101,141 @@ def _iteration_cap(alpha: float) -> int:
 
 
 def solve_transport(
-    G: DirectedGraph,
+    G: DirectedGraph | Sequence[DirectedGraph],
     alpha: float,
     rhs: np.ndarray,
     transpose: bool = False,
 ) -> np.ndarray:
     """Solve (I - alpha * P[^T]) x = rhs for one or many right-hand sides.
 
-    rhs may be (n,) or (n, k). Dense LU up to DENSE_LIMIT nodes, stationary
-    iteration above.
+    G is one graph, with rhs of shape (n,) or (n, k), or a sequence of q
+    graphs on the same n nodes, with rhs of shape (n, q): column j is solved
+    on graphs[j], bit for bit as a single-graph call would solve it. Dense
+    LU up to DENSE_LIMIT nodes, stationary iteration above.
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
-    squeeze = rhs.ndim == 1
-    b = rhs.reshape(G.node_count, -1)
-    if G.node_count <= DENSE_LIMIT:
+    single = isinstance(G, DirectedGraph)
+    if single:
+        graphs, n = [G], G.node_count
+        # one block holding all its columns
+        b = rhs.reshape(1, n, -1)
+    else:
+        graphs = list(G)
+        n = graphs[0].node_count if graphs else 0
+        if (not graphs or rhs.shape != (n, len(graphs))
+                or any(g.node_count != n for g in graphs)):
+            raise KernelInputError(
+                f"{len(graphs)} graphs on {n} nodes need an ({n}, {len(graphs)}) "
+                f"right-hand side, got {rhs.shape}"
+            )
+        # one block per graph, holding its own column
+        b = np.ascontiguousarray(rhs.T).reshape(len(graphs), n, 1)
+    if n <= DENSE_LIMIT:
+        x = _dense_solve(graphs, alpha, b, transpose)
+    else:
+        x = _stationary_solve(graphs, alpha, b, transpose)
+    if not single:
+        return x[:, :, 0].T
+    return x[0, :, 0] if rhs.ndim == 1 else x[0]
+
+
+def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """x[j] = (I - alpha * P_j[^T])^-1 b[j], one stacked LU solve per chunk
+    of at most DENSE_STACK_BYTES of matrices."""
+    q, n, _ = b.shape
+    x = np.empty_like(b)
+    step = max(1, DENSE_STACK_BYTES // (8 * n * n))
+    for lo in range(0, q, step):
+        chunk = graphs[lo:lo + step]
         # I - alpha * P[^T] built in one array; every entry, self-loops
         # included, equals that of np.eye(n) - alpha * P[^T] bit for bit
-        src, dst = G.edges.T
-        if transpose:
-            src, dst = dst, src
-        M = np.zeros((G.node_count, G.node_count))
-        M[src, dst] = -(alpha * _edge_weights(G))
-        M.flat[:: G.node_count + 1] += 1.0
-        x = np.linalg.solve(M, b)
-        res = _relative_residual(M @ x - b, b)
+        M = np.zeros((len(chunk), n, n))
+        for j, G in enumerate(chunk):
+            src, dst = G.edges.T
+            if transpose:
+                src, dst = dst, src
+            M[j, src, dst] = -(alpha * _edge_weights(G))
+        M.reshape(len(chunk), n * n)[:, :: n + 1] += 1.0
+        bj = b[lo:lo + step]
+        x[lo:lo + step] = np.linalg.solve(M, bj)
+        res = _relative_residual(M @ x[lo:lo + step] - bj, bj)
         if res > RESIDUAL_TOL * 1e3:
             raise ConvergenceError(f"dense solve residual {res:.3e}")
-    else:
+    return x
+
+
+def _block_operator(graphs, transpose: bool) -> sp.csr_matrix:
+    """Block-diagonal CSR of the graphs' P[^T], filled in place, with int32
+    indices where they fit; block j acts on rows j*n .. (j+1)*n - 1."""
+    def block(G):
         P = transition_matrix(G)
-        if transpose:
-            P = P.T.tocsr()
-        x = b.copy()
-        cap = _iteration_cap(alpha)
-        scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        converged = False
-        for _ in range(cap):
-            x_next = b + alpha * (P @ x)
-            # residual of x_next is bounded by alpha * ||x_next - x||
-            delta = np.linalg.norm(x_next - x, axis=0)
-            x = x_next
-            if np.all(alpha * delta <= RESIDUAL_TOL * scale):
-                converged = True
-                break
-        if not converged:
-            res = _relative_residual(x - alpha * (P @ x) - b, b)
-            raise ConvergenceError(
-                f"stationary iteration hit the {cap}-iteration cap with "
-                f"relative residual {res:.3e}"
-            )
-    return x[:, 0] if squeeze else x
+        return P.T.tocsr() if transpose else P
+
+    if len(graphs) == 1:
+        return block(graphs[0])
+    import scipy.sparse as sp
+
+    n = graphs[0].node_count
+    nnz = sum(G.edge_count for G in graphs)
+    dim = len(graphs) * n
+    idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    lo = 0
+    for j, G in enumerate(graphs):
+        P = block(G)
+        hi = lo + P.nnz
+        data[lo:hi] = P.data
+        indices[lo:hi] = P.indices
+        indices[lo:hi] += j * n
+        rows = indptr[j * n + 1:(j + 1) * n + 1]
+        rows[:] = P.indptr[1:]
+        rows += lo
+        lo = hi
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+def _stationary_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """x[j] = (I - alpha * P_j[^T])^-1 b[j] by fixed-point iteration on one
+    block-diagonal operator. Block j's value is taken when all its columns
+    first pass the stop test; the blocks are independent, so the ones still
+    running are not affected by the iterations the finished ones go on
+    taking."""
+    q, n, c = b.shape
+    A = _block_operator(graphs, transpose)
+    x_out = np.empty_like(b)
+    finished = np.zeros(q, dtype=bool)
+    scale = np.maximum(np.linalg.norm(b, axis=1), 1e-300)
+    b = b.reshape(q * n, c)
+    x = b.copy()
+    cap = _iteration_cap(alpha)
+    for _ in range(cap):
+        x_next = A @ x
+        x_next *= alpha
+        x_next += b
+        # residual of x_next is bounded by alpha * ||x_next - x||
+        delta = np.linalg.norm((x_next - x).reshape(q, n, c), axis=1)
+        x = x_next
+        now = ~finished & np.all(alpha * delta <= RESIDUAL_TOL * scale, axis=1)
+        if now.any():
+            x_out[now] = x.reshape(q, n, c)[now]
+            finished |= now
+            if finished.all():
+                return x_out
+    res = _relative_residual((x - alpha * (A @ x) - b).reshape(q, n, c)[~finished],
+                             b.reshape(q, n, c)[~finished])
+    raise ConvergenceError(
+        f"stationary iteration hit the {cap}-iteration cap with "
+        f"relative residual {res:.3e}"
+    )
 
 
 def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
-    num = np.linalg.norm(res, axis=0)
-    den = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    """Largest column residual relative to its rhs; both (..., n, c)."""
+    num = np.linalg.norm(res, axis=-2)
+    den = np.maximum(np.linalg.norm(b, axis=-2), 1e-300)
     return float(np.max(num / den))
 
 

@@ -130,7 +130,9 @@ def policy_opt_graph_cache(
 
     The optimal graph is teleport-independent, so the expensive part is
     done once and shared across certification targets. Returns the list of
-    distinct graphs and the per-node index into it.
+    distinct graphs and the per-node index into it. Each node runs its own
+    optimize_local rather than one lockstep run of all n rewards, whose
+    block operator would hold n graphs: O(n |E|) memory.
     """
     n = S.node_count
 

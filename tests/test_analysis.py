@@ -9,6 +9,7 @@ from pagecert.analysis import (
     neighborhood_purity,
     read_certificates_jsonl,
     record_to_dict,
+    write_attacks_jsonl,
     write_certificates_jsonl,
     write_summary_csv,
 )
@@ -123,6 +124,24 @@ class TestSerialization:
         write_certificates_jsonl(certs, p)
         assert p.read_text() == "".join(
             json.dumps(record_to_dict(c)) + "\n" for c in certs)
+
+    def test_attacks_file_is_one_dump_per_line(self, tmp_path, rng):
+        # nodes of one class pair share one witness array, which the writer
+        # serialises once; the bytes must match dumping every line whole
+        G, _ = random_instance(rng, 9, extra=4)
+        S = build_scenario(G, "remove-only", strength=9)
+        H = rng.normal(size=(9, 3))
+        certs = certify_local_all(G, S, ALPHA, H, y=np.arange(9) % 3)
+        attacked = [c for c in certs if c.status == "nonrobust" and len(c.witness)]
+        assert len({id(c.witness.flips) for c in attacked}) < len(attacked)
+        assert len(attacked) < len(certs)
+        p = tmp_path / "a.jsonl"
+        write_attacks_jsonl(certs, p)
+        assert p.read_text() == "".join(json.dumps({
+            "node": int(c.node),
+            "worst_margin": float(c.worst_margin),
+            "flips": c.witness.flips.tolist(),
+        }) + "\n" for c in attacked)
 
     def test_record_schema_keys(self, rng):
         G, S = random_instance(rng, 5, extra=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pagecert import oracle
+from pagecert import oracle, ppr
 from pagecert.graph import apply_policy, build_scenario
 from pagecert.policy_iter import (
     MARGIN_EPS,
@@ -246,3 +246,49 @@ class TestCertifyLocalAll:
             # on the optimal graph
             h = H[:, c1] - H[:, c2]
             assert np.array_equal(margins, diffused_margins(res.graph, ALPHA, h))
+
+
+class TestLockstepPairs:
+    """pair_worst_margins runs every class pair in one lockstep loop; each
+    pair's result is bit for bit that of its own optimize_local run."""
+
+    @staticmethod
+    def _instance(rng):
+        G = random_connected_graph(rng, 30, extra=40)
+        S = build_scenario(G, "remove-only", strength=8)
+        return G, S, rng.normal(size=(30, 3))
+
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_matches_separate_runs(self, rng, monkeypatch, stationary):
+        if stationary:
+            monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        G, S, H = self._instance(rng)
+        pairs = pair_worst_margins(G, S, ALPHA, H)
+        # pairs leave the loop in different rounds
+        assert len({res.iterations for _, res in pairs.values()}) > 1
+        for (c1, c2), (margins, res) in pairs.items():
+            alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
+            assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
+            assert np.array_equal(res.value, alone.value)
+            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert res.iterations == alone.iterations == len(res.trace)
+            assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
+            assert np.array_equal(res.graph.edges, alone.graph.edges)
+
+    def test_cap_error_names_the_pair_and_carries_its_trace(self, rng, monkeypatch):
+        import pagecert.policy_iter as pi_mod
+        from pagecert.policy_iter import IterationCapError
+        G, S, H = self._instance(rng)
+        rounds = {pair: res.iterations
+                  for pair, (_, res) in pair_worst_margins(G, S, ALPHA, H).items()}
+        cap = min(rounds.values())
+        failing = [pair for pair in class_pairs(3) if rounds[pair] > cap]
+        assert failing and len(failing) < len(rounds)
+        c1, c2 = failing[0]
+        alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
+        monkeypatch.setattr(pi_mod, "ITERATION_CAP", cap)
+        with pytest.raises(IterationCapError) as exc:
+            pair_worst_margins(G, S, ALPHA, H)
+        assert f"class pair ({c1}, {c2})" in str(exc.value)
+        assert len(exc.value.trace) == cap
+        assert all(np.array_equal(a, b) for a, b in zip(exc.value.trace, alone.trace))

@@ -251,3 +251,70 @@ class TestDiffuseTranspose:
         lhs = diffused_margins(G, ALPHA, h) @ s
         rhs = h @ diffuse_transpose(G, ALPHA, s)
         assert abs(lhs - rhs) <= 1e-9
+
+
+def _stop_iteration(monkeypatch, G, b, transpose):
+    """The iteration at which a single-graph stationary solve stops."""
+    for cap in range(1, 500):
+        monkeypatch.setattr(ppr, "_iteration_cap", lambda alpha, cap=cap: cap)
+        try:
+            solve_transport(G, ALPHA, b, transpose=transpose)
+            return cap
+        except ConvergenceError:
+            continue
+    raise AssertionError("no stop within 500 iterations")
+
+
+class TestGraphSequence:
+    """Column j of a call over a sequence of graphs is solved on graphs[j],
+    bit for bit as a single-graph call solves it."""
+
+    @staticmethod
+    def _problem(rng, n=30):
+        graphs = [random_connected_graph(rng, n, extra=e) for e in (0, 4, 40, 120)]
+        b = rng.normal(size=(n, 4))
+        b[:, 1] = 0.0           # stops at the first iteration
+        b[:, 2] *= 1e6
+        return graphs, b
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_columns_match_single_graph_calls(self, rng, monkeypatch,
+                                              stationary, transpose):
+        if stationary:
+            monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        graphs, b = self._problem(rng)
+        X = solve_transport(graphs, ALPHA, b, transpose=transpose)
+        assert X.shape == b.shape
+        for j, G in enumerate(graphs):
+            single = solve_transport(G, ALPHA, b[:, j], transpose=transpose)
+            assert np.array_equal(X[:, j], single)
+        if stationary:
+            # the columns stop at different iterations, each frozen at its own
+            stops = {_stop_iteration(monkeypatch, G, b[:, j], transpose)
+                     for j, G in enumerate(graphs)}
+            assert len(stops) >= 3
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_dense_stack_chunks_match(self, rng, monkeypatch, transpose):
+        graphs, b = self._problem(rng)
+        whole = solve_transport(graphs, ALPHA, b, transpose=transpose)
+        # at most one 30 x 30 matrix per stacked solve
+        monkeypatch.setattr(ppr, "DENSE_STACK_BYTES", 8 * 30 * 30)
+        assert np.array_equal(solve_transport(graphs, ALPHA, b, transpose=transpose),
+                              whole)
+
+    def test_one_block_at_the_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        graphs, b = self._problem(rng)
+        monkeypatch.setattr(ppr, "_iteration_cap", lambda alpha: 2)
+        # the zero column has converged; the others have not
+        with pytest.raises(ConvergenceError, match="2-iteration cap.*residual"):
+            solve_transport(graphs, ALPHA, b)
+
+    def test_rhs_shape_must_match_graph_count(self, rng):
+        graphs, b = self._problem(rng)
+        with pytest.raises(KernelInputError, match=r"\(30, 4\)"):
+            solve_transport(graphs, ALPHA, b[:, :3])
+        with pytest.raises(KernelInputError):
+            solve_transport([], ALPHA, b)
