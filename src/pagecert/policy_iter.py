@@ -7,11 +7,11 @@ strictly improving flips per node within budget. The fixed point maximizes
 r^T pi(z) simultaneously for every teleport z, so one run per ordered class
 pair certifies all nodes at once.
 
-One loop serves every caller: it advances a stack of rewards in lockstep,
-solving all live rewards' graphs in one ppr.solve_transport call per round,
-and a reward leaves the stack when its flips stop changing. optimize_local
-is the one-reward case; pair_worst_margins runs all K(K-1) class pairs
-together.
+One loop serves every caller: optimize_local takes one reward or a stack
+of rewards, advances the stack in lockstep, solving all live rewards'
+graphs in one ppr.solve_transport call per round, and a reward leaves the
+stack when its flips stop changing. pair_worst_margins runs all K(K-1)
+class pairs as one stack.
 
 Ties: a flip that is already selected keeps its place unless a rival beats
 it by more than IMPROVE_TOL, so two flips whose scores differ only by
@@ -38,11 +38,13 @@ MARGIN_EPS = 1e-7
 
 
 class IterationCapError(RuntimeError):
-    """Policy iteration failed to stabilize; carries the value trace."""
+    """Policy iteration failed to stabilize; carries the reward column that
+    did not and its value trace."""
 
-    def __init__(self, message: str, trace: list[np.ndarray]):
+    def __init__(self, message: str, trace: list[np.ndarray], column: int = 0):
         super().__init__(message)
         self.trace = trace
+        self.column = column
 
 
 @dataclass(eq=False)
@@ -52,6 +54,12 @@ class PolicyIterationResult:
     iterations: int
     trace: list[np.ndarray]
     graph: DirectedGraph                   # the optimal perturbed graph
+
+
+@dataclass(eq=False)
+class LockstepResult:
+    results: list[PolicyIterationResult]   # one per reward column
+    iterations: int                        # lockstep rounds: the most any reward ran
 
 
 @dataclass(eq=False)
@@ -71,39 +79,29 @@ def optimize_local(
     alpha: float,
     r: np.ndarray,
     init: EdgePolicy | None = None,
-) -> PolicyIterationResult:
+) -> PolicyIterationResult | LockstepResult:
     """Maximize r^T pi(z) over local-budget-admissible perturbed graphs.
 
     The global budget of S is ignored here. The returned configuration is
     optimal for every teleport z at once, with objective (1 - alpha) z^T x
     for the returned value x.
+
+    r is one reward of shape (n,), or a stack of q rewards of shape (n, q)
+    run in lockstep: then a LockstepResult holds one result per column, each
+    bit for bit that of the column run alone. init, if given, is every
+    reward's starting configuration. An IterationCapError's column is the
+    first reward still unstable at the cap.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (S.node_count,):
+    R = np.asarray(r, dtype=np.float64)
+    if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
         raise ppr.KernelInputError("reward vector has wrong length")
-    flipped = np.zeros((1, S.fragile_count), dtype=bool)
-    if init is not None and len(init):
-        flipped[0, S.fragile_index_of(init.flips)] = True
-    return _policy_iteration(S, alpha, r[:, None], flipped, ["the reward"])[0]
-
-
-def _policy_iteration(
-    S: PerturbationScenario,
-    alpha: float,
-    R: np.ndarray,
-    flipped: np.ndarray,
-    names: list[str],
-) -> list[PolicyIterationResult]:
-    """Policy iteration for every reward column R[:, j] in lockstep.
-
-    flipped[j] is reward j's starting flip mask and is updated in place.
-    Each round solves every live reward on its own graph in one
-    ppr.solve_transport call; a reward leaves when its mask stops changing.
-    An IterationCapError names the first reward still live, by names[j],
-    and carries its value trace.
-    """
     if not np.all(np.isfinite(R)):
         raise ppr.KernelInputError("reward vector must be finite")
+    stack = R.reshape(S.node_count, -1)
+    q = stack.shape[1]
+    flipped = np.zeros((q, S.fragile_count), dtype=bool)
+    if init is not None and len(init):
+        flipped[:, S.fragile_index_of(init.flips)] = True
     m = S.fragile_count
     src = S.fragile_edges[:, 0]
     dst = S.fragile_edges[:, 1]
@@ -115,18 +113,18 @@ def _policy_iteration(
     rank_in_block = np.arange(m) - np.searchsorted(src, src)
     budget_at = S.local_budget[src]
 
-    traces: list[list[np.ndarray]] = [[] for _ in names]
-    results: list[PolicyIterationResult | None] = [None] * len(names)
-    live = list(range(len(names)))
+    traces: list[list[np.ndarray]] = [[] for _ in range(q)]
+    results: list[PolicyIterationResult | None] = [None] * q
+    live = list(range(q))
     alpha = float(alpha)
     for k in range(1, ITERATION_CAP + 1):
         if not live:
             break
         graphs = [flipped_graph(S, flipped[j]) for j in live]
-        X = ppr.solve_transport(graphs, alpha, R[:, live])
+        X = ppr.solve_transport(graphs, alpha, stack[:, live])
         moved = []
         for i, j in enumerate(live):
-            x, r = X[:, i], R[:, j]
+            x, r = X[:, i], stack[:, j]
             traces[j].append(x)
             if m:
                 # a selected flip loses its place only to a rival better by
@@ -154,11 +152,14 @@ def _policy_iteration(
         live = moved
     if live:
         raise IterationCapError(
-            f"policy iteration for {names[live[0]]} exceeded {ITERATION_CAP} "
-            "iterations (tie cycling?)",
+            f"policy iteration for reward column {live[0]} exceeded "
+            f"{ITERATION_CAP} iterations (tie cycling?)",
             traces[live[0]],
+            live[0],
         )
-    return results
+    if R.ndim == 1:
+        return results[0]
+    return LockstepResult(results, max((res.iterations for res in results), default=0))
 
 
 def class_pairs(class_count: int) -> list[tuple[int, int]]:
@@ -183,12 +184,17 @@ def pair_worst_margins(
     H = models.check_logits(H)
     pairs = class_pairs(H.shape[1])
     c1, c2 = np.array(pairs).T
-    R = -(H[:, c1] - H[:, c2])
-    flipped = np.zeros((len(pairs), S.fragile_count), dtype=bool)
-    names = [f"class pair {pair}" for pair in pairs]
-    results = _policy_iteration(S, alpha, R, flipped, names)
+    try:
+        stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
+    except IterationCapError as exc:
+        raise IterationCapError(
+            f"policy iteration for class pair {pairs[exc.column]} exceeded "
+            f"{ITERATION_CAP} iterations (tie cycling?)",
+            exc.trace,
+            exc.column,
+        ) from None
     return {pair: (-(1.0 - alpha) * res.value, res)
-            for pair, res in zip(pairs, results)}
+            for pair, res in zip(pairs, stack.results)}
 
 
 def certify_local_all(

@@ -275,6 +275,20 @@ class TestLockstepPairs:
             assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
             assert np.array_equal(res.graph.edges, alone.graph.edges)
 
+    def test_optimize_local_takes_a_reward_stack(self, rng):
+        G, S, H = self._instance(rng)
+        R = rng.normal(size=(30, 4))
+        stack = optimize_local(G, S, ALPHA, R)
+        assert len(stack.results) == 4
+        assert stack.iterations == max(res.iterations for res in stack.results)
+        for j, res in enumerate(stack.results):
+            alone = optimize_local(G, S, ALPHA, R[:, j])
+            assert np.array_equal(res.value, alone.value)
+            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert res.iterations == alone.iterations
+        with pytest.raises(ppr.KernelInputError):
+            optimize_local(G, S, ALPHA, np.zeros((30, 2, 1)))
+
     def test_cap_error_names_the_pair_and_carries_its_trace(self, rng, monkeypatch):
         import pagecert.policy_iter as pi_mod
         from pagecert.policy_iter import IterationCapError
@@ -290,5 +304,6 @@ class TestLockstepPairs:
         with pytest.raises(IterationCapError) as exc:
             pair_worst_margins(G, S, ALPHA, H)
         assert f"class pair ({c1}, {c2})" in str(exc.value)
+        assert class_pairs(3)[exc.value.column] == (c1, c2)
         assert len(exc.value.trace) == cap
         assert all(np.array_equal(a, b) for a, b in zip(exc.value.trace, alone.trace))
