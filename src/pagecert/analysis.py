@@ -86,47 +86,31 @@ def read_certificates_jsonl(path) -> list[dict]:
     return out
 
 
-def _is_robust(rec) -> bool:
-    if isinstance(rec, dict):
-        return rec["status"] == "robust"
-    return rec.status == "robust"
-
-
-def _node_of(rec) -> int:
-    return rec["node"] if isinstance(rec, dict) else rec.node
-
-
-def _label_of(rec) -> int:
-    return rec["y"] if isinstance(rec, dict) else rec.label
-
-
-def _margin_of(rec) -> float:
-    if isinstance(rec, dict):
-        return rec["worst_margin"]
-    if isinstance(rec, GlobalCertificate):
-        return rec.lower_bound_margin
-    return rec.worst_margin
+def _heads(records) -> list[dict]:
+    """Each record as its JSON-lines head; records read back from a file
+    already have that shape."""
+    return [r if isinstance(r, dict) else _record_head(r)[0] for r in records]
 
 
 def certified_ratio(records) -> float:
-    records = list(records)
-    if not records:
+    heads = _heads(records)
+    if not heads:
         return 0.0
-    return sum(_is_robust(r) for r in records) / len(records)
+    return sum(r["status"] == "robust" for r in heads) / len(heads)
 
 
 def certified_accuracy(records, true_labels) -> float:
     """Fraction of scored nodes that are certified robust and whose defended
     class matches the true label: a lower bound on worst-case accuracy."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
-    records = list(records)
-    if not records:
+    heads = _heads(records)
+    if not heads:
         return 0.0
     good = sum(
-        1 for r in records
-        if _is_robust(r) and _label_of(r) == int(true_labels[_node_of(r)])
+        1 for r in heads
+        if r["status"] == "robust" and r["y"] == int(true_labels[r["node"]])
     )
-    return good / len(records)
+    return good / len(heads)
 
 
 def neighborhood_purity(G: DirectedGraph, labels: np.ndarray, v: int) -> float:
@@ -172,14 +156,15 @@ def build_report(
     purity_buckets: int = 5,
 ) -> CertReport:
     records = list(records)
-    ratio = certified_ratio(records)
-    acc = (certified_accuracy(records, true_labels)
+    heads = _heads(records)
+    ratio = certified_ratio(heads)
+    acc = (certified_accuracy(heads, true_labels)
            if true_labels is not None else None)
 
     by_degree: dict[int, list[bool]] = {}
-    for r in records:
-        d = int(G.out_degree[_node_of(r)])
-        by_degree.setdefault(d, []).append(_is_robust(r))
+    for r in heads:
+        d = int(G.out_degree[r["node"]])
+        by_degree.setdefault(d, []).append(r["status"] == "robust")
     degree_rows = [(d, sum(v) / len(v)) for d, v in sorted(by_degree.items())]
 
     purity_rows: list[tuple[float, float]] = []
@@ -188,11 +173,11 @@ def build_report(
         adj = _undirected_adjacency(G)
         edges = np.linspace(0.0, 1.0, purity_buckets + 1)
         buckets: dict[int, list[float]] = {}
-        for r in records:
-            pur = _purity(adj, labels, int(_node_of(r)))
+        for r in heads:
+            pur = _purity(adj, labels, int(r["node"]))
             k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
                     purity_buckets - 1)
-            buckets.setdefault(max(k, 0), []).append(_margin_of(r))
+            buckets.setdefault(max(k, 0), []).append(r["worst_margin"])
         purity_rows = [
             (float((edges[k] + edges[k + 1]) / 2), float(np.mean(vals)))
             for k, vals in sorted(buckets.items())

@@ -494,46 +494,48 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
 
 
 def load_scenario(path) -> PerturbationScenario:
-    """Inverse of dump_scenario."""
+    """Inverse of dump_scenario; a malformed line or a node id outside
+    [0, node_count) is an error naming path:line."""
     path = Path(path)
     n = None
     bg = None
-    budgets: dict[int, int] = {}
-    fixed, fragile, base = [], [], []
+    arity = {"node_count": 1, "global_budget": 1, "local_budget": 2,
+             "fixed": 2, "fragile": 2, "base": 2}
+    # key -> (lineno, node or src, budget or dst) per line
+    rows: dict[str, list[tuple[int, int, int]]] = {
+        "local_budget": [], "fixed": [], "fragile": [], "base": []}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            key = parts[0]
+            key, *fields = line.split()
+            if key not in arity:
+                raise ScenarioValidationError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key == "node_count":
-                    n = int(parts[1])
-                elif key == "global_budget":
-                    bg = int(parts[1])
-                elif key == "local_budget":
-                    budgets[int(parts[1])] = int(parts[2])
-                elif key == "fixed":
-                    fixed.append((int(parts[1]), int(parts[2])))
-                elif key == "fragile":
-                    fragile.append((int(parts[1]), int(parts[2])))
-                elif key == "base":
-                    base.append((int(parts[1]), int(parts[2])))
-                else:
-                    raise ScenarioValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            except (IndexError, ValueError):
-                raise ScenarioValidationError(f"{path}:{lineno}: malformed line") from None
+                vals = [int(f) for f in fields]
+            except ValueError:
+                vals = None
+            if (vals is None or len(vals) != arity[key]
+                    or key == "node_count" and vals[0] < 1):
+                raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
+            if key == "node_count":
+                n = vals[0]
+            elif key == "global_budget":
+                bg = vals[0]
+            else:
+                rows[key].append((lineno, *vals))
     if n is None:
         raise ScenarioValidationError(f"{path}: missing node_count")
+    parts = {}
+    for key, got in rows.items():
+        a = np.asarray(got, dtype=np.int64).reshape(-1, 3)
+        ids = a[:, 1:2] if key == "local_budget" else a[:, 1:]
+        bad = np.nonzero(((ids < 0) | (ids >= n)).any(axis=1))[0]
+        if bad.size:
+            raise ScenarioValidationError(
+                f"{path}:{a[bad[0], 0]}: node id outside [0, {n})")
+        parts[key] = a[:, 1:]
     b = np.zeros(n, dtype=np.int64)
-    for v, val in budgets.items():
-        b[v] = val
-    return _make_scenario(
-        n,
-        np.asarray(fixed, dtype=np.int64).reshape(-1, 2),
-        np.asarray(fragile, dtype=np.int64).reshape(-1, 2),
-        np.asarray(base, dtype=np.int64).reshape(-1, 2),
-        b,
-        bg,
-    )
+    b[parts["local_budget"][:, 0]] = parts["local_budget"][:, 1]
+    return _make_scenario(n, parts["fixed"], parts["fragile"], parts["base"], b, bg)

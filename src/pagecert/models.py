@@ -37,6 +37,16 @@ def check_logits(H: np.ndarray) -> np.ndarray:
     return H
 
 
+def check_labels(y, node_count: int, class_count: int) -> np.ndarray:
+    """y as an int array holding one class id in [0, class_count) per node."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (node_count,):
+        raise ModelError("need one class per node")
+    if y.min() < 0 or y.max() >= class_count:
+        raise ModelError("class id out of range")
+    return y
+
+
 def label_propagation_logits(labels, node_count: int, class_count: int) -> np.ndarray:
     """One-hot H with H[v, y_v] = 1 for labeled nodes, zero elsewhere.
 

@@ -214,11 +214,7 @@ def certify_local_all(
     K = H.shape[1]
     if y is None:
         y = models.predict(G, alpha, H)
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (G.node_count,):
-        raise ValueError("need one class per node")
-    if y.min() < 0 or y.max() >= K:
-        raise ValueError("class id out of range")
+    y = models.check_labels(y, G.node_count, K)
 
     pairs = pair_worst_margins(G, S, alpha, H)
     certs = []

@@ -10,9 +10,10 @@ solve_transport also takes a sequence of graphs on the same nodes, one
 right-hand-side column each, as policy iteration solves every live class
 pair's graph in one call per round. The dense path stacks their matrices
 into one LU call (per DENSE_STACK_BYTES of matrices); the stationary path
-iterates one block-diagonal operator and takes each block's value at the
-iteration where it first passes its own stop test. Either way each column
-is bit for bit what a single-graph call returns.
+builds one block-diagonal CSR of all the graphs (transition_matrix takes a
+sequence too), iterates it and takes each block's value at the iteration
+where it first passes its own stop test. Either way each column is bit for
+bit what a single-graph call returns.
 
 scipy is loaded only where it is used: transition_matrix (the stationary
 path above DENSE_LIMIT), the relaxed-LP route (qclp_global, lp_solver) and
@@ -74,20 +75,39 @@ def _edge_weights(G: DirectedGraph) -> np.ndarray:
     return np.repeat(1.0 / deg, deg)
 
 
-def transition_matrix(G: DirectedGraph) -> sp.csr_matrix:
+def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph]) -> sp.csr_matrix:
     """Row-stochastic P = D^-1 A; errors on zero out-degree nodes.
 
-    G.edges is sorted by (src, dst) without duplicates, so its dst column is
-    already the CSR column index array and the row pointers are the
-    cumulative out-degrees.
+    Given a sequence of graphs on the same n nodes, the block-diagonal CSR
+    of their P, block j on rows j*n .. (j+1)*n - 1, with int32 indices
+    where they fit. Each G.edges is sorted by (src, dst) without
+    duplicates, so its dst column is already the block's CSR column index
+    array and its row pointers are the cumulative out-degrees; the arrays
+    are filled in place.
     """
     import scipy.sparse as sp
 
-    data = _edge_weights(G)
-    indptr = np.concatenate(([0], np.cumsum(G.out_degree)))
-    return sp.csr_matrix(
-        (data, G.edges[:, 1], indptr), shape=(G.node_count, G.node_count)
-    )
+    graphs = [G] if isinstance(G, DirectedGraph) else list(G)
+    if not graphs or any(g.node_count != graphs[0].node_count for g in graphs):
+        raise KernelInputError("need one or more graphs on the same nodes")
+    n = graphs[0].node_count
+    nnz = sum(g.edge_count for g in graphs)
+    dim = len(graphs) * n
+    idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    lo = 0
+    for j, g in enumerate(graphs):
+        hi = lo + g.edge_count
+        data[lo:hi] = _edge_weights(g)
+        indices[lo:hi] = g.edges[:, 1]
+        indices[lo:hi] += j * n
+        rows = indptr[j * n + 1:(j + 1) * n + 1]
+        np.cumsum(g.out_degree, out=rows)
+        rows += lo
+        lo = hi
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -165,38 +185,6 @@ def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nda
     return x
 
 
-def _block_operator(graphs, transpose: bool) -> sp.csr_matrix:
-    """Block-diagonal CSR of the graphs' P[^T], filled in place, with int32
-    indices where they fit; block j acts on rows j*n .. (j+1)*n - 1."""
-    def block(G):
-        P = transition_matrix(G)
-        return P.T.tocsr() if transpose else P
-
-    if len(graphs) == 1:
-        return block(graphs[0])
-    import scipy.sparse as sp
-
-    n = graphs[0].node_count
-    nnz = sum(G.edge_count for G in graphs)
-    dim = len(graphs) * n
-    idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx)
-    indptr = np.zeros(dim + 1, dtype=idx)
-    lo = 0
-    for j, G in enumerate(graphs):
-        P = block(G)
-        hi = lo + P.nnz
-        data[lo:hi] = P.data
-        indices[lo:hi] = P.indices
-        indices[lo:hi] += j * n
-        rows = indptr[j * n + 1:(j + 1) * n + 1]
-        rows[:] = P.indptr[1:]
-        rows += lo
-        lo = hi
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-
-
 def _stationary_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
     """x[j] = (I - alpha * P_j[^T])^-1 b[j] by fixed-point iteration on one
     block-diagonal operator. Block j's value is taken when all its columns
@@ -204,7 +192,9 @@ def _stationary_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> n
     running are not affected by the iterations the finished ones go on
     taking."""
     q, n, c = b.shape
-    A = _block_operator(graphs, transpose)
+    A = transition_matrix(graphs)
+    if transpose:
+        A = A.T.tocsr()
     x_out = np.empty_like(b)
     finished = np.zeros(q, dtype=bool)
     scale = np.maximum(np.linalg.norm(b, axis=1), 1e-300)

@@ -59,8 +59,6 @@ class AuxiliaryMdp:
         Solves (I - T) val = rew on the auxiliary state space directly;
         used to validate the construction against independent estimates.
         """
-        import scipy.sparse as sp
-
         n = self.node_count
         m = self.fragile_edges.shape[0]
         on_mask = np.asarray(on_mask, dtype=bool)
@@ -78,7 +76,8 @@ class AuxiliaryMdp:
         rew = np.zeros(size)
         rew[:n] = self.rewards
         rew[n:] = np.where(on_mask, 0.0, -self.rewards[src])
-        T = sp.csr_matrix((data, (rows, cols)), shape=(size, size)).toarray()
+        T = np.zeros((size, size))
+        np.add.at(T, (rows, cols), data)
         return np.linalg.solve(np.eye(size) - T, rew)
 
 
@@ -379,7 +378,7 @@ def certify_global(
         raise BoundError(f"targets must be node ids in [0, {G.node_count})")
     if y is None:
         y = models.predict(G, alpha, H)
-    y = np.asarray(y, dtype=np.int64)
+    y = models.check_labels(y, G.node_count, K)
 
     mdps = {(c1, c2): build_aux_mdp(G, S, alpha, -(H[:, c1] - H[:, c2]))
             for c1 in range(K) for c2 in range(K) if c1 != c2}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,20 @@ class TestScenarioRoundTrip:
         assert np.array_equal(S.local_budget, S2.local_budget)
         assert S.global_budget == S2.global_budget
         assert np.array_equal(S.fragile_in_base, S2.fragile_in_base)
+
+    @pytest.mark.parametrize("line", [
+        "local_budget -1 1",   # used to set the last node's budget
+        "local_budget 7 1",    # used to raise a bare IndexError
+        "fixed 0 1 9",         # used to be accepted
+        "fragile 2 3",
+        "node_count -2",       # used to raise a bare numpy ValueError
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "scenario.txt"
+        p.write_text("# pagecert scenario v1\nnode_count 3\nglobal_budget 1\n"
+                     "fixed 0 1\nfixed 1 2\nfixed 2 0\n" + line + "\n")
+        with pytest.raises(ScenarioValidationError, match=re.escape(f"{p}:7: ")):
+            load_scenario(p)
 
 
 class TestLabels:

@@ -100,17 +100,6 @@ class TestOptimizeLocal:
             optimize_local(G, S, ALPHA, rng.normal(size=7))
         assert isinstance(exc.value.trace, list)
 
-    def test_threaded_certification_matches_sequential(self, rng, monkeypatch):
-        G, S = random_instance(rng, 7, extra=3)
-        H = rng.normal(size=(7, 3))
-        seq = certify_local_all(G, S, ALPHA, H)
-        monkeypatch.setenv("CERT_THREADS", "4")
-        par = certify_local_all(G, S, ALPHA, H)
-        for a, b in zip(seq, par):
-            assert a.worst_margin == b.worst_margin
-            assert a.worst_class == b.worst_class
-            assert np.array_equal(a.witness.flips, b.witness.flips)
-
     def test_warm_start_same_objective(self, rng):
         G, S = random_instance(rng, 7, extra=3)
         r = rng.normal(size=7)

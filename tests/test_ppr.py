@@ -203,6 +203,23 @@ class TestTransitionMatrix:
         assert P.nnz == Gf.edge_count
         assert np.array_equal(P.toarray(), dense_transition(Gf))
 
+    def test_sequence_is_block_diagonal(self, rng):
+        import scipy.sparse as sp
+        graphs = [random_connected_graph(rng, 7, extra=k) for k in (1, 3, 5)]
+        P = transition_matrix(graphs)
+        ref = sp.block_diag([transition_matrix(G) for G in graphs], format="csr")
+        assert P.shape == ref.shape == (21, 21)
+        assert np.array_equal(P.indptr, ref.indptr)
+        assert np.array_equal(P.indices, ref.indices)
+        assert np.array_equal(P.data, ref.data)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_zero_out_degree_in_any_block_rejected(self, rng, bad):
+        graphs = [random_connected_graph(rng, 5, extra=2) for _ in range(3)]
+        graphs[bad] = DirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        with pytest.raises(KernelInputError, match="no outgoing edge"):
+            transition_matrix(graphs)
+
 
 class TestDenseSolve:
     @pytest.mark.parametrize("transpose", [False, True])

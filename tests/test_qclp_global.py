@@ -6,7 +6,8 @@ from pagecert.graph import (
     DirectedGraph, apply_policy, build_scenario, generate_sbm,
     largest_connected_component,
 )
-from pagecert.policy_iter import optimize_local
+from pagecert.models import ModelError
+from pagecert.policy_iter import certify_local_all, optimize_local
 from pagecert.ppr import mean_reward, ppr_vector
 from pagecert.qclp_global import (
     BoundError,
@@ -434,6 +435,20 @@ class TestCertifyGlobal:
         H = rng.normal(size=(6, 2))
         with pytest.raises(BoundError, match=r"\[0, 6\)"):
             certify_global(G, S, ALPHA, H, targets=targets)
+
+    @pytest.mark.parametrize("y, message", [
+        ([0, 5, 0, 1, 0, 1], "class id out of range"),
+        ([0, 1, 0], "one class per node"),
+    ])
+    def test_bad_labels_rejected_like_the_local_route(self, rng, y, message):
+        # a class id of 5 on 2 classes used to raise a bare KeyError, and a
+        # short y was used silently
+        G, S = random_instance(rng, 6, extra=2, global_budget=2)
+        H = rng.normal(size=(6, 2))
+        with pytest.raises(ModelError, match=message):
+            certify_global(G, S, ALPHA, H, targets=[0, 1], y=y)
+        with pytest.raises(ModelError, match=message):
+            certify_local_all(G, S, ALPHA, H, y=y)
 
     def test_lower_bound_sound_vs_exact_margin(self):
         for seed in range(6):
