@@ -12,6 +12,13 @@ from .graph import DirectedGraph
 from .policy_iter import LocalCertificate
 from .qclp_global import GlobalCertificate
 
+# the keys every record has, local or global, before its flips
+HEAD_KEYS = ("node", "y", "worst_class", "worst_margin", "status", "bound_type")
+
+
+class CertificateFormatError(ValueError):
+    """A certificates file line that is not a record for the loaded graph."""
+
 
 def _record_head(rec) -> tuple[dict, np.ndarray]:
     """Every key of a record but the last, "witness_flips", and its flips."""
@@ -77,13 +84,32 @@ def write_attacks_jsonl(records, path) -> None:
 
 
 def read_certificates_jsonl(path) -> list[dict]:
+    """Each line's record; a line that is not a JSON object with every
+    HEAD_KEYS key and an integer node is an error naming path:line."""
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:           # bad JSON or bad UTF-8
+                rec = None
+            if not (isinstance(rec, dict) and all(k in rec for k in HEAD_KEYS)
+                    and type(rec["node"]) is int):
+                raise CertificateFormatError(
+                    f"{path}:{lineno}: not a certificate record")
+            out.append(rec)
     return out
+
+
+def check_nodes(records: list[dict], node_count: int, path) -> None:
+    """Reject the first record whose node is not in [0, node_count)."""
+    for r in records:
+        if not 0 <= r["node"] < node_count:
+            raise CertificateFormatError(
+                f"{path}: node {r['node']} outside [0, {node_count}) of the graph")
 
 
 def _heads(records) -> list[dict]:

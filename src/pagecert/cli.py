@@ -365,6 +365,7 @@ def run(cfg: RunConfig) -> int:
         G, y = _load_inputs(cfg)
         if mode == "report":
             certs = analysis.read_certificates_jsonl(cfg["paths.certificates"])
+            analysis.check_nodes(certs, G.node_count, cfg["paths.certificates"])
         else:
             S = _build_scenario(cfg, G)
             H = _logits_for(cfg, G, y)
@@ -457,7 +458,8 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (graph.GraphFormatError, graph.ScenarioValidationError,
-            models.ModelError, qclp_global.BoundError, OSError) as exc:
+            models.ModelError, qclp_global.BoundError,
+            analysis.CertificateFormatError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 4
 

@@ -494,8 +494,8 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
 
 
 def load_scenario(path) -> PerturbationScenario:
-    """Inverse of dump_scenario; a malformed line or a node id outside
-    [0, node_count) is an error naming path:line."""
+    """Inverse of dump_scenario; a malformed line, a negative budget or a
+    node id outside [0, node_count) is an error naming path:line."""
     path = Path(path)
     n = None
     bg = None
@@ -519,6 +519,9 @@ def load_scenario(path) -> PerturbationScenario:
             if (vals is None or len(vals) != arity[key]
                     or key == "node_count" and vals[0] < 1):
                 raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
+            if key in ("local_budget", "global_budget") and vals[-1] < 0:
+                raise ScenarioValidationError(
+                    f"{path}:{lineno}: budgets must be nonnegative")
             if key == "node_count":
                 n = vals[0]
             elif key == "global_budget":

@@ -38,11 +38,12 @@ MARGIN_EPS = 1e-7
 
 
 class IterationCapError(RuntimeError):
-    """Policy iteration failed to stabilize; carries the reward column that
-    did not and its value trace."""
+    """Policy iteration for `what` failed to stabilize within ITERATION_CAP
+    rounds; carries the reward column that did not and its value trace."""
 
-    def __init__(self, message: str, trace: list[np.ndarray], column: int = 0):
-        super().__init__(message)
+    def __init__(self, what: str, trace: list[np.ndarray], column: int = 0):
+        super().__init__(f"policy iteration for {what} exceeded "
+                         f"{ITERATION_CAP} iterations (tie cycling?)")
         self.trace = trace
         self.column = column
 
@@ -151,12 +152,7 @@ def optimize_local(
             )
         live = moved
     if live:
-        raise IterationCapError(
-            f"policy iteration for reward column {live[0]} exceeded "
-            f"{ITERATION_CAP} iterations (tie cycling?)",
-            traces[live[0]],
-            live[0],
-        )
+        raise IterationCapError(f"reward column {live[0]}", traces[live[0]], live[0])
     if R.ndim == 1:
         return results[0]
     return LockstepResult(results, max((res.iterations for res in results), default=0))
@@ -188,11 +184,7 @@ def pair_worst_margins(
         stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
     except IterationCapError as exc:
         raise IterationCapError(
-            f"policy iteration for class pair {pairs[exc.column]} exceeded "
-            f"{ITERATION_CAP} iterations (tie cycling?)",
-            exc.trace,
-            exc.column,
-        ) from None
+            f"class pair {pairs[exc.column]}", exc.trace, exc.column) from None
     return {pair: (-(1.0 - alpha) * res.value, res)
             for pair, res in zip(pairs, stack.results)}
 

@@ -229,15 +229,21 @@ def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(num / den))
 
 
-def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
-    """Topic-sensitive PageRank for teleport distribution z."""
+def check_teleport(z: np.ndarray, node_count: int) -> np.ndarray:
+    """z as a float array, if it is a probability vector over node_count nodes."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (G.node_count,):
+    if z.shape != (node_count,):
         raise KernelInputError("teleport vector has wrong length")
     if not np.all(np.isfinite(z)):
         raise KernelInputError("teleport vector must be finite")
     if z.min() < -1e-12 or abs(z.sum() - 1.0) > 1e-8:
         raise KernelInputError("teleport vector must be a probability distribution")
+    return z
+
+
+def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
+    """Topic-sensitive PageRank for teleport distribution z."""
+    z = check_teleport(z, G.node_count)
     x = solve_transport(G, alpha, z, transpose=True)
     pi = (1.0 - alpha) * x
     if pi.min() < -1e-12:

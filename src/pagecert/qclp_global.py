@@ -124,33 +124,28 @@ def policy_opt_graph_cache(
     G: DirectedGraph,
     S: PerturbationScenario,
     alpha: float,
-) -> tuple[list[DirectedGraph], np.ndarray]:
-    """For each node v, the local-budget-optimal graph maximizing pi(z)_v.
+) -> np.ndarray:
+    """The (n, n) array X whose column v is the final value of policy
+    iteration with reward e_v.
 
-    The optimal graph is teleport-independent, so the expensive part is
-    done once and shared across certification targets. Returns the list of
-    distinct graphs and the per-node index into it. Each node runs its own
-    optimize_local rather than one lockstep run of all n rewards, whose
-    block operator would hold n graphs: O(n |E|) memory.
+    That run maximizes pi(z)_v over local-budget-admissible graphs for every
+    teleport z at once, with maximum (1 - alpha) z^T X[:, v], so X is
+    computed once and shared across certification targets. Each node runs
+    its own optimize_local rather than one lockstep run of all n rewards,
+    whose block operator would hold n graphs: O(n |E|) memory.
     """
     n = S.node_count
 
     def run(v):
         e_v = np.zeros(n)
         e_v[v] = 1.0
-        res = policy_iter.optimize_local(G, S, alpha, e_v)
-        return tuple(map(tuple, res.policy.flips.tolist())), res.graph
+        try:
+            return policy_iter.optimize_local(G, S, alpha, e_v).value
+        except policy_iter.IterationCapError as exc:
+            raise policy_iter.IterationCapError(
+                f"the policy_opt bound of node {v}", exc.trace, v) from None
 
-    results = map_parallel(run, range(n))
-    graphs: list[DirectedGraph] = []
-    keys: dict[tuple, int] = {}
-    node_graph = np.zeros(n, dtype=np.int64)
-    for v, (key, graph) in enumerate(results):
-        if key not in keys:
-            keys[key] = len(graphs)
-            graphs.append(graph)
-        node_graph[v] = keys[key]
-    return graphs, node_graph
+    return np.column_stack(map_parallel(run, range(n)))
 
 
 def compute_upper_bounds(
@@ -159,14 +154,15 @@ def compute_upper_bounds(
     alpha: float,
     method: str = "closed_form",
     z: np.ndarray | None = None,
-    graph_cache: tuple[list[DirectedGraph], np.ndarray] | None = None,
+    graph_cache: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-node upper bounds on the LP occupation variables.
 
-    closed_form bounds PageRank by 1; policy_opt replaces it with the exact
-    maximum of pi(z)_v over local-budget-admissible graphs (needs the
-    certification teleport z). Both are then inflated by the worst-case
-    off-edge slack, which dominates every feasible variable value.
+    closed_form bounds PageRank by 1; policy_opt by the exact maximum of
+    pi(z)_v over local-budget-admissible graphs, (1 - alpha) z^T X[:, v] for
+    the certification teleport z and X from policy_opt_graph_cache, with no
+    further solve. Both are then inflated by the worst-case off-edge slack,
+    which dominates every feasible variable value.
     """
     slack = bound_slack(S)
     if method == "closed_form":
@@ -175,14 +171,10 @@ def compute_upper_bounds(
         raise BoundError(f"unknown bound method {method!r}")
     if z is None:
         raise BoundError("policy_opt bounds need the certification teleport z")
+    z = ppr.check_teleport(z, S.node_count)
     if graph_cache is None:
         graph_cache = policy_opt_graph_cache(G, S, alpha)
-    graphs, node_graph = graph_cache
-    pi_max = np.zeros(S.node_count)
-    for g_idx, graph in enumerate(graphs):
-        nodes = np.nonzero(node_graph == g_idx)[0]
-        pi_max[nodes] = ppr.ppr_vector(graph, alpha, z).values[nodes]
-    return pi_max * slack
+    return np.maximum((1.0 - alpha) * (z @ graph_cache), 0.0) * slack
 
 
 @dataclass(eq=False)
@@ -395,10 +387,7 @@ def certify_global(
         xbar = compute_upper_bounds(
             G, S, alpha, method=bound_method, z=z, graph_cache=cache,
         )
-        best_bound = np.inf
-        best_class = yt
-        best_solution = None
-        best_instance = None
+        best = (np.inf, yt, None, None)   # bound, class, solution, instance
         for c in range(K):
             if c == yt:
                 continue
@@ -410,12 +399,9 @@ def certify_global(
                     f"{sol.status}; the clean policy is always feasible and "
                     "the bounds preclude unboundedness, so this is a bug"
                 )
-            bound = -sol.objective
-            if bound < best_bound:
-                best_bound = bound
-                best_class = c
-                best_solution = sol
-                best_instance = inst
+            if -sol.objective < best[0]:
+                best = (-sol.objective, c, sol, inst)
+        best_bound, best_class, best_solution, best_instance = best
         attack = _rounded_attack(best_solution, best_instance)
         attacked_margin = None
         verified = False

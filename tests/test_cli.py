@@ -25,6 +25,11 @@ def write_fixture(tmp_path, n=12, blocks=2, p_in=0.7, p_out=0.1, seed=2):
     return gpath, lpath
 
 
+GOOD_RECORD = ('{"node": 0, "y": 0, "worst_class": 1, "worst_margin": 0.5, '
+               '"status": "robust", "bound_type": "exact", "marginal": false, '
+               '"witness_flips": []}')
+
+
 def base_config(tmp_path, out, mode="certify-local", extra=""):
     gpath, lpath = write_fixture(tmp_path)
     cfg = tmp_path / f"{out}.cfg"
@@ -229,6 +234,27 @@ class TestPipelines:
         )
         assert main(["--config", str(rcfg)]) == 0
         assert (tmp_path / "rep" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ([GOOD_RECORD, "{oops"], "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, "\xff"], "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD] * 2 + ['{"node": 1, "status": "robust"}'],
+         "c.jsonl:3: not a certificate record"),
+        ([GOOD_RECORD.replace('"node": 0', '"node": 99')],
+         "c.jsonl: node 99 outside [0, 12)"),
+    ], ids=["not-json", "not-utf8", "missing-keys", "node-out-of-range"])
+    def test_bad_certificates_file_is_reported(self, tmp_path, capsys, lines,
+                                               message):
+        gpath, lpath = write_fixture(tmp_path)
+        certs = tmp_path / "c.jsonl"
+        certs.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        rcfg = tmp_path / "r.cfg"
+        rcfg.write_text(
+            f"mode = report\npaths.graph = {gpath}\npaths.labels = {lpath}\n"
+            f"paths.certificates = {certs}\npaths.output = {tmp_path / 'rep'}\n"
+        )
+        assert main(["--config", str(rcfg)]) == 4
+        assert message in capsys.readouterr().err
 
     @staticmethod
     def _train_config(tmp_path, extra=""):

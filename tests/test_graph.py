@@ -285,6 +285,8 @@ class TestScenarioRoundTrip:
         "fixed 0 1 9",         # used to be accepted
         "fragile 2 3",
         "node_count -2",       # used to raise a bare numpy ValueError
+        "local_budget 0 -4",   # these two used to name no line
+        "global_budget -1",
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "scenario.txt"

@@ -7,15 +7,17 @@ from pagecert.graph import (
     largest_connected_component,
 )
 from pagecert.models import ModelError
-from pagecert.policy_iter import certify_local_all, optimize_local
+from pagecert.policy_iter import IterationCapError, certify_local_all, optimize_local
 from pagecert.ppr import mean_reward, ppr_vector
 from pagecert.qclp_global import (
     BoundError,
     _rounded_attack,
     assemble_relaxed_lp,
+    bound_slack,
     build_aux_mdp,
     certify_global,
     compute_upper_bounds,
+    policy_opt_graph_cache,
     recover_pagerank,
 )
 
@@ -162,13 +164,15 @@ class TestUpperBounds:
             compute_upper_bounds(G, S_bad, ALPHA, "closed_form")
 
     def test_bounds_dominate_enumerated_max(self, rng):
-        # every admissible configuration's occupation value stays below xbar
+        # every admissible configuration's occupation value stays below xbar,
+        # and the policy_opt bound is the enumerated maximum of pi(z), inflated
         for seed in range(4):
             r2 = np.random.default_rng(seed)
             G, S = random_instance(r2, 6, extra=2)
             z = r2.dirichlet(np.ones(6))
             for method in ("closed_form", "policy_opt"):
                 xbar = compute_upper_bounds(G, S, ALPHA, method, z=z)
+                pi_max = np.zeros(6)
                 for mask in oracle.iter_feasible_masks(S, respect_global=False):
                     present = S.fragile_in_base ^ mask
                     edges = np.concatenate(
@@ -183,6 +187,26 @@ class TestUpperBounds:
                         S.fragile_out_counts()
                     x = pi / (1.0 - k / d)
                     assert np.all(x <= xbar + 1e-9)
+                    pi_max = np.maximum(pi_max, pi)
+                if method == "policy_opt":
+                    np.testing.assert_allclose(xbar / bound_slack(S), pi_max,
+                                               rtol=1e-12)
+
+    def test_cap_error_names_the_node(self, monkeypatch):
+        import pagecert.policy_iter as pi_mod
+        G, _ = largest_connected_component(generate_sbm(22, 2, 0.5, 0.1, 0))
+        S = build_scenario(G, "remove-only", strength=4)
+        # the first node whose run needs a second round is the one named
+        ran = [optimize_local(G, S, ALPHA, np.eye(G.node_count)[v])
+               for v in range(G.node_count)]
+        node = next(v for v, res in enumerate(ran) if res.iterations > 1)
+        monkeypatch.setattr(pi_mod, "ITERATION_CAP", 1)
+        with pytest.raises(IterationCapError) as exc:
+            policy_opt_graph_cache(G, S, ALPHA)
+        assert f"the policy_opt bound of node {node} exceeded 1 " in str(exc.value)
+        assert exc.value.column == node
+        assert len(exc.value.trace) == 1
+        assert np.array_equal(exc.value.trace[0], ran[node].trace[0])
 
     def test_policy_opt_tighter_than_closed_form(self, rng):
         G, S = random_instance(rng, 7, extra=3)
