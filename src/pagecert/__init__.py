@@ -30,9 +30,6 @@ from .qclp_global import (  # noqa: F401
 from .lp_solver import (  # noqa: F401
     LinearProgram,
     LpSolution,
-    export_lp_text,
-    import_solution,
-    parse_lp_text,
     solve_lp,
 )
 from .models import (  # noqa: F401

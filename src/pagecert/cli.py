@@ -108,24 +108,33 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+def load_config(path) -> dict[str, str]:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file {path} does not exist")
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in graph.read_lines(path, ConfigError):
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
 
 
-def load_config(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    return parse_config_text(path.read_text(encoding="utf-8"), str(path))
+def load_manifest(path) -> dict:
+    """A manifest's JSON object: "config" and the optional "input_digests"
+    map keys to strings."""
+    try:
+        manifest = json.loads(Path(path).read_bytes())
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"manifest {path} is not JSON: {exc}") from None
+    parts = ([manifest.get("config"), manifest.get("input_digests", {})]
+             if isinstance(manifest, dict) else [None])
+    if not all(isinstance(p, dict) and all(isinstance(v, str) for v in p.values())
+               for p in parts):
+        raise ConfigError(f'manifest {path} needs "config" (and any "input_digests") '
+                          f'to be objects of strings')
+    return manifest
 
 
 def _parse(key: str, text: str):
@@ -423,7 +432,7 @@ def main(argv=None) -> int:
     try:
         raw: dict[str, str] = {}
         if args.from_manifest:
-            manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+            manifest = load_manifest(args.from_manifest)
             raw.update(manifest["config"])
         if args.config:
             raw.update(load_config(args.config))

@@ -9,6 +9,7 @@ subject to per-node and global budgets.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -405,6 +406,20 @@ def largest_connected_component(G: DirectedGraph) -> tuple[DirectedGraph, np.nda
     return DirectedGraph.from_edges(int(kept_ids.size), sub, allow_self_loops=True), kept_ids
 
 
+def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, stripped text) for each line of a UTF-8 text file,
+    skipping blank and '#' lines; a line that is not UTF-8 raises ``error``
+    naming path:line."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def load_graph(
     path,
     symmetrize: bool = False,
@@ -418,20 +433,16 @@ def load_graph(
     """
     path = Path(path)
     edges = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'src\\tdst', got {line!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer node id in {line!r}"
-                ) from None
+    for lineno, line in read_lines(path, GraphFormatError):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'src\\tdst', got {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{lineno}: non-integer node id in {line!r}"
+            ) from None
     if not edges:
         raise GraphFormatError(f"{path}: empty graph")
     e = np.asarray(edges, dtype=np.int64)
@@ -454,21 +465,17 @@ def load_labels(path, node_count: int) -> np.ndarray:
     """Read "node<TAB>label" lines into an int array (-1 where unlabeled)."""
     path = Path(path)
     y = np.full(node_count, -1, dtype=np.int64)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'node\\tlabel'")
-            try:
-                v, lab = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer field") from None
-            if not 0 <= v < node_count:
-                raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
-            y[v] = lab
+    for lineno, line in read_lines(path, GraphFormatError):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'node\\tlabel'")
+        try:
+            v, lab = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: non-integer field") from None
+        if not 0 <= v < node_count:
+            raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
+        y[v] = lab
     return y
 
 
@@ -504,30 +511,26 @@ def load_scenario(path) -> PerturbationScenario:
     # key -> (lineno, node or src, budget or dst) per line
     rows: dict[str, list[tuple[int, int, int]]] = {
         "local_budget": [], "fixed": [], "fragile": [], "base": []}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *fields = line.split()
-            if key not in arity:
-                raise ScenarioValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                vals = [int(f) for f in fields]
-            except ValueError:
-                vals = None
-            if (vals is None or len(vals) != arity[key]
-                    or key == "node_count" and vals[0] < 1):
-                raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
-            if key in ("local_budget", "global_budget") and vals[-1] < 0:
-                raise ScenarioValidationError(
-                    f"{path}:{lineno}: budgets must be nonnegative")
-            if key == "node_count":
-                n = vals[0]
-            elif key == "global_budget":
-                bg = vals[0]
-            else:
-                rows[key].append((lineno, *vals))
+    for lineno, line in read_lines(path, ScenarioValidationError):
+        key, *fields = line.split()
+        if key not in arity:
+            raise ScenarioValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            vals = [int(f) for f in fields]
+        except ValueError:
+            vals = None
+        if (vals is None or len(vals) != arity[key]
+                or key == "node_count" and vals[0] < 1):
+            raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
+        if key in ("local_budget", "global_budget") and vals[-1] < 0:
+            raise ScenarioValidationError(
+                f"{path}:{lineno}: budgets must be nonnegative")
+        if key == "node_count":
+            n = vals[0]
+        elif key == "global_budget":
+            bg = vals[0]
+        else:
+            rows[key].append((lineno, *vals))
     if n is None:
         raise ScenarioValidationError(f"{path}: missing node_count")
     parts = {}

@@ -1,21 +1,18 @@
-"""Deterministic linear programming: internal simplex plus a text export path.
+"""Deterministic linear programming: the internal revised simplex.
 
-The internal backend is a revised simplex over sparse constraint rows with
-a dense basis inverse. Phase 1 finds a feasible vertex from artificials; a
-caller that knows a primal feasible basis passes it as ``start`` and skips
-phase 1 (certify_global starts every relaxed LP at the clean graph's
-basis). Pricing scales reduced costs by static column norms; after a stall
-it falls back to Bland's rule, which guarantees termination on the highly
-degenerate instances the certification pipeline produces. Instances beyond
-a few thousand rows should be exported in CPLEX-LP text form and solved
-externally, then read back with import_solution.
+The simplex works over sparse constraint rows with a dense basis inverse.
+Phase 1 finds a feasible vertex from artificials; a caller that knows a
+primal feasible basis passes it as ``start`` and skips phase 1
+(certify_global starts every relaxed LP at the clean graph's basis).
+Pricing scales reduced costs by static column norms; after a stall it falls
+back to Bland's rule, which guarantees termination on the highly degenerate
+instances the certification pipeline produces. The dense basis inverse
+targets LPs of a few thousand variables.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,8 +31,6 @@ DEFAULT_TOLERANCES = SolverTolerances()
 PIVOT_TOL = 1e-9          # smallest usable pivot element
 STALL_WINDOW = 50         # iterations without progress before Bland
 REFACTOR_EVERY = 100      # pivots between basis-inverse refactorizations
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 class LpError(RuntimeError):
@@ -60,27 +55,18 @@ class LinearProgram:
     senses: np.ndarray
     rhs: np.ndarray
     upper_bounds: np.ndarray
-    names: list[str]
-    row_names: list[str] = field(default_factory=list)
 
     @classmethod
-    def build(cls, objective, rows, senses, rhs, upper_bounds=None,
-              names=None, row_names=None) -> "LinearProgram":
+    def build(cls, objective, rows, senses, rhs, upper_bounds=None) -> "LinearProgram":
         import scipy.sparse as sp
 
         c = np.asarray(objective, dtype=np.float64)
-        n = c.size
-        A = sp.csr_matrix(rows, shape=(len(rhs), n), dtype=np.float64) if not sp.issparse(rows) \
-            else rows.tocsr().astype(np.float64)
+        A = sp.csr_matrix(rows, dtype=np.float64)
         senses = np.asarray(senses, dtype="<U2")
         b = np.asarray(rhs, dtype=np.float64)
-        ub = (np.full(n, np.inf) if upper_bounds is None
+        ub = (np.full(c.size, np.inf) if upper_bounds is None
               else np.asarray(upper_bounds, dtype=np.float64))
-        if names is None:
-            names = [f"v{j}" for j in range(n)]
-        if row_names is None:
-            row_names = [f"r{i}" for i in range(len(b))]
-        lp = cls(c, A, senses, b, ub, list(names), list(row_names))
+        lp = cls(c, A, senses, b, ub)
         lp._validate()
         return lp
 
@@ -88,14 +74,17 @@ class LinearProgram:
         n = self.objective.size
         m = self.rhs.size
         if self.matrix.shape != (m, n):
-            raise LpFormatError("constraint matrix shape mismatch")
+            raise LpFormatError(
+                f"constraint matrix shape {self.matrix.shape} does not match "
+                f"{m} rows x {n} variables"
+            )
         if self.senses.shape != (m,) or not np.all(np.isin(self.senses, ["=", "<="])):
             raise LpFormatError("row senses must be '=' or '<='")
-        if len(self.names) != n or len(self.row_names) != m:
-            raise LpFormatError("name count mismatch")
         for arr in (self.objective, self.rhs, self.matrix.data):
             if arr.size and not np.all(np.isfinite(arr)):
                 raise LpFormatError("coefficients must be finite")
+        if self.upper_bounds.shape != (n,):
+            raise LpFormatError(f"{self.upper_bounds.size} upper bounds for {n} variables")
         if np.any(np.isnan(self.upper_bounds)) or np.any(self.upper_bounds < 0):
             raise LpFormatError("upper bounds must be nonnegative or +inf")
 
@@ -402,253 +391,3 @@ def solve_lp(lp: LinearProgram, tols: SolverTolerances = DEFAULT_TOLERANCES,
             )
     stats["max_violation"] = viol
     return LpSolution("optimal", float(lp.objective @ x), x, stats)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _term(coef: float, name: str, first: bool) -> str:
-    sign = "-" if coef < 0 else ("" if first else "+")
-    return f"{sign} {_fmt(abs(coef))} {name}"
-
-
-def export_lp_text(lp: LinearProgram, path) -> None:
-    """Write CPLEX-LP text with bit-stable ordering (declaration order).
-
-    Every variable appears in the Bounds section, so a parse round-trip
-    reconstructs the full variable list and order.
-    """
-    if lp.n_vars == 0:
-        raise LpFormatError("cannot export an LP with no variables")
-    for name in lp.names + lp.row_names:
-        if not _NAME_RE.match(name):
-            raise LpFormatError(f"invalid identifier {name!r}")
-    lines = ["\\ pagecert LP export", "Maximize"]
-    terms = []
-    for c, name in zip(lp.objective, lp.names):
-        if c != 0.0:
-            terms.append(_term(c, name, not terms))
-    if not terms:
-        terms = [f"0 {lp.names[0]}"]
-    lines.append(" obj: " + " ".join(terms))
-    lines.append("Subject To")
-    csr = lp.matrix.tocsr()
-    for i in range(lp.n_rows):
-        start, end = csr.indptr[i], csr.indptr[i + 1]
-        row_terms = []
-        for j, v in zip(csr.indices[start:end], csr.data[start:end]):
-            if v == 0.0:
-                continue
-            row_terms.append(_term(v, lp.names[j], not row_terms))
-        if not row_terms:
-            row_terms = [f"0 {lp.names[0]}"]
-        sense = "=" if lp.senses[i] == "=" else "<="
-        lines.append(f" {lp.row_names[i]}: " + " ".join(row_terms)
-                     + f" {sense} {_fmt(lp.rhs[i])}")
-    lines.append("Bounds")
-    for j, name in enumerate(lp.names):
-        ub = lp.upper_bounds[j]
-        if np.isfinite(ub):
-            lines.append(f" {name} <= {_fmt(ub)}")
-        else:
-            lines.append(f" {name} >= 0")
-    lines.append("End")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-_TOKEN_RE = re.compile(r"(<=|>=|=|\+|-|:|[A-Za-z_][A-Za-z0-9_.]*|[0-9.eE+\-]+)")
-
-
-def _parse_expr(tokens: list[str]) -> dict[str, float]:
-    """Parse "[+-] [coef] name ..." into name -> coefficient."""
-    out: dict[str, float] = {}
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            continue
-        if tok == "-":
-            sign = -sign
-        elif _NAME_RE.match(tok):
-            value = sign * (1.0 if coef is None else coef)
-            out[tok] = out.get(tok, 0.0) + value
-            sign, coef = 1.0, None
-        else:
-            try:
-                parsed = float(tok)
-            except ValueError:
-                raise LpFormatError(f"unexpected token {tok!r}") from None
-            if coef is not None:
-                raise LpFormatError("two coefficients without a variable")
-            coef = parsed
-    if coef is not None:
-        raise LpFormatError("dangling coefficient in expression")
-    return out
-
-
-def parse_lp_text(path) -> LinearProgram:
-    """Parse the CPLEX-LP dialect written by export_lp_text.
-
-    One constraint or bound per line; Maximize and Minimize sections are
-    accepted (Minimize is normalized to max by negating the objective).
-    """
-    import scipy.sparse as sp
-
-    text = Path(path).read_text(encoding="utf-8")
-    section = None
-    obj: dict[str, float] = {}
-    negate = False
-    rows: list[tuple[str, dict[str, float], str, float]] = []
-    bound_lines: list[str] = []
-    order: list[str] = []
-
-    def register(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    seen: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].strip()
-        if not line:
-            continue
-        low = line.lower()
-        if low in ("maximize", "minimize", "max", "min"):
-            section = "obj"
-            negate = low.startswith("min")
-            continue
-        if low in ("subject to", "st", "s.t.", "such that"):
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "end":
-            break
-        if section == "obj":
-            tokens = _TOKEN_RE.findall(line)
-            if ":" in tokens:
-                tokens = tokens[tokens.index(":") + 1:]
-            obj.update(_parse_expr(tokens))
-        elif section == "rows":
-            tokens = _TOKEN_RE.findall(line)
-            if ":" not in tokens:
-                raise LpFormatError(f"constraint without name: {line!r}")
-            name = tokens[tokens.index(":") - 1]
-            tokens = tokens[tokens.index(":") + 1:]
-            sense_idx = next(
-                (i for i, t in enumerate(tokens) if t in ("<=", ">=", "=")), None
-            )
-            if sense_idx is None:
-                raise LpFormatError(f"malformed constraint: {line!r}")
-            sense = tokens[sense_idx]
-            tail = tokens[sense_idx + 1:]
-            if len(tail) == 1:
-                rhs = float(tail[0])
-            elif len(tail) == 2 and tail[0] in ("+", "-"):
-                rhs = float(tail[1]) * (-1.0 if tail[0] == "-" else 1.0)
-            else:
-                raise LpFormatError(f"malformed constraint rhs: {line!r}")
-            coeffs = _parse_expr(tokens[:sense_idx])
-            if sense == ">=":
-                coeffs = {k: -v for k, v in coeffs.items()}
-                rhs, sense = -rhs, "<="
-            rows.append((name, coeffs, sense, rhs))
-        elif section == "bounds":
-            bound_lines.append(line)
-        else:
-            raise LpFormatError(f"content outside any section: {line!r}")
-
-    ubs: dict[str, float] = {}
-    for line in bound_lines:
-        tokens = _TOKEN_RE.findall(line)
-        names = [t for t in tokens if _NAME_RE.match(t) and t not in ("free",)]
-        if len(names) != 1:
-            raise LpFormatError(f"malformed bound: {line!r}")
-        name = names[0]
-        register(name)
-        if "free" in (t.lower() for t in tokens):
-            raise LpFormatError("free variables are not supported (lb is fixed at 0)")
-        if tokens == [name, ">=", "0"] or tokens == ["0", "<=", name]:
-            continue
-        idx = tokens.index(name)
-        if idx + 2 < len(tokens) and tokens[idx + 1] == "<=":
-            ubs[name] = float(tokens[idx + 2])
-        elif idx >= 2 and tokens[idx - 1] == ">=":
-            if float(tokens[idx - 2]) != 0.0:
-                raise LpFormatError(f"nonzero lower bound unsupported: {line!r}")
-        elif idx >= 2 and tokens[idx - 1] == "<=":
-            if float(tokens[idx - 2]) != 0.0:
-                raise LpFormatError(f"nonzero lower bound unsupported: {line!r}")
-            if idx + 2 < len(tokens) and tokens[idx + 1] == "<=":
-                ubs[name] = float(tokens[idx + 2])
-        else:
-            raise LpFormatError(f"malformed bound: {line!r}")
-
-    for name in obj:
-        register(name)
-    for _, coeffs, _, _ in rows:
-        for name in coeffs:
-            register(name)
-    if not order:
-        raise LpFormatError("LP file declares no variables")
-
-    index = {name: j for j, name in enumerate(order)}
-    n = len(order)
-    c = np.zeros(n)
-    for name, v in obj.items():
-        c[index[name]] = -v if negate else v
-    data, ri, ci = [], [], []
-    senses, rhs, row_names = [], [], []
-    for i, (name, coeffs, sense, b) in enumerate(rows):
-        for var, v in coeffs.items():
-            ri.append(i)
-            ci.append(index[var])
-            data.append(v)
-        senses.append(sense)
-        rhs.append(b)
-        row_names.append(name)
-    A = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-    ub = np.full(n, np.inf)
-    for name, v in ubs.items():
-        ub[index[name]] = v
-    return LinearProgram.build(c, A, senses, rhs, ub, order, row_names)
-
-
-def import_solution(path, lp: LinearProgram) -> LpSolution:
-    """Read "name value" lines from an external solver into an LpSolution.
-
-    Unknown names are errors; variables missing from the file default to 0
-    with a counted warning. The objective is recomputed from the primal
-    values.
-    """
-    import logging
-
-    logger = logging.getLogger(__name__)
-    index = {name: j for j, name in enumerate(lp.names)}
-    x = np.zeros(lp.n_vars)
-    seen = np.zeros(lp.n_vars, dtype=bool)
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise LpFormatError(f"{path}:{lineno}: expected 'name value'")
-            name, val = parts
-            if name not in index:
-                raise LpFormatError(f"{path}:{lineno}: unknown variable {name!r}")
-            x[index[name]] = float(val)
-            seen[index[name]] = True
-    missing = int(np.count_nonzero(~seen))
-    if missing:
-        logger.warning("%d variables missing from %s; defaulted to 0", missing, path)
-    return LpSolution(
-        status="optimal",
-        objective=float(lp.objective @ x),
-        x=x,
-        stats={"source": "import", "missing_defaulted": missing},
-    )

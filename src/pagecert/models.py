@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ppr
-from .graph import DirectedGraph
+from .graph import DirectedGraph, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -247,20 +247,16 @@ def load_logits_csv(path) -> np.ndarray:
 def load_features_csv(path) -> np.ndarray:
     """Comma-separated rows of numbers, all as wide as the first row."""
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                raise ModelError(f"{path}:{lineno}: not a number in {line!r}") from None
-            if rows and len(row) != len(rows[0]):
-                raise ModelError(
-                    f"{path}:{lineno}: {len(row)} values, expected {len(rows[0])}"
-                )
-            rows.append(row)
+    for lineno, line in read_lines(path, ModelError):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ModelError(f"{path}:{lineno}: not a number in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ModelError(
+                f"{path}:{lineno}: {len(row)} values, expected {len(rows[0])}"
+            )
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -258,13 +258,6 @@ def assemble_relaxed_lp(
     senses = ["="] * (n + m) + ["<="] * (n + 1)
     rhs = np.concatenate([(1.0 - alpha) * z, np.zeros(m + n),
                           [float(S.global_budget)]])
-    tags = [f"{i}_{j}" for i, j in S.fragile_edges.tolist()]
-    row_names = ([f"flow_{v}" for v in range(n)] + [f"aux_{t}" for t in tags]
-                 + [f"local_{v}" for v in range(n)] + ["global"])
-    names = np.empty(n + 2 * m, dtype=object)
-    names[:n] = [f"x_{v}" for v in range(n)]
-    names[x0] = [f"x0_{t}" for t in tags]
-    names[x1] = [f"x1_{t}" for t in tags]
 
     c = np.zeros(n + 2 * m)
     c[:n], c[x0] = mdp.rewards, -mdp.rewards[src]
@@ -272,10 +265,7 @@ def assemble_relaxed_lp(
     ub[:n] = xbar
 
     A = sp.csr_matrix((data, (rows, cols)), shape=(rhs.size, n + 2 * m))
-    inst.lp = lp_solver.LinearProgram.build(
-        c, A, senses, rhs, upper_bounds=ub, names=names.tolist(),
-        row_names=row_names,
-    )
+    inst.lp = lp_solver.LinearProgram.build(c, A, senses, rhs, upper_bounds=ub)
     return inst
 
 

@@ -125,6 +125,26 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--config", b"mode = certify-local\nalpha = 0.\xff\n", "in.txt:2: not UTF-8 text"),
+        ("--from-manifest", b'{"config": {"mode": "cert', "in.txt is not JSON"),
+        ("--from-manifest", b'{"config": {"mode": "\xff"}}', "in.txt is not JSON"),
+        ("--from-manifest", b"{}", "objects of strings"),
+        ("--from-manifest", b"[]", "objects of strings"),
+        ("--from-manifest", b'{"config": {"seed": 3}}', "objects of strings"),
+        ("--from-manifest", b'{"config": {"seed": "3"}, "input_digests": []}',
+         "objects of strings"),
+    ], ids=["config-not-utf8", "manifest-not-json", "manifest-not-utf8",
+            "manifest-no-config", "manifest-not-object", "manifest-non-string",
+            "manifest-digests-not-object"])
+    def test_unreadable_config_or_manifest(self, tmp_path, capsys, flag, content,
+                                           message):
+        path = tmp_path / "in.txt"
+        path.write_bytes(content)
+        assert main([flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_bad_mode_error(self):
         cfg = resolve_config({"mode": "frobnicate"})
         assert cfg.errors
@@ -353,13 +373,25 @@ train.per_class = 4
         (["1,0"] * 5 + ["0,abc"] + ["0,1"] * 6, 4, "x.csv:6: not a number"),
         (["1,0"] * 5 + ["0,1,1"] + ["0,1"] * 6, 4, "x.csv:6: 3 values, expected 2"),
         (["1,0"] * 11, 2, "features rows 11 != node count 12"),
-    ], ids=["non-number", "ragged-row", "row-count"])
+        (["1,0"] * 5 + ["0,\xfe"] + ["0,1"] * 6, 4, "x.csv:6: not UTF-8 text"),
+    ], ids=["non-number", "ragged-row", "row-count", "non-utf8"])
     def test_bad_feature_file_is_reported(self, tmp_path, capsys, rows, code, message):
         feats = tmp_path / "x.csv"
-        feats.write_text("\n".join(rows) + "\n")
+        feats.write_text("\n".join(rows) + "\n", encoding="latin-1")
         cfg = base_config(tmp_path, "bf", extra=f"paths.features = {feats}")
         assert main(["--config", str(cfg)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line", [
+        ("graph.tsv", b"\xff\t2\n"), ("labels.tsv", b"3\t\xfe\n"),
+    ], ids=["graph", "labels"])
+    def test_non_utf8_input_is_reported(self, tmp_path, capsys, name, line):
+        cfg = base_config(tmp_path, "nu")
+        path = tmp_path / name
+        lineno = len(path.read_bytes().splitlines()) + 1
+        path.write_bytes(path.read_bytes() + line)
+        assert main(["--config", str(cfg)]) == 4
+        assert f"{name}:{lineno}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_graph_file_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"

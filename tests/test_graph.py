@@ -287,11 +287,13 @@ class TestScenarioRoundTrip:
         "node_count -2",       # used to raise a bare numpy ValueError
         "local_budget 0 -4",   # these two used to name no line
         "global_budget -1",
+        "fixed 0 \xff",          # used to raise a bare UnicodeDecodeError
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "scenario.txt"
         p.write_text("# pagecert scenario v1\nnode_count 3\nglobal_budget 1\n"
-                     "fixed 0 1\nfixed 1 2\nfixed 2 0\n" + line + "\n")
+                     "fixed 0 1\nfixed 1 2\nfixed 2 0\n" + line + "\n",
+                     encoding="latin-1")
         with pytest.raises(ScenarioValidationError, match=re.escape(f"{p}:7: ")):
             load_scenario(p)
 

@@ -7,10 +7,7 @@ from pagecert.lp_solver import (
     LpError,
     LpFormatError,
     NumericalBreakdownError,
-    export_lp_text,
-    import_solution,
     max_violation,
-    parse_lp_text,
     solve_lp,
 )
 from pagecert.lp_solver import DEFAULT_TOLERANCES, _Simplex
@@ -85,6 +82,38 @@ class TestSolve:
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert abs(sol.objective - 2.0) <= 1e-9
+
+    def test_minimize_with_ge_row(self):
+        # min 2a - b st a + b >= 1, a - b <= 4, a, b <= 3, written as
+        # max -2a + b with the ">=" row as -a - b <= -1: the negative rhs
+        # is normalized in phase 1
+        lp = LinearProgram.build(
+            [-2.0, 1.0], [[-1.0, -1.0], [1.0, -1.0]], ["<=", "<="], [-1.0, 4.0],
+            upper_bounds=[3.0, 3.0],
+        )
+        sol = solve_lp(lp)
+        assert abs(sol.objective - 3.0) <= 1e-9
+        assert np.allclose(sol.x, [0.0, 3.0], atol=1e-9)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("args, match", [
+        (([1.0, 1.0], [[1.0]], ["<="], [1.0]), "shape"),
+        (([1.0], [[1.0], [1.0]], ["<="], [1.0]), "shape"),
+        (([1.0], [[1.0]], [">="], [1.0]), "senses"),
+        (([1.0], [[1.0], [1.0]], ["<="], [1.0, 1.0]), "senses"),
+        (([np.inf], [[1.0]], ["<="], [1.0]), "finite"),
+        (([1.0], [[np.nan]], ["<="], [1.0]), "finite"),
+        (([1.0], [[1.0]], ["<="], [np.inf]), "finite"),
+        (([1.0], [[1.0]], ["<="], [1.0], [-1.0]), "nonnegative"),
+        (([1.0], [[1.0]], ["<="], [1.0], [np.nan]), "nonnegative"),
+        (([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [1.0]), "upper bounds"),
+    ], ids=["dense-padded", "extra-row", "bad-sense", "sense-count",
+            "inf-objective", "nan-row", "inf-rhs", "negative-bound",
+            "nan-bound", "bound-count"])
+    def test_malformed_lp_raises(self, args, match):
+        with pytest.raises(LpFormatError, match=match):
+            LinearProgram.build(*args)
 
 
 def planted_basis_lp(seed):
@@ -299,183 +328,3 @@ class TestDeterminism:
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
-
-
-class TestExportImport:
-    def test_round_trip_single_var(self, tmp_path):
-        lp = simple_lp(names=["x"])
-        p = tmp_path / "one.lp"
-        export_lp_text(lp, p)
-        lp2 = parse_lp_text(p)
-        assert lp2.names == ["x"]
-        assert np.array_equal(lp2.objective, lp.objective)
-        assert np.array_equal(lp2.rhs, lp.rhs)
-        assert (lp2.matrix != lp.matrix).nnz == 0
-
-    def test_round_trip_random(self, tmp_path):
-        rng = np.random.default_rng(3)
-        lp = LinearProgram.build(
-            rng.normal(size=5),
-            rng.normal(size=(4, 5)),
-            ["<=", "=", "<=", "="],
-            rng.normal(size=4),
-            upper_bounds=[1.5, np.inf, 0.25, np.inf, 3.75],
-            names=[f"x_{i}" for i in range(5)],
-            row_names=[f"c{i}" for i in range(4)],
-        )
-        p = tmp_path / "r.lp"
-        export_lp_text(lp, p)
-        lp2 = parse_lp_text(p)
-        assert lp2.names == lp.names
-        assert lp2.row_names == lp.row_names
-        assert np.array_equal(lp2.objective, lp.objective)
-        assert np.array_equal(lp2.rhs, lp.rhs)
-        assert list(lp2.senses) == list(lp.senses)
-        assert np.array_equal(lp2.upper_bounds, lp.upper_bounds)
-        assert np.array_equal(lp2.matrix.toarray(), lp.matrix.toarray())
-
-    def test_round_trip_solve_agrees(self, tmp_path):
-        rng = np.random.default_rng(11)
-        lp = LinearProgram.build(
-            rng.normal(size=6),
-            rng.normal(size=(5, 6)),
-            ["<="] * 5,
-            np.abs(rng.normal(size=5)) + 0.5,
-            upper_bounds=np.full(6, 4.0),
-        )
-        direct = solve_lp(lp)
-        p = tmp_path / "s.lp"
-        export_lp_text(lp, p)
-        reparsed = solve_lp(parse_lp_text(p))
-        assert abs(direct.objective - reparsed.objective) <= 1e-9
-
-    def test_export_empty_lp_rejected(self, tmp_path):
-        lp = LinearProgram.build([], sp.csr_matrix((0, 0)), [], [])
-        with pytest.raises(LpFormatError):
-            export_lp_text(lp, tmp_path / "e.lp")
-
-    def test_certification_lp_file_row_count(self, tmp_path):
-        # a 3-node, 2-fragile-edge certification instance exports exactly
-        # 3 + 2 + 3 + 1 = 9 constraint rows
-        import numpy as np
-        from pagecert.graph import DirectedGraph, build_scenario
-        from pagecert.qclp_global import (
-            assemble_relaxed_lp, build_aux_mdp, compute_upper_bounds,
-        )
-        edges = [(0, 1), (1, 0), (1, 2), (2, 1)]
-        G = DirectedGraph.from_edges(3, edges)
-        S = build_scenario(
-            G, "custom", fixed_edges=edges, fragile_edges=[(0, 2), (2, 0)],
-            local_budgets=[1, 0, 1],
-        )
-        mdp = build_aux_mdp(G, S, 0.85, np.ones(3))
-        inst = assemble_relaxed_lp(
-            mdp, S, np.array([1.0, 0.0, 0.0]),
-            compute_upper_bounds(G, S, 0.85),
-        )
-        p = tmp_path / "qclp.lp"
-        export_lp_text(inst.lp, p)
-        text = p.read_text().splitlines()
-        start = text.index("Subject To") + 1
-        end = text.index("Bounds")
-        assert end - start == 9
-        reparsed = parse_lp_text(p)
-        assert reparsed.n_rows == 9
-        assert reparsed.n_vars == 7
-
-    def test_import_solution(self, tmp_path):
-        lp = simple_lp(names=["x"])
-        p = tmp_path / "sol.txt"
-        p.write_text("x 3\n")
-        sol = import_solution(p, lp)
-        assert sol.x[0] == 3.0
-        assert sol.objective == 3.0
-
-    def test_import_unknown_name(self, tmp_path):
-        lp = simple_lp(names=["x"])
-        p = tmp_path / "sol.txt"
-        p.write_text("bogus 1\n")
-        with pytest.raises(LpFormatError, match="bogus"):
-            import_solution(p, lp)
-
-    def test_import_missing_defaults_zero(self, tmp_path, caplog):
-        lp = LinearProgram.build(
-            [1.0, 1.0], [[1.0, 1.0]], ["<="], [4.0], names=["a", "b"]
-        )
-        p = tmp_path / "sol.txt"
-        p.write_text("a 2.5\n")
-        with caplog.at_level("WARNING"):
-            sol = import_solution(p, lp)
-        assert sol.x.tolist() == [2.5, 0.0]
-        assert sol.stats["missing_defaulted"] == 1
-        assert "1 variables missing" in caplog.text
-
-    def test_parses_minimize_and_ge_rows(self, tmp_path):
-        # foreign dialect: Minimize objective and >= rows normalize to
-        # max / <= form
-        p = tmp_path / "foreign.lp"
-        p.write_text(
-            "Minimize\n obj: 2 a - 1 b\n"
-            "Subject To\n c0: a + b >= 1\n c1: a - b <= 4\n"
-            "Bounds\n a <= 3\n b <= 3\nEnd\n"
-        )
-        lp = parse_lp_text(p)
-        assert np.array_equal(lp.objective, [-2.0, 1.0])
-        assert list(lp.senses) == ["<=", "<="]
-        sol = solve_lp(lp)
-        # max -2a + b st a + b >= 1, bounds -> a = 0, b = 3
-        assert abs(sol.objective - 3.0) <= 1e-9
-        assert np.allclose(sol.x, [0.0, 3.0], atol=1e-9)
-
-    def test_hypothesis_round_trip(self, tmp_path):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-        @settings(max_examples=30, deadline=None)
-        @given(
-            st.lists(finite, min_size=1, max_size=6),
-            st.data(),
-        )
-        def check(objective, data):
-            n = len(objective)
-            m = data.draw(st.integers(0, 4))
-            rows = [
-                [data.draw(finite) for _ in range(n)] for _ in range(m)
-            ]
-            senses = [data.draw(st.sampled_from(["<=", "="])) for _ in range(m)]
-            rhs = [data.draw(finite) for _ in range(m)]
-            ubs = [
-                data.draw(st.one_of(st.none(), st.floats(0.0, 1e6)))
-                for _ in range(n)
-            ]
-            lp = LinearProgram.build(
-                objective, np.asarray(rows).reshape(m, n), senses, rhs,
-                upper_bounds=[np.inf if u is None else u for u in ubs],
-            )
-            path = tmp_path / "h.lp"
-            export_lp_text(lp, path)
-            lp2 = parse_lp_text(path)
-            assert lp2.names == lp.names
-            assert np.array_equal(lp2.objective, lp.objective)
-            assert np.array_equal(lp2.rhs, lp.rhs)
-            assert np.array_equal(lp2.upper_bounds, lp.upper_bounds)
-            assert np.array_equal(lp2.matrix.toarray(), lp.matrix.toarray())
-
-        check()
-
-    def test_import_recomputes_objective(self, tmp_path):
-        rng = np.random.default_rng(5)
-        lp = LinearProgram.build(
-            rng.normal(size=4), rng.normal(size=(3, 4)), ["<="] * 3,
-            np.abs(rng.normal(size=3)) + 1.0,
-            upper_bounds=np.full(4, 5.0),
-        )
-        sol = solve_lp(lp)
-        p = tmp_path / "sol.txt"
-        p.write_text(
-            "\n".join(f"{n} {v:.12g}" for n, v in zip(lp.names, sol.x)) + "\n"
-        )
-        imported = import_solution(p, lp)
-        assert abs(imported.objective - sol.objective) <= 1e-6
