@@ -320,8 +320,9 @@ def run(cfg: RunConfig) -> int:
             print(f"config error: {e}", file=sys.stderr)
         return 2
     mode, alpha, seed = cfg["mode"], cfg["alpha"], cfg["seed"]
+    # the output directory is made just before the first write, so a run
+    # refused for a bad input leaves none behind
     outdir = Path(cfg["paths.output"])
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
     if mode == "gen-sbm":
@@ -329,6 +330,7 @@ def run(cfg: RunConfig) -> int:
         G = graph.generate_sbm(n, blocks, cfg["sbm.p_in"], cfg["sbm.p_out"], seed)
         labels = graph.sbm_block_labels(n, blocks)
         epath, lpath = outdir / "graph.tsv", outdir / "labels.tsv"
+        outdir.mkdir(parents=True, exist_ok=True)
         with epath.open("w", encoding="utf-8") as fh:
             for s, d in G.edges:
                 fh.write(f"{s}\t{d}\n")
@@ -359,6 +361,7 @@ def run(cfg: RunConfig) -> int:
         trained, history = robust_train.train_robust(
             model, X, y, G, S, alpha, config, train_idx, val_idx,
         )
+        outdir.mkdir(parents=True, exist_ok=True)
         models.save_model(trained, outdir / "model.bin")
         analysis.write_table_csv(
             outdir / "history.csv",
@@ -378,6 +381,7 @@ def run(cfg: RunConfig) -> int:
         else:
             S = _build_scenario(cfg, G)
             H = _logits_for(cfg, G, y)
+            outdir.mkdir(parents=True, exist_ok=True)
             graph.dump_scenario(S, outdir / "scenario.txt")
             outputs.append("scenario.txt")
             if mode == "certify-global":
@@ -395,6 +399,7 @@ def run(cfg: RunConfig) -> int:
             outputs.append("certificates.jsonl")
         full = y if y is not None and (y >= 0).all() else None
         report = analysis.build_report(certs, G, true_labels=full, purity_labels=y)
+        outdir.mkdir(parents=True, exist_ok=True)
         analysis.write_summary_csv(report, outdir / "summary.csv")
         outputs.append("summary.csv")
         if mode == "attack":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,11 @@ def encode_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
 def decode_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     return np.column_stack((keys // node_count, keys % node_count))
+
+
+# one (src, dst) int64 row as a single element, so that a boolean mask copies
+# whole rows in one pass
+_EDGE_RECORD = np.dtype((np.void, 16))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -163,6 +169,22 @@ class PerturbationScenario:
                 f"edge ({bad[0]}, {bad[1]}) is not a fragile edge"
             )
         return pos
+
+    @cached_property
+    def _merged_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The disjoint, sorted fixed and fragile lists merged into one
+        (src, dst)-sorted list of edge records, the row of each fragile
+        edge in it, and the mask of the fixed rows."""
+        n = self.node_count
+        rows = (np.searchsorted(encode_edges(self.fixed_edges, n),
+                                encode_edges(self.fragile_edges, n))
+                + np.arange(self.fragile_count))
+        fixed = np.ones(self.fixed_edges.shape[0] + self.fragile_count, dtype=bool)
+        fixed[rows] = False
+        merged = np.empty((fixed.size, 2), dtype=np.int64)
+        merged[rows] = self.fragile_edges
+        merged[fixed] = self.fixed_edges
+        return merged.view(_EDGE_RECORD).ravel(), rows, fixed
 
 
 def _make_scenario(
@@ -314,6 +336,12 @@ def build_scenario(
             raise ScenarioValidationError("custom mode needs fixed_edges and fragile_edges")
         fixed = np.asarray(fixed_edges, dtype=np.int64).reshape(-1, 2)
         fragile = np.asarray(fragile_edges, dtype=np.int64).reshape(-1, 2)
+        # flipped_graph trusts the scenario's edges, and an endpoint outside
+        # [0, n) would alias another edge's key
+        for what, e in (("fixed", fixed), ("fragile", fragile)):
+            if e.size and (e.min() < 0 or e.max() >= n):
+                raise ScenarioValidationError(
+                    f"{what} edge endpoint out of range [0, {n})")
     else:
         raise ScenarioValidationError(f"unknown scenario mode {mode!r}")
 
@@ -343,10 +371,17 @@ def apply_policy(G: DirectedGraph, S: PerturbationScenario, P: EdgePolicy) -> Di
 
 
 def flipped_graph(S: PerturbationScenario, flipped: np.ndarray) -> DirectedGraph:
-    """The perturbed graph for a boolean flip mask over S.fragile_edges."""
-    present = S.fragile_in_base ^ flipped
-    edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
-    return DirectedGraph.from_edges(S.node_count, edges, allow_self_loops=True)
+    """The perturbed graph for a boolean flip mask over S.fragile_edges.
+
+    Its edges are S's merged edge list with the absent fragile edges masked
+    out, so they are already sorted and need no validation.
+    """
+    records, rows, keep = S._merged_edges
+    keep = keep.copy()
+    keep[rows] = S.fragile_in_base ^ flipped
+    e = records[keep].view(np.int64).reshape(-1, 2)
+    deg = np.bincount(e[:, 0], minlength=S.node_count).astype(np.int64)
+    return DirectedGraph(S.node_count, _readonly(e), _readonly(deg))
 
 
 def generate_sbm(

@@ -17,6 +17,12 @@ Ties: a flip that is already selected keeps its place unless a rival beats
 it by more than IMPROVE_TOL, so two flips whose scores differ only by
 rounding cannot swap places every round.
 
+Selection: only edges scoring above IMPROVE_TOL can be kept, and they lead
+their source's ranking, so a source with at most its budget of them keeps
+all of them unsorted. Only the candidates of sources where the budget binds
+are ranked (score desc, then currently flipped first, then target asc), which
+keeps exactly the flips a rank of every fragile edge would keep.
+
 Pair margins: the run for (c1, c2) uses the reward r = -h with
 h = H[:, c1] - H[:, c2], so its final value x solves (I - alpha P) x = -h on
 the optimal graph, and the worst margins pi(e_t)^T h of every node t are
@@ -108,12 +114,6 @@ def optimize_local(
     dst = S.fragile_edges[:, 1]
     sign = np.where(S.fragile_in_base, -1.0, 1.0)
 
-    # The fragile order is sorted by src, and so is every per-source sort
-    # below, so position i holds an edge of source src[i] whose rank within
-    # its source's block is i minus the block start.
-    rank_in_block = np.arange(m) - np.searchsorted(src, src)
-    budget_at = S.local_budget[src]
-
     traces: list[list[np.ndarray]] = [[] for _ in range(q)]
     results: list[PolicyIterationResult | None] = [None] * q
     live = list(range(q))
@@ -130,21 +130,18 @@ def optimize_local(
             if m:
                 # a selected flip loses its place only to a rival better by
                 # more than IMPROVE_TOL
-                score = (sign * (x[dst] - (x[src] - r[src]) / alpha)
+                score = (sign * (x[dst] - ((x - r) / alpha)[src])
                          + IMPROVE_TOL * flipped[j])
-                # sort within each source block by score desc, keeping
-                # currently selected edges first on exact ties, then by target
-                curr_rank = np.where(flipped[j], 0, 1)
-                order = np.lexsort((dst, curr_rank, -score, src))
-                take = (rank_in_block < budget_at) & (score[order] > IMPROVE_TOL)
-                new_flipped = np.zeros(m, dtype=bool)
-                new_flipped[order[take]] = True
+                new_flipped = _select(score, flipped[j], src, S.local_budget)
                 if not np.array_equal(new_flipped, flipped[j]):
                     flipped[j] = new_flipped
                     moved.append(j)
                     continue
+            # fragile_edges is (src, dst)-sorted, and so is any masked subset
+            flips = S.fragile_edges[flipped[j]]
+            flips.setflags(write=False)
             results[j] = PolicyIterationResult(
-                policy=EdgePolicy.from_pairs(S.fragile_edges[flipped[j]]),
+                policy=EdgePolicy(flips),
                 value=x,
                 iterations=k,
                 trace=traces[j],
@@ -156,6 +153,35 @@ def optimize_local(
     if R.ndim == 1:
         return results[0]
     return LockstepResult(results, max((res.iterations for res in results), default=0))
+
+
+def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
+            budget: np.ndarray) -> np.ndarray:
+    """The flip mask one round keeps: per source v, the best budget[v] edges
+    scoring above IMPROVE_TOL, ranked by score desc, then currently flipped
+    first, then target asc.
+
+    The edges are in (src, dst) order, so index order is target order within
+    a source. A source with at most budget[v] candidates keeps them all.
+    """
+    take = score > IMPROVE_TOL
+    cand = np.flatnonzero(take)
+    cand_src = src[cand]
+    binds = np.bincount(cand_src, minlength=budget.size) > budget
+    ranked = cand[binds[cand_src]]
+    if ranked.size:
+        take[ranked] = False
+        # stable sorts from index (target) order, least significant key
+        # first; node ids go in the narrowest unsigned type, which numpy
+        # radix-sorts up to 16 bits
+        f = flipped[ranked]
+        order = np.concatenate((ranked[f], ranked[~f]))
+        order = order[np.argsort(-score[order], kind="stable")]
+        key = src[order].astype(np.min_scalar_type(budget.size))
+        order = order[np.argsort(key, kind="stable")]
+        s = src[order]
+        take[order[np.arange(order.size) - np.searchsorted(s, s) < budget[s]]] = True
+    return take
 
 
 def class_pairs(class_count: int) -> list[tuple[int, int]]:

@@ -393,6 +393,18 @@ train.per_class = 4
         assert main(["--config", str(cfg)]) == 4
         assert f"{name}:{lineno}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["certify-local", "train"])
+    def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, mode):
+        # both configs write their outputs to tmp_path / "train"
+        cfg = (self._train_config(tmp_path) if mode == "train"
+               else base_config(tmp_path, "train"))
+        graph_tsv = tmp_path / "graph.tsv"
+        graph_tsv.write_bytes(graph_tsv.read_bytes() + b"\xff\t2\n")
+        assert main(["--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "graph.tsv:" in err and "not UTF-8 text" in err
+        assert not (tmp_path / "train").exists()
+
     def test_missing_graph_file_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

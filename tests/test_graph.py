@@ -14,6 +14,7 @@ from pagecert.graph import (
     build_scenario,
     dump_scenario,
     encode_edges,
+    flipped_graph,
     generate_sbm,
     largest_connected_component,
     load_graph,
@@ -147,6 +148,18 @@ class TestBuildScenario:
                 fragile_edges=[(2, 0)],
                 local_budgets=[0, 0, 1],
             )
+
+    @pytest.mark.parametrize("fixed, fragile", [
+        ([(0, 1), (1, 0), (1, 2), (2, 1)], [(0, 5)]),
+        ([(0, 1), (1, 0), (1, 2), (2, 1)], [(2, 5)]),
+        ([(0, 1), (1, 0), (1, 2), (2, 1)], [(-1, 1)]),
+        ([(0, 1), (1, 0), (1, 2), (2, 3)], [(2, 1)]),
+    ], ids=["fragile-aliases-an-edge", "fragile-past-n", "fragile-negative",
+            "fixed-past-n"])
+    def test_custom_endpoint_out_of_range_rejected(self, fixed, fragile):
+        G = DirectedGraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        with pytest.raises(ScenarioValidationError, match=r"out of range \[0, 3\)"):
+            build_scenario(G, "custom", fixed_edges=fixed, fragile_edges=fragile)
 
     def test_uncovered_clean_edges_rejected(self):
         G = DirectedGraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
@@ -327,3 +340,37 @@ def test_policy_flip_involution(n, extra, seed):
     keys_once = set(encode_edges(once.edges, n).tolist())
     flipped_keys = set(encode_edges(P.flips, n).tolist()) if len(P) else set()
     assert keys_once ^ keys_base == flipped_keys
+
+
+def _scenario(mode: str, n: int, rng: np.random.Generator):
+    G = random_connected_graph(rng, n, extra=3)
+    if mode != "custom":
+        return build_scenario(G, mode)
+    # the ring is fixed; the chords and a random set of other pairs,
+    # self-loops included, are fragile
+    ring = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+    others = [(a, b) for a in range(n) for b in range(n)
+              if (a, b) not in ring and ((a, b) in edge_set(G) or rng.random() < 0.3)]
+    return build_scenario(G, "custom", fixed_edges=sorted(ring),
+                          fragile_edges=np.array(others).reshape(-1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["remove-only", "add-and-remove", "custom"]),
+       st.integers(3, 9), st.integers(0, 2**31 - 1))
+def test_flipped_graph_matches_sorted_rebuild(mode, n, seed):
+    """The merged perturbed graph equals a sort of fixed + present fragile
+    edges: same edges, out-degrees, dtypes and read-only flags."""
+    rng = np.random.default_rng(seed)
+    S = _scenario(mode, n, rng)
+    m = S.fragile_count
+    for flipped in (np.zeros(m, bool), np.ones(m, bool), rng.random(m) < 0.5):
+        got = flipped_graph(S, flipped)
+        want = DirectedGraph.from_edges(
+            n, np.concatenate([S.fixed_edges, S.fragile_edges[S.fragile_in_base ^ flipped]]),
+            allow_self_loops=True)
+        assert got.node_count == want.node_count
+        for a, b in ((got.edges, want.edges), (got.out_degree, want.out_degree)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable and a.flags.c_contiguous

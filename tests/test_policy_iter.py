@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagecert import oracle, ppr
 from pagecert.graph import apply_policy, build_scenario
 from pagecert.policy_iter import (
+    IMPROVE_TOL,
     MARGIN_EPS,
+    _select,
     certify_local_all,
     class_pairs,
     optimize_local,
@@ -133,6 +137,49 @@ class TestOptimizeLocal:
         again = optimize_local(G, S, ALPHA, r, init=res.policy)
         assert again.iterations == 1
         assert np.array_equal(again.policy.flips, res.policy.flips)
+
+
+def select_by_full_sort(score, flipped, src, dst, budget):
+    """Reference rule: rank every fragile edge in one lexsort by (source,
+    score desc, currently flipped first, target) and keep the first budget[v]
+    of each source's block that score above IMPROVE_TOL."""
+    m = score.size
+    rank_in_block = np.arange(m) - np.searchsorted(src, src)
+    order = np.lexsort((dst, np.where(flipped, 0, 1), -score, src))
+    take = (rank_in_block < budget[src]) & (score[order] > IMPROVE_TOL)
+    new = np.zeros(m, dtype=bool)
+    new[order[take]] = True
+    return new
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["remove-only", "add-and-remove"]),
+       st.sampled_from(["diffusion", "small-set"]),
+       st.sampled_from(["random", "zero", "all-bind"]), st.integers(0, 2**31 - 1))
+def test_select_matches_full_sort(n, mode, scores, budgets, seed):
+    rng = np.random.default_rng(seed)
+    # sorted, distinct (src, dst) pairs; some sources get none
+    keys = np.flatnonzero(rng.random(n * n) < rng.choice([0.2, 0.6, 1.0]))
+    src, dst = keys // n, keys % n
+    m = keys.size
+    in_base = np.ones(m, bool) if mode == "remove-only" else rng.random(m) < 0.5
+    flipped = rng.random(m) < 0.4
+    if scores == "diffusion":
+        # the loop's score on small integer values: exact ties are common
+        x = rng.integers(0, 3, n).astype(float)
+        r = rng.integers(-1, 2, n).astype(float)
+        sign = np.where(in_base, -1.0, 1.0)
+        score = sign * (x[dst] - ((x - r) / 0.5)[src]) + IMPROVE_TOL * flipped
+    else:
+        score = rng.choice([-1.0, 0.0, IMPROVE_TOL, 2 * IMPROVE_TOL, 0.5], m)
+    per_source = np.bincount(src, minlength=n)
+    cand = np.bincount(src[score > IMPROVE_TOL], minlength=n)
+    budget = {"random": lambda: rng.integers(0, per_source + 1),
+              "zero": lambda: np.zeros(n, np.int64),
+              "all-bind": lambda: rng.integers(0, np.maximum(cand, 1))}[budgets]()
+    got = _select(score, flipped, src, budget)
+    assert np.array_equal(got, select_by_full_sort(score, flipped, src, dst, budget))
+    assert np.all(np.bincount(src[got], minlength=n) <= budget)
 
 
 class TestCertifyLocalAll:
