@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,18 +45,10 @@ _REQUIRED = {
 }
 
 
-@dataclass(frozen=True)
-class Above:
-    """An exclusive lower bound: the key's value must be greater than bound."""
-
-    bound: float
-
-
 # key -> (kind, default, doc, least). kind is int, float, bool, str or the
 # tuple of allowed strings; a None default leaves the key unset; least is the
-# smallest value a numeric key accepts, or Above(bound) for a key that must
-# exceed bound. train.reg's default depends on the mode, so its two readers
-# supply it.
+# smallest value a numeric key accepts. train.reg's default depends on the
+# mode, so its two readers supply it.
 KEYS = {
     "mode": (tuple(_REQUIRED), None,
              "certify-local | certify-global | train | attack | gen-sbm | report", None),
@@ -79,10 +72,6 @@ KEYS = {
     "scenario.global_budget": (int, None, "global budget B (blank = unlimited)", 0),
     "solver.bound_method": (("closed_form", "policy_opt"), "closed_form",
                             "closed_form | policy_opt", None),
-    "solver.lp_feasibility": (float, 1e-7, "LP feasibility tolerance (default 1e-7)",
-                              Above(0)),
-    "solver.lp_optimality": (float, 1e-9, "LP optimality tolerance (default 1e-9)",
-                             Above(0)),
     "targets.count": (int, None, "number of sampled targets for certify-global", 1),
     "targets.seed": (int, 0, "sampling seed", 0),
     "train.loss": (("ce", "rce", "cem"), "ce", "ce | rce | cem", None),
@@ -152,10 +141,7 @@ def _parse(key: str, text: str):
         raise ConfigError(f"{key}: not {_KIND_NAMES[kind]}: {text!r}") from None
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key}: not a finite number: {text!r}")
-    if isinstance(least, Above):
-        if not value > least.bound:
-            raise ConfigError(f"{key} must be > {least.bound}, got {value}")
-    elif least is not None and value < least:
+    if least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
 
@@ -313,6 +299,16 @@ def _write_manifest(cfg: RunConfig, outdir: Path, outputs: list[str]) -> None:
     )
 
 
+def _check_output_dir(outdir: Path) -> None:
+    """Refuse an output directory that cannot be made, before any input is
+    read: its nearest existing ancestor must be a writable directory."""
+    ancestor = outdir.absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise OSError(f"paths.output {outdir}: {ancestor} is not a writable directory")
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured pipeline; returns a process exit status."""
     if cfg.errors:
@@ -323,6 +319,7 @@ def run(cfg: RunConfig) -> int:
     # the output directory is made just before the first write, so a run
     # refused for a bad input leaves none behind
     outdir = Path(cfg["paths.output"])
+    _check_output_dir(outdir)
     outputs: list[str] = []
 
     if mode == "gen-sbm":
@@ -385,13 +382,9 @@ def run(cfg: RunConfig) -> int:
             graph.dump_scenario(S, outdir / "scenario.txt")
             outputs.append("scenario.txt")
             if mode == "certify-global":
-                tols = lp_solver.SolverTolerances(
-                    feasibility=cfg["solver.lp_feasibility"],
-                    optimality=cfg["solver.lp_optimality"],
-                )
                 certs = qclp_global.certify_global(
                     G, S, alpha, H, _sample_targets(cfg, G.node_count),
-                    bound_method=cfg["solver.bound_method"], tols=tols,
+                    bound_method=cfg["solver.bound_method"],
                 )
             else:
                 certs = policy_iter.certify_local_all(G, S, alpha, H)

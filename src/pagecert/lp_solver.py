@@ -1,9 +1,9 @@
 """Deterministic linear programming: the internal revised simplex.
 
 The simplex works over sparse constraint rows with a dense basis inverse.
-Phase 1 finds a feasible vertex from artificials; a caller that knows a
-primal feasible basis passes it as ``start`` and skips phase 1
-(certify_global starts every relaxed LP at the clean graph's basis).
+Every solve starts from a primal feasible basis that the caller supplies
+as ``start`` (certify_global starts every relaxed LP at the clean graph's
+basis), so there is one simplex phase and no search for a feasible point.
 Pricing scales reduced costs by static column norms; after a stall it falls
 back to Bland's rule, which guarantees termination on the highly degenerate
 instances the certification pipeline produces. The dense basis inverse
@@ -21,13 +21,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class SolverTolerances:
-    feasibility: float = 1e-7     # accepted constraint violation
-    optimality: float = 1e-9      # reduced-cost threshold
-
-
-DEFAULT_TOLERANCES = SolverTolerances()
+FEASIBILITY_TOL = 1e-7    # accepted constraint violation
+OPTIMALITY_TOL = 1e-9     # reduced-cost threshold
 PIVOT_TOL = 1e-9          # smallest usable pivot element
 STALL_WINDOW = 50         # iterations without progress before Bland
 REFACTOR_EVERY = 100      # pivots between basis-inverse refactorizations
@@ -99,7 +94,7 @@ class LinearProgram:
 
 @dataclass(eq=False)
 class LpSolution:
-    status: str                  # "optimal" | "infeasible" | "unbounded"
+    status: str                  # "optimal" | "unbounded"
     objective: float | None
     x: np.ndarray | None
     stats: dict
@@ -145,22 +140,16 @@ def _check_start(start, n_struct: int, n_eq: int) -> np.ndarray:
 class _Simplex:
     """Revised simplex working state for one standardized problem.
 
-    Columns: n structural, then one slack per inequality row, then one
-    artificial per row that needs it. Finite upper bounds become explicit
-    "<=" rows after the constraint rows. The basis inverse is dense and
-    refactorized periodically.
-
-    Without a start basis the rhs is made nonnegative and the artificials
-    form the initial basis, for phase 1. A start basis (structural columns,
-    one per "=" row, plus every slack) needs neither: it is factored and
-    checked for primal feasibility, and phase 2 starts from it.
+    Columns: n structural, then one slack per inequality row. Finite upper
+    bounds become explicit "<=" rows after the constraint rows. The start
+    basis (structural columns, one per "=" row, plus every slack) is
+    factored and checked for primal feasibility. The basis inverse is dense
+    and refactorized periodically.
     """
 
-    def __init__(self, lp: LinearProgram, tols: SolverTolerances,
-                 start: np.ndarray | None = None):
+    def __init__(self, lp: LinearProgram, start):
         import scipy.sparse as sp
 
-        self.tols = tols
         n = lp.n_vars
         A = lp.matrix.tocoo()
         ub_cols = np.flatnonzero(np.isfinite(lp.upper_bounds))
@@ -171,57 +160,36 @@ class _Simplex:
         b = np.concatenate([lp.rhs, lp.upper_bounds[ub_cols]])
         le = np.concatenate([lp.senses == "<=", np.ones(ub_cols.size, dtype=bool)])
 
-        if start is None:
-            # normalize rhs >= 0; rows without a usable slack get an artificial
-            neg = b < 0
-            data = np.where(neg[rows], -data, data)
-            b = np.where(neg, -b, b)
-            art_rows = np.flatnonzero(~le | neg)
-        else:
-            neg = np.zeros(m, dtype=bool)
-            art_rows = np.empty(0, dtype=np.int64)
         slack_rows = np.flatnonzero(le)
         slack_col = np.full(m, -1, dtype=np.int64)
         slack_col[slack_rows] = n + np.arange(slack_rows.size)
-        art_col = np.full(m, -1, dtype=np.int64)
-        art_col[art_rows] = n + slack_rows.size + np.arange(art_rows.size)
-        rows = np.concatenate([rows, slack_rows, art_rows])
-        cols = np.concatenate([cols, slack_col[slack_rows], art_col[art_rows]])
-        data = np.concatenate([data, np.where(neg[slack_rows], -1.0, 1.0),
-                               np.ones(art_rows.size)])
+        rows = np.concatenate([rows, slack_rows])
+        cols = np.concatenate([cols, slack_col[slack_rows]])
+        data = np.concatenate([data, np.ones(slack_rows.size)])
 
         self.n_struct = n
         self.m = m
-        self.total = n + slack_rows.size + art_rows.size
-        self._set_matrix(sp.csc_matrix((data, (rows, cols)), shape=(m, self.total)))
+        self.total = n + slack_rows.size
+        # A, its transpose for pricing, and its CSC arrays for column
+        # scatters, so no pivot builds a sparse object
+        self.A = sp.csc_matrix((data, (rows, cols)), shape=(m, self.total))
+        self.AT = self.A.T
+        self.indptr, self.indices, self.data = (self.A.indptr, self.A.indices,
+                                                self.A.data)
         self.b = b
-        self.is_artificial = np.zeros(self.total, dtype=bool)
-        self.is_artificial[art_col[art_rows]] = True
         self.col_norms = np.sqrt(np.asarray(self.A.multiply(self.A).sum(axis=0)).ravel())
         self.col_norms = np.maximum(self.col_norms, 1.0)
         self.pivots = 0
-        if start is None:
-            self.basis = np.where(art_col >= 0, art_col, slack_col)
-            self.Binv = np.asfortranarray(np.eye(m))
-            self.xB = b.copy()
-        else:
-            self.basis = slack_col.copy()
-            self.basis[~le] = _check_start(start, n, int(np.count_nonzero(~le)))
-            self.refactor()
-            lowest = float(self.xB.min(initial=0.0))
-            if lowest < -tols.feasibility:
-                raise LpError(
-                    f"start basis is not primal feasible: a basic variable "
-                    f"is {lowest:.3e} < -{tols.feasibility:g}"
-                )
-            self.xB = np.maximum(self.xB, 0.0)
-
-    def _set_matrix(self, A: sp.csc_matrix) -> None:
-        """Keep A, its transpose for pricing, and its CSC arrays for
-        column scatters, so no pivot builds a sparse object."""
-        self.A = A
-        self.AT = A.T
-        self.indptr, self.indices, self.data = A.indptr, A.indices, A.data
+        self.basis = slack_col
+        self.basis[~le] = _check_start(start, n, int(np.count_nonzero(~le)))
+        self.refactor()
+        lowest = float(self.xB.min(initial=0.0))
+        if lowest < -FEASIBILITY_TOL:
+            raise LpError(
+                f"start basis is not primal feasible: a basic variable "
+                f"is {lowest:.3e} < -{FEASIBILITY_TOL:g}"
+            )
+        self.xB = np.maximum(self.xB, 0.0)
 
     def column(self, j: int) -> np.ndarray:
         lo, hi = self.indptr[j], self.indptr[j + 1]
@@ -240,11 +208,10 @@ class _Simplex:
             ) from exc
         self.xB = self.Binv @ self.b
 
-    def run_phase(self, c: np.ndarray, allowed: np.ndarray) -> str:
-        """Maximize c over the current basis; returns "optimal" or "unbounded"."""
+    def maximize(self, c: np.ndarray) -> str:
+        """Maximize c from the current basis; returns "optimal" or "unbounded"."""
         from scipy.linalg.blas import dger
 
-        tols = self.tols
         max_iter = 2000 + 50 * (self.m + self.total)
         bland = False
         stall = 0
@@ -259,7 +226,7 @@ class _Simplex:
             y = c[self.basis] @ self.Binv
             d = c - self.AT @ y
             d[self.basis] = 0.0
-            cand = (d > tols.optimality) & allowed
+            cand = d > OPTIMALITY_TOL
             if not cand.any():
                 return "optimal"
             if bland:
@@ -298,89 +265,40 @@ class _Simplex:
                 if stall >= STALL_WINDOW and not bland:
                     bland = True
 
-    def drive_out_artificials(self) -> None:
-        """Pivot basic artificials out; delete rows that turn out redundant."""
-        redundant = []
-        for i in range(self.m):
-            if not self.is_artificial[self.basis[i]]:
-                continue
-            row = np.asarray(self.AT @ self.Binv[i]).ravel()
-            row[self.is_artificial] = 0.0
-            row[self.basis] = 0.0
-            cands = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if cands.size == 0:
-                redundant.append(i)
-                continue
-            j = int(cands[0])
-            w = self.Binv @ self.column(j)
-            piv = w[i]
-            pivrow = self.Binv[i] / piv
-            self.Binv -= np.outer(w, pivrow)
-            self.Binv[i] = pivrow
-            theta = self.xB[i] / piv
-            self.xB -= theta * w
-            self.xB[i] = theta
-            self.xB = np.maximum(self.xB, 0.0)
-            self.basis[i] = j
-        if redundant:
-            keep = np.setdiff1d(np.arange(self.m), np.asarray(redundant))
-            self._set_matrix(self.A[keep].tocsc())
-            self.b = self.b[keep]
-            self.basis = self.basis[keep]
-            self.m = keep.size
-            self.refactor()
-
     def solution(self) -> np.ndarray:
         x = np.zeros(self.total)
         x[self.basis] = self.xB
         return x[: self.n_struct]
 
 
-def solve_lp(lp: LinearProgram, tols: SolverTolerances = DEFAULT_TOLERANCES,
-             start: np.ndarray | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start) -> LpSolution:
     """Solve to a vertex-optimal basic solution; deterministic across runs.
 
-    Without ``start`` phase 1 finds a feasible vertex from artificials.
     ``start`` lists the structural columns of a known primal feasible basis,
     one per "=" row; the slacks of all "<=" rows (upper-bound rows
-    included) complete it, and only phase 2 runs. A start of the wrong
-    length, with repeated or non-structural columns, raises LpFormatError;
-    a start whose basic values fall below -tols.feasibility raises LpError.
+    included) complete it. A start of the wrong length, with repeated or
+    non-structural columns, raises LpFormatError; a start whose basic
+    values fall below -FEASIBILITY_TOL raises LpError.
 
-    Infeasible/unbounded are reported as statuses. Numerical breakdown (a
-    singular basis, iteration explosion, or a returned point failing the
-    independent feasibility audit) raises NumericalBreakdownError.
+    Unbounded is reported as a status. Numerical breakdown (a singular
+    basis, iteration explosion, or a returned point failing the independent
+    feasibility audit) raises NumericalBreakdownError.
     """
-    state = _Simplex(lp, tols, start)
-    stats: dict = {}
-
-    phase1_cost = np.zeros(state.total)
-    phase1_cost[state.is_artificial] = -1.0
-    if state.is_artificial.any():
-        status = state.run_phase(phase1_cost, np.ones(state.total, dtype=bool))
-        if status != "optimal":
-            raise NumericalBreakdownError("phase 1 reported unbounded")
-        art_sum = float(-(phase1_cost[state.basis] @ state.xB))
-        stats["phase1_pivots"] = state.pivots
-        if art_sum > tols.feasibility * (1.0 + float(np.abs(state.b).max(initial=0.0))):
-            return LpSolution("infeasible", None, None, stats)
-        state.drive_out_artificials()
-
-    phase2_cost = np.zeros(state.total)
-    phase2_cost[: state.n_struct] = lp.objective
-    allowed = ~state.is_artificial
-    status = state.run_phase(phase2_cost, allowed)
-    stats["pivots"] = state.pivots
+    state = _Simplex(lp, start)
+    cost = np.zeros(state.total)
+    cost[: state.n_struct] = lp.objective
+    status = state.maximize(cost)
+    stats: dict = {"pivots": state.pivots}
     if status == "unbounded":
         return LpSolution("unbounded", None, None, stats)
 
     x = state.solution()
     viol = max_violation(lp, x)
-    if viol > tols.feasibility or bound_violation(lp, x) > 1e-9:
+    if viol > FEASIBILITY_TOL or bound_violation(lp, x) > 1e-9:
         state.refactor()
         x = state.solution()
         viol = max_violation(lp, x)
-        if viol > tols.feasibility:
+        if viol > FEASIBILITY_TOL:
             raise NumericalBreakdownError(
                 f"returned point violates constraints by {viol:.3e}"
             )

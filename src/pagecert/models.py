@@ -269,14 +269,37 @@ def save_features_bin(X: np.ndarray, path) -> None:
         fh.write(X.tobytes())
 
 
+def _read_binary(path, magic: bytes, what: str) -> memoryview:
+    """A binary file's bytes after its magic."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(magic):
+        raise ModelError(f"{path}: bad {what} magic")
+    return memoryview(raw)[len(magic):]
+
+
+def _read_dims(path, buf: memoryview, offset: int, count: int) -> tuple[int, ...]:
+    """count nonnegative int64 header fields of buf, from offset."""
+    if len(buf) < offset + 8 * count:
+        raise ModelError(f"{path}: header cut short")
+    dims = struct.unpack_from(f"<{count}q", buf, offset)
+    if any(v < 0 for v in dims):
+        raise ModelError(f"{path}: negative dimension in header {dims}")
+    return dims
+
+
+def _read_floats(path, buf: memoryview, offset: int, count: int) -> np.ndarray:
+    """The rest of buf from offset, which must be exactly count float64s
+    (a read-only view)."""
+    if len(buf) - offset != 8 * count:
+        raise ModelError(f"{path}: payload has {len(buf) - offset} bytes, "
+                         f"the header needs {8 * count}")
+    return np.frombuffer(buf[offset:], dtype=np.float64)
+
+
 def load_features_bin(path) -> np.ndarray:
-    with Path(path).open("rb") as fh:
-        magic = fh.read(len(FEATURES_MAGIC))
-        if magic != FEATURES_MAGIC:
-            raise ModelError(f"{path}: bad feature-file magic")
-        n, d = struct.unpack("<qq", fh.read(16))
-        data = np.frombuffer(fh.read(8 * n * d), dtype=np.float64)
-    return data.reshape(n, d).copy()
+    buf = _read_binary(path, FEATURES_MAGIC, "feature-file")
+    n, d = _read_dims(path, buf, 0, 2)
+    return _read_floats(path, buf, 16, n * d).reshape(n, d).copy()
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -293,16 +316,14 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with Path(path).open("rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ModelError(f"{path}: bad checkpoint magic")
-        (layers,) = struct.unpack("<q", fh.read(8))
-        dims = [struct.unpack("<qq", fh.read(16)) for _ in range(layers)]
-        weights, biases = [], []
-        for a, b in dims:
-            weights.append(
-                np.frombuffer(fh.read(8 * a * b), dtype=np.float64).reshape(a, b).copy()
-            )
-            biases.append(np.frombuffer(fh.read(8 * b), dtype=np.float64).copy())
+    buf = _read_binary(path, MODEL_MAGIC, "checkpoint")
+    (layers,) = _read_dims(path, buf, 0, 1)
+    flat = _read_dims(path, buf, 8, 2 * layers)
+    dims = list(zip(flat[::2], flat[1::2]))
+    values = _read_floats(path, buf, 8 + 16 * layers, sum(a * b + b for a, b in dims))
+    weights, biases = [], []
+    for a, b in dims:
+        weights.append(values[:a * b].reshape(a, b).copy())
+        biases.append(values[a * b:a * b + b].copy())
+        values = values[a * b + b:]
     return MlpModel(weights, biases)

@@ -340,7 +340,6 @@ def certify_global(
     targets,
     y: np.ndarray | None = None,
     bound_method: str = "closed_form",
-    tols: lp_solver.SolverTolerances = lp_solver.DEFAULT_TOLERANCES,
 ) -> list[GlobalCertificate]:
     """Margin lower bounds for the targets under local plus global budgets.
 
@@ -382,7 +381,7 @@ def certify_global(
             if c == yt:
                 continue
             inst = assemble_relaxed_lp(mdps[(yt, c)], S, z, xbar)
-            sol = lp_solver.solve_lp(inst.lp, tols, start=inst.clean_basis())
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             if sol.status != "optimal":
                 raise lp_solver.NumericalBreakdownError(
                     f"relaxed LP for target {t}, class {c} came back "

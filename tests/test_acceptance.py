@@ -115,7 +115,7 @@ class TestCriterion2Soundness:
                 r = -(H[:, yt] - H[:, c])
                 mdp = qclp_global.build_aux_mdp(G, S, ALPHA, r)
                 inst = qclp_global.assemble_relaxed_lp(mdp, S, z, xbar)
-                sol = lp_solver.solve_lp(inst.lp)
+                sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
                 assert sol.status == "optimal"
                 bound = min(bound, -sol.objective)
                 vec, pol, integral = qclp_global.recover_pagerank(sol, inst)
@@ -142,7 +142,7 @@ class TestCriterion2Soundness:
                     mdp, S_full, z,
                     qclp_global.compute_upper_bounds(G, S_full, ALPHA),
                 )
-                sol = lp_solver.solve_lp(inst.lp)
+                sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
                 res = policy_iter.optimize_local(G, S_full, ALPHA, r)
                 assert sol.objective >= (1 - ALPHA) * (z @ res.value) - 1e-8
                 _, _, integral = qclp_global.recover_pagerank(sol, inst)
@@ -357,7 +357,7 @@ class TestCriterion9KernelIdentities:
             inst = qclp_global.assemble_relaxed_lp(
                 mdp, S, z, qclp_global.compute_upper_bounds(G, S, ALPHA)
             )
-            sol = lp_solver.solve_lp(inst.lp)
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             vec, pol, integral = qclp_global.recover_pagerank(sol, inst)
             if integral:
                 g2 = graph.apply_policy(G, S, pol)

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from pagecert import robust_train
 from pagecert.cli import main, resolve_config, validate_config
 from pagecert.graph import generate_sbm, sbm_block_labels
+from pagecert.models import FEATURES_MAGIC
 
 
 def write_fixture(tmp_path, n=12, blocks=2, p_in=0.7, p_out=0.1, seed=2):
@@ -69,14 +71,19 @@ class TestConfigValidation:
         assert any("bogus.key" in w for w in warnings)
 
     def test_solver_method_key_is_gone(self, tmp_path, capsys):
-        # the graph's size picks the PageRank solver; an old config that
-        # still names one warns and runs
-        cfg = base_config(tmp_path, "sm", extra="solver.method = dense")
-        _, warnings = validate_config(cfg)
-        assert "unknown key 'solver.method' ignored" in warnings
+        # the graph's size picks the PageRank solver and the LP tolerances
+        # are fixed; an old config that still sets one of these warns and runs
         assert main(["--list-keys"]) == 0
-        assert "solver.method" not in capsys.readouterr().out
-        assert main(["--config", str(cfg)]) == 0
+        listed = capsys.readouterr().out
+        for i, setting in enumerate(["solver.method = dense",
+                                     "solver.lp_feasibility = 1e-6",
+                                     "solver.lp_optimality = 1e-8"]):
+            key = setting.split(" = ")[0]
+            cfg = base_config(tmp_path, f"sm{i}", extra=setting)
+            _, warnings = validate_config(cfg)
+            assert f"unknown key {key!r} ignored" in warnings, key
+            assert key not in listed
+            assert main(["--config", str(cfg)]) == 0, key
 
     @pytest.mark.parametrize("setting", [
         "solver.bound_method = bogus",
@@ -89,14 +96,11 @@ class TestConfigValidation:
         "sbm.p_out = abc",
         "train.lr = abc",
         "targets.count = abc",
-        "solver.lp_feasibility = zz",
         "graph.symmetrize = maybe",
         "graph.lcc = sure",
         "seed = -1",
         "targets.count = 0",
         "sbm.blocks = 0",
-        "solver.lp_feasibility = 0",
-        "solver.lp_optimality = -1e-9",
         "train.margin = nan",
         "train.lr = inf",
         "train.reg = -inf",
@@ -320,8 +324,12 @@ train.per_class = 4
 
     def test_import_and_train_load_no_scipy(self, tmp_path):
         # graphs of at most ppr.DENSE_LIMIT nodes never need a sparse matrix
-        # or the LP, so neither the import nor a train run may load scipy
+        # or the LP, so neither the import nor a train run may load scipy;
+        # certify-global runs the internal simplex and never loads HiGHS
         cfg = self._train_config(tmp_path)
+        (tmp_path / "g").mkdir()
+        gcfg = base_config(tmp_path / "g", "glob", mode="certify-global",
+                           extra="targets.count = 1")
         src = Path(__file__).resolve().parents[1] / "src"
         script = (
             "import sys\n"
@@ -330,11 +338,27 @@ train.per_class = 4
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"assert pagecert.cli.main(['--config', {str(gcfg)!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-I", "-c", script],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "True False"]
+
+    def test_unusable_output_fails_before_training(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before checking paths.output")
+
+        monkeypatch.setattr(robust_train, "train_robust", fail)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = self._train_config(tmp_path)
+        out = blocker / "train"
+        assert main(["--config", str(cfg), "--set", f"paths.output={out}"]) == 4
+        assert f"{blocker} is not a writable directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_train_patience_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []
@@ -381,6 +405,21 @@ train.per_class = 4
         cfg = base_config(tmp_path, "bf", extra=f"paths.features = {feats}")
         assert main(["--config", str(cfg)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        (struct.pack("<q", 12), "header cut short"),
+        (struct.pack("<qq", -1, 2), "negative dimension"),
+        (struct.pack("<qq", 12, 2) + bytes(8 * 23),
+         "payload has 184 bytes, the header needs 192"),
+        (struct.pack("<qq", 12, 2) + bytes(8 * 25),
+         "payload has 200 bytes, the header needs 192"),
+    ], ids=["short-header", "negative-dims", "short-payload", "long-payload"])
+    def test_malformed_bin_features_are_reported(self, tmp_path, capsys, body, message):
+        feats = tmp_path / "x.bin"
+        feats.write_bytes(FEATURES_MAGIC + body)
+        cfg = base_config(tmp_path, "bb", extra=f"paths.features = {feats}")
+        assert main(["--config", str(cfg)]) == 4
+        assert f"{feats}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, line", [
         ("graph.tsv", b"\xff\t2\n"), ("labels.tsv", b"3\t\xfe\n"),

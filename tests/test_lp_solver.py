@@ -10,9 +10,27 @@ from pagecert.lp_solver import (
     max_violation,
     solve_lp,
 )
-from pagecert.lp_solver import DEFAULT_TOLERANCES, _Simplex
+from pagecert.lp_solver import _Simplex
 
 from rational_simplex import solve_exact
+
+
+def exact(lp):
+    """The exact two-phase rational simplex's (status, objective)."""
+    status, obj, _ = solve_exact(
+        lp.objective.tolist(), lp.matrix.toarray().tolist(), list(lp.senses),
+        lp.rhs.tolist(),
+        [None if not np.isfinite(u) else float(u) for u in lp.upper_bounds],
+    )
+    return status, obj
+
+
+def assert_matches_exact(lp, sol, tol=1e-9):
+    status, obj = exact(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.objective - float(obj)) <= tol
+        assert max_violation(lp, sol.x) <= 1e-7
 
 
 def simple_lp(**kw):
@@ -26,38 +44,37 @@ def simple_lp(**kw):
 
 
 class TestSolve:
+    # every "<=" row has rhs >= 0, so the slacks alone (start=[]) are a
+    # feasible start unless the LP has "=" rows
     def test_one_var_bounded(self):
-        sol = solve_lp(simple_lp())
+        sol = solve_lp(simple_lp(), start=[])
         assert sol.status == "optimal"
         assert abs(sol.objective - 3.0) <= 1e-9
         assert abs(sol.x[0] - 3.0) <= 1e-9
 
     def test_unbounded(self):
         lp = LinearProgram.build([1.0], sp.csr_matrix((0, 1)), [], [])
-        assert solve_lp(lp).status == "unbounded"
-
-    def test_infeasible(self):
-        # x <= 1 and x >= 2 (as -x <= -2)
-        lp = LinearProgram.build(
-            [1.0], [[1.0], [-1.0]], ["<=", "<="], [1.0, -2.0]
-        )
-        assert solve_lp(lp).status == "infeasible"
+        sol = solve_lp(lp, start=[])
+        assert sol.status == "unbounded"
+        assert_matches_exact(lp, sol)
 
     def test_equality_rows(self):
-        # max x + y st x + y = 2, x - y <= 0  ->  any point on the segment
+        # max x + y st x + y = 2, x - y <= 0  ->  any point on the segment;
+        # y basic in the "=" row starts at (0, 2)
         lp = LinearProgram.build(
             [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "<="], [2.0, 0.0]
         )
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, start=[1])
         assert sol.status == "optimal"
         assert abs(sol.objective - 2.0) <= 1e-9
+        assert_matches_exact(lp, sol)
 
     def test_upper_bounds_respected(self):
         lp = LinearProgram.build(
             [1.0, 2.0], [[1.0, 1.0]], ["<="], [10.0],
             upper_bounds=[4.0, 3.0],
         )
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, start=[])
         assert sol.status == "optimal"
         assert abs(sol.objective - 10.0) <= 1e-9
         assert sol.x[1] <= 3.0 + 1e-9
@@ -68,32 +85,9 @@ class TestSolve:
         lp = LinearProgram.build(
             [1.0, 1.0], rows, ["<="] * 9, [1.0] * 8 + [0.5]
         )
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, start=[])
         assert sol.status == "optimal"
         assert abs(sol.objective - 1.0) <= 1e-9
-
-    def test_redundant_equalities(self):
-        lp = LinearProgram.build(
-            [1.0, 1.0],
-            [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]],
-            ["=", "=", "<="],
-            [2.0, 4.0, 1.5],
-        )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert abs(sol.objective - 2.0) <= 1e-9
-
-    def test_minimize_with_ge_row(self):
-        # min 2a - b st a + b >= 1, a - b <= 4, a, b <= 3, written as
-        # max -2a + b with the ">=" row as -a - b <= -1: the negative rhs
-        # is normalized in phase 1
-        lp = LinearProgram.build(
-            [-2.0, 1.0], [[-1.0, -1.0], [1.0, -1.0]], ["<=", "<="], [-1.0, 4.0],
-            upper_bounds=[3.0, 3.0],
-        )
-        sol = solve_lp(lp)
-        assert abs(sol.objective - 3.0) <= 1e-9
-        assert np.allclose(sol.x, [0.0, 3.0], atol=1e-9)
 
 
 class TestValidate:
@@ -173,12 +167,15 @@ class TestStartBasis:
             solve_lp(lp, start=[0, 1])
 
     def test_feasible_start_skips_phase_one(self):
+        # a solve is phase 2 from the caller's basis: there is no solve
+        # without a start, and no phase-1 statistic
         sol = solve_lp(self.eq_lp(), start=[1])
         assert sol.status == "optimal"
         assert abs(sol.objective - 2.0) <= 1e-9
-        assert "phase1_pivots" not in sol.stats
+        assert sorted(sol.stats) == ["max_violation", "pivots"]
         assert max_violation(self.eq_lp(), sol.x) <= 1e-9
-        assert solve_lp(self.eq_lp()).stats["phase1_pivots"] > 0
+        with pytest.raises(TypeError):
+            solve_lp(self.eq_lp())
 
     @pytest.mark.parametrize("build", [
         lambda: simple_lp(),
@@ -188,44 +185,38 @@ class TestStartBasis:
                                     ["<="] * 9, [1.0] * 8 + [0.5]),
     ], ids=["one-var", "upper-bounds", "degenerate"])
     def test_slack_start_matches_phase_one(self, build):
+        # the reference runs its own phase 1 from artificials, in exact
+        # arithmetic
         lp = build()
-        a, b = solve_lp(lp), solve_lp(lp, start=[])
-        assert a.status == b.status == "optimal"
-        assert abs(a.objective - b.objective) <= 1e-9
+        sol = solve_lp(lp, start=[])
+        assert sol.status == "optimal"
+        assert_matches_exact(lp, sol)
 
     def test_unbounded_from_start(self):
         lp = LinearProgram.build([1.0, 1.0], [[1.0, -1.0]], ["="], [1.0])
         assert solve_lp(lp, start=[0]).status == "unbounded"
+        assert exact(lp)[0] == "unbounded"
 
     def test_planted_starts_match_phase_one_and_rational_oracle(self):
-        hits = exact = 0
+        hits = 0
         for seed in range(40):
             lp, J = planted_basis_lp(seed)
             sol = solve_lp(lp, start=J)
-            ref = solve_lp(lp)
-            assert sol.status == ref.status, f"seed {seed}"
+            status, obj = exact(lp)
+            assert sol.status == status, f"seed {seed}"
             if sol.status != "optimal":
                 continue
             hits += 1
-            assert abs(sol.objective - ref.objective) <= 1e-8, f"seed {seed}"
+            assert abs(sol.objective - float(obj)) <= 1e-8, f"seed {seed}"
             assert max_violation(lp, sol.x) <= 1e-7, f"seed {seed}"
-            if lp.n_vars * lp.n_rows <= 40:
-                status, obj, _ = solve_exact(
-                    lp.objective.tolist(), lp.matrix.toarray().tolist(),
-                    list(lp.senses), lp.rhs.tolist(),
-                    [None if not np.isfinite(u) else float(u)
-                     for u in lp.upper_bounds],
-                )
-                assert status == "optimal", f"seed {seed}"
-                assert abs(sol.objective - float(obj)) <= 1e-8, f"seed {seed}"
-                exact += 1
-        assert hits >= 20 and exact >= 10
+        assert hits >= 20
 
 
-def loop_standard_form(lp):
-    """Per-row reference for the phase-1 standard form: upper-bound rows
-    after the constraint rows, rhs made nonnegative, one slack per "<="
-    row in row order, then one artificial per row without a usable slack."""
+def loop_standard_form(lp, start):
+    """Per-row reference for the standard form: upper-bound rows after the
+    constraint rows, one slack per "<=" row in row order; the start basis
+    takes the start columns in the "=" rows, in order, and the slacks in
+    the others."""
     A = lp.matrix.toarray().tolist()
     senses, b = list(lp.senses), list(lp.rhs)
     n = lp.n_vars
@@ -235,46 +226,37 @@ def loop_standard_form(lp):
             senses.append("<=")
             b.append(float(lp.upper_bounds[j]))
     m = len(b)
-    neg = [v < 0 for v in b]
-    A = [[-v for v in row] if neg[i] else row for i, row in enumerate(A)]
-    b = [abs(v) for v in b]
     slack = [i for i in range(m) if senses[i] == "<="]
-    art = [i for i in range(m) if senses[i] != "<=" or neg[i]]
-    cols = np.zeros((m, n + len(slack) + len(art)))
+    cols = np.zeros((m, n + len(slack)))
     cols[:, :n] = A
+    structural = iter(start)
     basis = [0] * m
     for k, i in enumerate(slack):
-        cols[i, n + k] = -1.0 if neg[i] else 1.0
+        cols[i, n + k] = 1.0
         basis[i] = n + k
-    for k, i in enumerate(art):
-        cols[i, n + len(slack) + k] = 1.0
-        basis[i] = n + len(slack) + k
-    return cols, np.array(b), basis, n + len(slack)
+    for i in range(m):
+        if senses[i] == "=":
+            basis[i] = int(next(structural))
+    return cols, np.array(b), basis
 
 
 class TestStandardForm:
     def test_matches_per_row_reference(self):
         for seed in range(30):
-            rng = np.random.default_rng(900 + seed)
-            n, m = int(rng.integers(1, 8)), int(rng.integers(0, 8))
-            lp = LinearProgram.build(
-                rng.normal(size=n), rng.normal(size=(m, n)),
-                rng.choice(["<=", "="], size=m), rng.normal(size=m),
-                upper_bounds=np.where(rng.random(n) < 0.5, 2.0, np.inf),
-            )
-            state = _Simplex(lp, DEFAULT_TOLERANCES)
-            A, b, basis, first_art = loop_standard_form(lp)
+            lp, J = planted_basis_lp(900 + seed)
+            state = _Simplex(lp, J)
+            A, b, basis = loop_standard_form(lp, J)
             assert np.array_equal(state.A.toarray(), A), f"seed {seed}"
             assert np.array_equal(state.b, b), f"seed {seed}"
             assert state.basis.tolist() == basis, f"seed {seed}"
-            assert np.flatnonzero(state.is_artificial).tolist() == \
-                list(range(first_art, A.shape[1])), f"seed {seed}"
+            assert state.total == A.shape[1], f"seed {seed}"
             assert all(np.array_equal(state.column(j), A[:, j])
                        for j in range(A.shape[1])), f"seed {seed}"
 
 
 class TestAgainstRationalOracle:
     def test_random_dense_lps(self):
+        # "<=" rows with a positive rhs: the slack basis is a feasible start
         hits = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -283,16 +265,12 @@ class TestAgainstRationalOracle:
             A = np.round(rng.normal(size=(m, n)) * 4, 2)
             b = np.round(np.abs(rng.normal(size=m)) * 4 + 0.5, 2)
             c = np.round(rng.normal(size=n) * 3, 2)
-            senses = ["<=" if rng.random() < 0.8 else "=" for _ in range(m)]
             ub = np.where(rng.random(n) < 0.4,
                           np.round(np.abs(rng.normal(size=n)) * 3 + 0.3, 2),
                           np.inf)
-            lp = LinearProgram.build(c, A, senses, b, upper_bounds=ub)
-            sol = solve_lp(lp)
-            status, obj, x = solve_exact(
-                c.tolist(), A.tolist(), senses, b.tolist(),
-                [None if not np.isfinite(u) else float(u) for u in ub],
-            )
+            lp = LinearProgram.build(c, A, ["<="] * m, b, upper_bounds=ub)
+            sol = solve_lp(lp, start=[])
+            status, obj = exact(lp)
             assert sol.status == status, f"seed {seed}"
             if status == "optimal":
                 hits += 1
@@ -308,23 +286,17 @@ class TestAgainstRationalOracle:
             lp = LinearProgram.build(
                 rng.normal(size=n), A, ["<="] * m, b
             )
-            sol = solve_lp(lp)
+            sol = solve_lp(lp, start=[])
             if sol.status == "optimal":
                 assert max_violation(lp, sol.x) <= 1e-7
 
 
 class TestDeterminism:
     def test_bit_identical_resolves(self):
-        rng = np.random.default_rng(7)
-        lp = LinearProgram.build(
-            rng.normal(size=8),
-            rng.normal(size=(6, 8)),
-            ["<="] * 5 + ["="],
-            np.abs(rng.normal(size=6)) + 1.0,
-            upper_bounds=np.full(8, 2.0),
-        )
-        a = solve_lp(lp)
-        b = solve_lp(lp)
+        lp, J = planted_basis_lp(7)
+        assert lp.n_rows > J.size > 0     # "=" and "<=" rows
+        a = solve_lp(lp, start=J)
+        b = solve_lp(lp, start=J)
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)

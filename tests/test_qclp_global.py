@@ -264,7 +264,7 @@ class TestAssembleLp:
         z = rng.dirichlet(np.ones(6))
         mdp = build_aux_mdp(G, S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
-        sol = lp_solver.solve_lp(inst.lp)
+        sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         clean = r @ ppr_vector(G, ALPHA, z).values
         assert abs(sol.objective - clean) <= 1e-8
 
@@ -279,7 +279,7 @@ class TestAssembleLp:
             mdp = build_aux_mdp(G, S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
-            sol = lp_solver.solve_lp(inst.lp)
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             res = optimize_local(G, S, ALPHA, r)
             _, _, integral = recover_pagerank(sol, inst)
             assert sol.objective >= (1 - ALPHA) * (z @ res.value) - 1e-8
@@ -298,7 +298,7 @@ class TestAssembleLp:
             mdp = build_aux_mdp(G, S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
-            sol = lp_solver.solve_lp(inst.lp)
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             best = oracle.brute_force_pagerank_opt(
                 G, S, ALPHA, r, z, respect_global=True
             )
@@ -314,7 +314,8 @@ class TestAssembleLp:
             S = build_scenario(G, "remove-only",
                                local_budgets=S0.local_budget, global_budget=B)
             mdp = build_aux_mdp(G, S, ALPHA, r)
-            sol = lp_solver.solve_lp(assemble_relaxed_lp(mdp, S, z, xbar).lp)
+            inst = assemble_relaxed_lp(mdp, S, z, xbar)
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             assert sol.objective >= prev - 1e-9
             prev = sol.objective
 
@@ -324,7 +325,7 @@ class TestAssembleLp:
         z = rng.dirichlet(np.ones(6))
         mdp = build_aux_mdp(G, S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
-        sol = lp_solver.solve_lp(inst.lp)
+        sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         d = mdp.degrees
         for e, (i, _) in enumerate(S.fragile_edges):
             x0 = sol.x[inst.x0_index(e)]
@@ -355,7 +356,7 @@ class TestRecovery:
             mdp = build_aux_mdp(G, S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
-            sol = lp_solver.solve_lp(inst.lp)
+            sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             vec, policy, integral = recover_pagerank(sol, inst)
             if integral:
                 g2 = apply_policy(G, S, policy)
@@ -374,7 +375,7 @@ class TestRecovery:
         z[0] = 1.0
         mdp = build_aux_mdp(G, S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
-        sol = lp_solver.solve_lp(inst.lp)
+        sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         vec, policy, integral = recover_pagerank(sol, inst)
         if integral and len(policy) == len(nonedges):
             assert np.allclose(vec.values[:1], sol.x[:1])
@@ -526,17 +527,21 @@ class TestCleanBasis:
     def test_certify_global_starts_at_the_clean_basis(self, rng, monkeypatch):
         G, S = random_instance(rng, 7, extra=3, global_budget=2)
         H = rng.normal(size=(7, 2))
-        solve, starts = lp_solver.solve_lp, []
+        solve, assemble, starts, insts = lp_solver.solve_lp, assemble_relaxed_lp, [], []
 
-        def record(lp, tols, start=None):
+        def record(lp, start):
             starts.append(start)
-            sol = solve(lp, tols, start=start)
-            assert "phase1_pivots" not in sol.stats
-            return sol
+            return solve(lp, start=start)
+
+        def build(*args):
+            insts.append(assemble(*args))
+            return insts[-1]
 
         monkeypatch.setattr(qclp_global.lp_solver, "solve_lp", record)
+        monkeypatch.setattr(qclp_global, "assemble_relaxed_lp", build)
         certify_global(G, S, ALPHA, H, [0, 3])
-        assert len(starts) == 2 and all(s is not None for s in starts)
+        assert len(starts) == len(insts) == 2
+        assert all(np.array_equal(s, i.clean_basis()) for s, i in zip(starts, insts))
 
     def test_addrem_sweep_matches_highs(self):
         from scipy.optimize import linprog
