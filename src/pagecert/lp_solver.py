@@ -1,24 +1,30 @@
 """Deterministic linear programming: the internal revised simplex.
 
-The simplex works over sparse constraint rows with a dense basis inverse.
-Every solve starts from a primal feasible basis that the caller supplies
-as ``start`` (certify_global starts every relaxed LP at the clean graph's
-basis), so there is one simplex phase and no search for a feasible point.
-Pricing scales reduced costs by static column norms; after a stall it falls
-back to Bland's rule, which guarantees termination on the highly degenerate
-instances the certification pipeline produces. The dense basis inverse
-targets LPs of a few thousand variables.
+An LP keeps its constraint matrix as numpy arrays in canonical CSR order,
+so this module needs numpy alone. Every solve starts from a primal feasible
+basis that the caller supplies as ``start`` (certify_global starts every
+relaxed LP at the clean graph's basis), so there is one simplex phase and
+no search for a feasible point. Pricing scales reduced costs by static
+column norms; after a stall it falls back to Bland's rule, which guarantees
+termination on the highly degenerate instances the certification pipeline
+produces.
+
+The basis inverse is held in product form: the dense inverse B0^-1 of the
+basis at the last refactorization, and an eta file with one (leaving row,
+eta column) pair per pivot since. FTRAN (B^-1 a) multiplies by B0^-1 and
+applies the etas in order; BTRAN (u B^-1) applies them in reverse and then
+multiplies by B0^-1. FTRAN reads only the columns of B0^-1 where the
+entering column has entries, so a pivot costs one dense matvec (BTRAN's)
+plus O(m) per eta, and makes no m x m temporary. Every REFACTOR_EVERY pivots
+the basis is inverted afresh and the file is cleared. The dense B0^-1
+targets LPs of a few thousand rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 FEASIBILITY_TOL = 1e-7    # accepted constraint violation
@@ -40,48 +46,63 @@ class NumericalBreakdownError(LpError):
     pass
 
 
+def _vector(values, name: str) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise LpFormatError(f"{name} must be 1-D, got shape {v.shape}")
+    return v
+
+
 @dataclass(eq=False)
 class LinearProgram:
-    """max objective @ x subject to sparse rows with senses in {"=", "<="}
-    and bounds 0 <= x <= upper_bounds (inf = absent)."""
+    """max objective @ x subject to rows with senses in {"=", "<="} and
+    bounds 0 <= x <= upper_bounds (inf = absent).
+
+    The constraint matrix is its entries in canonical CSR order: entry k is
+    coef[k] at (row[k], col[k]), sorted by row and then column, with no
+    (row, col) pair twice."""
 
     objective: np.ndarray
-    matrix: sp.csr_matrix
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
     upper_bounds: np.ndarray
 
     @classmethod
     def build(cls, objective, rows, senses, rhs, upper_bounds=None) -> "LinearProgram":
-        import scipy.sparse as sp
-
-        c = np.asarray(objective, dtype=np.float64)
-        A = sp.csr_matrix(rows, dtype=np.float64)
-        senses = np.asarray(senses, dtype="<U2")
-        b = np.asarray(rhs, dtype=np.float64)
+        """``rows`` is a dense (m, n) array-like or a ``(data, (i, j))``
+        triplet, whose repeated entries are summed and whose explicit zeros
+        are kept; m and n are the sizes of ``rhs`` and ``objective``."""
+        c = _vector(objective, "objective")
+        b = _vector(rhs, "rhs")
         ub = (np.full(c.size, np.inf) if upper_bounds is None
-              else np.asarray(upper_bounds, dtype=np.float64))
-        lp = cls(c, A, senses, b, ub)
-        lp._validate()
-        return lp
-
-    def _validate(self) -> None:
-        n = self.objective.size
-        m = self.rhs.size
-        if self.matrix.shape != (m, n):
-            raise LpFormatError(
-                f"constraint matrix shape {self.matrix.shape} does not match "
-                f"{m} rows x {n} variables"
-            )
-        if self.senses.shape != (m,) or not np.all(np.isin(self.senses, ["=", "<="])):
-            raise LpFormatError("row senses must be '=' or '<='")
-        for arr in (self.objective, self.rhs, self.matrix.data):
-            if arr.size and not np.all(np.isfinite(arr)):
+              else _vector(upper_bounds, "upper bounds"))
+        m, n = b.size, c.size
+        # checked before the cast, which would cut "<=junk" to "<="
+        s = np.asarray(senses)
+        if s.shape != (m,) or not np.all(np.isin(s, ["=", "<="])):
+            raise LpFormatError("row senses must be '=' or '<=', one per row")
+        if isinstance(rows, tuple):
+            i, j, coef = _canonical_triplet(rows, m, n)
+        else:
+            A = np.asarray(rows, dtype=np.float64)
+            if A.shape != (m, n):
+                raise LpFormatError(
+                    f"constraint matrix shape {A.shape} does not match "
+                    f"{m} rows x {n} variables"
+                )
+            i, j = np.nonzero(A)
+            coef = A[i, j]
+        for arr in (c, b, coef):
+            if not np.all(np.isfinite(arr)):
                 raise LpFormatError("coefficients must be finite")
-        if self.upper_bounds.shape != (n,):
-            raise LpFormatError(f"{self.upper_bounds.size} upper bounds for {n} variables")
-        if np.any(np.isnan(self.upper_bounds)) or np.any(self.upper_bounds < 0):
+        if ub.size != n:
+            raise LpFormatError(f"{ub.size} upper bounds for {n} variables")
+        if np.any(np.isnan(ub)) or np.any(ub < 0):
             raise LpFormatError("upper bounds must be nonnegative or +inf")
+        return cls(c, i, j, coef, s.astype("<U2"), b, ub)
 
     @property
     def n_vars(self) -> int:
@@ -90,6 +111,28 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return int(self.rhs.size)
+
+
+def _canonical_triplet(rows, m: int, n: int):
+    """(row, col, coef) of a (data, (i, j)) triplet in CSR order, with the
+    values of repeated (i, j) pairs summed."""
+    try:
+        data, (i, j) = rows
+    except (TypeError, ValueError):
+        raise LpFormatError("a sparse matrix is given as (data, (rows, cols))") from None
+    data, i, j = np.asarray(data, dtype=np.float64), np.asarray(i), np.asarray(j)
+    if not (data.ndim == i.ndim == j.ndim == 1 and data.size == i.size == j.size):
+        raise LpFormatError("a (data, (rows, cols)) triplet needs three 1-D "
+                            "arrays of one length")
+    if data.size and (i.dtype.kind not in "iu" or j.dtype.kind not in "iu"):
+        raise LpFormatError("triplet row and column indices must be integers")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    if data.size and (i.min() < 0 or i.max() >= m or j.min() < 0 or j.max() >= n):
+        raise LpFormatError(f"an entry lies outside the {m} x {n} constraint "
+                            "matrix shape")
+    key, pos = np.unique(i * n + j, return_inverse=True)
+    i, j = np.divmod(key, max(n, 1))
+    return i, j, np.bincount(pos, weights=data, minlength=key.size)
 
 
 @dataclass(eq=False)
@@ -102,7 +145,7 @@ class LpSolution:
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint/bound violation of a candidate point."""
-    ax = lp.matrix @ x
+    ax = np.bincount(lp.row, weights=lp.coef * x[lp.col], minlength=lp.n_rows)
     v = 0.0
     eq = lp.senses == "="
     if eq.any():
@@ -143,41 +186,35 @@ class _Simplex:
     Columns: n structural, then one slack per inequality row. Finite upper
     bounds become explicit "<=" rows after the constraint rows. The start
     basis (structural columns, one per "=" row, plus every slack) is
-    factored and checked for primal feasibility. The basis inverse is dense
-    and refactorized periodically.
+    factored and checked for primal feasibility. The basis inverse is
+    B0^-1 times the eta file (see the module docstring).
     """
 
     def __init__(self, lp: LinearProgram, start):
-        import scipy.sparse as sp
-
         n = lp.n_vars
-        A = lp.matrix.tocoo()
         ub_cols = np.flatnonzero(np.isfinite(lp.upper_bounds))
         m = lp.n_rows + ub_cols.size
-        rows = np.concatenate([A.row, lp.n_rows + np.arange(ub_cols.size)])
-        cols = np.concatenate([A.col, ub_cols])
-        data = np.concatenate([A.data, np.ones(ub_cols.size)])
         b = np.concatenate([lp.rhs, lp.upper_bounds[ub_cols]])
         le = np.concatenate([lp.senses == "<=", np.ones(ub_cols.size, dtype=bool)])
-
         slack_rows = np.flatnonzero(le)
         slack_col = np.full(m, -1, dtype=np.int64)
         slack_col[slack_rows] = n + np.arange(slack_rows.size)
-        rows = np.concatenate([rows, slack_rows])
-        cols = np.concatenate([cols, slack_col[slack_rows]])
-        data = np.concatenate([data, np.ones(slack_rows.size)])
+        rows = np.concatenate([lp.row, lp.n_rows + np.arange(ub_cols.size), slack_rows])
+        cols = np.concatenate([lp.col, ub_cols, slack_col[slack_rows]])
+        data = np.concatenate([lp.coef, np.ones(ub_cols.size + slack_rows.size)])
 
         self.n_struct = n
         self.m = m
         self.total = n + slack_rows.size
-        # A, its transpose for pricing, and its CSC arrays for column
-        # scatters, so no pivot builds a sparse object
-        self.A = sp.csc_matrix((data, (rows, cols)), shape=(m, self.total))
-        self.AT = self.A.T
-        self.indptr, self.indices, self.data = (self.A.indptr, self.A.indices,
-                                                self.A.data)
+        # the standard form in CSC order (by column, then row); col holds
+        # each entry's column for pricing by bincount
+        order = np.lexsort((rows, cols))
+        self.indices, self.col, self.data = rows[order], cols[order], data[order]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.col, minlength=self.total))])
         self.b = b
-        self.col_norms = np.sqrt(np.asarray(self.A.multiply(self.A).sum(axis=0)).ravel())
+        self.col_norms = np.sqrt(np.bincount(self.col, weights=self.data ** 2,
+                                             minlength=self.total))
         self.col_norms = np.maximum(self.col_norms, 1.0)
         self.pivots = 0
         self.basis = slack_col
@@ -191,27 +228,43 @@ class _Simplex:
             )
         self.xB = np.maximum(self.xB, 0.0)
 
-    def column(self, j: int) -> np.ndarray:
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        col = np.zeros(self.m)
-        col[self.indices[lo:hi]] = self.data[lo:hi]
-        return col
-
     def refactor(self) -> None:
-        B = self.A[:, self.basis].toarray()
+        """Invert the current basis afresh and clear the eta file."""
+        lo = self.indptr[self.basis]
+        counts = self.indptr[self.basis + 1] - lo
+        # the entries of every basic column, in basis order
+        entry = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        B = np.zeros((self.m, self.m))
+        B[self.indices[entry], np.repeat(np.arange(self.m), counts)] = self.data[entry]
         try:
-            self.Binv = np.asfortranarray(np.linalg.inv(B))
+            self.B0inv = np.asfortranarray(np.linalg.inv(B))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
                 f"singular basis during refactorization (cond est "
                 f"{np.linalg.cond(B):.3e})"
             ) from exc
-        self.xB = self.Binv @ self.b
+        self.etas: list[tuple[int, np.ndarray]] = []
+        self.xB = self.B0inv @ self.b
+
+    def ftran(self, j: int) -> np.ndarray:
+        """B^-1 a_j for column j of the standard form."""
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        w = self.B0inv[:, self.indices[lo:hi]] @ self.data[lo:hi]
+        for r, eta in self.etas:
+            wr = w[r]
+            w[r] = 0.0
+            w += wr * eta
+        return w
+
+    def btran(self, u: np.ndarray) -> np.ndarray:
+        """u B^-1 for a row vector u over the basis positions."""
+        u = np.array(u, dtype=np.float64)
+        for r, eta in reversed(self.etas):
+            u[r] = u @ eta
+        return u @ self.B0inv
 
     def maximize(self, c: np.ndarray) -> str:
         """Maximize c from the current basis; returns "optimal" or "unbounded"."""
-        from scipy.linalg.blas import dger
-
         max_iter = 2000 + 50 * (self.m + self.total)
         bland = False
         stall = 0
@@ -223,8 +276,9 @@ class _Simplex:
                 raise NumericalBreakdownError(
                     f"simplex exceeded {max_iter} iterations"
                 )
-            y = c[self.basis] @ self.Binv
-            d = c - self.AT @ y
+            y = self.btran(c[self.basis])
+            d = c - np.bincount(self.col, weights=self.data * y[self.indices],
+                                minlength=self.total)
             d[self.basis] = 0.0
             cand = d > OPTIMALITY_TOL
             if not cand.any():
@@ -234,7 +288,7 @@ class _Simplex:
             else:
                 scores = np.where(cand, d / self.col_norms, -np.inf)
                 j = int(np.argmax(scores))
-            w = self.Binv @ self.column(j)
+            w = self.ftran(j)
             pos = w > PIVOT_TOL
             if not pos.any():
                 return "unbounded"
@@ -243,11 +297,11 @@ class _Simplex:
             ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
             leave = int(ties[np.argmin(self.basis[ties])])
 
-            piv = w[leave]
-            pivrow = self.Binv[leave] / piv
-            # in-place rank-1 basis-inverse update (no m*m temporary)
-            self.Binv = dger(-1.0, w, pivrow, a=self.Binv, overwrite_a=1)
-            self.Binv[leave] = pivrow
+            # the eta column of this pivot: E^-1 maps w to the unit vector
+            # of the leaving row
+            eta = w / -w[leave]
+            eta[leave] = 1.0 / w[leave]
+            self.etas.append((leave, eta))
             self.xB -= theta * w
             self.xB[leave] = theta
             self.xB = np.maximum(self.xB, 0.0)

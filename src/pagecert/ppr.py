@@ -16,9 +16,9 @@ where it first passes its own stop test. Either way each column is bit for
 bit what a single-graph call returns.
 
 scipy is loaded only where it is used: transition_matrix (the stationary
-path above DENSE_LIMIT), the relaxed-LP route (qclp_global, lp_solver) and
-graph.largest_connected_component. Local certificates and training on a
-graph of at most DENSE_LIMIT nodes run on numpy alone.
+path above DENSE_LIMIT) and graph.largest_connected_component. Local and
+global certificates and training on a graph of at most DENSE_LIMIT nodes
+run on numpy alone.
 
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the

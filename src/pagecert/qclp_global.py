@@ -220,8 +220,6 @@ def assemble_relaxed_lp(
     xbar: np.ndarray,
 ) -> RelaxedLpInstance:
     """Build the relaxed budget-constrained LP for the auxiliary process."""
-    import scipy.sparse as sp
-
     n = S.node_count
     m = S.fragile_count
     alpha = mdp.alpha
@@ -264,8 +262,8 @@ def assemble_relaxed_lp(
     ub = np.full(n + 2 * m, np.inf)
     ub[:n] = xbar
 
-    A = sp.csr_matrix((data, (rows, cols)), shape=(rhs.size, n + 2 * m))
-    inst.lp = lp_solver.LinearProgram.build(c, A, senses, rhs, upper_bounds=ub)
+    inst.lp = lp_solver.LinearProgram.build(c, (data, (rows, cols)), senses, rhs,
+                                            upper_bounds=ub)
     return inst
 
 

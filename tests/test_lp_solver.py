@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagecert.lp_solver import (
     LinearProgram,
@@ -10,15 +11,25 @@ from pagecert.lp_solver import (
     max_violation,
     solve_lp,
 )
+from pagecert import lp_solver
+from pagecert.graph import build_scenario, generate_sbm
 from pagecert.lp_solver import _Simplex
+from pagecert.qclp_global import assemble_relaxed_lp, build_aux_mdp, compute_upper_bounds
 
 from rational_simplex import solve_exact
+
+
+def dense(lp):
+    """The LP's constraint matrix as a dense array."""
+    A = np.zeros((lp.n_rows, lp.n_vars))
+    A[lp.row, lp.col] = lp.coef
+    return A
 
 
 def exact(lp):
     """The exact two-phase rational simplex's (status, objective)."""
     status, obj, _ = solve_exact(
-        lp.objective.tolist(), lp.matrix.toarray().tolist(), list(lp.senses),
+        lp.objective.tolist(), dense(lp).tolist(), list(lp.senses),
         lp.rhs.tolist(),
         [None if not np.isfinite(u) else float(u) for u in lp.upper_bounds],
     )
@@ -36,7 +47,7 @@ def assert_matches_exact(lp, sol, tol=1e-9):
 def simple_lp(**kw):
     return LinearProgram.build(
         objective=[1.0],
-        rows=sp.csr_matrix(np.array([[1.0]])),
+        rows=[[1.0]],
         senses=["<="],
         rhs=[3.0],
         **kw,
@@ -53,7 +64,7 @@ class TestSolve:
         assert abs(sol.x[0] - 3.0) <= 1e-9
 
     def test_unbounded(self):
-        lp = LinearProgram.build([1.0], sp.csr_matrix((0, 1)), [], [])
+        lp = LinearProgram.build([1.0], np.zeros((0, 1)), [], [])
         sol = solve_lp(lp, start=[])
         assert sol.status == "unbounded"
         assert_matches_exact(lp, sol)
@@ -102,9 +113,20 @@ class TestValidate:
         (([1.0], [[1.0]], ["<="], [1.0], [-1.0]), "nonnegative"),
         (([1.0], [[1.0]], ["<="], [1.0], [np.nan]), "nonnegative"),
         (([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [1.0]), "upper bounds"),
+        (([1.0], [[1.0]], ["<=junk"], [1.0]), "senses"),
+        (([[1.0, 2.0]], [[1.0, 1.0]], ["<="], [1.0]), "objective must be 1-D"),
+        (([1.0], [[1.0]], ["<="], [[1.0]]), "rhs must be 1-D"),
+        (([1.0], [[1.0]], ["<="], [1.0], [[1.0]]), "upper bounds must be 1-D"),
+        (([1.0], ([1.0], ([1], [0])), ["<="], [1.0]), "outside"),
+        (([1.0], ([1.0], ([0], [-1])), ["<="], [1.0]), "outside"),
+        (([1.0], ([1.0, 2.0], ([0], [0])), ["<="], [1.0]), "one length"),
+        (([1.0], ([1.0], [0]), ["<="], [1.0]), r"\(data, \(rows, cols\)\)"),
+        (([1.0, 1.0], ([1.0], ([0.7], [1])), ["<="], [1.0]), "integers"),
     ], ids=["dense-padded", "extra-row", "bad-sense", "sense-count",
             "inf-objective", "nan-row", "inf-rhs", "negative-bound",
-            "nan-bound", "bound-count"])
+            "nan-bound", "bound-count", "sense-suffix", "2d-objective",
+            "2d-rhs", "2d-bounds", "triplet-row-range", "triplet-col-range",
+            "triplet-lengths", "triplet-form", "triplet-float-index"])
     def test_malformed_lp_raises(self, args, match):
         with pytest.raises(LpFormatError, match=match):
             LinearProgram.build(*args)
@@ -217,7 +239,7 @@ def loop_standard_form(lp, start):
     constraint rows, one slack per "<=" row in row order; the start basis
     takes the start columns in the "=" rows, in order, and the slacks in
     the others."""
-    A = lp.matrix.toarray().tolist()
+    A = dense(lp).tolist()
     senses, b = list(lp.senses), list(lp.rhs)
     n = lp.n_vars
     for j in range(n):
@@ -240,17 +262,27 @@ def loop_standard_form(lp, start):
     return cols, np.array(b), basis
 
 
+def std_column(state, j):
+    """Column j of the standard form, read through the CSC indptr."""
+    lo, hi = state.indptr[j], state.indptr[j + 1]
+    col = np.zeros(state.m)
+    col[state.indices[lo:hi]] = state.data[lo:hi]
+    return col
+
+
 class TestStandardForm:
     def test_matches_per_row_reference(self):
         for seed in range(30):
             lp, J = planted_basis_lp(900 + seed)
             state = _Simplex(lp, J)
             A, b, basis = loop_standard_form(lp, J)
-            assert np.array_equal(state.A.toarray(), A), f"seed {seed}"
+            csc = np.zeros((state.m, state.total))
+            csc[state.indices, state.col] = state.data
+            assert np.array_equal(csc, A), f"seed {seed}"
             assert np.array_equal(state.b, b), f"seed {seed}"
             assert state.basis.tolist() == basis, f"seed {seed}"
             assert state.total == A.shape[1], f"seed {seed}"
-            assert all(np.array_equal(state.column(j), A[:, j])
+            assert all(np.array_equal(std_column(state, j), A[:, j])
                        for j in range(A.shape[1])), f"seed {seed}"
 
 
@@ -300,3 +332,106 @@ class TestDeterminism:
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
+
+
+@st.composite
+def triplet_lps(draw):
+    """A "<=" LP from a random (data, (rows, cols)) triplet: unsorted, with
+    repeated pairs, explicit zeros and empty rows and columns."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 20)) if m else 0
+    i = draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=k, max_size=k))
+    j = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    # small integers, so repeated pairs sum exactly in any order
+    data = draw(st.lists(st.integers(-3, 3).map(float), min_size=k, max_size=k))
+    ub = draw(st.lists(st.sampled_from([np.inf, 2.0]), min_size=n, max_size=n))
+    lp = LinearProgram.build(np.ones(n), (data, (i, j)), ["<="] * m,
+                             np.ones(m), upper_bounds=ub)
+    return lp, (data, (i, j))
+
+
+class TestCanonicalArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(triplet_lps())
+    def test_match_scipy_csr_and_csc(self, case):
+        import scipy.sparse as sp
+
+        lp, triplet = case
+        m, n = lp.n_rows, lp.n_vars
+        csr = sp.csr_matrix(triplet, shape=(m, n))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(lp.row, minlength=m))])
+        assert np.array_equal(indptr, csr.indptr)
+        assert np.array_equal(lp.col, csr.indices)
+        assert np.array_equal(lp.coef, csr.data)
+
+        # the standard form: upper-bound rows below, one slack per row
+        state = _Simplex(lp, [])
+        ub_cols = np.flatnonzero(np.isfinite(lp.upper_bounds))
+        rows = sp.vstack([csr, sp.csr_matrix(
+            (np.ones(ub_cols.size), (np.arange(ub_cols.size), ub_cols)),
+            shape=(ub_cols.size, n))])
+        csc = sp.hstack([rows, sp.identity(state.m)]).tocsc()
+        assert np.array_equal(state.indptr, csc.indptr)
+        assert np.array_equal(state.indices, csc.indices)
+        assert np.array_equal(state.data, csc.data)
+
+    def test_dense_input_keeps_nonzeros_in_row_order(self):
+        lp = LinearProgram.build([1.0, 1.0, 1.0], [[0.0, 2.0, -1.0], [3.0, 0.0, 0.0]],
+                                 ["<=", "="], [1.0, 1.0])
+        assert lp.row.tolist() == [0, 0, 1]
+        assert lp.col.tolist() == [1, 2, 0]
+        assert lp.coef.tolist() == [2.0, -1.0, 3.0]
+
+
+def sbm_relaxed_lp():
+    """A remove-only relaxed LP (50-node two-block SBM, s = 4, B = 4) whose
+    solve takes 149 pivots: past one refactorization, with etas pending."""
+    G = generate_sbm(50, 2, 0.3, 0.05, 1)
+    S = build_scenario(G, "remove-only", strength=4, global_budget=4)
+    r = np.where(np.arange(50) < 25, -1.0, 1.0)
+    z = np.zeros(50)
+    z[0] = 1.0
+    return assemble_relaxed_lp(build_aux_mdp(G, S, 0.85, r), S, z,
+                               compute_upper_bounds(G, S, 0.85))
+
+
+class TestEtaFile:
+    def solved_state(self, inst):
+        state = _Simplex(inst.lp, inst.clean_basis())
+        cost = np.zeros(state.total)
+        cost[: state.n_struct] = inst.lp.objective
+        assert state.maximize(cost) == "optimal"
+        return state
+
+    def test_solve_past_a_refactorization_matches_highs(self):
+        from scipy.optimize import linprog
+
+        inst = sbm_relaxed_lp()
+        lp = inst.lp
+        state = self.solved_state(inst)
+        assert state.pivots > lp_solver.REFACTOR_EVERY
+        assert len(state.etas) == state.pivots % lp_solver.REFACTOR_EVERY > 0
+        x = state.solution()
+        sol = solve_lp(lp, start=inst.clean_basis())
+        assert np.array_equal(sol.x, x)
+        eq = lp.senses == "="
+        A = dense(lp)
+        ref = linprog(
+            -lp.objective, A_ub=A[~eq], b_ub=lp.rhs[~eq], A_eq=A[eq], b_eq=lp.rhs[eq],
+            bounds=[(0, u if np.isfinite(u) else None) for u in lp.upper_bounds],
+            method="highs-ds",
+        )
+        assert ref.status == 0
+        assert abs(sol.objective + ref.fun) <= 1e-9 * abs(ref.fun) + 1e-12
+        assert max_violation(lp, sol.x) <= 1e-9
+
+    def test_ftran_btran_match_the_inverse(self):
+        state = self.solved_state(sbm_relaxed_lp())
+        assert state.etas
+        A = np.column_stack([std_column(state, j) for j in range(state.total)])
+        Binv = np.linalg.inv(A[:, state.basis])
+        W = np.column_stack([state.ftran(j) for j in range(state.total)])
+        assert np.max(np.abs(W - Binv @ A)) <= 1e-12
+        for u in np.eye(state.m)[:: 7]:
+            assert np.max(np.abs(state.btran(u) - u @ Binv)) <= 1e-12

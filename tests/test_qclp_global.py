@@ -251,7 +251,9 @@ class TestAssembleLp:
             [0.0, 0.0, -0.5, 0.0, 0.0, 1.0, 0.0],       # local_2
             [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],        # global
         ])
-        assert np.array_equal(inst.lp.matrix.toarray(), expected)
+        A = np.zeros(expected.shape)
+        A[inst.lp.row, inst.lp.col] = inst.lp.coef
+        assert np.array_equal(A, expected)
         assert np.array_equal(inst.lp.objective, [1, 1, 1, -1, 0, -1, 0])
         assert np.array_equal(inst.lp.rhs, [1 - a, 0, 0, 0, 0, 0, 0, 0, 2])
         assert list(inst.lp.senses) == ["="] * 5 + ["<="] * 4
@@ -544,6 +546,7 @@ class TestCleanBasis:
         assert all(np.array_equal(s, i.clean_basis()) for s, i in zip(starts, insts))
 
     def test_addrem_sweep_matches_highs(self):
+        import scipy.sparse as sp
         from scipy.optimize import linprog
 
         solved = 0
@@ -555,9 +558,11 @@ class TestCleanBasis:
             sol = lp_solver.solve_lp(lp, start=inst.clean_basis())
             assert sol.status == "optimal", f"seed {seed}"
             eq = lp.senses == "="
+            matrix = sp.csr_matrix((lp.coef, (lp.row, lp.col)),
+                                   shape=(lp.n_rows, lp.n_vars))
             ref = linprog(
-                -lp.objective, A_ub=lp.matrix[~eq], b_ub=lp.rhs[~eq],
-                A_eq=lp.matrix[eq], b_eq=lp.rhs[eq],
+                -lp.objective, A_ub=matrix[~eq], b_ub=lp.rhs[~eq],
+                A_eq=matrix[eq], b_eq=lp.rhs[eq],
                 bounds=[(0, u if np.isfinite(u) else None) for u in lp.upper_bounds],
                 method="highs-ds",
             )
