@@ -9,15 +9,11 @@ column norms; after a stall it falls back to Bland's rule, which guarantees
 termination on the highly degenerate instances the certification pipeline
 produces.
 
-The basis inverse is held in product form: the dense inverse B0^-1 of the
-basis at the last refactorization, and an eta file with one (leaving row,
-eta column) pair per pivot since. FTRAN (B^-1 a) multiplies by B0^-1 and
-applies the etas in order; BTRAN (u B^-1) applies them in reverse and then
-multiplies by B0^-1. FTRAN reads only the columns of B0^-1 where the
-entering column has entries, so a pivot costs one dense matvec (BTRAN's)
-plus O(m) per eta, and makes no m x m temporary. Every REFACTOR_EVERY pivots
-the basis is inverted afresh and the file is cleared. The dense B0^-1
-targets LPs of a few thousand rows.
+The basis inverse is a dense m x m array, updated after each pivot by a
+rank-1 numpy update and inverted afresh every REFACTOR_EVERY pivots. The
+update makes an m x m temporary, which costs little on relaxed LPs of a few
+hundred rows; on LPs of a few thousand rows a pivot takes about twice as
+long as an in-place BLAS update would.
 """
 
 from __future__ import annotations
@@ -186,8 +182,8 @@ class _Simplex:
     Columns: n structural, then one slack per inequality row. Finite upper
     bounds become explicit "<=" rows after the constraint rows. The start
     basis (structural columns, one per "=" row, plus every slack) is
-    factored and checked for primal feasibility. The basis inverse is
-    B0^-1 times the eta file (see the module docstring).
+    factored and checked for primal feasibility. The basis inverse is dense
+    and refactorized periodically.
     """
 
     def __init__(self, lp: LinearProgram, start):
@@ -229,7 +225,7 @@ class _Simplex:
         self.xB = np.maximum(self.xB, 0.0)
 
     def refactor(self) -> None:
-        """Invert the current basis afresh and clear the eta file."""
+        """Invert the current basis afresh."""
         lo = self.indptr[self.basis]
         counts = self.indptr[self.basis + 1] - lo
         # the entries of every basic column, in basis order
@@ -237,31 +233,13 @@ class _Simplex:
         B = np.zeros((self.m, self.m))
         B[self.indices[entry], np.repeat(np.arange(self.m), counts)] = self.data[entry]
         try:
-            self.B0inv = np.asfortranarray(np.linalg.inv(B))
+            self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
                 f"singular basis during refactorization (cond est "
                 f"{np.linalg.cond(B):.3e})"
             ) from exc
-        self.etas: list[tuple[int, np.ndarray]] = []
-        self.xB = self.B0inv @ self.b
-
-    def ftran(self, j: int) -> np.ndarray:
-        """B^-1 a_j for column j of the standard form."""
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        w = self.B0inv[:, self.indices[lo:hi]] @ self.data[lo:hi]
-        for r, eta in self.etas:
-            wr = w[r]
-            w[r] = 0.0
-            w += wr * eta
-        return w
-
-    def btran(self, u: np.ndarray) -> np.ndarray:
-        """u B^-1 for a row vector u over the basis positions."""
-        u = np.array(u, dtype=np.float64)
-        for r, eta in reversed(self.etas):
-            u[r] = u @ eta
-        return u @ self.B0inv
+        self.xB = self.Binv @ self.b
 
     def maximize(self, c: np.ndarray) -> str:
         """Maximize c from the current basis; returns "optimal" or "unbounded"."""
@@ -276,7 +254,7 @@ class _Simplex:
                 raise NumericalBreakdownError(
                     f"simplex exceeded {max_iter} iterations"
                 )
-            y = self.btran(c[self.basis])
+            y = c[self.basis] @ self.Binv
             d = c - np.bincount(self.col, weights=self.data * y[self.indices],
                                 minlength=self.total)
             d[self.basis] = 0.0
@@ -288,7 +266,8 @@ class _Simplex:
             else:
                 scores = np.where(cand, d / self.col_norms, -np.inf)
                 j = int(np.argmax(scores))
-            w = self.ftran(j)
+            lo, hi = self.indptr[j], self.indptr[j + 1]
+            w = self.Binv[:, self.indices[lo:hi]] @ self.data[lo:hi]
             pos = w > PIVOT_TOL
             if not pos.any():
                 return "unbounded"
@@ -297,11 +276,9 @@ class _Simplex:
             ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
             leave = int(ties[np.argmin(self.basis[ties])])
 
-            # the eta column of this pivot: E^-1 maps w to the unit vector
-            # of the leaving row
-            eta = w / -w[leave]
-            eta[leave] = 1.0 / w[leave]
-            self.etas.append((leave, eta))
+            pivrow = self.Binv[leave] / w[leave]
+            self.Binv -= np.outer(w, pivrow)
+            self.Binv[leave] = pivrow
             self.xB -= theta * w
             self.xB[leave] = theta
             self.xB = np.maximum(self.xB, 0.0)
