@@ -41,10 +41,8 @@ from .models import (  # noqa: F401
 from .robust_train import (  # noqa: F401
     RobustLossConfig,
     compute_worst_bundle,
-    grad_check,
     loss_cem,
     loss_rce,
     train_robust,
 )
-from .oracle import brute_force_pagerank_opt, brute_force_worst_margin  # noqa: F401
 from .analysis import certified_accuracy, neighborhood_purity  # noqa: F401

@@ -85,7 +85,8 @@ def write_attacks_jsonl(records, path) -> None:
 
 def read_certificates_jsonl(path) -> list[dict]:
     """Each line's record; a line that is not a JSON object with every
-    HEAD_KEYS key and an integer node is an error naming path:line."""
+    HEAD_KEYS key, an integer node and a numeric worst_margin is an error
+    naming path:line."""
     out = []
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -97,7 +98,8 @@ def read_certificates_jsonl(path) -> list[dict]:
             except ValueError:           # bad JSON or bad UTF-8
                 rec = None
             if not (isinstance(rec, dict) and all(k in rec for k in HEAD_KEYS)
-                    and type(rec["node"]) is int):
+                    and type(rec["node"]) is int
+                    and type(rec["worst_margin"]) in (int, float)):
                 raise CertificateFormatError(
                     f"{path}:{lineno}: not a certificate record")
             out.append(rec)

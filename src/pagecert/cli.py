@@ -197,12 +197,6 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def validate_config(path) -> tuple[list[str], list[str]]:
-    """All errors and warnings for a config file, without executing it."""
-    cfg = resolve_config(load_config(path))
-    return cfg.errors, cfg.warnings
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -48,26 +48,23 @@ def check_labels(y, node_count: int, class_count: int) -> np.ndarray:
 
 
 def label_propagation_logits(labels, node_count: int, class_count: int) -> np.ndarray:
-    """One-hot H with H[v, y_v] = 1 for labeled nodes, zero elsewhere.
+    """One-hot H with H[v, labels[v]] = 1 for labeled nodes, zero elsewhere.
 
-    labels is a mapping node -> class or an array with -1 marking unlabeled
-    nodes.
+    labels is a 1-D array with one entry per node: a class id in
+    [0, class_count), or a negative value (-1 from load_labels) for an
+    unlabeled node.
     """
-    H = np.zeros((node_count, class_count))
-    if isinstance(labels, dict):
-        items = labels.items()
-    else:
-        arr = np.asarray(labels, dtype=np.int64)
-        items = ((v, arr[v]) for v in range(min(node_count, arr.size)) if arr[v] >= 0)
-    any_label = False
-    for v, c in items:
-        v, c = int(v), int(c)
-        if not (0 <= v < node_count and 0 <= c < class_count):
-            raise ModelError(f"label ({v}, {c}) out of range")
-        H[v, c] = 1.0
-        any_label = True
-    if not any_label:
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (node_count,):
+        raise ModelError("need one label entry per node")
+    v = np.nonzero(y >= 0)[0]
+    bad = v[y[v] >= class_count]
+    if bad.size:
+        raise ModelError(f"label ({bad[0]}, {y[bad[0]]}) out of range")
+    if not v.size:
         logger.warning("label propagation got an empty label set; H is zero")
+    H = np.zeros((node_count, class_count))
+    H[v, y[v]] = 1.0
     return H
 
 

@@ -56,8 +56,6 @@ class KernelInputError(ValueError):
 @dataclass(frozen=True, eq=False)
 class PageRankVector:
     values: np.ndarray
-    alpha: float
-    teleport: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +249,7 @@ def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
     pi = np.maximum(pi, 0.0)
     if abs(pi.sum() - 1.0) > 1e-8:
         raise ConvergenceError(f"PageRank mass {pi.sum():.12f} != 1")
-    return PageRankVector(values=pi, alpha=float(alpha), teleport=z.copy())
+    return PageRankVector(values=pi)
 
 
 def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:

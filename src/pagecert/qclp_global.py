@@ -49,37 +49,6 @@ class AuxiliaryMdp:
     fragile_edges: np.ndarray
     degrees: np.ndarray          # d_i per original node
 
-    @property
-    def state_count(self) -> int:
-        return self.node_count + self.fragile_edges.shape[0]
-
-    def policy_value(self, on_mask: np.ndarray) -> np.ndarray:
-        """Value vector of a deterministic on/off policy over all states.
-
-        Solves (I - T) val = rew on the auxiliary state space directly;
-        used to validate the construction against independent estimates.
-        """
-        n = self.node_count
-        m = self.fragile_edges.shape[0]
-        on_mask = np.asarray(on_mask, dtype=bool)
-        size = n + m
-        fs, fd = self.fixed_edges.T
-        src, dst = self.fragile_edges.T
-        aux = n + np.arange(m)
-        # aux state e goes on to dst with prob alpha, or back off to src
-        rows = np.concatenate([fs, src, aux])
-        cols = np.concatenate([fd, aux, np.where(on_mask, dst, src)])
-        data = np.concatenate([
-            self.alpha / self.degrees[fs], 1.0 / self.degrees[src],
-            np.where(on_mask, self.alpha, 1.0),
-        ])
-        rew = np.zeros(size)
-        rew[:n] = self.rewards
-        rew[n:] = np.where(on_mask, 0.0, -self.rewards[src])
-        T = np.zeros((size, size))
-        np.add.at(T, (rows, cols), data)
-        return np.linalg.solve(np.eye(size) - T, rew)
-
 
 def build_aux_mdp(
     G: DirectedGraph, S: PerturbationScenario, alpha: float, r: np.ndarray
@@ -188,9 +157,6 @@ class RelaxedLpInstance:
 
     lp: lp_solver.LinearProgram
     scenario: PerturbationScenario
-    alpha: float
-    z: np.ndarray
-    xbar: np.ndarray
     degrees: np.ndarray
 
     def x0_index(self, e):
@@ -229,10 +195,7 @@ def assemble_relaxed_lp(
     if np.any(~np.isfinite(xbar)) or np.any(xbar <= 0):
         raise BoundError("upper bounds must be positive and finite")
     # the instance owns the variable layout; its lp is filled in below
-    inst = RelaxedLpInstance(
-        lp=None, scenario=S, alpha=alpha, z=z.copy(), xbar=xbar.copy(),
-        degrees=mdp.degrees.copy(),
-    )
+    inst = RelaxedLpInstance(lp=None, scenario=S, degrees=mdp.degrees.copy())
     src, dst = S.fragile_edges.T
     fs, fd = S.fixed_edges.T
     x0, x1 = inst.x0_index(np.arange(m)), inst.x1_index(np.arange(m))
@@ -287,8 +250,7 @@ def recover_pagerank(
     integral = not np.any(off & on)
     flipped = np.where(S.fragile_in_base, off, on)
     pi = (1.0 - k / instance.degrees) * x[:n]
-    vec = ppr.PageRankVector(values=np.maximum(pi, 0.0), alpha=instance.alpha,
-                             teleport=instance.z.copy())
+    vec = ppr.PageRankVector(values=np.maximum(pi, 0.0))
     return vec, EdgePolicy.from_pairs(S.fragile_edges[flipped]), integral
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, EdgePolicy, PerturbationScenario
+from pagecert.graph import DirectedGraph, EdgePolicy, PerturbationScenario
 
 ENUM_CAP = 20
 

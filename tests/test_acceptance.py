@@ -17,7 +17,6 @@ from pagecert import (
     graph,
     lp_solver,
     models,
-    oracle,
     policy_iter,
     qclp_global,
     robust_train,
@@ -26,6 +25,8 @@ from pagecert.cli import main as cli_main
 from pagecert.policy_iter import MARGIN_EPS
 from pagecert.ppr import diffused_margins, mean_reward, ppr_vector
 
+import gradcheck
+import oracle
 from conftest import random_connected_graph, random_instance
 
 ALPHA = 0.85
@@ -318,7 +319,7 @@ class TestCriterion8GradientChecks:
             kind = "rce" if seed % 2 else "cem"
             model = models.init_mlp(3, 4, 2, seed=seed)
             cfg = robust_train.RobustLossConfig(kind=kind, hinge_margin=0.5)
-            res = robust_train.grad_check(
+            res = gradcheck.grad_check(
                 model, X, y, G, S, ALPHA, cfg, h=1e-5
             )
             if res.checked == 0:

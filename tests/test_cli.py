@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pagecert import robust_train
-from pagecert.cli import main, resolve_config, validate_config
+from pagecert.cli import load_config, main, resolve_config
 from pagecert.graph import generate_sbm, sbm_block_labels
 from pagecert.models import FEATURES_MAGIC
 
@@ -50,6 +50,11 @@ scenario.strength = 4
         + "\n"
     )
     return cfg
+
+
+def validate_config(path) -> tuple[list[str], list[str]]:
+    cfg = resolve_config(load_config(path))
+    return cfg.errors, cfg.warnings
 
 
 class TestConfigValidation:
@@ -279,6 +284,24 @@ class TestPipelines:
         )
         assert main(["--config", str(rcfg)]) == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
+    @pytest.mark.parametrize("margin", ['"abc"', "null"])
+    def test_non_numeric_margin_is_reported(self, tmp_path, capsys, margin,
+                                            labels):
+        gpath, lpath = write_fixture(tmp_path)
+        certs = tmp_path / "c.jsonl"
+        bad = GOOD_RECORD.replace('"worst_margin": 0.5', f'"worst_margin": {margin}')
+        certs.write_text(GOOD_RECORD + "\n" + bad + "\n")
+        rcfg = tmp_path / "r.cfg"
+        rcfg.write_text(
+            f"mode = report\npaths.graph = {gpath}\n"
+            + (f"paths.labels = {lpath}\n" if labels else "")
+            + f"paths.certificates = {certs}\npaths.output = {tmp_path / 'rep'}\n"
+        )
+        assert main(["--config", str(rcfg)]) == 4
+        assert "c.jsonl:2: not a certificate record" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "summary.csv").exists()
 
     @staticmethod
     def _train_config(tmp_path, extra=""):

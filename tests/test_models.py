@@ -37,18 +37,18 @@ def dense_pi_matrix(G: DirectedGraph, alpha: float) -> np.ndarray:
 
 class TestLabelPropagation:
     def test_one_hot_layout(self):
-        H = label_propagation_logits({0: 1}, 3, 2)
+        H = label_propagation_logits(np.array([1, -1, -1]), 3, 2)
         assert H.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
     def test_empty_labels_warn(self, caplog):
         with caplog.at_level("WARNING"):
-            H = label_propagation_logits({}, 4, 2)
+            H = label_propagation_logits(np.full(4, -1), 4, 2)
         assert np.all(H == 0)
         assert "empty label set" in caplog.text
 
     def test_label_out_of_range(self):
         with pytest.raises(ModelError):
-            label_propagation_logits({0: 5}, 3, 2)
+            label_propagation_logits(np.array([5, -1, -1]), 3, 2)
 
     def test_array_input_with_unlabeled(self):
         H = label_propagation_logits(np.array([1, -1, 0]), 3, 2)
@@ -56,7 +56,7 @@ class TestLabelPropagation:
 
     def test_diffused_matches_dense_computation(self, rng):
         G = random_connected_graph(rng, 6, extra=2)
-        H = label_propagation_logits({0: 0, 3: 1, 5: 1}, 6, 2)
+        H = label_propagation_logits(np.array([0, -1, -1, 1, -1, 1]), 6, 2)
         ours = diffused_margins(G, ALPHA, H)
         dense = dense_pi_matrix(G, ALPHA) @ H
         assert np.allclose(ours, dense, atol=1e-9)
@@ -116,7 +116,7 @@ class TestPredict:
                     if a != b:
                         edges.append((a, b))
         G = DirectedGraph.from_edges(6, edges)
-        H = label_propagation_logits({0: 0, 3: 1}, 6, 2)
+        H = label_propagation_logits(np.array([0, -1, -1, 1, -1, -1]), 6, 2)
         y = predict(G, ALPHA, H)
         assert y.tolist() == [0, 0, 0, 1, 1, 1]
         # dense-oracle agreement

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pagecert.graph import build_scenario
-from pagecert.oracle import (
+
+from oracle import (
     EnumerationCapError,
     brute_force_pagerank_opt,
     brute_force_worst_margin,
     iter_feasible_masks,
 )
-
 from conftest import random_connected_graph, random_instance
 
 ALPHA = 0.85

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagecert import oracle, ppr
+from pagecert import ppr
 from pagecert.graph import apply_policy, build_scenario
 from pagecert.policy_iter import (
     IMPROVE_TOL,
@@ -16,6 +16,7 @@ from pagecert.policy_iter import (
 )
 from pagecert.ppr import diffused_margins, ppr_vector
 
+import oracle
 from conftest import random_connected_graph, random_instance
 
 ALPHA = 0.85

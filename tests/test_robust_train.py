@@ -11,13 +11,13 @@ from pagecert.robust_train import (
     TrainingDivergedError,
     WorstCaseBundle,
     compute_worst_bundle,
-    grad_check,
     loss_cem,
     loss_rce,
     train_robust,
 )
 
 from conftest import random_instance
+from gradcheck import grad_check
 
 ALPHA = 0.85
 
