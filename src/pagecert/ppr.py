@@ -1,21 +1,29 @@
 """Sparse linear-system kernels: PageRank vectors, mean rewards, diffused margins.
 
 All three operations reduce to solving (I - a*M) x = rhs where M is the
-row-stochastic transition matrix P = D^-1 A or its transpose. The spectral
-radius of a*M is at most a < 1, so a stationary fixed-point iteration
-converges geometrically; graphs of up to DENSE_LIMIT nodes use a dense LU
-solve instead. The graph's size alone picks the solver; no option does.
+row-stochastic transition matrix P = D^-1 A or its transpose. Graphs of up
+to DENSE_LIMIT nodes use a dense LU solve; larger ones use BiCGSTAB on the
+sparse operator. The graph's size alone picks the solver; no option does.
+
+Error bound: both paths stop only when the true residual of each system
+satisfies ||rhs - (I - a*M) x|| <= (1 - a) * RESIDUAL_TOL * ||rhs||, in the
+inf-norm for P and the 1-norm for P^T. In those norms
+||(I - a*M)^-1|| = 1/(1 - a), so every solution returned is within
+RESIDUAL_TOL * ||rhs|| of the exact one; a solve that cannot show this
+raises ConvergenceError. For a close to 1 the bound falls below float64's
+rounding floor (the residual of even an exact solution is about
+eps * ||rhs|| / (1 - a)), so from about a = 0.999 on the solves may raise.
 
 solve_transport also takes a sequence of graphs on the same nodes, one
 right-hand-side column each, as policy iteration solves every live class
 pair's graph in one call per round. The dense path stacks their matrices
-into one LU call (per DENSE_STACK_BYTES of matrices); the stationary path
+into one LU call (per DENSE_STACK_BYTES of matrices); the iterative path
 builds one block-diagonal CSR of all the graphs (transition_matrix takes a
-sequence too), iterates it and takes each block's value at the iteration
-where it first passes its own stop test. Either way each column is bit for
-bit what a single-graph call returns.
+sequence too) and runs BiCGSTAB on every (graph, column) system at once,
+each stopping on its own. Either way each column is bit for bit what a
+single-graph call returns.
 
-scipy is loaded only where it is used: transition_matrix (the stationary
+scipy is loaded only where it is used: transition_matrix (the iterative
 path above DENSE_LIMIT) and graph.largest_connected_component. Local and
 global certificates and training on a graph of at most DENSE_LIMIT nodes
 run on numpy alone.
@@ -42,11 +50,11 @@ if TYPE_CHECKING:
 
 DENSE_LIMIT = 512
 DENSE_STACK_BYTES = 1 << 25   # bytes of matrices per stacked dense LU solve
-RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10          # bound on ||x - x*|| / ||rhs|| (module docstring)
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve failed to reach the residual tolerance."""
+    """A solve could not show that its solution is within the error bound."""
 
 
 class KernelInputError(ValueError):
@@ -129,7 +137,9 @@ def solve_transport(
     G is one graph, with rhs of shape (n,) or (n, k), or a sequence of q
     graphs on the same n nodes, with rhs of shape (n, q): column j is solved
     on graphs[j], bit for bit as a single-graph call would solve it. Dense
-    LU up to DENSE_LIMIT nodes, stationary iteration above.
+    LU up to DENSE_LIMIT nodes, BiCGSTAB above; either way each column is
+    within RESIDUAL_TOL * ||rhs|| of the exact solution (see the module
+    docstring for the norms).
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -152,7 +162,7 @@ def solve_transport(
     if n <= DENSE_LIMIT:
         x = _dense_solve(graphs, alpha, b, transpose)
     else:
-        x = _stationary_solve(graphs, alpha, b, transpose)
+        x = _bicgstab_solve(graphs, alpha, b, transpose)
     if not single:
         return x[:, :, 0].T
     return x[0, :, 0] if rhs.ndim == 1 else x[0]
@@ -177,54 +187,157 @@ def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nda
         M.reshape(len(chunk), n * n)[:, :: n + 1] += 1.0
         bj = b[lo:lo + step]
         x[lo:lo + step] = np.linalg.solve(M, bj)
-        res = _relative_residual(M @ x[lo:lo + step] - bj, bj)
-        if res > RESIDUAL_TOL * 1e3:
-            raise ConvergenceError(f"dense solve residual {res:.3e}")
+        res = _bound_norm(M @ x[lo:lo + step] - bj, transpose, axis=1)
+        scale = _bound_norm(bj, transpose, axis=1)
+        if not np.all(res <= (1.0 - alpha) * RESIDUAL_TOL * scale):
+            rel = np.max(res / np.maximum(scale, 1e-300))
+            raise ConvergenceError(f"dense solve relative residual {rel:.3e}")
     return x
 
 
-def _stationary_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
-    """x[j] = (I - alpha * P_j[^T])^-1 b[j] by fixed-point iteration on one
-    block-diagonal operator. Block j's value is taken when all its columns
-    first pass the stop test; the blocks are independent, so the ones still
-    running are not affected by the iterations the finished ones go on
-    taking."""
+def _bound_norm(y: np.ndarray, transpose: bool, axis: int) -> np.ndarray:
+    """Each system's norm along axis: the 1-norm for P^T, the inf-norm for
+    P. In these norms ||(I - alpha*M)^-1|| = 1/(1 - alpha), so a residual
+    of at most (1 - alpha) * RESIDUAL_TOL * ||b|| puts x within
+    RESIDUAL_TOL * ||b|| of the solution."""
+    return np.linalg.norm(y, ord=1 if transpose else np.inf, axis=axis)
+
+
+def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """x[j] = (I - alpha * P_j[^T])^-1 b[j] by BiCGSTAB (van der Vorst,
+    SIAM J. Sci. Stat. Comput. 13, 1992), run on every (block, column)
+    system of the call at once, one system per row of a (systems, n) array.
+
+    The iteration is right-preconditioned by K = I + alpha*M, the first two
+    terms of (I - alpha*M)^-1 = sum_k (alpha*M)^k: it runs on
+    (I - alpha*M) K = I - alpha^2 M^2, whose spectrum folds M's eigenvalues
+    l and -l together, and needs less than half the iterations for fewer
+    matvecs in all. Its recursive residual is still b - (I - alpha*M) x.
+
+    Every scalar is per system and every reduction is along a row, so each
+    system's arithmetic is that of a call that solves it alone. A system
+    stops when its recursive residual passes the stop test, or when it
+    breaks down (a zero or non-finite r^.r, r^.v or t.t); its scalars are
+    zero from then on, so its x stays put. Once no system is iterating, the
+    stopped ones are checked on their true residual b - (I - alpha*M) x in
+    one matvec: a system that fails restarts from its x with r^ = r.
+    """
     q, n, c = b.shape
     A = transition_matrix(graphs)
     if transpose:
         A = A.T.tocsr()
-    x_out = np.empty_like(b)
-    finished = np.zeros(q, dtype=bool)
-    scale = np.maximum(np.linalg.norm(b, axis=1), 1e-300)
-    b = b.reshape(q * n, c)
-    x = b.copy()
+    A.data *= alpha
+    B = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(q * c, n)
+    tmp = np.empty_like(B)
+
+    def matvec(y):
+        """alpha * M y, row by row: one block-diagonal matvec when each
+        block holds one column, else one matvec per column."""
+        if c == 1:
+            return (A @ y.ravel()).reshape(y.shape)
+        ay = np.empty_like(y)
+        for i, row in enumerate(y):
+            ay[i] = A @ row
+        return ay
+
+    def apply(y):
+        """(I - alpha * M) y"""
+        ay = matvec(y)
+        return np.subtract(y, ay, out=ay)
+
+    def precondition(y):
+        """K y = (I + alpha * M) y"""
+        ay = matvec(y)
+        ay += y
+        return ay
+
+    def dot(y, z):
+        """Row-wise dot products: one BLAS dot per row, so a row's value
+        does not depend on the rows around it (einsum's does)."""
+        return (y[:, None, :] @ z[:, :, None])[:, 0, 0]
+
+    def axpy(y, scale, z):
+        """y += scale * z, one scale per row."""
+        np.multiply(z, scale[:, None], out=tmp)
+        y += tmp
+
+    def norm(y):
+        return _bound_norm(y, transpose, axis=1)
+
+    bnorm = norm(B)
+    tol = (1.0 - alpha) * RESIDUAL_TOL * bnorm
+    running = ~(bnorm <= tol)        # b = 0 stops at x = 0
+    stopped = np.zeros_like(running)
+    failed = np.full(q * c, np.inf)  # true residual at the last failed check
+    x = np.zeros_like(B)
+    r = B.copy()
+    rhat = B                         # copied on the first restart
+    p = np.zeros_like(B)
+    v = np.zeros_like(B)
+    rho_prev, step, omega = np.ones(q * c), np.ones(q * c), np.ones(q * c)
     cap = _iteration_cap(alpha)
-    for _ in range(cap):
-        x_next = A @ x
-        x_next *= alpha
-        x_next += b
-        # residual of x_next is bounded by alpha * ||x_next - x||
-        delta = np.linalg.norm((x_next - x).reshape(q, n, c), axis=1)
-        x = x_next
-        now = ~finished & np.all(alpha * delta <= RESIDUAL_TOL * scale, axis=1)
-        if now.any():
-            x_out[now] = x.reshape(q, n, c)[now]
-            finished |= now
-            if finished.all():
-                return x_out
-    res = _relative_residual((x - alpha * (A @ x) - b).reshape(q, n, c)[~finished],
-                             b.reshape(q, n, c)[~finished])
-    raise ConvergenceError(
-        f"stationary iteration hit the {cap}-iteration cap with "
-        f"relative residual {res:.3e}"
-    )
-
-
-def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
-    """Largest column residual relative to its rhs; both (..., n, c)."""
-    num = np.linalg.norm(res, axis=-2)
-    den = np.maximum(np.linalg.norm(b, axis=-2), 1e-300)
-    return float(np.max(num / den))
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            if stopped.any() and not running.any():
+                res = apply(x)
+                np.subtract(B, res, out=res)
+                rnorm = norm(res)
+                running = stopped & ~(rnorm <= tol)
+                stopped[:] = False
+                if running.any():
+                    # a restart that did not lower the true residual has
+                    # hit the rounding floor: at alpha near 1 it lies above
+                    # the stop test
+                    if not np.all(rnorm[running] < failed[running]):
+                        rel = np.max(rnorm[running] / bnorm[running])
+                        raise ConvergenceError(
+                            f"BiCGSTAB stalled at relative residual {rel:.3e}, "
+                            f"above the bound's {(1.0 - alpha) * RESIDUAL_TOL:.1e}")
+                    failed[running] = rnorm[running]
+                    if rhat is B:
+                        rhat = B.copy()
+                    r[running] = rhat[running] = res[running]
+                    p[running] = v[running] = 0.0
+                    rho_prev[running] = step[running] = omega[running] = 1.0
+            if not running.any():
+                break
+            if iterations == cap:
+                res = apply(x)
+                np.subtract(B, res, out=res)
+                rel = np.max(norm(res)[running] / bnorm[running])
+                raise ConvergenceError(f"BiCGSTAB hit the {cap}-iteration cap "
+                                       f"with relative residual {rel:.3e}")
+            iterations += 1
+            rho = dot(rhat, r)
+            live = running & np.isfinite(rho) & (rho != 0.0)
+            beta = np.where(live, (rho / rho_prev) * (step / omega), 0.0)
+            axpy(p, -omega, v)
+            p *= beta[:, None]
+            p += r
+            ph = precondition(p)
+            v = apply(ph)
+            sigma = dot(rhat, v)
+            live &= np.isfinite(sigma) & (sigma != 0.0)
+            step = np.where(live, rho / sigma, 0.0)
+            axpy(r, -step, v)                 # r is now the half-step s
+            axpy(x, step, ph)
+            del ph                            # peak memory: one vector less
+            # tested before omega: with s = 0 (as for b = 1), t.s / t.t is 0/0
+            go = live & ~(norm(r) <= tol)
+            sh = precondition(r)
+            t = apply(sh)
+            omega = dot(t, r) / dot(t, t)
+            go &= np.isfinite(omega) & (omega != 0.0)
+            omega = np.where(go, omega, 0.0)
+            axpy(x, omega, sh)
+            axpy(r, -omega, t)
+            del sh, t
+            rho_prev = rho
+            stop = running & ~(go & (norm(r) > tol))
+            stopped |= stop
+            running &= ~stop
+    return np.ascontiguousarray(x.reshape(q, c, n).transpose(0, 2, 1))
 
 
 def check_teleport(z: np.ndarray, node_count: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagecert import ppr
 from pagecert.graph import DirectedGraph, build_scenario, flipped_graph
@@ -335,3 +337,150 @@ class TestGraphSequence:
             solve_transport(graphs, ALPHA, b[:, :3])
         with pytest.raises(KernelInputError):
             solve_transport([], ALPHA, b)
+
+
+def star(leaves: int) -> DirectedGraph:
+    """Hub 0 linked both ways to each of nodes 1..leaves."""
+    out = [(0, v) for v in range(1, leaves + 1)]
+    return DirectedGraph.from_edges(leaves + 1, out + [(v, 0) for _, v in out])
+
+
+def stated_bound_holds(G, alpha, b, x, transpose) -> bool:
+    """||x - x*|| <= RESIDUAL_TOL * ||b|| against a dense LAPACK oracle, in
+    the 1-norm for P^T and the inf-norm for P. The oracle's own error is at
+    most its residual / (1 - alpha) in that norm, and is allowed for."""
+    P = dense_transition(G)
+    M = np.eye(G.node_count) - alpha * (P.T if transpose else P)
+    ref = np.linalg.solve(M, b)
+    o = 1 if transpose else np.inf
+    slack = np.linalg.norm(M @ ref - b, o) / (1.0 - alpha)
+    return (np.linalg.norm(x - ref, o)
+            <= ppr.RESIDUAL_TOL * np.linalg.norm(b, o) + slack)
+
+
+@st.composite
+def solver_graphs(draw):
+    """One star or hub-heavy graph, or 1-4 remove-only perturbations of a
+    random directed graph (solved as a sequence, one column each)."""
+    kind = draw(st.sampled_from(["star", "hubs", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "star":
+        return [star(draw(st.integers(1, 80)))]
+    n = draw(st.integers(3, 60))
+    ring = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+    extra = rng.integers(0, n, size=(draw(st.integers(0, 3 * n)), 2))
+    if kind == "hubs":
+        hubs = rng.choice(n, size=min(n, draw(st.integers(1, 3))), replace=False)
+        spokes = np.array([(h, v) for h in hubs for v in range(n)])
+        edges = np.concatenate([ring, extra, spokes, spokes[:, ::-1]])
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        return [DirectedGraph.from_edges(n, edges, dedupe=True)]
+    edges = np.concatenate([ring, extra])
+    G = DirectedGraph.from_edges(n, edges[edges[:, 0] != edges[:, 1]], dedupe=True)
+    S = build_scenario(G, "remove-only")
+    return [flipped_graph(S, rng.random(S.fragile_count) < draw(st.floats(0, 1)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestIterativeErrorBound:
+    """The iterative path stops each system on its true residual, so every
+    column is within RESIDUAL_TOL * ||b|| of the solution."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs=solver_graphs(), transpose=st.booleans(),
+           alpha=st.sampled_from([0.5, ALPHA, 0.95]),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           sparse=st.booleans())
+    def test_within_bound_of_dense_oracle(self, graphs, transpose, alpha, seed,
+                                          k, sparse):
+        rng = np.random.default_rng(seed)
+        n = graphs[0].node_count
+        b = rng.normal(size=(n, len(graphs) if len(graphs) > 1 else k))
+        if sparse:       # a few entries of either sign, magnitudes far apart
+            b *= (rng.random(b.shape) < 0.1) * 10.0 ** rng.integers(-6, 7, b.shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ppr, "DENSE_LIMIT", 0)
+            x = solve_transport(graphs if len(graphs) > 1 else graphs[0],
+                                alpha, b, transpose=transpose)
+        for j in range(b.shape[1]):
+            G = graphs[j] if len(graphs) > 1 else graphs[0]
+            assert stated_bound_holds(G, alpha, b[:, j], x[:, j], transpose)
+
+    def test_star_pagerank_regression(self):
+        # 1,001 nodes: above DENSE_LIMIT. With b = e_1 (a leaf) the
+        # transposed system has a closed form: the leaves sum to
+        # L = 1/(1 - a^2), the hub holds a*L, and each leaf a*hub/k plus its
+        # own b. The stationary sweep's stop test left a 1.9e-8 error here.
+        k = 1000
+        assert ppr.DENSE_LIMIT < k + 1
+        b = np.zeros(k + 1)
+        b[1] = 1.0
+        x = solve_transport(star(k), ALPHA, b, transpose=True)
+        hub = ALPHA / (1.0 - ALPHA**2)
+        exact = np.full(k + 1, ALPHA * hub / k)
+        exact[0] = hub
+        exact[1] += 1.0
+        assert np.linalg.norm(x - exact, 1) <= ppr.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_rhs_stops_before_the_first_iteration(self, rng, monkeypatch,
+                                                       transpose):
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(ppr, "_iteration_cap", lambda alpha: 0)
+        G = random_connected_graph(rng, 20, extra=5)
+        x = solve_transport(G, ALPHA, np.zeros(20), transpose=transpose)
+        assert np.array_equal(x, np.zeros(20))
+        with pytest.raises(ConvergenceError, match="0-iteration cap"):
+            solve_transport(G, ALPHA, np.ones(20), transpose=transpose)
+
+    @pytest.mark.parametrize("G", [star(1), star(40), two_cycle(),
+                                   random_connected_graph(np.random.default_rng(3), 50, 30)],
+                             ids=["star1", "star40", "two_cycle", "random50"])
+    def test_constant_rhs(self, monkeypatch, G):
+        # P 1 = 1, so x = 1/(1 - a); the half-step residual can be exactly 0
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        x = solve_transport(G, ALPHA, np.ones(G.node_count))
+        assert np.max(np.abs(x - 1.0 / (1.0 - ALPHA))) <= ppr.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matrix_rhs_columns_match_single_column_calls(self, rng, monkeypatch,
+                                                          transpose):
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        G = random_connected_graph(rng, 30, extra=20)
+        b = rng.normal(size=(30, 4))
+        b[:, 1] = 0.0
+        b[:, 2] = (rng.random(30) < 0.1) * 1e6
+        X = solve_transport(G, ALPHA, b, transpose=transpose)
+        for j in range(4):
+            assert np.array_equal(X[:, j], solve_transport(G, ALPHA, b[:, j],
+                                                           transpose=transpose))
+        # each column stops on its own
+        stops = {_stop_iteration(monkeypatch, G, b[:, j], transpose) for j in range(4)}
+        assert len(stops) >= 3
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rounding_floor_above_the_bound_raises(self, rng, monkeypatch,
+                                                   transpose):
+        # at a = 0.9999 the bound is 1e-14 * ||b||, below what float64 can
+        # show: the solve must say so, not restart until the cap
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        G = random_connected_graph(rng, 40, extra=20)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            solve_transport(G, 0.9999, rng.normal(size=40), transpose=transpose)
+
+
+class TestDenseErrorBound:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_within_bound_of_the_oracle(self, rng, transpose):
+        G = random_connected_graph(rng, 60, extra=40)
+        b = rng.normal(size=60)
+        x = solve_transport(G, ALPHA, b, transpose=transpose)
+        assert stated_bound_holds(G, ALPHA, b, x, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_check_uses_the_stated_bound(self, rng, monkeypatch, transpose):
+        # LU leaves a residual of a few ulps; no bound of zero admits it
+        monkeypatch.setattr(ppr, "RESIDUAL_TOL", 0.0)
+        G = random_connected_graph(rng, 60, extra=40)
+        with pytest.raises(ConvergenceError, match="dense solve relative residual"):
+            solve_transport(G, ALPHA, rng.normal(size=60), transpose=transpose)
