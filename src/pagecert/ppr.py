@@ -264,6 +264,10 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     def norm(y):
         return _bound_norm(y, transpose, axis=1)
 
+    def true_residual():
+        res = apply(x)
+        return np.subtract(B, res, out=res)
+
     bnorm = norm(B)
     tol = (1.0 - alpha) * RESIDUAL_TOL * bnorm
     running = ~(bnorm <= tol)        # b = 0 stops at x = 0
@@ -280,8 +284,7 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             if stopped.any() and not running.any():
-                res = apply(x)
-                np.subtract(B, res, out=res)
+                res = true_residual()
                 rnorm = norm(res)
                 running = stopped & ~(rnorm <= tol)
                 stopped[:] = False
@@ -303,9 +306,7 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
             if not running.any():
                 break
             if iterations == cap:
-                res = apply(x)
-                np.subtract(B, res, out=res)
-                rel = np.max(norm(res)[running] / bnorm[running])
+                rel = np.max(norm(true_residual())[running] / bnorm[running])
                 raise ConvergenceError(f"BiCGSTAB hit the {cap}-iteration cap "
                                        f"with relative residual {rel:.3e}")
             iterations += 1
