@@ -5,14 +5,17 @@ row-stochastic transition matrix P = D^-1 A or its transpose. Graphs of up
 to DENSE_LIMIT nodes use a dense LU solve; larger ones use BiCGSTAB on the
 sparse operator. The graph's size alone picks the solver; no option does.
 
-Error bound: both paths stop only when the true residual of each system
-satisfies ||rhs - (I - a*M) x|| <= (1 - a) * RESIDUAL_TOL * ||rhs||, in the
-inf-norm for P and the 1-norm for P^T. In those norms
+Error bound: both paths return a solution only when the evaluated residual
+of each system satisfies ||rhs - (I - a*M) x|| <= (1 - a) * RESIDUAL_TOL *
+||rhs|| + e, in the inf-norm for P and the 1-norm for P^T, where e bounds
+the rounding error of that evaluation (_rounding_error). In those norms
 ||(I - a*M)^-1|| = 1/(1 - a), so every solution returned is within
-RESIDUAL_TOL * ||rhs|| of the exact one; a solve that cannot show this
-raises ConvergenceError. For a close to 1 the bound falls below float64's
-rounding floor (the residual of even an exact solution is about
-eps * ||rhs|| / (1 - a)), so from about a = 0.999 on the solves may raise.
+RESIDUAL_TOL * ||rhs|| + 2e / (1 - a) of the exact one; a solve that cannot
+show this raises ConvergenceError. Without e the bound would lie below
+float64's reach for a near 1 or for high-degree nodes, where the evaluated
+residual of even the exact solution exceeds it. At a = 0.85, with at most
+40 nonzeros in any row of M, 2e / (1 - a) is under 1% of RESIDUAL_TOL *
+||rhs||.
 
 solve_transport also takes a sequence of graphs on the same nodes, one
 right-hand-side column each, as policy iteration solves every live class
@@ -138,8 +141,7 @@ def solve_transport(
     graphs on the same n nodes, with rhs of shape (n, q): column j is solved
     on graphs[j], bit for bit as a single-graph call would solve it. Dense
     LU up to DENSE_LIMIT nodes, BiCGSTAB above; either way each column is
-    within RESIDUAL_TOL * ||rhs|| of the exact solution (see the module
-    docstring for the norms).
+    within the module docstring's error bound of the exact solution.
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -185,11 +187,16 @@ def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nda
                 src, dst = dst, src
             M[j, src, dst] = -(alpha * _edge_weights(G))
         M.reshape(len(chunk), n * n)[:, :: n + 1] += 1.0
-        bj = b[lo:lo + step]
-        x[lo:lo + step] = np.linalg.solve(M, bj)
-        res = _bound_norm(M @ x[lo:lo + step] - bj, transpose, axis=1)
+        bj, xj = b[lo:lo + step], x[lo:lo + step]
+        xj[:] = np.linalg.solve(M, bj)
+        res = _bound_norm(M @ xj - bj, transpose, axis=1)
         scale = _bound_norm(bj, transpose, axis=1)
-        if not np.all(res <= (1.0 - alpha) * RESIDUAL_TOL * scale):
+        # most nonzeros in a row of P[^T]: the largest in- or out-degree
+        row_nnz = [(np.bincount(G.edges[:, 1], minlength=n) if transpose
+                    else G.out_degree).max() for G in chunk]
+        err = _rounding_error(np.array(row_nnz)[:, None], alpha, scale,
+                              _bound_norm(xj, transpose, axis=1))
+        if not np.all(res <= (1.0 - alpha) * RESIDUAL_TOL * scale + err):
             rel = np.max(res / np.maximum(scale, 1e-300))
             raise ConvergenceError(f"dense solve relative residual {rel:.3e}")
     return x
@@ -197,10 +204,20 @@ def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nda
 
 def _bound_norm(y: np.ndarray, transpose: bool, axis: int) -> np.ndarray:
     """Each system's norm along axis: the 1-norm for P^T, the inf-norm for
-    P. In these norms ||(I - alpha*M)^-1|| = 1/(1 - alpha), so a residual
-    of at most (1 - alpha) * RESIDUAL_TOL * ||b|| puts x within
-    RESIDUAL_TOL * ||b|| of the solution."""
+    P. In these norms ||(I - alpha*M)^-1|| = 1/(1 - alpha) and
+    || |alpha*M| |x| || = alpha * ||x||."""
     return np.linalg.norm(y, ord=1 if transpose else np.inf, axis=axis)
+
+
+def _rounding_error(row_nnz, alpha: float, bnorm, xnorm):
+    """Bound on ||r~ - r|| in _bound_norm's norm, where r = b - (I - alpha*M) x
+    and r~ is its float64 evaluation, with row_nnz the most nonzeros in a
+    row of M: gamma_{row_nnz+2} (||b|| + (1 + alpha) ||x||), gamma_k =
+    k u / (1 - k u), by the standard bound on an evaluated residual (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., sections 3.5
+    and 12.1). Each entry of r~ sums at most row_nnz + 2 terms."""
+    k = (np.asarray(row_nnz) + 2) * (np.finfo(np.float64).eps / 2)
+    return k / (1.0 - k) * (bnorm + (1.0 + alpha) * xnorm)
 
 
 def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
@@ -219,26 +236,28 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     stops when its recursive residual passes the stop test, or when it
     breaks down (a zero or non-finite r^.r, r^.v or t.t); its scalars are
     zero from then on, so its x stays put. Once no system is iterating, the
-    stopped ones are checked on their true residual b - (I - alpha*M) x in
-    one matvec: a system that fails restarts from its x with r^ = r.
+    stopped ones are checked on their evaluated true residual against the
+    module docstring's bound, in one matvec: a system that fails restarts
+    from its x with r^ = r.
     """
     q, n, c = b.shape
     A = transition_matrix(graphs)
     if transpose:
         A = A.T.tocsr()
     A.data *= alpha
+    # each block's most nonzeros in a row, for each of its c systems
+    row_nnz = np.repeat(np.diff(A.indptr).reshape(q, n).max(axis=1), c)
     B = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(q * c, n)
-    tmp = np.empty_like(B)
 
     def matvec(y):
-        """alpha * M y, row by row: one block-diagonal matvec when each
-        block holds one column, else one matvec per column."""
-        if c == 1:
-            return (A @ y.ravel()).reshape(y.shape)
-        ay = np.empty_like(y)
-        for i, row in enumerate(y):
-            ay[i] = A @ row
-        return ay
+        """alpha * M y: one CSR product over the (q * n, c) layout that the
+        block-diagonal operator acts on, copied each way when c > 1. scipy
+        sums each entry in the same order for any c, so a system's result
+        does not depend on the systems beside it; the result is C-ordered,
+        as dot needs."""
+        ay = A @ y.reshape(q, c, n).transpose(0, 2, 1).reshape(q * n, c)
+        return np.ascontiguousarray(ay.reshape(q, n, c).transpose(0, 2, 1)
+                                    ).reshape(q * c, n)
 
     def apply(y):
         """(I - alpha * M) y"""
@@ -256,10 +275,10 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
         does not depend on the rows around it (einsum's does)."""
         return (y[:, None, :] @ z[:, :, None])[:, 0, 0]
 
-    def axpy(y, scale, z):
-        """y += scale * z, one scale per row."""
-        np.multiply(z, scale[:, None], out=tmp)
-        y += tmp
+    def scaled(y, scale):
+        """y scaled in place, one scale per row; for a y not needed after."""
+        y *= scale[:, None]
+        return y
 
     def norm(y):
         return _bound_norm(y, transpose, axis=1)
@@ -286,17 +305,17 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
             if stopped.any() and not running.any():
                 res = true_residual()
                 rnorm = norm(res)
-                running = stopped & ~(rnorm <= tol)
+                bound = tol + _rounding_error(row_nnz, alpha, bnorm, norm(x))
+                running = stopped & ~(rnorm <= bound)
                 stopped[:] = False
                 if running.any():
-                    # a restart that did not lower the true residual has
-                    # hit the rounding floor: at alpha near 1 it lies above
-                    # the stop test
+                    # a restart that did not lower the true residual would
+                    # only be followed by more of them
                     if not np.all(rnorm[running] < failed[running]):
                         rel = np.max(rnorm[running] / bnorm[running])
                         raise ConvergenceError(
                             f"BiCGSTAB stalled at relative residual {rel:.3e}, "
-                            f"above the bound's {(1.0 - alpha) * RESIDUAL_TOL:.1e}")
+                            f"above the error bound")
                     failed[running] = rnorm[running]
                     if rhat is B:
                         rhat = B.copy()
@@ -313,17 +332,18 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
             rho = dot(rhat, r)
             live = running & np.isfinite(rho) & (rho != 0.0)
             beta = np.where(live, (rho / rho_prev) * (step / omega), 0.0)
-            axpy(p, -omega, v)
+            p -= scaled(v, omega)
             p *= beta[:, None]
             p += r
+            del v                             # peak memory: one vector less
             ph = precondition(p)
             v = apply(ph)
             sigma = dot(rhat, v)
             live &= np.isfinite(sigma) & (sigma != 0.0)
             step = np.where(live, rho / sigma, 0.0)
-            axpy(r, -step, v)                 # r is now the half-step s
-            axpy(x, step, ph)
-            del ph                            # peak memory: one vector less
+            r -= step[:, None] * v            # r is now the half-step s
+            x += scaled(ph, step)
+            del ph
             # tested before omega: with s = 0 (as for b = 1), t.s / t.t is 0/0
             go = live & ~(norm(r) <= tol)
             sh = precondition(r)
@@ -331,8 +351,8 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
             omega = dot(t, r) / dot(t, t)
             go &= np.isfinite(omega) & (omega != 0.0)
             omega = np.where(go, omega, 0.0)
-            axpy(x, omega, sh)
-            axpy(r, -omega, t)
+            x += scaled(sh, omega)
+            r -= scaled(t, omega)
             del sh, t
             rho_prev = rho
             stop = running & ~(go & (norm(r) > tol))

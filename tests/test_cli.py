@@ -181,6 +181,15 @@ class TestPipelines:
         assert len(records) == 12
         assert all(r["bound_type"] == "exact" for r in records)
 
+    @pytest.mark.parametrize("alpha", ["0.999", "0.9999"])
+    def test_certify_local_with_alpha_near_one(self, tmp_path, alpha):
+        # near alpha = 1 a solve's evaluated residual is mostly rounding
+        # error, which the solves' error bound allows for
+        cfg = base_config(tmp_path, "near1")
+        assert main(["--config", str(cfg), "--set", f"alpha={alpha}"]) == 0
+        records = (tmp_path / "near1" / "certificates.jsonl").read_text().splitlines()
+        assert len(records) == 12
+
     def test_certify_local_byte_stable(self, tmp_path):
         cfg1 = base_config(tmp_path, "runA")
         main(["--config", str(cfg1)])

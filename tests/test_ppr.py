@@ -346,16 +346,27 @@ def star(leaves: int) -> DirectedGraph:
 
 
 def stated_bound_holds(G, alpha, b, x, transpose) -> bool:
-    """||x - x*|| <= RESIDUAL_TOL * ||b|| against a dense LAPACK oracle, in
-    the 1-norm for P^T and the inf-norm for P. The oracle's own error is at
-    most its residual / (1 - alpha) in that norm, and is allowed for."""
+    """||x - x*|| <= RESIDUAL_TOL * ||b|| + 2 e(x) / (1 - alpha) against a
+    dense LAPACK oracle, in the 1-norm for P^T and the inf-norm for P, with
+    e(y) = gamma_{d+2} (||b|| + (1 + alpha) ||y||) the rounding bound of an
+    evaluated residual and d the most nonzeros in a row of P[^T]. The
+    oracle's own error is at most (its evaluated residual + e(oracle)) /
+    (1 - alpha) in that norm, and is allowed for."""
     P = dense_transition(G)
-    M = np.eye(G.node_count) - alpha * (P.T if transpose else P)
+    Pm = P.T if transpose else P
+    M = np.eye(G.node_count) - alpha * Pm
     ref = np.linalg.solve(M, b)
     o = 1 if transpose else np.inf
-    slack = np.linalg.norm(M @ ref - b, o) / (1.0 - alpha)
+    k = (np.count_nonzero(Pm, axis=1).max() + 2) * np.finfo(float).eps / 2
+    gamma = k / (1 - k)
+
+    def e(y):
+        return gamma * (np.linalg.norm(b, o) + (1 + alpha) * np.linalg.norm(y, o))
+
+    slack = (np.linalg.norm(M @ ref - b, o) + e(ref)) / (1.0 - alpha)
     return (np.linalg.norm(x - ref, o)
-            <= ppr.RESIDUAL_TOL * np.linalg.norm(b, o) + slack)
+            <= ppr.RESIDUAL_TOL * np.linalg.norm(b, o) + 2 * e(x) / (1.0 - alpha)
+            + slack)
 
 
 @st.composite
@@ -384,11 +395,11 @@ def solver_graphs(draw):
 
 class TestIterativeErrorBound:
     """The iterative path stops each system on its true residual, so every
-    column is within RESIDUAL_TOL * ||b|| of the solution."""
+    column is within the stated bound of the solution."""
 
     @settings(max_examples=150, deadline=None)
     @given(graphs=solver_graphs(), transpose=st.booleans(),
-           alpha=st.sampled_from([0.5, ALPHA, 0.95]),
+           alpha=st.sampled_from([0.5, ALPHA, 0.95, 0.99, 0.995, 0.999]),
            seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
            sparse=st.booleans())
     def test_within_bound_of_dense_oracle(self, graphs, transpose, alpha, seed,
@@ -459,14 +470,31 @@ class TestIterativeErrorBound:
         assert len(stops) >= 3
 
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_rounding_floor_above_the_bound_raises(self, rng, monkeypatch,
-                                                   transpose):
-        # at a = 0.9999 the bound is 1e-14 * ||b||, below what float64 can
-        # show: the solve must say so, not restart until the cap
+    def test_stalled_restart_raises(self, rng, monkeypatch, transpose):
+        # with no allowance for its rounding, the evaluated residual at
+        # a = 0.9999 cannot reach the bound: the solve must say so, not
+        # restart until the cap
         monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(ppr, "_rounding_error", lambda *args: 0.0)
         G = random_connected_graph(rng, 40, extra=20)
         with pytest.raises(ConvergenceError, match="stalled"):
             solve_transport(G, 0.9999, rng.normal(size=40), transpose=transpose)
+
+
+@pytest.mark.parametrize("alpha", [0.999, 0.9999])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("limit", [ppr.DENSE_LIMIT, 0], ids=["dense", "iterative"])
+def test_alpha_near_one_is_within_the_bound(rng, monkeypatch, limit, transpose,
+                                            alpha):
+    # near a = 1 the evaluated residual of even the exact solution lies above
+    # (1 - a) * RESIDUAL_TOL * ||b||; the rounding allowance admits it
+    monkeypatch.setattr(ppr, "DENSE_LIMIT", limit)
+    hub = np.column_stack((np.zeros(59, dtype=int), np.arange(1, 60)))
+    G = DirectedGraph.from_edges(
+        60, np.concatenate([hub, hub[:, ::-1], [(v, v + 1) for v in range(1, 59)]]))
+    for b in (rng.normal(size=60), np.ones(60), np.eye(60)[7]):
+        x = solve_transport(G, alpha, b, transpose=transpose)
+        assert stated_bound_holds(G, alpha, b, x, transpose)
 
 
 class TestDenseErrorBound:
@@ -481,6 +509,7 @@ class TestDenseErrorBound:
     def test_check_uses_the_stated_bound(self, rng, monkeypatch, transpose):
         # LU leaves a residual of a few ulps; no bound of zero admits it
         monkeypatch.setattr(ppr, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(ppr, "_rounding_error", lambda *args: 0.0)
         G = random_connected_graph(rng, 60, extra=40)
         with pytest.raises(ConvergenceError, match="dense solve relative residual"):
             solve_transport(G, ALPHA, rng.normal(size=60), transpose=transpose)
