@@ -10,8 +10,8 @@ version, input digests) from which it can be reproduced byte-for-byte via
 --from-manifest; a re-run first re-hashes the recorded inputs and stops with
 exit 4 if one changed.
 
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 graph/scenario
-validation error.
+Exit codes: 0 ok, 2 config error, 3 solver error (a diverged training
+loss included), 4 graph/scenario validation error.
 """
 
 from __future__ import annotations
@@ -455,7 +455,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ppr.ConvergenceError, lp_solver.LpError,
-            policy_iter.IterationCapError) as exc:
+            policy_iter.IterationCapError,
+            robust_train.TrainingDivergedError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (graph.GraphFormatError, graph.ScenarioValidationError,

@@ -199,10 +199,12 @@ def feature_propagation_logits(
     return X @ W, W
 
 
-def predict(G: DirectedGraph, alpha: float, H: np.ndarray) -> np.ndarray:
-    """Argmax over diffused logits, ties broken toward the lowest class id."""
+def predict(G: DirectedGraph, alpha: float, H: np.ndarray,
+            clean: ppr.CleanOperator | None = None) -> np.ndarray:
+    """Argmax over diffused logits, ties broken toward the lowest class id;
+    clean is as for ppr.diffused_margins."""
     H = check_logits(H)
-    diff = ppr.diffused_margins(G, alpha, H)
+    diff = ppr.diffused_margins(G, alpha, H, clean)
     return np.argmax(diff, axis=1)
 
 
@@ -223,6 +225,8 @@ def train_val_test_split(
             )
         train.append(pool[:per_class])
         val.append(pool[per_class: 2 * per_class])
+    if not train:
+        raise ModelError("the labels file labels no node")
     train = np.sort(np.concatenate(train))
     val = np.sort(np.concatenate(val))
     labeled = np.nonzero(y >= 0)[0]

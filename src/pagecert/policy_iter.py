@@ -11,7 +11,10 @@ One loop serves every caller: optimize_local takes one reward or a stack
 of rewards, advances the stack in lockstep, solving all live rewards'
 graphs in one ppr.solve_transport call per round, and a reward leaves the
 stack when its flips stop changing. pair_worst_margins runs all K(K-1)
-class pairs as one stack.
+class pairs as one stack. Given the clean graph's ppr.factor_clean
+operator, a round solves the rewards that flip nothing (all of round 1,
+unless init flips) with it instead, column by column, so a column's bits
+still do not depend on the stack around it.
 
 Ties: a flip that is already selected keeps its place unless a rival beats
 it by more than IMPROVE_TOL, so two flips whose scores differ only by
@@ -86,6 +89,7 @@ def optimize_local(
     alpha: float,
     r: np.ndarray,
     init: EdgePolicy | None = None,
+    clean: ppr.CleanOperator | None = None,
 ) -> PolicyIterationResult | LockstepResult:
     """Maximize r^T pi(z) over local-budget-admissible perturbed graphs.
 
@@ -97,7 +101,9 @@ def optimize_local(
     run in lockstep: then a LockstepResult holds one result per column, each
     bit for bit that of the column run alone. init, if given, is every
     reward's starting configuration. An IterationCapError's column is the
-    first reward still unstable at the cap.
+    first reward still unstable at the cap. clean, the ppr.factor_clean
+    operator of S's unflipped graph, solves every reward that flips
+    nothing; it is ignored if it is another graph's.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
@@ -122,7 +128,7 @@ def optimize_local(
         if not live:
             break
         graphs = [flipped_graph(S, flipped[j]) for j in live]
-        X = ppr.solve_transport(graphs, alpha, stack[:, live])
+        X = _solve_round(graphs, alpha, stack[:, live], flipped[live], clean)
         moved = []
         for i, j in enumerate(live):
             x, r = X[:, i], stack[:, j]
@@ -153,6 +159,23 @@ def optimize_local(
     if R.ndim == 1:
         return results[0]
     return LockstepResult(results, max((res.iterations for res in results), default=0))
+
+
+def _solve_round(graphs, alpha: float, R: np.ndarray, flipped: np.ndarray,
+                 clean: ppr.CleanOperator | None) -> np.ndarray:
+    """Column i of R solved on graphs[i]: by clean where the column flips
+    nothing and clean is that graph's operator, by one ppr.solve_transport
+    call for the rest."""
+    unflipped = ~flipped.any(axis=1)
+    if (clean is None or not unflipped.any()
+            or not clean.serves(graphs[int(np.argmax(unflipped))], alpha)):
+        return ppr.solve_transport(graphs, alpha, R)
+    X = np.empty_like(R)
+    X[:, unflipped] = clean.solve(R[:, unflipped])
+    rest = np.flatnonzero(~unflipped)
+    if rest.size:
+        X[:, rest] = ppr.solve_transport([graphs[i] for i in rest], alpha, R[:, rest])
+    return X
 
 
 def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
@@ -193,6 +216,7 @@ def pair_worst_margins(
     S: PerturbationScenario,
     alpha: float,
     H: np.ndarray,
+    clean: ppr.CleanOperator | None = None,
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
     """Optimize every ordered class pair (c1, c2) in one lockstep run.
 
@@ -201,13 +225,13 @@ def pair_worst_margins(
     node t, together with the optimization result that attains it. The
     margins are -(1 - alpha) times the result's value (see the module
     docstring). Each pair's result is bit for bit that of
-    optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2])).
+    optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]), clean=clean).
     """
     H = models.check_logits(H)
     pairs = class_pairs(H.shape[1])
     c1, c2 = np.array(pairs).T
     try:
-        stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
+        stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]), clean=clean)
     except IterationCapError as exc:
         raise IterationCapError(
             f"class pair {pairs[exc.column]}", exc.trace, exc.column) from None
@@ -227,14 +251,17 @@ def certify_local_all(
     y gives the class to defend per node (ground truth or predictions); when
     omitted, clean-graph predictions are used. A negative worst margin is a
     non-robustness certificate and the stored witness reproduces it.
+    Up to ppr.DENSE_LIMIT nodes the predictions and every pair's first
+    round are solved with one ppr.factor_clean operator of G.
     """
     H = models.check_logits(H)
     K = H.shape[1]
+    clean = ppr.factor_clean(G, alpha)
     if y is None:
-        y = models.predict(G, alpha, H)
+        y = models.predict(G, alpha, H, clean)
     y = models.check_labels(y, G.node_count, K)
 
-    pairs = pair_worst_margins(G, S, alpha, H)
+    pairs = pair_worst_margins(G, S, alpha, H, clean)
     certs = []
     for t in range(G.node_count):
         yt = int(y[t])

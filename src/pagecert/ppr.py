@@ -26,6 +26,18 @@ sequence too) and runs BiCGSTAB on every (graph, column) system at once,
 each stopping on its own. Either way each column is bit for bit what a
 single-graph call returns.
 
+Clean operator: a caller that solves on one graph of at most DENSE_LIMIT
+nodes many times (train_robust for each epoch's clean solves,
+certify_local_all for its predictions and every class pair's first
+policy-iteration round) forms its inverse once with factor_clean. Its
+CleanOperator.solve serves both orientations, through the transposes, with
+one matrix-vector product per column. Such a product is not backward
+stable as an LU solve is, and near a = 1 it can miss the bound: a column
+that does takes one step of iterative refinement. Every column returned
+passes the residual test above, as a dense LU solution does, so the same
+bound holds; the operator keeps only the inverse and sums the residual's
+product from the graph's edges.
+
 scipy is loaded only where it is used: transition_matrix (the iterative
 path above DENSE_LIMIT) and graph.largest_connected_component. Local and
 global certificates and training on a graph of at most DENSE_LIMIT nodes
@@ -178,28 +190,125 @@ def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nda
     step = max(1, DENSE_STACK_BYTES // (8 * n * n))
     for lo in range(0, q, step):
         chunk = graphs[lo:lo + step]
-        # I - alpha * P[^T] built in one array; every entry, self-loops
-        # included, equals that of np.eye(n) - alpha * P[^T] bit for bit
-        M = np.zeros((len(chunk), n, n))
-        for j, G in enumerate(chunk):
-            src, dst = G.edges.T
-            if transpose:
-                src, dst = dst, src
-            M[j, src, dst] = -(alpha * _edge_weights(G))
-        M.reshape(len(chunk), n * n)[:, :: n + 1] += 1.0
+        M = _dense_matrices(chunk, alpha, transpose)
         bj, xj = b[lo:lo + step], x[lo:lo + step]
         xj[:] = np.linalg.solve(M, bj)
-        res = _bound_norm(M @ xj - bj, transpose, axis=1)
-        scale = _bound_norm(bj, transpose, axis=1)
-        # most nonzeros in a row of P[^T]: the largest in- or out-degree
-        row_nnz = [(np.bincount(G.edges[:, 1], minlength=n) if transpose
-                    else G.out_degree).max() for G in chunk]
-        err = _rounding_error(np.array(row_nnz)[:, None], alpha, scale,
-                              _bound_norm(xj, transpose, axis=1))
-        if not np.all(res <= (1.0 - alpha) * RESIDUAL_TOL * scale + err):
-            rel = np.max(res / np.maximum(scale, 1e-300))
-            raise ConvergenceError(f"dense solve relative residual {rel:.3e}")
+        row_nnz = np.array([_row_nnz(G, transpose) for G in chunk])[:, None]
+        _check_dense(bj, M @ xj, xj, row_nnz, alpha, transpose)
     return x
+
+
+def _dense_matrices(graphs, alpha: float, transpose: bool) -> np.ndarray:
+    """I - alpha * P_j[^T] of every graph, built in one (q, n, n) array;
+    every entry, self-loops included, equals that of np.eye(n) - alpha *
+    P[^T] bit for bit."""
+    n = graphs[0].node_count
+    M = np.zeros((len(graphs), n, n))
+    for j, G in enumerate(graphs):
+        src, dst = G.edges.T
+        if transpose:
+            src, dst = dst, src
+        M[j, src, dst] = -(alpha * _edge_weights(G))
+    M.reshape(len(graphs), n * n)[:, :: n + 1] += 1.0
+    return M
+
+
+def _row_nnz(G: DirectedGraph, transpose: bool) -> int:
+    """Most nonzeros in a row of P[^T]: the largest in- or out-degree."""
+    deg = np.bincount(G.edges[:, 1], minlength=G.node_count) if transpose else G.out_degree
+    return int(deg.max())
+
+
+def _residual_test(b, Mx, x, row_nnz, alpha: float, transpose: bool):
+    """Each system's evaluated residual b[j] - M[j] x[j], from the product
+    Mx, and whether it passes the module docstring's test, as a (q, 1)
+    mask."""
+    res = b - Mx
+    scale = _bound_norm(b, transpose, axis=1)
+    err = _rounding_error(row_nnz, alpha, scale, _bound_norm(x, transpose, axis=1))
+    return res, _bound_norm(res, transpose, axis=1) <= (
+        (1.0 - alpha) * RESIDUAL_TOL * scale + err)
+
+
+def _check_dense(b, Mx, x, row_nnz, alpha: float, transpose: bool) -> None:
+    """Raise ConvergenceError unless every system M[j] x[j] = b[j] of a dense
+    solve passes the module docstring's residual test."""
+    res, ok = _residual_test(b, Mx, x, row_nnz, alpha, transpose)
+    if not ok.all():
+        rel = np.max(_bound_norm(res, transpose, axis=1)
+                     / np.maximum(_bound_norm(b, transpose, axis=1), 1e-300))
+        raise ConvergenceError(f"dense solve relative residual {rel:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class CleanOperator:
+    """The inverse of one graph's I - alpha*P, formed once by factor_clean
+    for the many solves on that graph; its transpose serves P^T."""
+
+    graph: DirectedGraph
+    alpha: float
+    inverse: np.ndarray             # (I - alpha*P)^-1
+    row_nnz: tuple[int, int]        # most nonzeros in a row of P, of P^T
+
+    def serves(self, G: DirectedGraph, alpha: float) -> bool:
+        """Whether G (this graph, or one with the same edges) at alpha is
+        the system this operator solves."""
+        return (float(alpha) == self.alpha and G.node_count == self.graph.node_count
+                and (G is self.graph or np.array_equal(G.edges, self.graph.edges)))
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(I - alpha * P[^T])^-1 rhs for rhs of shape (n,) or (n, k).
+
+        Each column is its own matrix-vector product with the inverse (a
+        stacked (k, n, 1) matmul: a matrix-matrix product's columns differ
+        from it in the last bits), so a column's result does not depend on
+        the columns beside it. A column that fails _dense_solve's residual
+        test takes one step of iterative refinement and is returned only if
+        it then passes, so the module docstring's bound holds.
+        """
+        rhs = np.asarray(rhs, dtype=np.float64)
+        n = self.graph.node_count
+        b = np.ascontiguousarray(rhs.reshape(n, -1).T).reshape(-1, n, 1)
+        inv = self.inverse.T if transpose else self.inverse
+        x = inv @ b
+        row_nnz = self.row_nnz[transpose]
+        res, ok = _residual_test(b, self._apply(x, transpose), x, row_nnz,
+                                 self.alpha, transpose)
+        redo = ~ok[:, 0]
+        if redo.any():
+            # near a = 1 the product can miss the bound (its error grows with
+            # the condition number, (1 + a) / (1 - a)); one step of iterative
+            # refinement brings it back to LU accuracy
+            x[redo] += inv @ res[redo]
+            _check_dense(b[redo], self._apply(x[redo], transpose), x[redo],
+                         row_nnz, self.alpha, transpose)
+        return x[:, :, 0].T.reshape(rhs.shape)
+
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """(I - alpha * P[^T]) x for x of shape (k, n, 1), summed from the
+        graph's edges: entry i adds to x_i the nonzero terms of row i that a
+        dense product sums, so _rounding_error bounds this evaluation too."""
+        src, dst = self.graph.edges.T
+        if transpose:
+            src, dst = dst, src
+        coef = -(self.alpha * _edge_weights(self.graph))
+        n = self.graph.node_count
+        y = np.empty_like(x)
+        for c in range(x.shape[0]):
+            y[c, :, 0] = np.bincount(src, weights=coef * x[c, dst, 0], minlength=n)
+        y += x
+        return y
+
+
+def factor_clean(G: DirectedGraph, alpha: float) -> CleanOperator | None:
+    """G's operator with its inverse formed once, for callers that solve on
+    G many times; None above DENSE_LIMIT, where every solve stays
+    iterative."""
+    alpha = _check_alpha(alpha)
+    if G.node_count > DENSE_LIMIT:
+        return None
+    inverse = np.linalg.inv(_dense_matrices([G], alpha, transpose=False)[0])
+    return CleanOperator(G, alpha, inverse, (_row_nnz(G, False), _row_nnz(G, True)))
 
 
 def _bound_norm(y: np.ndarray, transpose: bool, axis: int) -> np.ndarray:
@@ -397,18 +506,28 @@ def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:
     return ValueVector(values=x)
 
 
-def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray) -> np.ndarray:
+def _clean_or_transport(G, alpha: float, rhs: np.ndarray, transpose: bool,
+                        clean: CleanOperator | None) -> np.ndarray:
+    """clean's solve where clean serves G at alpha, else solve_transport."""
+    if clean is not None and clean.serves(G, alpha):
+        return clean.solve(rhs, transpose)
+    return solve_transport(G, alpha, rhs, transpose)
+
+
+def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray,
+                     clean: CleanOperator | None = None) -> np.ndarray:
     """pi(e_t)^T h for every target t at once, as (1-alpha) * mean reward.
 
     h may be a single length-N vector or an (N, k) stack of columns; the
-    result has the same shape.
+    result has the same shape. clean, G's factor_clean operator, solves
+    instead of solve_transport when given.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != G.node_count:
         raise KernelInputError("logit vector has wrong length")
     if not np.all(np.isfinite(h)):
         raise KernelInputError("logit values must be finite")
-    return (1.0 - alpha) * solve_transport(G, alpha, h, transpose=False)
+    return (1.0 - alpha) * _clean_or_transport(G, alpha, h, False, clean)
 
 
 def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
@@ -426,11 +545,12 @@ def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
     return np.maximum(pi, 0.0)
 
 
-def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray) -> np.ndarray:
+def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray,
+                      clean: CleanOperator | None = None) -> np.ndarray:
     """(1-alpha) (I - alpha*P^T)^-1 s for an arbitrary vector or matrix s.
 
     This is the adjoint of margin diffusion, used to backpropagate
-    through diffused logits.
+    through diffused logits. clean is as for diffused_margins.
     """
     s = np.asarray(s, dtype=np.float64)
-    return (1.0 - alpha) * solve_transport(G, alpha, s, transpose=True)
+    return (1.0 - alpha) * _clean_or_transport(G, alpha, s, True, clean)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -313,13 +314,13 @@ class TestPipelines:
         assert not (tmp_path / "rep" / "summary.csv").exists()
 
     @staticmethod
-    def _train_config(tmp_path, extra=""):
-        gpath, lpath = write_fixture(tmp_path, n=24, p_in=0.8, p_out=0.05)
-        labels = sbm_block_labels(24, 2)
+    def _train_config(tmp_path, extra="", n=24, p_in=0.8):
+        gpath, lpath = write_fixture(tmp_path, n=n, p_in=p_in, p_out=0.05)
+        labels = sbm_block_labels(n, 2)
         feats = tmp_path / "x.csv"
         rng = np.random.default_rng(0)
-        X = np.zeros((24, 2))
-        X[np.arange(24), labels] = 1.0
+        X = np.zeros((n, 2))
+        X[np.arange(n), labels] = 1.0
         X += 0.05 * rng.normal(size=X.shape)
         with feats.open("w") as fh:
             for row in X:
@@ -353,6 +354,23 @@ train.per_class = 4
         assert (out / "logits.csv").exists()
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,val_loss,certified_ratio"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverged_training_is_a_solver_error(self, tmp_path, capsys):
+        cfg = self._train_config(tmp_path, n=40, p_in=0.3, extra=(
+            "train.per_class = 5\ntrain.lr = 1e9\ntrain.epochs = 50"))
+        assert main(["--config", str(cfg)]) == 3
+        assert re.search(r"^solver error: loss diverged at epoch \d+$",
+                         capsys.readouterr().err, re.M)
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("mode", ["train", "certify-local"])
+    def test_labels_file_labelling_no_node(self, tmp_path, capsys, mode):
+        cfg = self._train_config(tmp_path)
+        (tmp_path / "labels.tsv").write_text("# no labels\n")
+        assert main(["--config", str(cfg), "--set", f"mode={mode}"]) == 4
+        assert "validation error:" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
 
     def test_import_and_train_load_no_scipy(self, tmp_path):
         # graphs of at most ppr.DENSE_LIMIT nodes never need a sparse

@@ -201,6 +201,10 @@ class TestSplitAndIo:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
 
+    def test_split_without_labeled_nodes(self):
+        with pytest.raises(ModelError, match="labels no node"):
+            train_val_test_split(np.full(10, -1), per_class=2)
+
     def test_logits_csv_round_trip(self, tmp_path, rng):
         H = rng.normal(size=(5, 3))
         p = tmp_path / "h.csv"

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagecert import ppr
-from pagecert.graph import apply_policy, build_scenario
+from pagecert.graph import apply_policy, build_scenario, flipped_graph
 from pagecert.policy_iter import (
     IMPROVE_TOL,
     MARGIN_EPS,
     _select,
+    _solve_round,
     certify_local_all,
     class_pairs,
     optimize_local,
@@ -184,6 +185,23 @@ def test_select_matches_full_sort(n, mode, scores, budgets, seed):
 
 
 class TestCertifyLocalAll:
+    def test_clean_solves_use_one_inverse(self, rng, monkeypatch):
+        # the predictions and every pair's first round are clean solves:
+        # no LU may factor the clean graph's matrix
+        G = random_connected_graph(rng, 30, extra=40)
+        S = build_scenario(G, "remove-only", strength=8)
+        P = np.zeros((30, 30))
+        P[G.edges[:, 0], G.edges[:, 1]] = 1.0 / G.out_degree[G.edges[:, 0]]
+        M = np.eye(30) - ALPHA * P
+        solve, inv = np.linalg.solve, np.linalg.inv
+        factored, inverted = [], []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: factored.extend(a) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        certs = certify_local_all(G, S, ALPHA, rng.normal(size=(30, 3)))
+        assert len(certs) == 30 and factored
+        assert len(inverted) == 1 and np.allclose(inverted[0], M)
+        assert not any(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
+
     def test_no_fragile_edges_gives_clean_margins(self, rng):
         from pagecert.graph import DirectedGraph
         edges = [(i, i + 1) for i in range(3)] + [(i + 1, i) for i in range(3)]
@@ -311,6 +329,53 @@ class TestLockstepPairs:
             assert res.iterations == alone.iterations == len(res.trace)
             assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
             assert np.array_equal(res.graph.edges, alone.graph.edges)
+
+    def test_factored_first_round_matches_separate_runs(self, rng, monkeypatch):
+        G, S, H = self._instance(rng)
+        clean = ppr.factor_clean(G, ALPHA)
+        solved = []
+        solve_transport = ppr.solve_transport
+        monkeypatch.setattr(ppr, "solve_transport", lambda graphs, *args: solved.append(
+            len(graphs)) or solve_transport(graphs, *args))
+        pairs = pair_worst_margins(G, S, ALPHA, H, clean)
+        # round 1 (all six pairs, no flips) is the clean operator's alone
+        assert sum(solved) == sum(res.iterations - 1 for _, res in pairs.values())
+        assert len({res.iterations for _, res in pairs.values()}) > 1
+        for (c1, c2), (margins, res) in pairs.items():
+            r = -(H[:, c1] - H[:, c2])
+            alone = optimize_local(G, S, ALPHA, r, clean=clean)
+            assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
+            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert res.iterations == alone.iterations
+            assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
+            # both first rounds are within the stated bound of the solution
+            unfactored = optimize_local(G, S, ALPHA, r)
+            assert np.array_equal(res.policy.flips, unfactored.policy.flips)
+            x, y = res.trace[0], unfactored.trace[0]
+            bound = sum(ppr.RESIDUAL_TOL * np.abs(r).max() + 2 * ppr._rounding_error(
+                G.out_degree.max(), ALPHA, np.abs(r).max(), np.abs(v).max()) / (1 - ALPHA)
+                for v in (x, y))
+            assert np.abs(x - y).max() <= bound
+
+    def test_round_mixes_clean_and_perturbed_columns(self, rng):
+        G, S, _ = self._instance(rng)
+        clean = ppr.factor_clean(G, ALPHA)
+        flipped = np.zeros((3, S.fragile_count), dtype=bool)
+        flipped[1, :3] = True
+        graphs = [flipped_graph(S, f) for f in flipped]
+        R = rng.normal(size=(30, 3))
+        X = _solve_round(graphs, ALPHA, R, flipped, clean)
+        assert np.array_equal(X[:, 0], clean.solve(R[:, 0]))
+        assert np.array_equal(X[:, 2], clean.solve(R[:, 2]))
+        assert np.array_equal(X[:, 1], ppr.solve_transport(graphs[1], ALPHA, R[:, 1]))
+
+    def test_factored_operator_of_another_graph_is_ignored(self, rng):
+        G, S, H = self._instance(rng)
+        other = ppr.factor_clean(random_connected_graph(rng, 30, extra=41), ALPHA)
+        r = -(H[:, 0] - H[:, 1])
+        a = optimize_local(G, S, ALPHA, r, clean=other)
+        b = optimize_local(G, S, ALPHA, r)
+        assert all(np.array_equal(x, y) for x, y in zip(a.trace, b.trace))
 
     def test_optimize_local_takes_a_reward_stack(self, rng):
         G, S, H = self._instance(rng)

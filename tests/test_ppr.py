@@ -513,3 +513,130 @@ class TestDenseErrorBound:
         G = random_connected_graph(rng, 60, extra=40)
         with pytest.raises(ConvergenceError, match="dense solve relative residual"):
             solve_transport(G, ALPHA, rng.normal(size=60), transpose=transpose)
+
+
+@st.composite
+def clean_graphs(draw):
+    """A hub-heavy graph, or a random graph with self-loops."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    ring = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+    extra = rng.integers(0, n, size=(draw(st.integers(0, 3 * n)), 2))
+    if draw(st.booleans()):
+        hubs = rng.choice(n, size=min(n, draw(st.integers(1, 3))), replace=False)
+        spokes = np.array([(h, v) for h in hubs for v in range(n)])
+        edges = np.concatenate([ring, extra, spokes, spokes[:, ::-1]])
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        return DirectedGraph.from_edges(n, edges, dedupe=True)
+    loops = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+    edges = np.concatenate([ring, extra, np.column_stack((loops, loops))])
+    return DirectedGraph.from_edges(n, edges, allow_self_loops=True, dedupe=True)
+
+
+class TestCleanOperator:
+    """factor_clean inverts a graph's dense operator once; every column its
+    solve returns passes the dense residual test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=clean_graphs(), transpose=st.booleans(),
+           alpha=st.sampled_from([0.5, ALPHA, 0.95]),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           sparse=st.booleans())
+    def test_within_bound_of_dense_oracle(self, G, transpose, alpha, seed, k, sparse):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(G.node_count, k))
+        if sparse:       # a few entries of either sign, magnitudes far apart
+            b *= (rng.random(b.shape) < 0.1) * 10.0 ** rng.integers(-6, 7, b.shape)
+        x = ppr.factor_clean(G, alpha).solve(b, transpose=transpose)
+        assert x.shape == b.shape
+        for j in range(k):
+            assert stated_bound_holds(G, alpha, b[:, j], x[:, j], transpose)
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9999])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_alpha_near_one_is_within_the_bound(self, rng, transpose, alpha):
+        hub = np.column_stack((np.zeros(59, dtype=int), np.arange(1, 60)))
+        G = DirectedGraph.from_edges(
+            60, np.concatenate([hub, hub[:, ::-1], [(v, v + 1) for v in range(1, 59)]]))
+        clean = ppr.factor_clean(G, alpha)
+        for b in (rng.normal(size=60), np.ones(60), np.eye(60)[7]):
+            assert stated_bound_holds(G, alpha, b, clean.solve(b, transpose), transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_refinement_near_alpha_one(self, rng, transpose):
+        # at a = 0.9999 the inverse's product misses the bound on some
+        # columns; one step of refinement brings each of them within it
+        alpha = 0.9999
+        G = random_connected_graph(rng, 40, extra=20)
+        clean = ppr.factor_clean(G, alpha)
+        b = rng.normal(size=(40, 100))
+        M = np.eye(40) - alpha * dense_transition(G)
+        inv = clean.inverse
+        if transpose:
+            M, inv = M.T, inv.T
+        stack = b.T[:, :, None]
+        raw = inv @ stack
+        _, ok = ppr._residual_test(stack, M @ raw, raw, clean.row_nnz[transpose],
+                                   alpha, transpose)
+        assert 0 < np.count_nonzero(~ok) < 100
+        x = clean.solve(b, transpose)
+        for j in range(100):
+            assert stated_bound_holds(G, alpha, b[:, j], x[:, j], transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_check_uses_the_stated_bound(self, rng, monkeypatch, transpose):
+        monkeypatch.setattr(ppr, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(ppr, "_rounding_error", lambda *args: 0.0)
+        G = random_connected_graph(rng, 60, extra=40)
+        clean = ppr.factor_clean(G, ALPHA)
+        with pytest.raises(ConvergenceError, match="dense solve relative residual"):
+            clean.solve(rng.normal(size=60), transpose=transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_columns_match_single_column_solves(self, rng, transpose):
+        G = random_connected_graph(rng, 40, extra=30)
+        clean = ppr.factor_clean(G, ALPHA)
+        b = rng.normal(size=(40, 5))
+        b[:, 1] = 0.0
+        X = clean.solve(b, transpose)
+        for j in range(5):
+            assert np.array_equal(X[:, j], clean.solve(b[:, j], transpose))
+            assert np.array_equal(X[:, j], clean.solve(b[:, j:j + 1], transpose)[:, 0])
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_residual_product_matches_the_dense_matrix(self, rng, transpose):
+        # the residual's product is summed from the edges, self-loops included
+        edges = np.concatenate([random_connected_graph(rng, 30, extra=20).edges,
+                                [(3, 3), (7, 7)]])
+        G = DirectedGraph.from_edges(30, edges, allow_self_loops=True)
+        M = np.eye(30) - ALPHA * dense_transition(G)
+        x = rng.normal(size=(4, 30, 1))
+        got = ppr.factor_clean(G, ALPHA)._apply(x, transpose)
+        assert np.allclose(got, (M.T if transpose else M) @ x, rtol=0, atol=1e-14)
+
+    def test_kernels_use_it_only_for_its_graph(self, rng, monkeypatch):
+        G = random_connected_graph(rng, 30, extra=20)
+        other = random_connected_graph(rng, 30, extra=21)
+        clean = ppr.factor_clean(G, ALPHA)
+        same = DirectedGraph.from_edges(30, G.edges)
+        assert clean.serves(G, ALPHA) and clean.serves(same, ALPHA)
+        assert not clean.serves(other, ALPHA) and not clean.serves(G, 0.8)
+        calls = []
+        monkeypatch.setattr(ppr, "solve_transport",
+                            lambda *args: calls.append(args) or np.zeros((30, 2)))
+        h = rng.normal(size=(30, 2))
+        assert np.array_equal(diffused_margins(G, ALPHA, h, clean),
+                              (1.0 - ALPHA) * clean.solve(h))
+        assert np.array_equal(diffuse_transpose(same, ALPHA, h, clean),
+                              (1.0 - ALPHA) * clean.solve(h, transpose=True))
+        assert not calls
+        diffused_margins(other, ALPHA, h, clean)
+        diffuse_transpose(G, 0.8, h, clean)
+        assert [args[0] for args in calls] == [other, G]
+
+    def test_none_above_the_dense_limit(self, rng, monkeypatch):
+        G = random_connected_graph(rng, 30, extra=20)
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 29)
+        assert ppr.factor_clean(G, ALPHA) is None
+        with pytest.raises(KernelInputError):
+            ppr.factor_clean(G, 1.0)

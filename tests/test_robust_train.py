@@ -314,6 +314,27 @@ class TestTrainRobust:
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]
 
+    def test_one_clean_factorization_per_run(self, monkeypatch):
+        # every clean solve of every epoch is served by one inverse formed
+        # at the start: no LU may factor the clean graph's matrix
+        G, X, y, train_idx, val_idx = self._fixture(4)
+        S = build_scenario(G, "remove-only", strength=3)
+        P = np.zeros((20, 20))
+        P[G.edges[:, 0], G.edges[:, 1]] = 1.0 / G.out_degree[G.edges[:, 0]]
+        M = np.eye(20) - ALPHA * P
+        solve, inv = np.linalg.solve, np.linalg.inv
+        factored, inverted = [], []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: factored.extend(a) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        config = RobustLossConfig(kind="cem", max_epochs=6, patience=20)
+        _, history = train_robust(init_mlp(2, 4, 2, seed=11), X, y, G, S, ALPHA,
+                                  config, train_idx, val_idx)
+        assert len(history) == 6
+        assert len(inverted) == 1 and np.allclose(inverted[0], M)
+        # the perturbed graphs of later rounds and ppr_rows still take LUs
+        assert factored
+        assert not any(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reported(self):
         G, X, y, train_idx, val_idx = self._fixture(5)
