@@ -103,7 +103,8 @@ def optimize_local(
     reward's starting configuration. An IterationCapError's column is the
     first reward still unstable at the cap. clean, the ppr.factor_clean
     operator of S's unflipped graph, solves every reward that flips
-    nothing; it is ignored if it is another graph's.
+    nothing; it is ignored if it is another graph's, as G's is where a
+    fixed edge is missing from an asymmetric G.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
@@ -251,12 +252,15 @@ def certify_local_all(
     y gives the class to defend per node (ground truth or predictions); when
     omitted, clean-graph predictions are used. A negative worst margin is a
     non-robustness certificate and the stored witness reproduces it.
-    Up to ppr.DENSE_LIMIT nodes the predictions and every pair's first
-    round are solved with one ppr.factor_clean operator of G.
+    Up to ppr.DENSE_LIMIT nodes and from three classes on, the predictions
+    and every pair's first round are solved with one ppr.factor_clean
+    operator of G.
     """
     H = models.check_logits(H)
     K = H.shape[1]
-    clean = ppr.factor_clean(G, alpha)
+    # the inverse costs about four LU factorizations, more than the three
+    # clean systems of two classes (the predictions, two pairs' first round)
+    clean = ppr.factor_clean(G, alpha) if K > 2 else None
     if y is None:
         y = models.predict(G, alpha, H, clean)
     y = models.check_labels(y, G.node_count, K)

@@ -28,15 +28,15 @@ single-graph call returns.
 
 Clean operator: a caller that solves on one graph of at most DENSE_LIMIT
 nodes many times (train_robust for each epoch's clean solves,
-certify_local_all for its predictions and every class pair's first
-policy-iteration round) forms its inverse once with factor_clean. Its
-CleanOperator.solve serves both orientations, through the transposes, with
-one matrix-vector product per column. Such a product is not backward
-stable as an LU solve is, and near a = 1 it can miss the bound: a column
-that does takes one step of iterative refinement. Every column returned
-passes the residual test above, as a dense LU solution does, so the same
-bound holds; the operator keeps only the inverse and sums the residual's
-product from the graph's edges.
+certify_local_all, with three classes or more, for its predictions and
+every class pair's first policy-iteration round) forms its inverse once
+with factor_clean. Its CleanOperator.solve serves both orientations,
+through the transposes, with one matrix-vector product per column. Such a
+product is not backward stable as an LU solve is, and near a = 1 it can
+miss the bound: a column that does takes one step of iterative
+refinement. Every column returned passes the residual test above, as a
+dense LU solution does, so the same bound holds; the operator keeps only
+the inverse and sums the residual's product from the graph's edges.
 
 scipy is loaded only where it is used: transition_matrix (the iterative
 path above DENSE_LIMIT) and graph.largest_connected_component. Local and
@@ -506,12 +506,14 @@ def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:
     return ValueVector(values=x)
 
 
-def _clean_or_transport(G, alpha: float, rhs: np.ndarray, transpose: bool,
-                        clean: CleanOperator | None) -> np.ndarray:
-    """clean's solve where clean serves G at alpha, else solve_transport."""
-    if clean is not None and clean.serves(G, alpha):
-        return clean.solve(rhs, transpose)
-    return solve_transport(G, alpha, rhs, transpose)
+def _clean_solve(G, alpha: float, rhs: np.ndarray, transpose: bool,
+                 clean: CleanOperator | None) -> np.ndarray:
+    """clean's solve when clean is given, else solve_transport."""
+    if clean is None:
+        return solve_transport(G, alpha, rhs, transpose)
+    if not clean.serves(G, alpha):
+        raise KernelInputError("clean operator is not this graph's at this alpha")
+    return clean.solve(rhs, transpose)
 
 
 def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray,
@@ -520,14 +522,15 @@ def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray,
 
     h may be a single length-N vector or an (N, k) stack of columns; the
     result has the same shape. clean, G's factor_clean operator, solves
-    instead of solve_transport when given.
+    instead of solve_transport when given; another graph's, or one at
+    another alpha, is a KernelInputError.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != G.node_count:
         raise KernelInputError("logit vector has wrong length")
     if not np.all(np.isfinite(h)):
         raise KernelInputError("logit values must be finite")
-    return (1.0 - alpha) * _clean_or_transport(G, alpha, h, False, clean)
+    return (1.0 - alpha) * _clean_solve(G, alpha, h, False, clean)
 
 
 def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
@@ -553,4 +556,4 @@ def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray,
     through diffused logits. clean is as for diffused_margins.
     """
     s = np.asarray(s, dtype=np.float64)
-    return (1.0 - alpha) * _clean_or_transport(G, alpha, s, True, clean)
+    return (1.0 - alpha) * _clean_solve(G, alpha, s, True, clean)

@@ -185,9 +185,12 @@ def test_select_matches_full_sort(n, mode, scores, budgets, seed):
 
 
 class TestCertifyLocalAll:
-    def test_clean_solves_use_one_inverse(self, rng, monkeypatch):
-        # the predictions and every pair's first round are clean solves:
-        # no LU may factor the clean graph's matrix
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_clean_solves_use_one_inverse(self, rng, monkeypatch, classes):
+        # from three classes on the predictions and every pair's first round
+        # are clean solves of one inverse: no LU may factor the clean
+        # graph's matrix. Two classes have three clean systems, cheaper to
+        # factor than to invert, and keep the LU
         G = random_connected_graph(rng, 30, extra=40)
         S = build_scenario(G, "remove-only", strength=8)
         P = np.zeros((30, 30))
@@ -197,10 +200,14 @@ class TestCertifyLocalAll:
         factored, inverted = [], []
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: factored.extend(a) or solve(a, b))
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
-        certs = certify_local_all(G, S, ALPHA, rng.normal(size=(30, 3)))
+        certs = certify_local_all(G, S, ALPHA, rng.normal(size=(30, classes)))
         assert len(certs) == 30 and factored
-        assert len(inverted) == 1 and np.allclose(inverted[0], M)
-        assert not any(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
+        clean_lu = sum(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
+        if classes == 2:
+            assert not inverted and clean_lu == 3
+        else:
+            assert len(inverted) == 1 and np.allclose(inverted[0], M)
+            assert clean_lu == 0
 
     def test_no_fragile_edges_gives_clean_margins(self, rng):
         from pagecert.graph import DirectedGraph
@@ -370,10 +377,19 @@ class TestLockstepPairs:
         assert np.array_equal(X[:, 1], ppr.solve_transport(graphs[1], ALPHA, R[:, 1]))
 
     def test_factored_operator_of_another_graph_is_ignored(self, rng):
-        G, S, H = self._instance(rng)
-        other = ppr.factor_clean(random_connected_graph(rng, 30, extra=41), ALPHA)
-        r = -(H[:, 0] - H[:, 1])
-        a = optimize_local(G, S, ALPHA, r, clean=other)
+        # on an asymmetric graph the scenario fixes both directions of its
+        # spanning tree, so the unflipped graph has edges G lacks and G's
+        # operator must not solve it
+        from pagecert.graph import DirectedGraph
+        ring = np.column_stack((np.arange(30), (np.arange(30) + 1) % 30))
+        chords = rng.integers(0, 30, size=(40, 2))
+        G = DirectedGraph.from_edges(30, np.concatenate(
+            [ring, chords[chords[:, 0] != chords[:, 1]]]), dedupe=True)
+        S = build_scenario(G, "remove-only", strength=8)
+        clean = ppr.factor_clean(G, ALPHA)
+        assert not clean.serves(flipped_graph(S, np.zeros(S.fragile_count, bool)), ALPHA)
+        r = rng.normal(size=30)
+        a = optimize_local(G, S, ALPHA, r, clean=clean)
         b = optimize_local(G, S, ALPHA, r)
         assert all(np.array_equal(x, y) for x, y in zip(a.trace, b.trace))
 

@@ -630,9 +630,12 @@ class TestCleanOperator:
         assert np.array_equal(diffuse_transpose(same, ALPHA, h, clean),
                               (1.0 - ALPHA) * clean.solve(h, transpose=True))
         assert not calls
-        diffused_margins(other, ALPHA, h, clean)
-        diffuse_transpose(G, 0.8, h, clean)
-        assert [args[0] for args in calls] == [other, G]
+        # another graph's operator, or one at another alpha, is an error
+        with pytest.raises(KernelInputError, match="clean operator"):
+            diffused_margins(other, ALPHA, h, clean)
+        with pytest.raises(KernelInputError, match="clean operator"):
+            diffuse_transpose(G, 0.8, h, clean)
+        assert not calls
 
     def test_none_above_the_dense_limit(self, rng, monkeypatch):
         G = random_connected_graph(rng, 30, extra=20)
