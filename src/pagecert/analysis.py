@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,8 +86,8 @@ def write_attacks_jsonl(records, path) -> None:
 
 def read_certificates_jsonl(path) -> list[dict]:
     """Each line's record; a line that is not a JSON object with every
-    HEAD_KEYS key, an integer node and a numeric worst_margin is an error
-    naming path:line."""
+    HEAD_KEYS key, an integer node and a worst_margin that is a finite
+    float64 number is an error naming path:line."""
     out = []
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -99,7 +100,9 @@ def read_certificates_jsonl(path) -> list[dict]:
                 rec = None
             if not (isinstance(rec, dict) and all(k in rec for k in HEAD_KEYS)
                     and type(rec["node"]) is int
-                    and type(rec["worst_margin"]) in (int, float)):
+                    and type(rec["worst_margin"]) in (int, float)
+                    # false for NaN, infinities and ints beyond float64
+                    and abs(rec["worst_margin"]) <= sys.float_info.max):
                 raise CertificateFormatError(
                     f"{path}:{lineno}: not a certificate record")
             out.append(rec)

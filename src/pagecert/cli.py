@@ -251,7 +251,7 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
         return H
     K = int(y.max()) + 1
     if K < 2:
-        raise ConfigError("labels define fewer than two classes")
+        raise models.ModelError(f"{cfg['paths.labels']}: labels define fewer than two classes")
     return models.label_propagation_logits(y, G.node_count, K)
 
 

@@ -510,6 +510,8 @@ def load_labels(path, node_count: int) -> np.ndarray:
             raise GraphFormatError(f"{path}:{lineno}: non-integer field") from None
         if not 0 <= v < node_count:
             raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
+        if lab < 0:
+            raise GraphFormatError(f"{path}:{lineno}: negative class id {lab}")
         y[v] = lab
     return y
 

@@ -199,12 +199,10 @@ def feature_propagation_logits(
     return X @ W, W
 
 
-def predict(G: DirectedGraph, alpha: float, H: np.ndarray,
-            clean: ppr.CleanOperator | None = None) -> np.ndarray:
-    """Argmax over diffused logits, ties broken toward the lowest class id;
-    clean is as for ppr.diffused_margins."""
+def predict(G: DirectedGraph, alpha: float, H: np.ndarray) -> np.ndarray:
+    """Argmax over diffused logits, ties broken toward the lowest class id."""
     H = check_logits(H)
-    diff = ppr.diffused_margins(G, alpha, H, clean)
+    diff = ppr.diffused_margins(G, alpha, H)
     return np.argmax(diff, axis=1)
 
 

@@ -26,17 +26,14 @@ sequence too) and runs BiCGSTAB on every (graph, column) system at once,
 each stopping on its own. Either way each column is bit for bit what a
 single-graph call returns.
 
-Clean operator: a caller that solves on one graph of at most DENSE_LIMIT
-nodes many times (train_robust for each epoch's clean solves,
-certify_local_all, with three classes or more, for its predictions and
-every class pair's first policy-iteration round) forms its inverse once
-with factor_clean. Its CleanOperator.solve serves both orientations,
-through the transposes, with one matrix-vector product per column. Such a
-product is not backward stable as an LU solve is, and near a = 1 it can
-miss the bound: a column that does takes one step of iterative
-refinement. Every column returned passes the residual test above, as a
-dense LU solution does, so the same bound holds; the operator keeps only
-the inverse and sums the residual's product from the graph's edges.
+Factored graphs: a caller that solves on one graph of at most DENSE_LIMIT
+nodes many times (train_robust, and certify_local_all with three classes
+or more) replaces it by factor_clean's FactoredGraph, which carries its
+inverse. solve_transport serves such a graph's columns, in both
+orientations, with one matrix-vector product each. Such a product is not
+backward stable as an LU solve is, and near a = 1 it can miss the bound: a
+column that does takes one step of iterative refinement. Every column
+returned passes the residual test above, so the same bound holds.
 
 scipy is loaded only where it is used: transition_matrix (the iterative
 path above DENSE_LIMIT) and graph.largest_connected_component. Local and
@@ -151,19 +148,25 @@ def solve_transport(
 
     G is one graph, with rhs of shape (n,) or (n, k), or a sequence of q
     graphs on the same n nodes, with rhs of shape (n, q): column j is solved
-    on graphs[j], bit for bit as a single-graph call would solve it. Dense
-    LU up to DENSE_LIMIT nodes, BiCGSTAB above; either way each column is
-    within the module docstring's error bound of the exact solution.
+    on graphs[j], bit for bit as a single-graph call would solve it. A
+    FactoredGraph's columns are served from its inverse, the others by
+    dense LU up to DENSE_LIMIT nodes and BiCGSTAB above; either way each
+    column is within the module docstring's error bound of the exact
+    solution.
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
-    single = isinstance(G, DirectedGraph)
-    if single:
-        graphs, n = [G], G.node_count
-        # one block holding all its columns
-        b = rhs.reshape(1, n, -1)
+    if isinstance(G, DirectedGraph):
+        n = G.node_count
+        if not isinstance(G, FactoredGraph):
+            # one block holding all its columns
+            x = _solve_blocks([G], alpha, rhs.reshape(1, n, -1), transpose)
+            return x[0, :, 0] if rhs.ndim == 1 else x[0]
+        # an inverse serves one column at a time
+        cols = rhs.reshape(n, -1)
+        graphs = [G] * cols.shape[1]
     else:
-        graphs = list(G)
+        graphs, cols = list(G), rhs
         n = graphs[0].node_count if graphs else 0
         if (not graphs or rhs.shape != (n, len(graphs))
                 or any(g.node_count != n for g in graphs)):
@@ -171,15 +174,28 @@ def solve_transport(
                 f"{len(graphs)} graphs on {n} nodes need an ({n}, {len(graphs)}) "
                 f"right-hand side, got {rhs.shape}"
             )
-        # one block per graph, holding its own column
-        b = np.ascontiguousarray(rhs.T).reshape(len(graphs), n, 1)
-    if n <= DENSE_LIMIT:
-        x = _dense_solve(graphs, alpha, b, transpose)
-    else:
-        x = _bicgstab_solve(graphs, alpha, b, transpose)
-    if not single:
-        return x[:, :, 0].T
-    return x[0, :, 0] if rhs.ndim == 1 else x[0]
+    # one block per column
+    b = np.ascontiguousarray(cols.T).reshape(len(graphs), n, 1)
+    x = _solve_blocks(graphs, alpha, b, transpose)
+    return x[:, :, 0].T.reshape(rhs.shape)
+
+
+def _solve_blocks(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
+    """x[j] = (I - alpha * P_j[^T])^-1 b[j]: the blocks of each FactoredGraph
+    from its inverse, the rest in one dense or iterative solve."""
+    solve = _dense_solve if b.shape[1] <= DENSE_LIMIT else _bicgstab_solve
+    factored = {id(g): g for g in graphs if isinstance(g, FactoredGraph)}
+    if not factored:
+        return solve(graphs, alpha, b, transpose)
+    x = np.empty_like(b)
+    rest = np.ones(len(graphs), dtype=bool)
+    for F in factored.values():
+        mine = np.array([g is F for g in graphs])
+        x[mine] = _factored_solve(F, alpha, b[mine], transpose)
+        rest &= ~mine
+    if rest.any():
+        x[rest] = solve([g for g, r in zip(graphs, rest) if r], alpha, b[rest], transpose)
+    return x
 
 
 def _dense_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
@@ -241,74 +257,69 @@ def _check_dense(b, Mx, x, row_nnz, alpha: float, transpose: bool) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CleanOperator:
-    """The inverse of one graph's I - alpha*P, formed once by factor_clean
-    for the many solves on that graph; its transpose serves P^T."""
+class FactoredGraph(DirectedGraph):
+    """A graph whose I - alpha*P factor_clean inverted once, for the many
+    solves on it; the inverse's transpose serves P^T."""
 
-    graph: DirectedGraph
     alpha: float
     inverse: np.ndarray             # (I - alpha*P)^-1
     row_nnz: tuple[int, int]        # most nonzeros in a row of P, of P^T
 
-    def serves(self, G: DirectedGraph, alpha: float) -> bool:
-        """Whether G (this graph, or one with the same edges) at alpha is
-        the system this operator solves."""
-        return (float(alpha) == self.alpha and G.node_count == self.graph.node_count
-                and (G is self.graph or np.array_equal(G.edges, self.graph.edges)))
-
-    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(I - alpha * P[^T])^-1 rhs for rhs of shape (n,) or (n, k).
-
-        Each column is its own matrix-vector product with the inverse (a
-        stacked (k, n, 1) matmul: a matrix-matrix product's columns differ
-        from it in the last bits), so a column's result does not depend on
-        the columns beside it. A column that fails _dense_solve's residual
-        test takes one step of iterative refinement and is returned only if
-        it then passes, so the module docstring's bound holds.
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        n = self.graph.node_count
-        b = np.ascontiguousarray(rhs.reshape(n, -1).T).reshape(-1, n, 1)
-        inv = self.inverse.T if transpose else self.inverse
-        x = inv @ b
-        row_nnz = self.row_nnz[transpose]
-        res, ok = _residual_test(b, self._apply(x, transpose), x, row_nnz,
-                                 self.alpha, transpose)
-        redo = ~ok[:, 0]
-        if redo.any():
-            # near a = 1 the product can miss the bound (its error grows with
-            # the condition number, (1 + a) / (1 - a)); one step of iterative
-            # refinement brings it back to LU accuracy
-            x[redo] += inv @ res[redo]
-            _check_dense(b[redo], self._apply(x[redo], transpose), x[redo],
-                         row_nnz, self.alpha, transpose)
-        return x[:, :, 0].T.reshape(rhs.shape)
-
     def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """(I - alpha * P[^T]) x for x of shape (k, n, 1), summed from the
-        graph's edges: entry i adds to x_i the nonzero terms of row i that a
-        dense product sums, so _rounding_error bounds this evaluation too."""
-        src, dst = self.graph.edges.T
+        edges: entry i adds to x_i the nonzero terms of row i that a dense
+        product sums, so _rounding_error bounds this evaluation too."""
+        src, dst = self.edges.T
         if transpose:
             src, dst = dst, src
-        coef = -(self.alpha * _edge_weights(self.graph))
-        n = self.graph.node_count
+        coef = -(self.alpha * _edge_weights(self))
         y = np.empty_like(x)
         for c in range(x.shape[0]):
-            y[c, :, 0] = np.bincount(src, weights=coef * x[c, dst, 0], minlength=n)
+            y[c, :, 0] = np.bincount(src, weights=coef * x[c, dst, 0],
+                                     minlength=self.node_count)
         y += x
         return y
 
 
-def factor_clean(G: DirectedGraph, alpha: float) -> CleanOperator | None:
-    """G's operator with its inverse formed once, for callers that solve on
-    G many times; None above DENSE_LIMIT, where every solve stays
-    iterative."""
+def factor_clean(G: DirectedGraph, alpha: float) -> DirectedGraph:
+    """G with its inverse formed once, as a FactoredGraph, for callers that
+    solve on G many times; G itself above DENSE_LIMIT, where every solve
+    stays iterative."""
     alpha = _check_alpha(alpha)
     if G.node_count > DENSE_LIMIT:
-        return None
+        return G
     inverse = np.linalg.inv(_dense_matrices([G], alpha, transpose=False)[0])
-    return CleanOperator(G, alpha, inverse, (_row_nnz(G, False), _row_nnz(G, True)))
+    return FactoredGraph(G.node_count, G.edges, G.out_degree, alpha, inverse,
+                         (_row_nnz(G, False), _row_nnz(G, True)))
+
+
+def _factored_solve(G: FactoredGraph, alpha: float, b: np.ndarray,
+                    transpose: bool) -> np.ndarray:
+    """x[j] = (I - alpha * P[^T])^-1 b[j] for b of shape (k, n, 1), from G's
+    inverse.
+
+    Each column is its own matrix-vector product (a stacked matmul: a
+    matrix-matrix product's columns differ from it in the last bits), so a
+    column's result does not depend on the columns beside it. A column that
+    fails _dense_solve's residual test takes one step of iterative
+    refinement and is returned only if it then passes, so the module
+    docstring's bound holds.
+    """
+    if alpha != G.alpha:
+        raise KernelInputError(f"graph factored at alpha={G.alpha}, solved at {alpha}")
+    inv = G.inverse.T if transpose else G.inverse
+    x = inv @ b
+    row_nnz = G.row_nnz[transpose]
+    res, ok = _residual_test(b, G._apply(x, transpose), x, row_nnz, alpha, transpose)
+    redo = ~ok[:, 0]
+    if redo.any():
+        # near a = 1 the product can miss the bound (its error grows with
+        # the condition number, (1 + a) / (1 - a)); one step of iterative
+        # refinement brings it back to LU accuracy
+        x[redo] += inv @ res[redo]
+        _check_dense(b[redo], G._apply(x[redo], transpose), x[redo],
+                     row_nnz, alpha, transpose)
+    return x
 
 
 def _bound_norm(y: np.ndarray, transpose: bool, axis: int) -> np.ndarray:
@@ -506,31 +517,18 @@ def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:
     return ValueVector(values=x)
 
 
-def _clean_solve(G, alpha: float, rhs: np.ndarray, transpose: bool,
-                 clean: CleanOperator | None) -> np.ndarray:
-    """clean's solve when clean is given, else solve_transport."""
-    if clean is None:
-        return solve_transport(G, alpha, rhs, transpose)
-    if not clean.serves(G, alpha):
-        raise KernelInputError("clean operator is not this graph's at this alpha")
-    return clean.solve(rhs, transpose)
-
-
-def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray,
-                     clean: CleanOperator | None = None) -> np.ndarray:
+def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray) -> np.ndarray:
     """pi(e_t)^T h for every target t at once, as (1-alpha) * mean reward.
 
     h may be a single length-N vector or an (N, k) stack of columns; the
-    result has the same shape. clean, G's factor_clean operator, solves
-    instead of solve_transport when given; another graph's, or one at
-    another alpha, is a KernelInputError.
+    result has the same shape.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != G.node_count:
         raise KernelInputError("logit vector has wrong length")
     if not np.all(np.isfinite(h)):
         raise KernelInputError("logit values must be finite")
-    return (1.0 - alpha) * _clean_solve(G, alpha, h, False, clean)
+    return (1.0 - alpha) * solve_transport(G, alpha, h)
 
 
 def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
@@ -548,12 +546,11 @@ def ppr_rows(G: DirectedGraph, alpha: float, targets) -> np.ndarray:
     return np.maximum(pi, 0.0)
 
 
-def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray,
-                      clean: CleanOperator | None = None) -> np.ndarray:
+def diffuse_transpose(G: DirectedGraph, alpha: float, s: np.ndarray) -> np.ndarray:
     """(1-alpha) (I - alpha*P^T)^-1 s for an arbitrary vector or matrix s.
 
     This is the adjoint of margin diffusion, used to backpropagate
-    through diffused logits. clean is as for diffused_margins.
+    through diffused logits.
     """
     s = np.asarray(s, dtype=np.float64)
-    return (1.0 - alpha) * _clean_solve(G, alpha, s, True, clean)
+    return (1.0 - alpha) * solve_transport(G, alpha, s, transpose=True)

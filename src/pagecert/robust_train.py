@@ -6,10 +6,10 @@ in the logits once the adversarial graph is fixed, the loss gradient w.r.t.
 the logits is just the (+/-) optimal PageRank scores, and backpropagation
 through the model proceeds analytically with those scores held constant.
 
-train_robust forms the clean graph's ppr.factor_clean operator once per
-run and passes it to every clean solve: each epoch's diffused logits, the
-clean cross-entropy's adjoint, and round 1 of each epoch's policy
-iteration, where no pair flips anything yet.
+train_robust replaces the clean graph by its ppr.factor_clean'd graph once
+per run, so every clean solve is served from one inverse: each epoch's
+diffused logits, the clean cross-entropy's adjoint, and round 1 of each
+epoch's policy iteration, where no pair flips anything yet.
 """
 
 from __future__ import annotations
@@ -93,13 +93,11 @@ def compute_worst_bundle(
     H: np.ndarray,
     nodes,
     labels,
-    clean: ppr.CleanOperator | None = None,
 ) -> WorstCaseBundle:
     """Solve the inner problem for every labeled node and rival class.
 
     Pairs whose first class labels no node are solved too (one run covers
-    all nodes) but not stored. clean is G's ppr.factor_clean operator, for
-    policy iteration's first round.
+    all nodes) but not stored.
     """
     H = models.check_logits(H)
     K = H.shape[1]
@@ -110,7 +108,7 @@ def compute_worst_bundle(
     pprs = np.zeros((L, K, G.node_count))
     pair_policies = {}
     pair_graphs = {}
-    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, clean)
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H)
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
         if not sel.size:
@@ -192,7 +190,7 @@ def _clean_ce_loss(Hd: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> flo
 
 def _clean_ce_loss_grad(
     G: DirectedGraph, alpha: float, Hd: np.ndarray, nodes: np.ndarray,
-    labels: np.ndarray, clean: ppr.CleanOperator | None = None,
+    labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy on the clean diffused logits Hd and its gradient w.r.t. H."""
     gd = _softmax(Hd[nodes])
@@ -200,7 +198,7 @@ def _clean_ce_loss_grad(
     full = np.zeros_like(Hd)
     full[nodes] = gd
     # adjoint of diffusion: dH = Pi^T (dL/dH_diff)
-    dH = ppr.diffuse_transpose(G, alpha, full, clean)
+    dH = ppr.diffuse_transpose(G, alpha, full)
     return _clean_ce_loss(Hd, nodes, labels), dH
 
 
@@ -214,17 +212,15 @@ def robust_loss_and_grad(
     bundle: WorstCaseBundle | None,
     hinge_margin: float,
     Hd: np.ndarray | None = None,
-    clean: ppr.CleanOperator | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss value and dLoss/dH for one of the three training losses.
 
     Hd, the clean diffused logits of H, is solved for when not given.
-    clean, G's ppr.factor_clean operator, serves the clean solves.
     """
     if kind != "rce" and Hd is None:
-        Hd = ppr.diffused_margins(G, alpha, H, clean)
+        Hd = ppr.diffused_margins(G, alpha, H)
     if kind == "ce":
-        return _clean_ce_loss_grad(G, alpha, Hd, nodes, labels, clean)
+        return _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
     assert bundle is not None
     bundle.refresh_margins(H)
     if kind == "rce":
@@ -232,7 +228,7 @@ def robust_loss_and_grad(
         g = _rce_grad_margins(bundle)
         return loss, _margin_grads_to_H(bundle, g, H.shape[0])
     # cem
-    _, dH = _clean_ce_loss_grad(G, alpha, Hd, nodes, labels, clean)
+    _, dH = _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
     active = (bundle.margins < hinge_margin).astype(np.float64)
     active[np.arange(len(bundle.labels)), bundle.labels] = 0.0
     dH += _margin_grads_to_H(bundle, -active, H.shape[0])
@@ -269,18 +265,18 @@ def train_robust(
     best_params = model.params_flat()
     bad_epochs = 0
     cert_ratio = float("nan")
-    clean = ppr.factor_clean(G, alpha)
+    G = ppr.factor_clean(G, alpha)
 
     for epoch in range(config.max_epochs):
         H, acts = models.mlp_forward(model, X)
         # one clean diffusion per epoch serves the train and the val loss
-        Hd = ppr.diffused_margins(G, alpha, H, clean)
+        Hd = ppr.diffused_margins(G, alpha, H)
         needs_bundle = config.kind in ("rce", "cem")
         if needs_bundle and (bundle is None or epoch % config.recompute_every == 0):
-            bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels, clean)
+            bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
         loss, dH = robust_loss_and_grad(
             config.kind, G, alpha, H, train_idx, labels, bundle,
-            config.hinge_margin, Hd=Hd, clean=clean,
+            config.hinge_margin, Hd=Hd,
         )
         if needs_bundle:
             cert_ratio = bundle.certified_ratio()

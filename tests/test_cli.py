@@ -295,6 +295,45 @@ class TestPipelines:
         assert main(["--config", str(rcfg)]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", ["NaN", "Infinity", "-Infinity", "1e400",
+                                        "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "int-10^400"])
+    def test_non_finite_margin_is_reported(self, tmp_path, capsys, margin):
+        # the program never writes a margin that is not a finite float64,
+        # and json reads one
+        gpath, lpath = write_fixture(tmp_path)
+        certs = tmp_path / "c.jsonl"
+        bad = GOOD_RECORD.replace('"worst_margin": 0.5', f'"worst_margin": {margin}')
+        certs.write_text(GOOD_RECORD + "\n" + bad + "\n")
+        rcfg = tmp_path / "r.cfg"
+        rcfg.write_text(
+            f"mode = report\npaths.graph = {gpath}\npaths.labels = {lpath}\n"
+            f"paths.certificates = {certs}\npaths.output = {tmp_path / 'rep'}\n"
+        )
+        assert main(["--config", str(rcfg)]) == 4
+        assert "c.jsonl:2: not a certificate record" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("labels", ["# no labels\n", "0\t0\n1\t0\n"],
+                             ids=["no-node", "one-class"])
+    def test_label_propagation_needs_two_classes(self, tmp_path, capsys, labels):
+        # the same input error as with features: exit 4 naming the file
+        cfg = base_config(tmp_path, "lp")
+        (tmp_path / "labels.tsv").write_text(labels)
+        assert main(["--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert (f"validation error: {tmp_path / 'labels.tsv'}: labels define fewer "
+                "than two classes") in err
+        assert not (tmp_path / "lp").exists()
+
+    def test_negative_class_id_is_reported(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, "neg")
+        lpath = tmp_path / "labels.tsv"
+        lpath.write_text("0\t0\n1\t1\n5\t-3\n")
+        assert main(["--config", str(cfg)]) == 4
+        assert f"{lpath}:3: negative class id -3" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
+
     @pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
     @pytest.mark.parametrize("margin", ['"abc"', "null"])
     def test_non_numeric_margin_is_reported(self, tmp_path, capsys, margin,

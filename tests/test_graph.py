@@ -324,6 +324,13 @@ class TestLabels:
         with pytest.raises(GraphFormatError, match="out of range"):
             load_labels(p, 4)
 
+    def test_negative_class_id(self, tmp_path):
+        # a negative id would read as "unlabeled" and drop the node silently
+        p = tmp_path / "labels.tsv"
+        p.write_text("0\t1\n3\t-3\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{p}:2: negative class id -3")):
+            load_labels(p, 4)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 9), st.integers(0, 3), st.integers(0, 2**31 - 1))

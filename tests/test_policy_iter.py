@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagecert import ppr
-from pagecert.graph import apply_policy, build_scenario, flipped_graph
+from pagecert.graph import DirectedGraph, apply_policy, build_scenario, flipped_graph
 from pagecert.policy_iter import (
     IMPROVE_TOL,
     MARGIN_EPS,
     _select,
-    _solve_round,
     certify_local_all,
     class_pairs,
     optimize_local,
@@ -339,22 +338,23 @@ class TestLockstepPairs:
 
     def test_factored_first_round_matches_separate_runs(self, rng, monkeypatch):
         G, S, H = self._instance(rng)
-        clean = ppr.factor_clean(G, ALPHA)
-        solved = []
-        solve_transport = ppr.solve_transport
-        monkeypatch.setattr(ppr, "solve_transport", lambda graphs, *args: solved.append(
-            len(graphs)) or solve_transport(graphs, *args))
-        pairs = pair_worst_margins(G, S, ALPHA, H, clean)
-        # round 1 (all six pairs, no flips) is the clean operator's alone
-        assert sum(solved) == sum(res.iterations - 1 for _, res in pairs.values())
+        F = ppr.factor_clean(G, ALPHA)
+        factored = []
+        dense_solve = ppr._dense_solve
+        monkeypatch.setattr(ppr, "_dense_solve", lambda graphs, *args: factored.append(
+            len(graphs)) or dense_solve(graphs, *args))
+        pairs = pair_worst_margins(F, S, ALPHA, H)
+        # round 1 (all six pairs, no flips) is the inverse's alone: no LU
+        assert sum(factored) == sum(res.iterations - 1 for _, res in pairs.values())
         assert len({res.iterations for _, res in pairs.values()}) > 1
         for (c1, c2), (margins, res) in pairs.items():
             r = -(H[:, c1] - H[:, c2])
-            alone = optimize_local(G, S, ALPHA, r, clean=clean)
+            alone = optimize_local(F, S, ALPHA, r)
             assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
             assert np.array_equal(res.policy.flips, alone.policy.flips)
             assert res.iterations == alone.iterations
             assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
+            assert type(res.graph) is DirectedGraph
             # both first rounds are within the stated bound of the solution
             unfactored = optimize_local(G, S, ALPHA, r)
             assert np.array_equal(res.policy.flips, unfactored.policy.flips)
@@ -366,30 +366,29 @@ class TestLockstepPairs:
 
     def test_round_mixes_clean_and_perturbed_columns(self, rng):
         G, S, _ = self._instance(rng)
-        clean = ppr.factor_clean(G, ALPHA)
-        flipped = np.zeros((3, S.fragile_count), dtype=bool)
-        flipped[1, :3] = True
-        graphs = [flipped_graph(S, f) for f in flipped]
+        F = ppr.factor_clean(G, ALPHA)
+        flips = np.zeros(S.fragile_count, dtype=bool)
+        flips[:3] = True
+        g = flipped_graph(S, flips)
         R = rng.normal(size=(30, 3))
-        X = _solve_round(graphs, ALPHA, R, flipped, clean)
-        assert np.array_equal(X[:, 0], clean.solve(R[:, 0]))
-        assert np.array_equal(X[:, 2], clean.solve(R[:, 2]))
-        assert np.array_equal(X[:, 1], ppr.solve_transport(graphs[1], ALPHA, R[:, 1]))
+        X = ppr.solve_transport([F, g, F], ALPHA, R)
+        assert np.array_equal(X[:, 0], ppr.solve_transport(F, ALPHA, R[:, 0]))
+        assert np.array_equal(X[:, 2], ppr.solve_transport(F, ALPHA, R[:, 2]))
+        assert np.array_equal(X[:, 1], ppr.solve_transport(g, ALPHA, R[:, 1]))
 
     def test_factored_operator_of_another_graph_is_ignored(self, rng):
         # on an asymmetric graph the scenario fixes both directions of its
         # spanning tree, so the unflipped graph has edges G lacks and G's
-        # operator must not solve it
-        from pagecert.graph import DirectedGraph
+        # inverse must not solve it
         ring = np.column_stack((np.arange(30), (np.arange(30) + 1) % 30))
         chords = rng.integers(0, 30, size=(40, 2))
         G = DirectedGraph.from_edges(30, np.concatenate(
             [ring, chords[chords[:, 0] != chords[:, 1]]]), dedupe=True)
         S = build_scenario(G, "remove-only", strength=8)
-        clean = ppr.factor_clean(G, ALPHA)
-        assert not clean.serves(flipped_graph(S, np.zeros(S.fragile_count, bool)), ALPHA)
+        assert not np.array_equal(
+            G.edges, flipped_graph(S, np.zeros(S.fragile_count, bool)).edges)
         r = rng.normal(size=30)
-        a = optimize_local(G, S, ALPHA, r, clean=clean)
+        a = optimize_local(ppr.factor_clean(G, ALPHA), S, ALPHA, r)
         b = optimize_local(G, S, ALPHA, r)
         assert all(np.array_equal(x, y) for x, y in zip(a.trace, b.trace))
 

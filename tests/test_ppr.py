@@ -534,8 +534,9 @@ def clean_graphs(draw):
 
 
 class TestCleanOperator:
-    """factor_clean inverts a graph's dense operator once; every column its
-    solve returns passes the dense residual test."""
+    """factor_clean inverts a graph's dense operator once; every column that
+    solve_transport serves from the inverse passes the dense residual
+    test."""
 
     @settings(max_examples=150, deadline=None)
     @given(G=clean_graphs(), transpose=st.booleans(),
@@ -547,7 +548,7 @@ class TestCleanOperator:
         b = rng.normal(size=(G.node_count, k))
         if sparse:       # a few entries of either sign, magnitudes far apart
             b *= (rng.random(b.shape) < 0.1) * 10.0 ** rng.integers(-6, 7, b.shape)
-        x = ppr.factor_clean(G, alpha).solve(b, transpose=transpose)
+        x = solve_transport(ppr.factor_clean(G, alpha), alpha, b, transpose)
         assert x.shape == b.shape
         for j in range(k):
             assert stated_bound_holds(G, alpha, b[:, j], x[:, j], transpose)
@@ -558,9 +559,10 @@ class TestCleanOperator:
         hub = np.column_stack((np.zeros(59, dtype=int), np.arange(1, 60)))
         G = DirectedGraph.from_edges(
             60, np.concatenate([hub, hub[:, ::-1], [(v, v + 1) for v in range(1, 59)]]))
-        clean = ppr.factor_clean(G, alpha)
+        F = ppr.factor_clean(G, alpha)
         for b in (rng.normal(size=60), np.ones(60), np.eye(60)[7]):
-            assert stated_bound_holds(G, alpha, b, clean.solve(b, transpose), transpose)
+            assert stated_bound_holds(G, alpha, b, solve_transport(F, alpha, b, transpose),
+                                      transpose)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_refinement_near_alpha_one(self, rng, transpose):
@@ -568,18 +570,18 @@ class TestCleanOperator:
         # columns; one step of refinement brings each of them within it
         alpha = 0.9999
         G = random_connected_graph(rng, 40, extra=20)
-        clean = ppr.factor_clean(G, alpha)
+        F = ppr.factor_clean(G, alpha)
         b = rng.normal(size=(40, 100))
         M = np.eye(40) - alpha * dense_transition(G)
-        inv = clean.inverse
+        inv = F.inverse
         if transpose:
             M, inv = M.T, inv.T
         stack = b.T[:, :, None]
         raw = inv @ stack
-        _, ok = ppr._residual_test(stack, M @ raw, raw, clean.row_nnz[transpose],
+        _, ok = ppr._residual_test(stack, M @ raw, raw, F.row_nnz[transpose],
                                    alpha, transpose)
         assert 0 < np.count_nonzero(~ok) < 100
-        x = clean.solve(b, transpose)
+        x = solve_transport(F, alpha, b, transpose)
         for j in range(100):
             assert stated_bound_holds(G, alpha, b[:, j], x[:, j], transpose)
 
@@ -588,20 +590,21 @@ class TestCleanOperator:
         monkeypatch.setattr(ppr, "RESIDUAL_TOL", 0.0)
         monkeypatch.setattr(ppr, "_rounding_error", lambda *args: 0.0)
         G = random_connected_graph(rng, 60, extra=40)
-        clean = ppr.factor_clean(G, ALPHA)
+        F = ppr.factor_clean(G, ALPHA)
         with pytest.raises(ConvergenceError, match="dense solve relative residual"):
-            clean.solve(rng.normal(size=60), transpose=transpose)
+            solve_transport(F, ALPHA, rng.normal(size=60), transpose)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_columns_match_single_column_solves(self, rng, transpose):
         G = random_connected_graph(rng, 40, extra=30)
-        clean = ppr.factor_clean(G, ALPHA)
+        F = ppr.factor_clean(G, ALPHA)
         b = rng.normal(size=(40, 5))
         b[:, 1] = 0.0
-        X = clean.solve(b, transpose)
+        X = solve_transport(F, ALPHA, b, transpose)
         for j in range(5):
-            assert np.array_equal(X[:, j], clean.solve(b[:, j], transpose))
-            assert np.array_equal(X[:, j], clean.solve(b[:, j:j + 1], transpose)[:, 0])
+            assert np.array_equal(X[:, j], solve_transport(F, ALPHA, b[:, j], transpose))
+            assert np.array_equal(
+                X[:, j], solve_transport(F, ALPHA, b[:, j:j + 1], transpose)[:, 0])
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_residual_product_matches_the_dense_matrix(self, rng, transpose):
@@ -615,31 +618,37 @@ class TestCleanOperator:
         assert np.allclose(got, (M.T if transpose else M) @ x, rtol=0, atol=1e-14)
 
     def test_kernels_use_it_only_for_its_graph(self, rng, monkeypatch):
+        # the kernels solve on a factored graph from its inverse, with no
+        # LU or BiCGSTAB, and a factored graph solved at another alpha is an
+        # error
         G = random_connected_graph(rng, 30, extra=20)
-        other = random_connected_graph(rng, 30, extra=21)
-        clean = ppr.factor_clean(G, ALPHA)
-        same = DirectedGraph.from_edges(30, G.edges)
-        assert clean.serves(G, ALPHA) and clean.serves(same, ALPHA)
-        assert not clean.serves(other, ALPHA) and not clean.serves(G, 0.8)
+        F = ppr.factor_clean(G, ALPHA)
         calls = []
-        monkeypatch.setattr(ppr, "solve_transport",
-                            lambda *args: calls.append(args) or np.zeros((30, 2)))
+        for name in ("_dense_solve", "_bicgstab_solve"):
+            monkeypatch.setattr(ppr, name, lambda *args: calls.append(args))
         h = rng.normal(size=(30, 2))
-        assert np.array_equal(diffused_margins(G, ALPHA, h, clean),
-                              (1.0 - ALPHA) * clean.solve(h))
-        assert np.array_equal(diffuse_transpose(same, ALPHA, h, clean),
-                              (1.0 - ALPHA) * clean.solve(h, transpose=True))
-        assert not calls
-        # another graph's operator, or one at another alpha, is an error
-        with pytest.raises(KernelInputError, match="clean operator"):
-            diffused_margins(other, ALPHA, h, clean)
-        with pytest.raises(KernelInputError, match="clean operator"):
-            diffuse_transpose(G, 0.8, h, clean)
+        for transpose, kernel in ((False, diffused_margins), (True, diffuse_transpose)):
+            inv = F.inverse.T if transpose else F.inverse
+            got = kernel(F, ALPHA, h)
+            assert np.allclose(got, (1.0 - ALPHA) * (inv @ h), rtol=1e-13, atol=0)
+            with pytest.raises(KernelInputError, match="factored at alpha"):
+                kernel(F, 0.8, h)
         assert not calls
 
-    def test_none_above_the_dense_limit(self, rng, monkeypatch):
+    def test_sequence_serves_each_factored_graph_from_its_inverse(self, rng):
+        G1 = random_connected_graph(rng, 30, extra=20)
+        G2 = random_connected_graph(rng, 30, extra=21)
+        F1, F2 = ppr.factor_clean(G1, ALPHA), ppr.factor_clean(G2, ALPHA)
+        graphs = [F1, G2, F2, F1, G1]
+        R = rng.normal(size=(30, 5))
+        for transpose in (False, True):
+            X = solve_transport(graphs, ALPHA, R, transpose)
+            for j, g in enumerate(graphs):
+                assert np.array_equal(X[:, j], solve_transport(g, ALPHA, R[:, j], transpose))
+
+    def test_graph_itself_above_the_dense_limit(self, rng, monkeypatch):
         G = random_connected_graph(rng, 30, extra=20)
         monkeypatch.setattr(ppr, "DENSE_LIMIT", 29)
-        assert ppr.factor_clean(G, ALPHA) is None
+        assert ppr.factor_clean(G, ALPHA) is G
         with pytest.raises(KernelInputError):
             ppr.factor_clean(G, 1.0)

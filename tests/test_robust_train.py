@@ -335,6 +335,27 @@ class TestTrainRobust:
         assert factored
         assert not any(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
 
+    def test_clean_solves_go_through_solve_transport(self, monkeypatch):
+        # the factored graph is solved by ppr.solve_transport like any other,
+        # so a tracer of that function counts the clean solves: per epoch
+        # the diffused logits, the clean-CE adjoint and round 1
+        G, X, y, train_idx, val_idx = self._fixture(4)
+        S = build_scenario(G, "remove-only", strength=3)
+        calls = []
+        solve_transport = ppr.solve_transport
+        monkeypatch.setattr(ppr, "solve_transport", lambda g, *args, **kwargs: calls.append(
+            [g] if isinstance(g, DirectedGraph) else list(g))
+            or solve_transport(g, *args, **kwargs))
+        config = RobustLossConfig(kind="cem", max_epochs=6, patience=20)
+        train_robust(init_mlp(2, 4, 2, seed=11), X, y, G, S, ALPHA, config,
+                     train_idx, val_idx)
+        factored = [graphs for graphs in calls
+                    if any(isinstance(g, ppr.FactoredGraph) for g in graphs)]
+        assert sum(len(graphs) == 1 for graphs in factored) == 2 * 6
+        assert sum(len(graphs) == 2 for graphs in factored) == 6
+        assert len({id(g) for graphs in factored for g in graphs
+                    if isinstance(g, ppr.FactoredGraph)}) == 1
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reported(self):
         G, X, y, train_idx, val_idx = self._fixture(5)
