@@ -52,6 +52,14 @@ def record_to_dict(rec) -> dict:
     return {**head, "witness_flips": flips.tolist()}
 
 
+def _flips_json(flips: np.ndarray) -> str:
+    """json.dumps(flips.tolist()) of a (k, 2) integer array, by one format."""
+    if not len(flips):
+        return "[]"
+    rows = ", ".join(["[%d, %d]"] * len(flips))
+    return "[" + rows % tuple(flips.ravel().tolist()) + "]"
+
+
 def _write_spliced_jsonl(path, rows, key: str) -> None:
     """One json.dumps({**head, key: flips.tolist()}) line per (head, flips).
 
@@ -64,7 +72,7 @@ def _write_spliced_jsonl(path, rows, key: str) -> None:
         for head, flips in rows:
             # the array is kept in the entry, so its id is not reused
             if id(flips) not in flips_json:
-                flips_json[id(flips)] = (flips, json.dumps(flips.tolist()))
+                flips_json[id(flips)] = (flips, _flips_json(flips))
             fh.write(f'{json.dumps(head)[:-1]}, "{key}": '
                      f"{flips_json[id(flips)][1]}}}\n")
 

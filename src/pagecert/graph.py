@@ -522,19 +522,19 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
     Keys: node_count, global_budget, local_budget (per node), fixed,
     fragile, base (one edge per line).
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    budgets = np.column_stack((np.arange(S.node_count), S.local_budget))
+    sections = [("local_budget", budgets), ("fixed", S.fixed_edges),
+                ("fragile", S.fragile_edges), ("base", S.base_edges)]
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("# pagecert scenario v1\n")
         fh.write(f"node_count {S.node_count}\n")
         fh.write(f"global_budget {S.global_budget}\n")
-        for v, b in enumerate(S.local_budget):
-            fh.write(f"local_budget {v} {int(b)}\n")
-        for s, d in S.fixed_edges:
-            fh.write(f"fixed {int(s)} {int(d)}\n")
-        for s, d in S.fragile_edges:
-            fh.write(f"fragile {int(s)} {int(d)}\n")
-        for s, d in S.base_edges:
-            fh.write(f"base {int(s)} {int(d)}\n")
+        # one format per 65,536 lines: the Python ints of a whole
+        # add-and-remove fragile set would take hundreds of MB
+        for key, rows in sections:
+            for i in range(0, len(rows), 1 << 16):
+                part = rows[i:i + (1 << 16)]
+                fh.write(f"{key} %d %d\n" * len(part) % tuple(part.ravel().tolist()))
 
 
 def load_scenario(path) -> PerturbationScenario:

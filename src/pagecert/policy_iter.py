@@ -24,7 +24,10 @@ Selection: only edges scoring above IMPROVE_TOL can be kept, and they lead
 their source's ranking, so a source with at most its budget of them keeps
 all of them unsorted. Only the candidates of sources where the budget binds
 are ranked (score desc, then currently flipped first, then target asc), which
-keeps exactly the flips a rank of every fragile edge would keep.
+keeps exactly the flips a rank of every fragile edge would keep. They are
+ranked by an unstable argsort of the score and a stable sort on the source;
+the two tie keys only matter between equal scores of one source, and when
+such a pair exists the whole set is ranked by one lexsort of all four keys.
 
 Pair margins: the run for (c1, c2) uses the reward r = -h with
 h = H[:, c1] - H[:, c2], so its final value x solves (I - alpha P) x = -h on
@@ -180,15 +183,18 @@ def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
     ranked = cand[binds[cand_src]]
     if ranked.size:
         take[ranked] = False
-        # stable sorts from index (target) order, least significant key
-        # first; node ids go in the narrowest unsigned type, which numpy
-        # radix-sorts up to 16 bits
-        f = flipped[ranked]
-        order = np.concatenate((ranked[f], ranked[~f]))
-        order = order[np.argsort(-score[order], kind="stable")]
+        # score desc by the default (unstable, SIMD) argsort, then a stable
+        # sort on the source id in the narrowest unsigned type, which numpy
+        # radix-sorts up to 16 bits; only an exact tie within a source
+        # leaves an order that the tie rule must fix
+        order = ranked[np.argsort(-score[ranked])]
         key = src[order].astype(np.min_scalar_type(budget.size))
         order = order[np.argsort(key, kind="stable")]
-        s = src[order]
+        s, sc = src[order], score[order]
+        if np.any((s[1:] == s[:-1]) & (sc[1:] == sc[:-1])):
+            # lexsort is stable and ranked is in index (target) order
+            order = ranked[np.lexsort((~flipped[ranked], -score[ranked], src[ranked]))]
+            s = src[order]
         take[order[np.arange(order.size) - np.searchsorted(s, s) < budget[s]]] = True
     return take
 

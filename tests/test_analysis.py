@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from pagecert.analysis import (
+    _flips_json,
     build_report,
     certified_accuracy,
     certified_ratio,
@@ -124,6 +126,15 @@ class TestSerialization:
         write_certificates_jsonl(certs, p)
         assert p.read_text() == "".join(
             json.dumps(record_to_dict(c)) + "\n" for c in certs)
+
+    @pytest.mark.parametrize("flips", [
+        np.empty((0, 2), np.int64),
+        np.array([[3, 7]]),
+        np.random.default_rng(0).integers(0, 700, (500, 2)),
+        np.array([[0, 2**40], [2**62, 1]]),
+    ], ids=["empty", "one-row", "random", "large-ids"])
+    def test_flips_json_is_json_dumps(self, flips):
+        assert _flips_json(flips) == json.dumps(flips.tolist())
 
     def test_attacks_file_is_one_dump_per_line(self, tmp_path, rng):
         # nodes of one class pair share one witness array, which the writer

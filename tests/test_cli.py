@@ -435,6 +435,35 @@ train.per_class = 4
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
+    def test_certify_local_and_attack_load_no_scipy(self, tmp_path):
+        # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely, so a
+        # local run on the largest such graph needs no sparse matrix
+        gpath, lpath = write_fixture(tmp_path, n=512, blocks=3, p_in=0.05,
+                                     p_out=0.005)
+        cfgs = []
+        for mode in ("certify-local", "attack"):
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(f"mode = {mode}\nalpha = 0.85\npaths.graph = {gpath}\n"
+                           f"paths.labels = {lpath}\npaths.output = {tmp_path / mode}\n"
+                           "scenario.mode = remove-only\nscenario.strength = 4\n")
+            cfgs.append(str(cfg))
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import pagecert.cli\n"
+            f"for cfg in {cfgs!r}:\n"
+            "    assert pagecert.cli.main(['--config', cfg]) == 0\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+        certs = (tmp_path / "certify-local" / "certificates.jsonl").read_text()
+        assert len(certs.splitlines()) == 512
+        assert (tmp_path / "attack" / "attacks.jsonl").stat().st_size > 0
+
     def test_unusable_output_fails_before_training(self, tmp_path, capsys,
                                                    monkeypatch):
         def fail(*args, **kwargs):

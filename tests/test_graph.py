@@ -292,6 +292,22 @@ class TestScenarioRoundTrip:
         assert S.global_budget == S2.global_budget
         assert np.array_equal(S.fragile_in_base, S2.fragile_in_base)
 
+    def test_file_is_one_line_per_row(self, rng, tmp_path):
+        # sections are formatted in blocks of lines; 270 nodes give more
+        # fragile pairs than one block holds
+        G = random_connected_graph(rng, 270, extra=300)
+        S = build_scenario(G, "add-and-remove", strength=3, global_budget=2)
+        assert S.fragile_count > 1 << 16
+        p = tmp_path / "scenario.txt"
+        dump_scenario(S, p)
+        lines = ["# pagecert scenario v1", f"node_count {S.node_count}",
+                 f"global_budget {S.global_budget}"]
+        lines += [f"local_budget {v} {int(b)}" for v, b in enumerate(S.local_budget)]
+        for key, edges in [("fixed", S.fixed_edges), ("fragile", S.fragile_edges),
+                           ("base", S.base_edges)]:
+            lines += [f"{key} {int(a)} {int(b)}" for a, b in edges]
+        assert p.read_text(encoding="utf-8") == "".join(f"{ln}\n" for ln in lines)
+
     @pytest.mark.parametrize("line", [
         "local_budget -1 1",   # used to set the last node's budget
         "local_budget 7 1",    # used to raise a bare IndexError

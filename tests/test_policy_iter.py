@@ -183,6 +183,30 @@ def test_select_matches_full_sort(n, mode, scores, budgets, seed):
     assert np.all(np.bincount(src[got], minlength=n) <= budget)
 
 
+@pytest.mark.parametrize("score, flipped, kept, lexsorted", [
+    # source 0's flipped (0, 2) ties the unflipped (0, 1) at the budget cut:
+    # flipped first keeps (0, 2) although its target is higher
+    ([0.5, 0.5, 0.1, 0.9, 0.3, 0.2], [0, 1, 0, 0, 0, 0], [1, 3], True),
+    # two unflipped edges of source 0 tie: the lower target (0, 1) stays
+    ([0.5, 0.1, 0.5, 0.9, 0.3, 0.2], [0, 0, 0, 0, 0, 0], [0, 3], True),
+    # equal scores of two sources meet at their boundary: no tie to break
+    ([0.5, 0.3, 0.4, 0.3, 0.2, 0.1], [0, 0, 0, 0, 0, 0], [0, 3], False),
+], ids=["flipped-unflipped", "two-unflipped", "across-sources"])
+def test_select_exact_ties(monkeypatch, score, flipped, kept, lexsorted):
+    # edges (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3); every source
+    # has three candidates and a budget of one
+    src, dst = np.array([0, 0, 0, 1, 1, 1]), np.array([1, 2, 3, 0, 2, 3])
+    score, flipped = np.array(score), np.array(flipped, dtype=bool)
+    budget = np.ones(2, np.int64)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    got = _select(score, flipped, src, budget)
+    assert bool(calls) == lexsorted
+    assert np.flatnonzero(got).tolist() == kept
+    assert np.array_equal(got, select_by_full_sort(score, flipped, src, dst, budget))
+
+
 class TestCertifyLocalAll:
     @pytest.mark.parametrize("classes", [2, 3])
     def test_clean_solves_use_one_inverse(self, rng, monkeypatch, classes):
@@ -363,6 +387,22 @@ class TestLockstepPairs:
                 G.out_degree.max(), ALPHA, np.abs(r).max(), np.abs(v).max()) / (1 - ALPHA)
                 for v in (x, y))
             assert np.abs(x - y).max() <= bound
+
+    def test_policies_do_not_depend_on_logit_scale(self):
+        # IMPROVE_TOL is absolute, not scaled by the reward: logits from 1e-3
+        # to 1e9 must still give the same policies and proportional margins
+        from pagecert.graph import generate_sbm
+        G = generate_sbm(60, 3, 0.3, 0.05, seed=0)
+        S = build_scenario(G, "remove-only", strength=6)
+        H = np.random.default_rng(0).normal(size=(60, 3))
+        base = pair_worst_margins(G, S, ALPHA, H)
+        assert sum(len(res.policy) for _, res in base.values()) > 100
+        tol = 1e3 * np.finfo(np.float64).eps
+        for scale in (1e-3, 1e3, 1e6, 1e9):
+            for pair, (margins, res) in pair_worst_margins(G, S, ALPHA, scale * H).items():
+                m1, res1 = base[pair]
+                assert np.array_equal(res.policy.flips, res1.policy.flips)
+                assert np.abs(margins / scale - m1).max() <= tol * np.abs(m1).max()
 
     def test_round_mixes_clean_and_perturbed_columns(self, rng):
         G, S, _ = self._instance(rng)
