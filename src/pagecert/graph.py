@@ -529,11 +529,12 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
         fh.write("# pagecert scenario v1\n")
         fh.write(f"node_count {S.node_count}\n")
         fh.write(f"global_budget {S.global_budget}\n")
-        # one format per 65,536 lines: the Python ints of a whole
+        # one format per block of lines: the Python ints of a whole
         # add-and-remove fragile set would take hundreds of MB
+        block = 1 << 16
         for key, rows in sections:
-            for i in range(0, len(rows), 1 << 16):
-                part = rows[i:i + (1 << 16)]
+            for i in range(0, len(rows), block):
+                part = rows[i:i + block]
                 fh.write(f"{key} %d %d\n" * len(part) % tuple(part.ravel().tolist()))
 
 
