@@ -1,10 +1,16 @@
 """Robust losses over worst-case margins and the training loops using them.
 
 The inner problem (worst-case margin per labeled node and rival class) is
-solved exactly by the local-budget optimizer; because the margin is linear
-in the logits once the adversarial graph is fixed, the loss gradient w.r.t.
-the logits is just the (+/-) optimal PageRank scores, and backpropagation
-through the model proceeds analytically with those scores held constant.
+solved exactly by the local-budget optimizer, one optimal graph per class
+pair. Once that graph is fixed the margin is linear in the logits, so by
+Danskin's theorem the gradient of a loss through the margins g[l, c] of
+pair (c1, c2) is sum_l g[l, c2] pi_l on the pair's graph, with + in
+logit column c1 and - in column c2. That sum is one adjoint solve,
+(1-alpha) (I - alpha P^T)^-1 s with s = sum_l g[l, c2] e_{t_l}, as the
+clean cross-entropy's gradient is on the clean graph: every stored pair's
+column goes into one ppr.solve_transport call per epoch, and no PageRank
+vector of a single node is formed. Backpropagation through the model
+proceeds analytically with the pair graphs held constant.
 
 train_robust replaces the clean graph by its ppr.factor_clean'd graph once
 per run, so every clean solve is served from one inverse: each epoch's
@@ -52,30 +58,42 @@ class RobustLossConfig:
 
 @dataclass(eq=False)
 class WorstCaseBundle:
-    """Worst-case margins and the attaining PageRank rows for labeled nodes.
+    """Worst-case margins of labeled nodes and the graphs attaining them.
 
     margins[l, c] = worst margin of node nodes[l] between its class and c
-    (0 at its own class); pprs[l, c] is the personalized PageRank vector of
-    nodes[l] on the (labels[l], c)-optimal perturbed graph.
+    (0 at its own class). pair_graphs[(c1, c2)] is the (c1, c2)-optimal
+    perturbed graph, solved at alpha, for every pair whose first class
+    labels a node; pair_policies holds its flips. Margins and their
+    gradients are solves on these graphs (module docstring).
     """
 
     nodes: np.ndarray            # (L,)
     labels: np.ndarray           # (L,)
     class_count: int
     margins: np.ndarray          # (L, K)
-    pprs: np.ndarray             # (L, K, N)
+    alpha: float
     pair_policies: dict = field(default_factory=dict)
     pair_graphs: dict = field(default_factory=dict)
 
-    def refresh_margins(self, H: np.ndarray) -> None:
-        """Re-evaluate margins from the stored PageRank rows for new logits.
+    def _pairs(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """The stored pair graphs and their first and second classes."""
+        c1, c2 = np.array(list(self.pair_graphs), dtype=np.int64).T
+        return list(self.pair_graphs.values()), c1, c2
 
-        Exact while the stored adversarial graphs stay optimal; between
-        refreshes of the inner problem this is the Danskin-fixed surrogate.
+    def refresh_margins(self, H: np.ndarray) -> None:
+        """Re-evaluate margins on the stored graphs for new logits H: one
+        forward solve of every pair's column H[:, c1] - H[:, c2].
+
+        Exact while the stored graphs stay optimal; between solves of the
+        inner problem this is the Danskin-fixed surrogate, an upper bound
+        on the worst-case margins.
         """
-        # diff[l, c] = H[:, labels[l]] - H[:, c], zero at the own class
-        diff = H.T[self.labels][:, None, :] - H.T[None, :, :]
-        self.margins[...] = np.einsum("lkn,lkn->lk", self.pprs, diff)
+        graphs, c1, c2 = self._pairs()
+        x = (1.0 - self.alpha) * ppr.solve_transport(
+            graphs, self.alpha, H[:, c1] - H[:, c2])
+        for p, (a, b) in enumerate(zip(c1, c2)):
+            sel = self.labels == a
+            self.margins[sel, b] = x[self.nodes[sel], p]
 
     def certified_ratio(self, eps: float = policy_iter.MARGIN_EPS) -> float:
         worst = np.where(
@@ -97,15 +115,14 @@ def compute_worst_bundle(
     """Solve the inner problem for every labeled node and rival class.
 
     Pairs whose first class labels no node are solved too (one run covers
-    all nodes) but not stored.
+    all nodes) but not stored. The margins are the runs' own, with no
+    further solve.
     """
     H = models.check_logits(H)
     K = H.shape[1]
     nodes = np.asarray(nodes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    L = nodes.size
-    margins = np.zeros((L, K))
-    pprs = np.zeros((L, K, G.node_count))
+    margins = np.zeros((nodes.size, K))
     pair_policies = {}
     pair_graphs = {}
     pairs = policy_iter.pair_worst_margins(G, S, alpha, H)
@@ -115,12 +132,10 @@ def compute_worst_bundle(
             continue
         pair_policies[(c1, c2)] = res.policy
         pair_graphs[(c1, c2)] = res.graph
-        pprs[sel, c2] = ppr.ppr_rows(res.graph, alpha, nodes[sel])
         margins[sel, c2] = pair_margins[nodes[sel]]
     return WorstCaseBundle(
-        nodes=nodes, labels=labels, class_count=K,
-        margins=margins, pprs=pprs,
-        pair_policies=pair_policies, pair_graphs=pair_graphs,
+        nodes=nodes, labels=labels, class_count=K, margins=margins,
+        alpha=alpha, pair_policies=pair_policies, pair_graphs=pair_graphs,
     )
 
 
@@ -172,14 +187,22 @@ def loss_cem(bundle: WorstCaseBundle, H_diff: np.ndarray,
 
 def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
                        n: int) -> np.ndarray:
-    """Map margin gradients to logit-space gradients via the stored
-    PageRank rows (Danskin: the rows are treated as constants)."""
-    # rows[l, c] = g[l, c] * pprs[l, c] enters dH[:, labels[l]] with a plus
-    # and dH[:, c] with a minus; at c = labels[l] the two cancel
-    rows = g_margins[:, :, None] * bundle.pprs
-    to_label = np.zeros((bundle.class_count, n))
-    np.add.at(to_label, bundle.labels, rows.sum(axis=1))
-    return (to_label - rows.sum(axis=0)).T
+    """Map margin gradients to logit-space gradients by one adjoint solve
+    on the stored pair graphs (module docstring; Danskin: the graphs are
+    treated as constants)."""
+    graphs, c1, c2 = bundle._pairs()
+    # column p of s: g[l, c2] at node nodes[l] for every l labeled c1;
+    # add.at sums the entries of a node listed more than once
+    s = np.zeros((n, c1.size))
+    mine = bundle.labels[:, None] == c1[None, :]
+    np.add.at(s, bundle.nodes, np.where(mine, g_margins[:, c2], 0.0))
+    x = (1.0 - bundle.alpha) * ppr.solve_transport(
+        graphs, bundle.alpha, s, transpose=True)
+    # column p enters dH[:, c1] with a plus and dH[:, c2] with a minus
+    dH = np.zeros((n, bundle.class_count))
+    np.add.at(dH.T, c1, x.T)
+    np.subtract.at(dH.T, c2, x.T)
+    return dH
 
 
 def _clean_ce_loss(Hd: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> float:
@@ -215,14 +238,15 @@ def robust_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Loss value and dLoss/dH for one of the three training losses.
 
-    Hd, the clean diffused logits of H, is solved for when not given.
+    Hd, the clean diffused logits of H, is solved for when not given. The
+    bundle's margins must be those of H: fresh from compute_worst_bundle
+    at H, or refreshed for it.
     """
     if kind != "rce" and Hd is None:
         Hd = ppr.diffused_margins(G, alpha, H)
     if kind == "ce":
         return _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
     assert bundle is not None
-    bundle.refresh_margins(H)
     if kind == "rce":
         loss = loss_rce(bundle)
         g = _rce_grad_margins(bundle)
@@ -252,6 +276,11 @@ def train_robust(
     validation criterion is the clean cross-entropy on val_idx; the best
     parameters by that criterion are restored at the end. History rows
     carry (epoch, loss, val_loss, certified_ratio).
+
+    The inner problem is solved every config.recompute_every epochs. An
+    epoch in between refreshes the margins on the stored pair graphs, which
+    need not be worst-case for its logits, so its certified_ratio is NaN,
+    as it is for every epoch of kind "ce".
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -264,22 +293,23 @@ def train_robust(
     best_val = np.inf
     best_params = model.params_flat()
     bad_epochs = 0
-    cert_ratio = float("nan")
     G = ppr.factor_clean(G, alpha)
 
     for epoch in range(config.max_epochs):
         H, acts = models.mlp_forward(model, X)
         # one clean diffusion per epoch serves the train and the val loss
         Hd = ppr.diffused_margins(G, alpha, H)
-        needs_bundle = config.kind in ("rce", "cem")
-        if needs_bundle and (bundle is None or epoch % config.recompute_every == 0):
-            bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
+        cert_ratio = float("nan")
+        if config.kind in ("rce", "cem"):
+            if epoch % config.recompute_every == 0:
+                bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
+                cert_ratio = bundle.certified_ratio()
+            else:
+                bundle.refresh_margins(H)
         loss, dH = robust_loss_and_grad(
             config.kind, G, alpha, H, train_idx, labels, bundle,
             config.hinge_margin, Hd=Hd,
         )
-        if needs_bundle:
-            cert_ratio = bundle.certified_ratio()
         reg = 0.5 * config.weight_decay * sum(
             float(np.sum(w * w)) for w in model.weights
         )

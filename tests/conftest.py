@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pagecert.graph import DirectedGraph, build_scenario
+from pagecert.ppr import ppr_rows
 
 
 def ring_graph(n: int, chords=()) -> DirectedGraph:
@@ -36,6 +37,19 @@ def random_instance(rng: np.random.Generator, n: int = 7, extra: int = 3,
         global_budget=global_budget,
     )
     return G, S
+
+
+def bundle_ppr_rows(bundle) -> np.ndarray:
+    """rows[l, c]: the PageRank vector of bundle.nodes[l] on the stored
+    (labels[l], c) pair graph, zero at the own class, from ppr_rows; the
+    reference for the margins and gradients a WorstCaseBundle solves for."""
+    graphs = bundle.pair_graphs
+    n = next(iter(graphs.values())).node_count
+    rows = np.zeros((bundle.nodes.size, bundle.class_count, n))
+    for (c1, c2), g in graphs.items():
+        sel = np.nonzero(bundle.labels == c1)[0]
+        rows[sel, c2] = ppr_rows(g, bundle.alpha, bundle.nodes[sel])
+    return rows
 
 
 @pytest.fixture

@@ -16,38 +16,38 @@ from pagecert.robust_train import (
     train_robust,
 )
 
-from conftest import random_instance
+from conftest import bundle_ppr_rows, random_instance, ring_graph
 from gradcheck import grad_check
 
 ALPHA = 0.85
 
 
-def make_bundle(margins: np.ndarray, labels: np.ndarray, n: int) -> WorstCaseBundle:
+def make_bundle(margins: np.ndarray, labels: np.ndarray) -> WorstCaseBundle:
     L, K = margins.shape
     return WorstCaseBundle(
         nodes=np.arange(L),
         labels=labels,
         class_count=K,
         margins=margins.copy(),
-        pprs=np.zeros((L, K, n)),
+        alpha=ALPHA,
     )
 
 
 class TestLossClosedForms:
     def test_rce_huge_margins_vanish(self):
         m = np.full((3, 2), 1e6)
-        bundle = make_bundle(m, np.zeros(3, dtype=int), 4)
+        bundle = make_bundle(m, np.zeros(3, dtype=int))
         assert loss_rce(bundle) <= 1e-6
 
     def test_rce_zero_margins_log_k(self):
         for K in (2, 3, 5):
             m = np.zeros((4, K))
-            bundle = make_bundle(m, np.zeros(4, dtype=int), 4)
+            bundle = make_bundle(m, np.zeros(4, dtype=int))
             assert abs(loss_rce(bundle) - 4 * np.log(K)) <= 1e-12
 
     def test_rce_two_class_unit_margin(self):
         m = np.array([[0.0, 1.0]])
-        bundle = make_bundle(m, np.array([0]), 4)
+        bundle = make_bundle(m, np.array([0]))
         assert abs(loss_rce(bundle) - np.log(1 + np.exp(-1.0))) <= 1e-12
 
     def test_cem_reduces_to_ce_when_certified(self, rng):
@@ -57,7 +57,7 @@ class TestLossClosedForms:
         labels = np.array([0, 1, 0])
         nodes = np.array([0, 2, 4])
         margins = np.full((3, 2), 10.0)
-        bundle = make_bundle(margins, labels, 6)
+        bundle = make_bundle(margins, labels)
         bundle.nodes = nodes
         full = loss_cem(bundle, Hd, hinge_margin=1.0)
         idx = np.arange(3)
@@ -76,9 +76,9 @@ class TestLossClosedForms:
         big = np.full((1, 2), 10.0)
         low = big.copy()
         low[0, 1] = 1.0 - 1.0  # M - 1 with M = 1
-        b_big = make_bundle(big, labels, 6)
+        b_big = make_bundle(big, labels)
         b_big.nodes = nodes
-        b_low = make_bundle(low, labels, 6)
+        b_low = make_bundle(low, labels)
         b_low.nodes = nodes
         assert abs(
             loss_cem(b_low, Hd, 1.0) - loss_cem(b_big, Hd, 1.0) - 1.0
@@ -92,7 +92,7 @@ class TestLossClosedForms:
         labels = np.array([0, 2])
         nodes = np.array([1, 3])
         margins = rng.normal(size=(2, 3))
-        bundle = make_bundle(margins, labels, 6)
+        bundle = make_bundle(margins, labels)
         bundle.nodes = nodes
         M = 0.7
         expected = 0.0
@@ -116,11 +116,12 @@ class TestBundle:
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
         from pagecert.ppr import ppr_rows
         rows = ppr_rows(G, ALPHA, nodes)
+        pair_rows = bundle_ppr_rows(bundle)
         for l, (v, yv) in enumerate(zip(nodes, labels)):
             for c in range(2):
                 if c == yv:
                     continue
-                assert np.allclose(bundle.pprs[l, c], rows[l], atol=1e-10)
+                assert np.allclose(pair_rows[l, c], rows[l], atol=1e-10)
                 clean = rows[l] @ (H[:, yv] - H[:, c])
                 assert abs(bundle.margins[l, c] - clean) <= 1e-10
 
@@ -138,6 +139,10 @@ class TestBundle:
             assert abs(got - c.worst_margin) <= 1e-9
 
     def test_stored_ppr_recomputable_from_witness_graph(self, rng):
+        # the PageRank vector the gradient uses for (l, c) is a dense solve
+        # on the stored witness graph: a unit margin gradient at (l, c)
+        # returns it, with + in the own class's column and - in c's
+        from pagecert.robust_train import _margin_grads_to_H
         G, S = random_instance(rng, 6, extra=2)
         H = rng.normal(size=(6, 2))
         nodes = np.array([1, 4])
@@ -155,7 +160,11 @@ class TestBundle:
                 z = np.zeros(n)
                 z[v] = 1.0
                 pi = (1 - ALPHA) * np.linalg.solve(np.eye(n) - ALPHA * P.T, z)
-                assert np.allclose(bundle.pprs[l, c], pi, atol=1e-9)
+                g = np.zeros((2, 2))
+                g[l, c] = 1.0
+                dH = _margin_grads_to_H(bundle, g, n)
+                assert np.allclose(dH[:, yv], pi, atol=1e-9)
+                assert np.allclose(dH[:, c], -pi, atol=1e-9)
 
     def test_margin_consistency_invariant(self, rng):
         G, S = random_instance(rng, 6, extra=3)
@@ -163,19 +172,23 @@ class TestBundle:
         nodes = np.array([0, 3, 5])
         labels = np.array([0, 1, 2])
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
+        rows = bundle_ppr_rows(bundle)
         for l, yv in enumerate(labels):
             for c in range(3):
                 if c == yv:
                     continue
-                direct = bundle.pprs[l, c] @ (H[:, yv] - H[:, c])
+                direct = rows[l, c] @ (H[:, yv] - H[:, c])
                 assert abs(direct - bundle.margins[l, c]) <= 1e-8
 
     def test_margin_grads_match_loop_reference(self, rng):
         from pagecert.robust_train import _margin_grads_to_H
         L, K, n = 5, 3, 7
+        G, S = random_instance(rng, n, extra=3)
         labels = np.array([0, 2, 1, 2, 0])
-        bundle = make_bundle(np.zeros((L, K)), labels, n)
-        bundle.pprs = rng.random((L, K, n))
+        nodes = np.array([1, 4, 6, 4, 2])  # node 4 twice
+        bundle = compute_worst_bundle(G, S, ALPHA, rng.normal(size=(n, K)),
+                                      nodes, labels)
+        rows = bundle_ppr_rows(bundle)
         g = rng.normal(size=(L, K))
         g[np.arange(L), labels] = 0.0
         g[1, 0] = 0.0
@@ -183,10 +196,73 @@ class TestBundle:
         for l, yl in enumerate(labels):
             for c in range(K):
                 if c != yl:
-                    want[:, yl] += g[l, c] * bundle.pprs[l, c]
-                    want[:, c] -= g[l, c] * bundle.pprs[l, c]
+                    want[:, yl] += g[l, c] * rows[l, c]
+                    want[:, c] -= g[l, c] * rows[l, c]
         assert np.allclose(_margin_grads_to_H(bundle, g, n), want,
                            rtol=0.0, atol=1e-13)
+
+
+def hub_instance(rng, n: int = 60, hubs: int = 3):
+    """A ring whose every other node also links to one of a few hubs, so
+    the hubs carry a third of the edges each; remove-only, with budgets up
+    to 3 and 8 at the hubs."""
+    chords = [(j, int(rng.integers(hubs))) for j in range(hubs + 1, n - 1)]
+    G = ring_graph(n, chords)
+    budgets = rng.integers(0, 4, size=n)
+    budgets[:hubs] = 8
+    return G, build_scenario(G, "remove-only", local_budgets=budgets)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("path", ["dense", "bicgstab"])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("kind", ["rce", "cem"])
+    def test_matches_sum_of_ppr_rows(self, kind, K, path, monkeypatch):
+        # the one adjoint solve per pair equals sum_l g[l, c] pi_l with
+        # every pi_l a PageRank row on the pair's graph
+        from pagecert.robust_train import (
+            _clean_ce_loss_grad, _rce_grad_margins, robust_loss_and_grad)
+        if path == "bicgstab":
+            monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        rng = np.random.default_rng(K)
+        G, S = hub_instance(rng)
+        n = G.node_count
+        H = rng.normal(size=(n, K))
+        nodes = np.concatenate([np.arange(0, n, 3), [0, 1, 0]])  # hubs twice
+        labels = rng.integers(K, size=nodes.size)
+        labels[-3:] = labels[:2].tolist() + [(labels[0] + 1) % K]
+        bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
+        assert any(len(p.as_set()) for p in bundle.pair_policies.values())
+        own = np.arange(K)[None, :] == labels[:, None]
+        margin = float(np.median(bundle.margins[~own]))
+        _, dH = robust_loss_and_grad(kind, G, ALPHA, H, nodes, labels, bundle,
+                                     margin)
+        if kind == "rce":
+            g, want = _rce_grad_margins(bundle), np.zeros((n, K))
+        else:
+            g = -((bundle.margins < margin) & ~own).astype(np.float64)
+            assert g.any() and not g[~own].all()
+            want = _clean_ce_loss_grad(G, ALPHA, ppr.diffused_margins(G, ALPHA, H),
+                                       nodes, labels)[1]
+        rows = bundle_ppr_rows(bundle)
+        for l, yl in enumerate(labels):
+            for c in range(K):
+                if c != yl:
+                    want[:, yl] += g[l, c] * rows[l, c]
+                    want[:, c] -= g[l, c] * rows[l, c]
+        err = np.abs(dH - want)
+        if path == "dense":
+            assert err.max() <= 1e-12 * np.abs(want).max()
+            return
+        # BiCGSTAB stops at its stated bound, RESIDUAL_TOL = 1e-10 relative,
+        # not at 1e-12 (it lands at 2e-12 to 1.3e-11 relative here): each
+        # solve of a (1-alpha)-scaled column, the rows' and the adjoint's,
+        # is within ((1-alpha) RESIDUAL_TOL + 2e) ||b||_1 in the 1-norm, with
+        # e the residual's rounding error per unit b (ppr module docstring)
+        row_nnz = max(ppr._row_nnz(p, True) for p in bundle.pair_graphs.values())
+        e = ppr._rounding_error(row_nnz, ALPHA, 1.0, 1.0 / (1.0 - ALPHA))
+        bound = 2 * np.abs(g).sum() * ((1.0 - ALPHA) * ppr.RESIDUAL_TOL + 2 * e)
+        assert err.sum(axis=0).max() <= bound
 
 
 class TestGradCheck:
@@ -331,7 +407,8 @@ class TestTrainRobust:
                                   config, train_idx, val_idx)
         assert len(history) == 6
         assert len(inverted) == 1 and np.allclose(inverted[0], M)
-        # the perturbed graphs of later rounds and ppr_rows still take LUs
+        # the perturbed graphs of later rounds and their adjoint gradient
+        # solves still take LUs
         assert factored
         assert not any(np.allclose(A, M) or np.allclose(A, M.T) for A in factored)
 
@@ -356,6 +433,65 @@ class TestTrainRobust:
         assert len({id(g) for graphs in factored for g in graphs
                     if isinstance(g, ppr.FactoredGraph)}) == 1
 
+    @pytest.mark.parametrize("kind", ["rce", "cem"])
+    def test_cadence_one_epoch_solves_pairs_once(self, kind, monkeypatch):
+        # at cadence 1 the margins are the inner problem's own: an epoch
+        # makes one transposed solve over the pair graphs, for the
+        # gradient, and no refresh solve
+        G, X, y, train_idx, val_idx = self._fixture(4)
+        S = build_scenario(G, "remove-only", strength=3)
+        calls, refreshes = [], []
+        solve_transport = ppr.solve_transport
+        monkeypatch.setattr(ppr, "solve_transport", lambda g, *args, transpose=False: calls.append(
+            (not isinstance(g, DirectedGraph), transpose))
+            or solve_transport(g, *args, transpose=transpose))
+        monkeypatch.setattr(WorstCaseBundle, "refresh_margins",
+                            lambda self, H: refreshes.append(H))
+        config = RobustLossConfig(kind=kind, max_epochs=5, patience=20)
+        _, history = train_robust(init_mlp(2, 4, 2, seed=11), X, y, G, S, ALPHA,
+                                  config, train_idx, val_idx)
+        assert len(history) == 5
+        assert calls.count((True, True)) == 5
+        assert not refreshes
+        assert not any(np.isnan(h["certified_ratio"]) for h in history)
+
+    def test_cadence_three_refreshes_on_stored_graphs(self, monkeypatch):
+        # epochs that reuse a bundle refresh its margins by a solve on the
+        # stored pair graphs; those need not be worst-case for the epoch's
+        # logits, so the margins only bound the worst ones from above and
+        # the epoch reports no certified ratio
+        G, X, y, train_idx, val_idx = self._fixture(4)
+        S = build_scenario(G, "remove-only", strength=3)
+        refreshed = []
+        refresh = WorstCaseBundle.refresh_margins
+
+        def spy(bundle, H):
+            refresh(bundle, H)
+            refreshed.append((bundle, H.copy(), bundle.margins.copy()))
+
+        monkeypatch.setattr(WorstCaseBundle, "refresh_margins", spy)
+        config = RobustLossConfig(kind="cem", recompute_every=3, max_epochs=7,
+                                  patience=20)
+        _, history = train_robust(init_mlp(2, 4, 2, seed=11), X, y, G, S, ALPHA,
+                                  config, train_idx, val_idx)
+        assert [np.isnan(h["certified_ratio"]) for h in history] == [
+            epoch % 3 != 0 for epoch in range(7)]
+        assert len(refreshed) == 4
+        labels = y[train_idx]
+        for bundle, H, margins in refreshed:
+            want = np.zeros_like(margins)
+            for (c1, c2), g in bundle.pair_graphs.items():
+                n = g.node_count
+                A = np.zeros((n, n))
+                A[g.edges[:, 0], g.edges[:, 1]] = 1.0
+                P = A / A.sum(axis=1)[:, None]
+                x = np.linalg.solve(np.eye(n) - ALPHA * P, H[:, c1] - H[:, c2])
+                sel = labels == c1
+                want[sel, c2] = (1 - ALPHA) * x[train_idx[sel]]
+            assert np.allclose(margins, want, rtol=0.0, atol=1e-12)
+            worst = compute_worst_bundle(G, S, ALPHA, H, train_idx, labels)
+            assert np.all(margins >= worst.margins - 1e-12)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reported(self):
         G, X, y, train_idx, val_idx = self._fixture(5)
@@ -375,9 +511,10 @@ class TestTrainRobust:
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
         H2 = H + 0.01 * rng.normal(size=H.shape)
         bundle.refresh_margins(H2)
+        rows = bundle_ppr_rows(bundle)
         for l, yv in enumerate(labels):
             for c in range(2):
                 if c == yv:
                     continue
-                want = bundle.pprs[l, c] @ (H2[:, yv] - H2[:, c])
+                want = rows[l, c] @ (H2[:, yv] - H2[:, c])
                 assert abs(bundle.margins[l, c] - want) <= 1e-12
