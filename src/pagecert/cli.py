@@ -11,7 +11,8 @@ version, input digests) from which it can be reproduced byte-for-byte via
 exit 4 if one changed.
 
 Exit codes: 0 ok, 2 config error, 3 solver error (a diverged training
-loss included), 4 graph/scenario validation error.
+loss included), 4 graph/scenario validation error (running out of memory
+included).
 """
 
 from __future__ import annotations
@@ -223,6 +224,13 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph):
+    """The configured scenario; a sink node of G, on which no PageRank solve
+    is defined, is refused here, before any output is written."""
+    sinks = np.flatnonzero(G.out_degree == 0)
+    if sinks.size:
+        raise graph.GraphFormatError(
+            f"{cfg['paths.graph']}: node {sinks[0]} has no outgoing edge, which "
+            "PageRank needs at every node (graph.symmetrize = true adds one)")
     return graph.build_scenario(G, mode=cfg["scenario.mode"],
                                 strength=cfg["scenario.strength"],
                                 global_budget=cfg["scenario.global_budget"])
@@ -242,6 +250,7 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
                            G.node_count)
     if y is None:
         raise ConfigError("need paths.logits or paths.labels to form logits")
+    K = _class_count(cfg, y)
     if cfg["paths.features"]:
         reg = cfg["train.reg"]
         H, _ = models.feature_propagation_logits(
@@ -249,10 +258,14 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
             reg=1e-2 if reg is None else reg, seed=cfg["seed"],
         )
         return H
+    return models.label_propagation_logits(y, G.node_count, K)
+
+
+def _class_count(cfg: RunConfig, y: np.ndarray) -> int:
     K = int(y.max()) + 1
     if K < 2:
         raise models.ModelError(f"{cfg['paths.labels']}: labels define fewer than two classes")
-    return models.label_propagation_logits(y, G.node_count, K)
+    return K
 
 
 def _load_features(cfg: RunConfig, node_count: int) -> np.ndarray:
@@ -337,6 +350,7 @@ def run(cfg: RunConfig) -> int:
         train_idx, val_idx, _ = models.train_val_test_split(
             y, per_class=cfg["train.per_class"], seed=seed
         )
+        K = _class_count(cfg, y)
         reg = cfg["train.reg"]
         config = robust_train.RobustLossConfig(
             kind=cfg["train.loss"],
@@ -347,8 +361,7 @@ def run(cfg: RunConfig) -> int:
             patience=cfg["train.patience"],
             max_epochs=cfg["train.epochs"],
         )
-        model = models.init_mlp(X.shape[1], cfg["train.hidden"], int(y.max()) + 1,
-                                seed=seed)
+        model = models.init_mlp(X.shape[1], cfg["train.hidden"], K, seed=seed)
         trained, history = robust_train.train_robust(
             model, X, y, G, S, alpha, config, train_idx, val_idx,
         )
@@ -460,9 +473,13 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (graph.GraphFormatError, graph.ScenarioValidationError,
-            models.ModelError, qclp_global.BoundError,
+            models.ModelError, ppr.KernelInputError, qclp_global.BoundError,
             analysis.CertificateFormatError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print(f"validation error: mode {raw.get('mode')} ran out of memory; the "
+              "input is too large for this host", file=sys.stderr)
         return 4
 
 

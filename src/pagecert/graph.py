@@ -38,6 +38,16 @@ def decode_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
     return np.column_stack((keys // node_count, keys % node_count))
 
 
+def edge_key_set(edges, node_count: int) -> tuple[np.ndarray, int]:
+    """The sorted distinct keys of (src, dst) rows, and how many rows repeat
+    an earlier one: one sort, then a compare of each key with its neighbour."""
+    keys = np.sort(encode_edges(edges, node_count))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    dup = keys.size - int(np.count_nonzero(first))
+    return (keys[first] if dup else keys), dup
+
+
 # one (src, dst) int64 row as a single element, so that a boolean mask copies
 # whole rows in one pass
 _EDGE_RECORD = np.dtype((np.void, 16))
@@ -80,15 +90,11 @@ class DirectedGraph:
             if not allow_self_loops and np.any(e[:, 0] == e[:, 1]):
                 bad = int(e[np.nonzero(e[:, 0] == e[:, 1])[0][0], 0])
                 raise GraphFormatError(f"self-loop at node {bad} not allowed")
-        keys = encode_edges(e, node_count)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        dup = np.count_nonzero(keys[1:] == keys[:-1]) if keys.size else 0
+        keys, dup = edge_key_set(e, node_count)
         if dup:
             if not dedupe:
                 raise GraphFormatError(f"{dup} duplicate edges")
             logger.warning("deduplicated %d duplicate edges", dup)
-            keys = np.unique(keys)
         e = decode_keys(keys, node_count)
         deg = np.bincount(e[:, 0], minlength=node_count).astype(np.int64)
         return cls(node_count, _readonly(e), _readonly(deg))
@@ -153,8 +159,6 @@ class PerturbationScenario:
 
     def fragile_out_counts(self) -> np.ndarray:
         """|F^v| per node."""
-        if not self.fragile_edges.size:
-            return np.zeros(self.node_count, dtype=np.int64)
         return np.bincount(self.fragile_edges[:, 0], minlength=self.node_count)
 
     def fragile_index_of(self, pairs) -> np.ndarray:
@@ -189,45 +193,44 @@ class PerturbationScenario:
 
 def _make_scenario(
     node_count: int,
-    fixed: np.ndarray,
-    fragile: np.ndarray,
-    base: np.ndarray,
-    local_budget: np.ndarray,
+    fixed_keys: np.ndarray,
+    frag_keys: np.ndarray,
+    base_keys: np.ndarray,
+    local_budget: np.ndarray | None,
     global_budget: int | None,
 ) -> PerturbationScenario:
-    """Validate parts and assemble an immutable scenario."""
+    """Validate parts and assemble an immutable scenario from the sorted
+    distinct keys of its edge sets (``edge_key_set``); a missing local
+    budget means each node's fragile out-count."""
     n = node_count
-    fixed_keys = np.unique(encode_edges(fixed, n)) if fixed.size else np.empty(0, np.int64)
-    frag_keys = np.unique(encode_edges(fragile, n)) if fragile.size else np.empty(0, np.int64)
-    base_keys = np.unique(encode_edges(base, n)) if base.size else np.empty(0, np.int64)
-    if np.intersect1d(fixed_keys, frag_keys).size:
+    if np.isin(fixed_keys, frag_keys, assume_unique=True).any():
         raise ScenarioValidationError("fixed and fragile edge sets overlap")
 
-    fixed = decode_keys(fixed_keys, n)
-    fragile = decode_keys(frag_keys, n)
-    fixed_out = np.bincount(fixed[:, 0], minlength=n) if fixed.size else np.zeros(n, np.int64)
+    fixed_out = np.bincount(fixed_keys // n, minlength=n)
     if np.any(fixed_out == 0):
         bad = int(np.nonzero(fixed_out == 0)[0][0])
         raise ScenarioValidationError(
             f"node {bad} has no fixed outgoing edge; every node needs one to "
             "keep the walk well-defined under any perturbation"
         )
-    missing_fixed = np.setdiff1d(fixed_keys, base_keys)
-    if missing_fixed.size:
+    fixed_in_base = np.count_nonzero(np.isin(fixed_keys, base_keys, assume_unique=True))
+    if fixed_in_base < fixed_keys.size:
         logger.warning(
             "%d fixed edges are not present in the clean graph (asymmetric "
             "input?); the unperturbed baseline will differ from the clean graph",
-            missing_fixed.size,
+            fixed_keys.size - fixed_in_base,
         )
-    uncovered = np.setdiff1d(base_keys, np.union1d(fixed_keys, frag_keys))
-    if uncovered.size:
+    # fixed and fragile are disjoint, so together they cover this many clean edges
+    in_base = np.isin(frag_keys, base_keys, assume_unique=True)
+    uncovered = base_keys.size - fixed_in_base - np.count_nonzero(in_base)
+    if uncovered:
         raise ScenarioValidationError(
-            f"{uncovered.size} clean edges are neither fixed nor fragile; they "
+            f"{uncovered} clean edges are neither fixed nor fragile; they "
             "would be silently dropped from every perturbed graph"
         )
 
-    frag_out = np.bincount(fragile[:, 0], minlength=n) if fragile.size else np.zeros(n, np.int64)
-    b = np.asarray(local_budget, dtype=np.int64)
+    frag_out = np.bincount(frag_keys // n, minlength=n)
+    b = frag_out if local_budget is None else np.asarray(local_budget, dtype=np.int64)
     if b.shape != (n,):
         raise ScenarioValidationError("local budget must have one entry per node")
     if np.any(b < 0):
@@ -249,11 +252,10 @@ def _make_scenario(
             logger.warning("global budget %d clamped to |F|=%d", bg, total)
             bg = total
 
-    in_base = np.isin(frag_keys, base_keys)
     return PerturbationScenario(
         node_count=n,
-        fixed_edges=_readonly(fixed),
-        fragile_edges=_readonly(fragile),
+        fixed_edges=_readonly(decode_keys(fixed_keys, n)),
+        fragile_edges=_readonly(decode_keys(frag_keys, n)),
         local_budget=_readonly(clamped),
         global_budget=bg,
         base_edges=_readonly(decode_keys(base_keys, n)),
@@ -268,12 +270,8 @@ def _spanning_tree_pairs(G: DirectedGraph) -> np.ndarray:
     which makes the tree deterministic.
     """
     e = G.edges
-    u = np.minimum(e[:, 0], e[:, 1])
-    v = np.maximum(e[:, 0], e[:, 1])
-    keep = u != v
-    u, v = u[keep], v[keep]
-    keys = np.unique(u * np.int64(G.node_count) + v)
-    pairs = decode_keys(keys, G.node_count)
+    e = np.sort(e[e[:, 0] != e[:, 1]], axis=1)   # (min, max) endpoint pairs
+    pairs = decode_keys(edge_key_set(e, G.node_count)[0], G.node_count)
 
     parent = np.arange(G.node_count)
 
@@ -315,22 +313,19 @@ def build_scenario(
     out-degrees. A missing global budget means unlimited (B = |F|).
     """
     n = G.node_count
-    base = G.edges
+    base_keys = G.edge_keys()
     if mode in ("remove-only", "add-and-remove"):
         if fixed_edges is not None or fragile_edges is not None:
             raise ScenarioValidationError(f"mode {mode!r} builds its own edge sets")
         tree = _spanning_tree_pairs(G)
-        both = np.concatenate([tree, tree[:, ::-1]]) if tree.size else tree
-        fixed_keys = np.unique(encode_edges(both, n)) if both.size else np.empty(0, np.int64)
+        fixed_keys, _ = edge_key_set(np.concatenate([tree, tree[:, ::-1]]), n)
         if mode == "remove-only":
-            frag_keys = np.setdiff1d(G.edge_keys(), fixed_keys)
+            frag_keys = np.setdiff1d(base_keys, fixed_keys, assume_unique=True)
         else:
-            all_keys = (np.arange(n, dtype=np.int64)[:, None] * n
-                        + np.arange(n, dtype=np.int64)[None, :]).ravel()
-            loops = np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
-            frag_keys = np.setdiff1d(all_keys, np.union1d(fixed_keys, loops))
-        fixed = decode_keys(fixed_keys, n)
-        fragile = decode_keys(frag_keys, n)
+            pairs = np.ones(n * n, dtype=bool)
+            pairs[fixed_keys] = False
+            pairs[::n + 1] = False   # self-loops
+            frag_keys = np.flatnonzero(pairs)
     elif mode == "custom":
         if fixed_edges is None or fragile_edges is None:
             raise ScenarioValidationError("custom mode needs fixed_edges and fragile_edges")
@@ -342,20 +337,17 @@ def build_scenario(
             if e.size and (e.min() < 0 or e.max() >= n):
                 raise ScenarioValidationError(
                     f"{what} edge endpoint out of range [0, {n})")
+        fixed_keys, _ = edge_key_set(fixed, n)
+        frag_keys, _ = edge_key_set(fragile, n)
     else:
         raise ScenarioValidationError(f"unknown scenario mode {mode!r}")
 
-    frag_out = (np.bincount(fragile[:, 0], minlength=n)
-                if fragile.size else np.zeros(n, np.int64))
-    if local_budgets is not None:
-        if strength is not None:
-            raise ScenarioValidationError("give either strength or local_budgets, not both")
-        b = np.asarray(local_budgets, dtype=np.int64)
-    elif strength is not None:
+    if local_budgets is not None and strength is not None:
+        raise ScenarioValidationError("give either strength or local_budgets, not both")
+    b = local_budgets  # None: unconstrained locally, the fragile out-count
+    if strength is not None:
         b = np.maximum(G.out_degree - 11 + int(strength), 0)
-    else:
-        b = frag_out.astype(np.int64)  # unconstrained locally
-    return _make_scenario(n, fixed, fragile, base, b, global_budget)
+    return _make_scenario(n, fixed_keys, frag_keys, base_keys, b, global_budget)
 
 
 def apply_policy(G: DirectedGraph, S: PerturbationScenario, P: EdgePolicy) -> DirectedGraph:
@@ -478,17 +470,18 @@ def load_graph(
             raise GraphFormatError(
                 f"{path}:{lineno}: non-integer node id in {line!r}"
             ) from None
+        # a negative id would alias another edge's key
+        if min(edges[-1]) < 0:
+            raise GraphFormatError(f"{path}:{lineno}: negative node id in {line!r}")
     if not edges:
         raise GraphFormatError(f"{path}: empty graph")
     e = np.asarray(edges, dtype=np.int64)
     n = int(e.max()) + 1
-    keys = np.unique(encode_edges(e, n))
-    dup = e.shape[0] - keys.size
+    keys, dup = edge_key_set(e, n)
     if dup:
         logger.warning("%s: deduplicated %d duplicate edges", path, dup)
     if symmetrize:
-        rev = decode_keys(keys, n)[:, ::-1]
-        keys = np.union1d(keys, encode_edges(rev, n))
+        keys, _ = edge_key_set(np.concatenate([e, e[:, ::-1]]), n)
     G = DirectedGraph.from_edges(n, decode_keys(keys, n),
                                  allow_self_loops=allow_self_loops)
     if restrict_lcc:
@@ -582,4 +575,5 @@ def load_scenario(path) -> PerturbationScenario:
         parts[key] = a[:, 1:]
     b = np.zeros(n, dtype=np.int64)
     b[parts["local_budget"][:, 0]] = parts["local_budget"][:, 1]
-    return _make_scenario(n, parts["fixed"], parts["fragile"], parts["base"], b, bg)
+    keys = [edge_key_set(parts[k], n)[0] for k in ("fixed", "fragile", "base")]
+    return _make_scenario(n, *keys, b, bg)

@@ -244,8 +244,8 @@ def load_logits_csv(path) -> np.ndarray:
 
 
 def load_features_csv(path) -> np.ndarray:
-    """Comma-separated rows of numbers, all as wide as the first row."""
-    rows = []
+    """Comma-separated rows of finite numbers, all as wide as the first row."""
+    rows, linenos = [], []
     for lineno, line in read_lines(path, ModelError):
         try:
             row = [float(v) for v in line.split(",")]
@@ -256,7 +256,13 @@ def load_features_csv(path) -> np.ndarray:
                 f"{path}:{lineno}: {len(row)} values, expected {len(rows[0])}"
             )
         rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+        linenos.append(lineno)
+    X = np.asarray(rows, dtype=np.float64)
+    # axis=-1 also covers a file with no rows, whose X is 1-D
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+    if bad.size:
+        raise ModelError(f"{path}:{linenos[bad[0]]}: value not finite")
+    return X
 
 
 def save_features_bin(X: np.ndarray, path) -> None:
@@ -298,7 +304,10 @@ def _read_floats(path, buf: memoryview, offset: int, count: int) -> np.ndarray:
 def load_features_bin(path) -> np.ndarray:
     buf = _read_binary(path, FEATURES_MAGIC, "feature-file")
     n, d = _read_dims(path, buf, 0, 2)
-    return _read_floats(path, buf, 16, n * d).reshape(n, d).copy()
+    X = _read_floats(path, buf, 16, n * d).reshape(n, d).copy()
+    if not np.isfinite(X).all():
+        raise ModelError(f"{path}: value not finite")
+    return X
 
 
 def save_model(model: MlpModel, path) -> None:

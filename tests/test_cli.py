@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pagecert import robust_train
+from pagecert import graph, policy_iter, ppr, robust_train
 from pagecert.cli import load_config, main, resolve_config
 from pagecert.graph import generate_sbm, sbm_block_labels
-from pagecert.models import FEATURES_MAGIC
+from pagecert.models import FEATURES_MAGIC, save_features_bin
 
 
 def write_fixture(tmp_path, n=12, blocks=2, p_in=0.7, p_out=0.1, seed=2):
@@ -410,6 +410,77 @@ train.per_class = 4
         assert main(["--config", str(cfg), "--set", f"mode={mode}"]) == 4
         assert "validation error:" in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
+
+    def test_train_with_one_class_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained on labels of one class")
+
+        monkeypatch.setattr(robust_train, "train_robust", fail)
+        cfg = self._train_config(tmp_path, extra="train.loss = ce")
+        lpath = tmp_path / "labels.tsv"
+        lpath.write_text("".join(f"{v}\t0\n" for v in range(24)))
+        assert main(["--config", str(cfg)]) == 4
+        assert (f"validation error: {lpath}: labels define fewer than two classes"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("mode", ["certify-local", "train"])
+    @pytest.mark.parametrize("kind, value", [("csv", "nan"), ("csv", "-inf"),
+                                             ("bin", "inf")])
+    def test_non_finite_features_are_reported(self, tmp_path, capsys, mode, kind,
+                                              value):
+        cfg = self._train_config(tmp_path)
+        X = np.ones((24, 2))
+        X[5, 1] = float(value)
+        feats = tmp_path / f"x.{kind}"
+        if kind == "bin":
+            save_features_bin(X, feats)
+        else:
+            feats.write_text("".join(f"{a},{b}\n" for a, b in X))
+        assert main(["--config", str(cfg), "--set", f"mode={mode}",
+                     "--set", f"paths.features={feats}"]) == 4
+        where = f"{feats}:6" if kind == "csv" else f"{feats}"
+        assert f"validation error: {where}: value not finite\n" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("mode", ["certify-local", "certify-global", "train"])
+    def test_sink_node_is_reported_before_any_write(self, tmp_path, capsys, mode):
+        # without graph.symmetrize node 3 has no outgoing edge
+        cfg = self._train_config(tmp_path, extra="graph.symmetrize = false")
+        gpath = tmp_path / "graph.tsv"
+        gpath.write_text("0\t1\n1\t2\n2\t0\n2\t3\n")
+        (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n2\t0\n3\t1\n")
+        assert main(["--config", str(cfg), "--set", f"mode={mode}"]) == 4
+        assert (f"validation error: {gpath}: node 3 has no outgoing edge"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "train").exists()
+
+    def test_kernel_input_error_is_a_validation_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def fail(*args, **kwargs):
+            raise ppr.KernelInputError("logit values must be finite")
+
+        monkeypatch.setattr(policy_iter, "certify_local_all", fail)
+        cfg = base_config(tmp_path, "k")
+        assert main(["--config", str(cfg)]) == 4
+        assert ("validation error: logit values must be finite"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mode, step", [("gen-sbm", "generate_sbm"),
+                                            ("certify-local", "build_scenario")])
+    def test_out_of_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, mode, step):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(graph, step, fail)
+        cfg = base_config(tmp_path, "mem", mode=mode,
+                          extra="sbm.n = 12\nsbm.blocks = 2\nsbm.p_in = 0.5\n"
+                                "sbm.p_out = 0.1")
+        assert main(["--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"validation error: mode {mode} ran out of memory; the input "
+                       "is too large for this host\n")
+        assert not (tmp_path / "mem").exists()
 
     def test_import_and_train_load_no_scipy(self, tmp_path):
         # graphs of at most ppr.DENSE_LIMIT nodes never need a sparse

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pagecert.graph import (
@@ -13,6 +13,7 @@ from pagecert.graph import (
     apply_policy,
     build_scenario,
     dump_scenario,
+    edge_key_set,
     encode_edges,
     flipped_graph,
     generate_sbm,
@@ -79,6 +80,14 @@ class TestLoadGraph:
         G = load_graph(p, restrict_lcc=True)
         assert G.node_count == 3
         assert G.edge_count == 6
+
+    @pytest.mark.parametrize("line", ["2\t-1", "-1\t2"])
+    def test_negative_node_id_names_line(self, tmp_path, line):
+        # "2 -1" used to load as the edge 1 -> 2: its key 2 * 3 - 1 decodes so
+        p = tmp_path / "g.tsv"
+        p.write_text("0\t1\n1\t0\n" + line + "\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{p}:3: negative node id")):
+            load_graph(p)
 
     def test_self_loop_flag(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -397,3 +406,93 @@ def test_flipped_graph_matches_sorted_rebuild(mode, n, seed):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
             assert not a.flags.writeable and a.flags.c_contiguous
+
+
+class TestEdgeKeySet:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_np_unique(self, data):
+        """Random, empty, repeated and unsorted rows: the same keys and
+        duplicate count as np.unique."""
+        n = data.draw(st.integers(1, 12))
+        node = st.integers(0, n - 1)
+        rows = data.draw(st.lists(st.tuples(node, node), max_size=40))
+        e = np.array(rows * data.draw(st.integers(1, 3)), dtype=np.int64).reshape(-1, 2)
+        keys, dup = edge_key_set(e, n)
+        want = np.unique(encode_edges(e, n))
+        assert keys.dtype == np.int64 and np.array_equal(keys, want)
+        assert dup == e.shape[0] - want.size
+
+    @pytest.mark.parametrize("rows, keys, dup", [
+        ([], [], 0),
+        ([(2, 1)] * 5, [7], 4),
+        ([(2, 2), (2, 1), (1, 0), (0, 2)], [2, 3, 7, 8], 0),
+    ], ids=["empty", "all-repeated", "reverse-sorted"])
+    def test_cases(self, rows, keys, dup):
+        got, got_dup = edge_key_set(np.array(rows, dtype=np.int64).reshape(-1, 2), 3)
+        assert got.tolist() == keys and got_dup == dup
+
+
+def _messy(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """e's rows shuffled, with a few of them repeated."""
+    if not len(e):
+        return e
+    return rng.permutation(np.concatenate([e, e[rng.integers(0, len(e), size=3)]]))
+
+
+def _assert_same_scenario(a, b):
+    assert a.node_count == b.node_count and a.global_budget == b.global_budget
+    for name in ("fixed_edges", "fragile_edges", "local_budget", "base_edges",
+                 "fragile_in_base"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(3, 9), st.integers(0, 2**31 - 1))
+def test_custom_and_loaded_scenarios_ignore_row_order_and_repeats(tmp_path, n, seed):
+    S = _scenario("custom", n, np.random.default_rng(seed))
+    G = random_connected_graph(np.random.default_rng(seed), n, extra=3)  # S's graph
+    rng = np.random.default_rng(seed + 1)
+    messy = build_scenario(G, "custom", fixed_edges=_messy(S.fixed_edges, rng),
+                           fragile_edges=_messy(S.fragile_edges, rng))
+    _assert_same_scenario(messy, S)
+
+    lines = ["# pagecert scenario v1", f"node_count {n}",
+             f"global_budget {S.global_budget}"]
+    lines += [f"local_budget {v} {int(b)}" for v, b in enumerate(S.local_budget)]
+    for key, edges in [("fixed", S.fixed_edges), ("fragile", S.fragile_edges),
+                       ("base", S.base_edges)]:
+        lines += [f"{key} {int(a)} {int(b)}" for a, b in _messy(edges, rng)]
+    p = tmp_path / "scenario.txt"
+    p.write_text("".join(f"{ln}\n" for ln in rng.permutation(lines[1:])))
+    _assert_same_scenario(load_scenario(p), S)
+
+
+def test_edge_sets_need_no_numpy_set_routines(tmp_path, monkeypatch):
+    """Loading, every scenario mode and a scenario reload run on sorted keys:
+    no np.unique, union1d or intersect1d, and setdiff1d only on unique keys."""
+    def banned(*args, **kwargs):
+        raise AssertionError("numpy set routine called")
+
+    for name in ("unique", "union1d", "intersect1d"):
+        monkeypatch.setattr(np, name, banned)
+    setdiff1d = np.setdiff1d
+
+    def unique_setdiff1d(a, b, assume_unique=False):
+        assert assume_unique
+        return setdiff1d(a, b, assume_unique=True)
+
+    monkeypatch.setattr(np, "setdiff1d", unique_setdiff1d)
+    p = tmp_path / "g.tsv"
+    p.write_text("0\t1\n1\t2\n2\t3\n3\t0\n0\t2\n0\t1\n4\t0\n")
+    G = load_graph(p, symmetrize=True)
+    for mode in ("remove-only", "add-and-remove"):
+        S = build_scenario(G, mode, strength=12)
+        assert S.fragile_count
+    S = build_scenario(G, "custom", fixed_edges=S.fixed_edges,
+                       fragile_edges=S.fragile_edges[::-1])
+    dump_scenario(S, tmp_path / "scenario.txt")
+    _assert_same_scenario(load_scenario(tmp_path / "scenario.txt"), S)
