@@ -220,8 +220,8 @@ def _make_scenario(
             "input?); the unperturbed baseline will differ from the clean graph",
             fixed_keys.size - fixed_in_base,
         )
-    # fixed and fragile are disjoint, so together they cover this many clean edges
     in_base = np.isin(frag_keys, base_keys, assume_unique=True)
+    # fixed and fragile are disjoint, so no clean edge is counted twice
     uncovered = base_keys.size - fixed_in_base - np.count_nonzero(in_base)
     if uncovered:
         raise ScenarioValidationError(
