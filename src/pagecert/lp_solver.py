@@ -126,9 +126,16 @@ def _canonical_triplet(rows, m: int, n: int):
     if data.size and (i.min() < 0 or i.max() >= m or j.min() < 0 or j.max() >= n):
         raise LpFormatError(f"an entry lies outside the {m} x {n} constraint "
                             "matrix shape")
-    key, pos = np.unique(i * n + j, return_inverse=True)
-    i, j = np.divmod(key, max(n, 1))
-    return i, j, np.bincount(pos, weights=data, minlength=key.size)
+    # a stable sort keeps a repeated pair's values in input order, the
+    # order they are summed in
+    key = i * n + j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    i, j = np.divmod(key[first], max(n, 1))
+    return i, j, np.bincount(np.cumsum(first) - 1, weights=data[order],
+                             minlength=i.size)
 
 
 @dataclass(eq=False)
@@ -171,7 +178,8 @@ def _check_start(start, n_struct: int, n_eq: int) -> np.ndarray:
         )
     if start.size and (start.min() < 0 or start.max() >= n_struct):
         raise LpFormatError(f"start columns must lie in [0, {n_struct})")
-    if np.unique(start).size != start.size:
+    ordered = np.sort(start)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise LpFormatError("start columns must be distinct")
     return start
 

@@ -214,7 +214,10 @@ def train_val_test_split(
     y = np.asarray(y, dtype=np.int64)
     rng = np.random.default_rng(seed)
     train, val = [], []
-    for c in np.unique(y[y >= 0]):
+    # the classes in order, by a sort: a bincount's length would grow with
+    # the largest class id the labels file holds
+    labeled = np.sort(y[y >= 0])
+    for c in labeled[np.diff(labeled, prepend=-1) != 0]:
         pool = np.nonzero(y == c)[0]
         pool = rng.permutation(pool)
         if pool.size < 2 * per_class:
@@ -227,9 +230,9 @@ def train_val_test_split(
         raise ModelError("the labels file labels no node")
     train = np.sort(np.concatenate(train))
     val = np.sort(np.concatenate(val))
-    labeled = np.nonzero(y >= 0)[0]
-    test = np.setdiff1d(labeled, np.union1d(train, val))
-    return train, val, test
+    test = y >= 0
+    test[train] = test[val] = False
+    return train, val, np.flatnonzero(test)
 
 
 def save_logits_csv(H: np.ndarray, path) -> None:

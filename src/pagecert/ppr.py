@@ -28,12 +28,14 @@ single-graph call returns.
 
 Factored graphs: a caller that solves on one graph of at most DENSE_LIMIT
 nodes many times (train_robust, and certify_local_all with three classes
-or more) replaces it by factor_clean's FactoredGraph, which carries its
-inverse. solve_transport serves such a graph's columns, in both
-orientations, with one matrix-vector product each. Such a product is not
-backward stable as an LU solve is, and near a = 1 it can miss the bound: a
-column that does takes one step of iterative refinement. Every column
-returned passes the residual test above, so the same bound holds.
+or more) replaces it by factor_clean's FactoredGraph, which carries the
+dense I - a*P that the LU path would build and its inverse.
+solve_transport serves such a graph's columns, in both orientations, with
+one matrix-vector product by the inverse each, and checks them on that
+matrix by the dense path's residual test. Such a product is not backward
+stable as an LU solve is, and near a = 1 it can miss the bound: a column
+that does takes one step of iterative refinement. Every column returned
+passes the residual test above, so the same bound holds.
 
 scipy is loaded only where it is used: transition_matrix (the iterative
 path above DENSE_LIMIT) and graph.largest_connected_component. Local and
@@ -71,16 +73,6 @@ class ConvergenceError(RuntimeError):
 
 class KernelInputError(ValueError):
     """Invalid graph, damping factor, or right-hand side."""
-
-
-@dataclass(frozen=True, eq=False)
-class PageRankVector:
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ValueVector:
-    values: np.ndarray
 
 
 def _edge_weights(G: DirectedGraph) -> np.ndarray:
@@ -258,39 +250,24 @@ def _check_dense(b, Mx, x, row_nnz, alpha: float, transpose: bool) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FactoredGraph(DirectedGraph):
-    """A graph whose I - alpha*P factor_clean inverted once, for the many
-    solves on it; the inverse's transpose serves P^T."""
+    """A graph whose I - alpha*P factor_clean built and inverted once, for
+    the many solves on it; the transposes serve P^T."""
 
     alpha: float
+    matrix: np.ndarray              # I - alpha*P, as _dense_matrices builds it
     inverse: np.ndarray             # (I - alpha*P)^-1
-    row_nnz: tuple[int, int]        # most nonzeros in a row of P, of P^T
-
-    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """(I - alpha * P[^T]) x for x of shape (k, n, 1), summed from the
-        edges: entry i adds to x_i the nonzero terms of row i that a dense
-        product sums, so _rounding_error bounds this evaluation too."""
-        src, dst = self.edges.T
-        if transpose:
-            src, dst = dst, src
-        coef = -(self.alpha * _edge_weights(self))
-        y = np.empty_like(x)
-        for c in range(x.shape[0]):
-            y[c, :, 0] = np.bincount(src, weights=coef * x[c, dst, 0],
-                                     minlength=self.node_count)
-        y += x
-        return y
 
 
 def factor_clean(G: DirectedGraph, alpha: float) -> DirectedGraph:
-    """G with its inverse formed once, as a FactoredGraph, for callers that
-    solve on G many times; G itself above DENSE_LIMIT, where every solve
-    stays iterative."""
+    """G with its dense I - alpha*P and that matrix's inverse formed once,
+    as a FactoredGraph, for callers that solve on G many times; G itself
+    above DENSE_LIMIT, where every solve stays iterative."""
     alpha = _check_alpha(alpha)
     if G.node_count > DENSE_LIMIT:
         return G
-    inverse = np.linalg.inv(_dense_matrices([G], alpha, transpose=False)[0])
-    return FactoredGraph(G.node_count, G.edges, G.out_degree, alpha, inverse,
-                         (_row_nnz(G, False), _row_nnz(G, True)))
+    M = _dense_matrices([G], alpha, transpose=False)[0]
+    return FactoredGraph(G.node_count, G.edges, G.out_degree, alpha, M,
+                         np.linalg.inv(M))
 
 
 def _factored_solve(G: FactoredGraph, alpha: float, b: np.ndarray,
@@ -300,25 +277,25 @@ def _factored_solve(G: FactoredGraph, alpha: float, b: np.ndarray,
 
     Each column is its own matrix-vector product (a stacked matmul: a
     matrix-matrix product's columns differ from it in the last bits), so a
-    column's result does not depend on the columns beside it. A column that
-    fails _dense_solve's residual test takes one step of iterative
-    refinement and is returned only if it then passes, so the module
-    docstring's bound holds.
+    column's result does not depend on the columns beside it. Its residual
+    is evaluated on G.matrix, as _dense_solve's is on the same matrix; a
+    column that fails the test takes one step of iterative refinement and
+    is returned only if it then passes, so the module docstring's bound
+    holds.
     """
     if alpha != G.alpha:
         raise KernelInputError(f"graph factored at alpha={G.alpha}, solved at {alpha}")
-    inv = G.inverse.T if transpose else G.inverse
+    M, inv = (G.matrix.T, G.inverse.T) if transpose else (G.matrix, G.inverse)
     x = inv @ b
-    row_nnz = G.row_nnz[transpose]
-    res, ok = _residual_test(b, G._apply(x, transpose), x, row_nnz, alpha, transpose)
+    row_nnz = _row_nnz(G, transpose)
+    res, ok = _residual_test(b, M @ x, x, row_nnz, alpha, transpose)
     redo = ~ok[:, 0]
     if redo.any():
         # near a = 1 the product can miss the bound (its error grows with
         # the condition number, (1 + a) / (1 - a)); one step of iterative
         # refinement brings it back to LU accuracy
         x[redo] += inv @ res[redo]
-        _check_dense(b[redo], G._apply(x[redo], transpose), x[redo],
-                     row_nnz, alpha, transpose)
+        _check_dense(b[redo], M @ x[redo], x[redo], row_nnz, alpha, transpose)
     return x
 
 
@@ -493,7 +470,7 @@ def check_teleport(z: np.ndarray, node_count: int) -> np.ndarray:
     return z
 
 
-def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
+def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> np.ndarray:
     """Topic-sensitive PageRank for teleport distribution z."""
     z = check_teleport(z, G.node_count)
     x = solve_transport(G, alpha, z, transpose=True)
@@ -503,18 +480,17 @@ def ppr_vector(G: DirectedGraph, alpha: float, z: np.ndarray) -> PageRankVector:
     pi = np.maximum(pi, 0.0)
     if abs(pi.sum() - 1.0) > 1e-8:
         raise ConvergenceError(f"PageRank mass {pi.sum():.12f} != 1")
-    return PageRankVector(values=pi)
+    return pi
 
 
-def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> ValueVector:
+def mean_reward(G: DirectedGraph, alpha: float, r: np.ndarray) -> np.ndarray:
     """Mean reward before teleportation: solves (I - alpha*D^-1*A) x = r."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (G.node_count,):
         raise KernelInputError("reward vector has wrong length")
     if not np.all(np.isfinite(r)):
         raise KernelInputError("reward vector must be finite")
-    x = solve_transport(G, alpha, r, transpose=False)
-    return ValueVector(values=x)
+    return solve_transport(G, alpha, r, transpose=False)
 
 
 def diffused_margins(G: DirectedGraph, alpha: float, h: np.ndarray) -> np.ndarray:

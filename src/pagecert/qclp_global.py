@@ -232,7 +232,7 @@ def assemble_relaxed_lp(
 
 def recover_pagerank(
     solution: lp_solver.LpSolution, instance: RelaxedLpInstance
-) -> tuple[ppr.PageRankVector, EdgePolicy, bool]:
+) -> tuple[np.ndarray, EdgePolicy, bool]:
     """Recover PageRank scores, the configured policy, and integrality.
 
     pi_v = (1 - k_v / d_v) x_v with k_v the count of active "off" edges at
@@ -250,8 +250,7 @@ def recover_pagerank(
     integral = not np.any(off & on)
     flipped = np.where(S.fragile_in_base, off, on)
     pi = (1.0 - k / instance.degrees) * x[:n]
-    vec = ppr.PageRankVector(values=np.maximum(pi, 0.0))
-    return vec, EdgePolicy.from_pairs(S.fragile_edges[flipped]), integral
+    return np.maximum(pi, 0.0), EdgePolicy.from_pairs(S.fragile_edges[flipped]), integral
 
 
 @dataclass(eq=False)

@@ -211,18 +211,17 @@ def _clean_ce_loss(Hd: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> flo
     return float(np.sum(_logsumexp(logits) - logits[np.arange(nodes.size), labels]))
 
 
-def _clean_ce_loss_grad(
+def _clean_ce_grad(
     G: DirectedGraph, alpha: float, Hd: np.ndarray, nodes: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy on the clean diffused logits Hd and its gradient w.r.t. H."""
+) -> np.ndarray:
+    """Gradient w.r.t. H of the cross-entropy on the clean diffused logits Hd."""
     gd = _softmax(Hd[nodes])
     gd[np.arange(nodes.size), labels] -= 1.0
     full = np.zeros_like(Hd)
     full[nodes] = gd
     # adjoint of diffusion: dH = Pi^T (dL/dH_diff)
-    dH = ppr.diffuse_transpose(G, alpha, full)
-    return _clean_ce_loss(Hd, nodes, labels), dH
+    return ppr.diffuse_transpose(G, alpha, full)
 
 
 def robust_loss_and_grad(
@@ -245,14 +244,15 @@ def robust_loss_and_grad(
     if kind != "rce" and Hd is None:
         Hd = ppr.diffused_margins(G, alpha, H)
     if kind == "ce":
-        return _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
+        return (_clean_ce_loss(Hd, nodes, labels),
+                _clean_ce_grad(G, alpha, Hd, nodes, labels))
     assert bundle is not None
     if kind == "rce":
         loss = loss_rce(bundle)
         g = _rce_grad_margins(bundle)
         return loss, _margin_grads_to_H(bundle, g, H.shape[0])
     # cem
-    _, dH = _clean_ce_loss_grad(G, alpha, Hd, nodes, labels)
+    dH = _clean_ce_grad(G, alpha, Hd, nodes, labels)
     active = (bundle.margins < hinge_margin).astype(np.float64)
     active[np.arange(len(bundle.labels)), bundle.labels] = 0.0
     dH += _margin_grads_to_H(bundle, -active, H.shape[0])

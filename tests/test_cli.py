@@ -485,21 +485,24 @@ train.per_class = 4
     def test_import_and_train_load_no_scipy(self, tmp_path):
         # graphs of at most ppr.DENSE_LIMIT nodes never need a sparse
         # matrix, and the relaxed LP and its simplex run on numpy arrays, so
-        # neither the import nor a train or certify-global run may load scipy
+        # neither the import nor a train or certify-global run may load scipy;
+        # nor numpy.ma, which np.unique imports on its first call
         cfg = self._train_config(tmp_path)
         (tmp_path / "g").mkdir()
         gcfg = base_config(tmp_path / "g", "glob", mode="certify-global",
                            extra="targets.count = 1")
         src = Path(__file__).resolve().parents[1] / "src"
+        loaded = ("print(sorted(m for m in sys.modules "
+                  "if m.startswith('scipy') or m == 'numpy.ma'))\n")
         script = (
             "import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import pagecert.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            f"assert pagecert.cli.main(['--config', {str(gcfg)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            + loaded
+            + f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
+            + loaded
+            + f"assert pagecert.cli.main(['--config', {str(gcfg)!r}]) == 0\n"
+            + loaded
         )
         proc = subprocess.run([sys.executable, "-I", "-c", script],
                               capture_output=True, text=True, timeout=120)

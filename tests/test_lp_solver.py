@@ -383,6 +383,14 @@ class TestCanonicalArrays:
         assert lp.col.tolist() == [1, 2, 0]
         assert lp.coef.tolist() == [2.0, -1.0, 3.0]
 
+    def test_repeated_pairs_sum_in_input_order(self):
+        # (1e16 + 1) - 1e16 is 0 in float64, while (1e16 - 1e16) + 1 is 1
+        for data, want in (([1e16, 1.0, -1e16], 0.0), ([1e16, -1e16, 1.0], 1.0)):
+            lp = LinearProgram.build([1.0, 1.0], (data + [5.0], ([0] * 4, [1, 1, 1, 0])),
+                                     ["<="], [1.0])
+            assert lp.col.tolist() == [0, 1]
+            assert lp.coef.tolist() == [5.0, want]
+
 
 def sbm_relaxed_lp():
     """A remove-only relaxed LP (50-node two-block SBM, s = 4, B = 4) whose

@@ -201,6 +201,21 @@ class TestSplitAndIo:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
 
+    def test_split_matches_set_routines(self):
+        # class ids with gaps between them and unlabeled nodes among them:
+        # the split is the one np.unique and the set routines give
+        y = np.random.default_rng(5).choice([-1, 0, 3, 7], size=300)
+        train, val, test = train_val_test_split(y, per_class=10, seed=4)
+        rng, want = np.random.default_rng(4), ([], [])
+        for c in np.unique(y[y >= 0]):
+            pool = rng.permutation(np.nonzero(y == c)[0])
+            want[0].append(pool[:10])
+            want[1].append(pool[10:20])
+        assert np.array_equal(train, np.sort(np.concatenate(want[0])))
+        assert np.array_equal(val, np.sort(np.concatenate(want[1])))
+        assert np.array_equal(test, np.setdiff1d(np.nonzero(y >= 0)[0],
+                                                 np.union1d(train, val)))
+
     def test_split_without_labeled_nodes(self):
         with pytest.raises(ModelError, match="labels no node"):
             train_val_test_split(np.full(10, -1), per_class=2)

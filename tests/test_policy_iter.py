@@ -36,7 +36,7 @@ class TestOptimizeLocal:
         assert res.iterations == 1
         z = rng.dirichlet(np.ones(4))
         pi = ppr_vector(G, ALPHA, z)
-        assert abs((1 - ALPHA) * (z @ res.value) - r @ pi.values) <= 1e-10
+        assert abs((1 - ALPHA) * (z @ res.value) - r @ pi) <= 1e-10
 
     def test_zero_reward_selects_nothing(self, rng):
         G, S = random_instance(rng, 7, extra=3)

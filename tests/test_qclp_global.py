@@ -63,7 +63,7 @@ class TestAuxMdp:
         assert mdp.node_count + mdp.fragile_edges.shape[0] == 4
         # the auxiliary value equals the mean reward of the plain chain
         val = aux_policy_value(mdp, np.zeros(0, dtype=bool))
-        x = mean_reward(G, ALPHA, r).values
+        x = mean_reward(G, ALPHA, r)
         assert np.allclose(val, x, atol=1e-10)
 
     def test_single_fragile_edge_structure(self, rng):
@@ -91,7 +91,7 @@ class TestAuxMdp:
             edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
             g2 = DirectedGraph.from_edges(6, edges, allow_self_loops=True)
             val = aux_policy_value(mdp, on)
-            x = mean_reward(g2, ALPHA, r).values
+            x = mean_reward(g2, ALPHA, r)
             assert np.allclose(val[:6], x, atol=1e-9)
 
     def test_off_roundtrip_reward_cancels(self, rng):
@@ -206,7 +206,7 @@ class TestUpperBounds:
                         [S.fixed_edges, S.fragile_edges[present]]
                     )
                     g2 = DirectedGraph.from_edges(6, edges, allow_self_loops=True)
-                    pi = ppr_vector(g2, ALPHA, z).values
+                    pi = ppr_vector(g2, ALPHA, z)
                     k = np.bincount(
                         S.fragile_edges[~present][:, 0], minlength=6
                     )
@@ -294,7 +294,7 @@ class TestAssembleLp:
         mdp = build_aux_mdp(G, S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
-        clean = r @ ppr_vector(G, ALPHA, z).values
+        clean = r @ ppr_vector(G, ALPHA, z)
         assert abs(sol.objective - clean) <= 1e-8
 
     def test_full_global_budget_matches_local_optimum(self):
@@ -389,8 +389,8 @@ class TestRecovery:
             vec, policy, integral = recover_pagerank(sol, inst)
             if integral:
                 g2 = apply_policy(G, S, policy)
-                pi = ppr_vector(g2, ALPHA, z).values
-                assert np.max(np.abs(pi - vec.values)) <= 1e-7
+                pi = ppr_vector(g2, ALPHA, z)
+                assert np.max(np.abs(pi - vec)) <= 1e-7
 
     def test_all_on_means_no_off_count(self, rng):
         # force every fragile edge on: with additions only, k_v = 0
@@ -407,7 +407,7 @@ class TestRecovery:
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         vec, policy, integral = recover_pagerank(sol, inst)
         if integral and len(policy) == len(nonedges):
-            assert np.allclose(vec.values[:1], sol.x[:1])
+            assert np.allclose(vec[:1], sol.x[:1])
 
 
 class TestRoundedAttack:
@@ -551,7 +551,7 @@ class TestCleanBasis:
         assert sol.stats["pivots"] == 0
         vec, pol, integral = recover_pagerank(sol, inst)
         assert integral and len(pol) == 0
-        assert np.max(np.abs(vec.values - ppr_vector(G, ALPHA, z).values)) <= 1e-12
+        assert np.max(np.abs(vec - ppr_vector(G, ALPHA, z))) <= 1e-12
 
     def test_certify_global_starts_at_the_clean_basis(self, rng, monkeypatch):
         G, S = random_instance(rng, 7, extra=3, global_budget=2)

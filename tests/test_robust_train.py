@@ -221,7 +221,7 @@ class TestAdjointGradient:
         # the one adjoint solve per pair equals sum_l g[l, c] pi_l with
         # every pi_l a PageRank row on the pair's graph
         from pagecert.robust_train import (
-            _clean_ce_loss_grad, _rce_grad_margins, robust_loss_and_grad)
+            _clean_ce_grad, _rce_grad_margins, robust_loss_and_grad)
         if path == "bicgstab":
             monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
         rng = np.random.default_rng(K)
@@ -242,8 +242,8 @@ class TestAdjointGradient:
         else:
             g = -((bundle.margins < margin) & ~own).astype(np.float64)
             assert g.any() and not g[~own].all()
-            want = _clean_ce_loss_grad(G, ALPHA, ppr.diffused_margins(G, ALPHA, H),
-                                       nodes, labels)[1]
+            want = _clean_ce_grad(G, ALPHA, ppr.diffused_margins(G, ALPHA, H),
+                                  nodes, labels)
         rows = bundle_ppr_rows(bundle)
         for l, yl in enumerate(labels):
             for c in range(K):
