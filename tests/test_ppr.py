@@ -606,17 +606,22 @@ class TestCleanOperator:
             assert np.array_equal(
                 X[:, j], solve_transport(F, ALPHA, b[:, j:j + 1], transpose)[:, 0])
 
-    def test_matrix_is_the_dense_solves_matrix(self, rng):
-        # the residual check runs on the stored matrix, which is, bit for
-        # bit and self-loops included, the one a dense solve builds, in
-        # either orientation
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_residual_product_matches_the_dense_matrix(self, rng, transpose):
+        # the residual check runs on the stored matrix (its transpose for
+        # P^T), which is, bit for bit and self-loops included, the one a
+        # dense solve builds in that orientation
         edges = np.concatenate([random_connected_graph(rng, 30, extra=20).edges,
                                 [(3, 3), (7, 7)]])
         G = DirectedGraph.from_edges(30, edges, allow_self_loops=True)
-        M = ppr.factor_clean(G, ALPHA).matrix
-        assert np.array_equal(M, ppr._dense_matrices([G], ALPHA, False)[0])
-        assert np.array_equal(M.T, ppr._dense_matrices([G], ALPHA, True)[0])
+        stored = ppr.factor_clean(G, ALPHA).matrix
+        M = stored.T if transpose else stored
+        assert np.array_equal(M, ppr._dense_matrices([G], ALPHA, transpose)[0])
         assert M[3, 3] != 1.0 and M[7, 7] != 1.0
+        dense = np.eye(30) - ALPHA * dense_transition(G)
+        x = rng.normal(size=(4, 30, 1))
+        assert np.allclose(M @ x, (dense.T if transpose else dense) @ x,
+                           rtol=0, atol=1e-14)
 
     def test_kernels_use_it_only_for_its_graph(self, rng, monkeypatch):
         # the kernels solve on a factored graph from its inverse, with no
