@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .graph import (  # noqa: F401
     DirectedGraph,
-    EdgePolicy,
     PerturbationScenario,
     apply_policy,
     build_scenario,

@@ -15,6 +15,8 @@ from .qclp_global import GlobalCertificate
 
 # the keys every record has, local or global, before its flips
 HEAD_KEYS = ("node", "y", "worst_class", "worst_margin", "status", "bound_type")
+# equal-width purity buckets over [0, 1] in the summary's purity breakdown
+PURITY_BUCKETS = 5
 
 
 class CertificateFormatError(ValueError):
@@ -32,7 +34,7 @@ def _record_head(rec) -> tuple[dict, np.ndarray]:
             "status": rec.status,
             "bound_type": "exact",
             "marginal": bool(rec.marginal),
-        }, rec.witness.flips
+        }, rec.witness
     if isinstance(rec, GlobalCertificate):
         return {
             "node": int(rec.node),
@@ -42,7 +44,7 @@ def _record_head(rec) -> tuple[dict, np.ndarray]:
             "status": rec.status,
             "bound_type": "lower",
             "attack_verified": bool(rec.attack_verified),
-        }, rec.rounded_attack.flips
+        }, rec.rounded_attack
     raise TypeError(f"not a certificate record: {type(rec)!r}")
 
 
@@ -87,7 +89,7 @@ def write_attacks_jsonl(records, path) -> None:
     certificate with a non-empty witness."""
     _write_spliced_jsonl(path, (
         ({"node": int(c.node), "worst_margin": float(c.worst_margin)},
-         c.witness.flips)
+         c.witness)
         for c in records if c.status == "nonrobust" and len(c.witness)
     ), "flips")
 
@@ -192,7 +194,6 @@ def build_report(
     G: DirectedGraph,
     true_labels=None,
     purity_labels=None,
-    purity_buckets: int = 5,
 ) -> CertReport:
     records = list(records)
     heads = _heads(records)
@@ -210,12 +211,12 @@ def build_report(
     if purity_labels is not None:
         labels = np.asarray(purity_labels, dtype=np.int64)
         adj = _undirected_adjacency(G)
-        edges = np.linspace(0.0, 1.0, purity_buckets + 1)
+        edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
         buckets: dict[int, list[float]] = {}
         for r in heads:
             pur = _purity(adj, labels, int(r["node"]))
             k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
-                    purity_buckets - 1)
+                    PURITY_BUCKETS - 1)
             buckets.setdefault(max(k, 0), []).append(r["worst_margin"])
         purity_rows = [
             (float((edges[k] + edges[k + 1]) / 2), float(np.mean(vals)))

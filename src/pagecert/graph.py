@@ -3,7 +3,10 @@
 Edges are directed (src, dst) pairs with 0-based contiguous node ids. A
 perturbation scenario splits the universe of edges into a fixed set the
 attacker cannot touch and a fragile set whose presence the attacker controls,
-subject to per-node and global budgets.
+subject to per-node and global budgets. A policy, the attacker's choice, is
+the read-only (k, 2) int64 array of the fragile edges it flips, sorted by
+(src, dst): a fragile edge is present in the perturbed graph iff (present in
+the clean graph) XOR (flipped).
 """
 
 from __future__ import annotations
@@ -109,35 +112,6 @@ class DirectedGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgePolicy:
-    """A subset of a scenario's fragile edges marked as flipped.
-
-    A fragile edge is present in the perturbed graph iff (present in the
-    clean graph) XOR (flipped).
-    """
-
-    flips: np.ndarray  # (k, 2) int64, sorted by (src, dst)
-
-    @classmethod
-    def empty(cls) -> "EdgePolicy":
-        return cls(_readonly(np.empty((0, 2), dtype=np.int64)))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "EdgePolicy":
-        e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            e = e[order]
-        return cls(_readonly(e))
-
-    def __len__(self) -> int:
-        return int(self.flips.shape[0])
-
-    def as_set(self) -> set[tuple[int, int]]:
-        return {(int(s), int(d)) for s, d in self.flips}
-
-
-@dataclass(frozen=True, eq=False)
 class PerturbationScenario:
     """Fixed edges, fragile edges, and attack budgets for one threat model.
 
@@ -162,16 +136,19 @@ class PerturbationScenario:
         return np.bincount(self.fragile_edges[:, 0], minlength=self.node_count)
 
     def fragile_index_of(self, pairs) -> np.ndarray:
-        """Indices into fragile_edges for given pairs; raises if any missing."""
-        keys = encode_edges(self.fragile_edges, self.node_count)
-        probe = encode_edges(np.asarray(pairs, dtype=np.int64), self.node_count)
+        """Indices into fragile_edges of (src, dst) pairs; raises naming the
+        first that is not one (an endpoint outside [0, n) included)."""
+        n = self.node_count
+        e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        keys = encode_edges(self.fragile_edges, n)
+        probe = encode_edges(e, n)
         pos = np.searchsorted(keys, probe)
-        ok = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == probe)
+        ok = np.all((e >= 0) & (e < n), axis=1) & (pos < keys.size)
+        ok[ok] = keys[pos[ok]] == probe[ok]
         if not np.all(ok):
-            bad = decode_keys(probe[~ok][:1], self.node_count)[0]
+            bad = e[np.argmin(ok)]
             raise ScenarioValidationError(
-                f"edge ({bad[0]}, {bad[1]}) is not a fragile edge"
-            )
+                f"edge ({bad[0]}, {bad[1]}) is not a fragile edge")
         return pos
 
     @cached_property
@@ -350,15 +327,15 @@ def build_scenario(
     return _make_scenario(n, fixed_keys, frag_keys, base_keys, b, global_budget)
 
 
-def apply_policy(G: DirectedGraph, S: PerturbationScenario, P: EdgePolicy) -> DirectedGraph:
-    """Materialize the perturbed graph encoded by an edge policy.
+def apply_policy(S: PerturbationScenario, flips) -> DirectedGraph:
+    """Materialize the perturbed graph in which the fragile edges listed in
+    flips, (src, dst) rows, are flipped.
 
     The result has edge set E_f union F_plus, where F_plus holds the fragile
     edges whose final state is present.
     """
     flipped = np.zeros(S.fragile_count, dtype=bool)
-    if len(P):
-        flipped[S.fragile_index_of(P.flips)] = True
+    flipped[S.fragile_index_of(flips)] = True
     return flipped_graph(S, flipped)
 
 

@@ -1,6 +1,7 @@
 """Exact PageRank optimization under local budgets, and the certificates it yields.
 
-Each admissible configuration of fragile edges is a policy; one iteration
+Each admissible configuration of fragile edges is a policy, held as the
+sorted array of the fragile edges it flips (see graph); one iteration
 solves the mean-reward system on the current perturbed graph, scores every
 fragile edge by the value gained from flipping it, and keeps the best
 strictly improving flips per node within budget. The fixed point maximizes
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, ppr
-from .graph import DirectedGraph, EdgePolicy, PerturbationScenario, flipped_graph
+from .graph import DirectedGraph, PerturbationScenario, _readonly, flipped_graph
 
 IMPROVE_TOL = 1e-12
 ITERATION_CAP = 100
@@ -62,7 +63,7 @@ class IterationCapError(RuntimeError):
 
 @dataclass(eq=False)
 class PolicyIterationResult:
-    policy: EdgePolicy
+    policy: np.ndarray                     # flipped fragile edges (graph docstring)
     value: np.ndarray                      # final mean-reward vector x
     iterations: int
     trace: list[np.ndarray]
@@ -82,7 +83,7 @@ class LocalCertificate:
     worst_class: int
     worst_margin: float
     status: str                  # "robust" | "nonrobust"
-    witness: EdgePolicy
+    witness: np.ndarray          # its worst pair's policy, shared by that pair
     marginal: bool               # |margin| within numerical noise of zero
 
 
@@ -91,7 +92,7 @@ def optimize_local(
     S: PerturbationScenario,
     alpha: float,
     r: np.ndarray,
-    init: EdgePolicy | None = None,
+    init: np.ndarray | None = None,
 ) -> PolicyIterationResult | LockstepResult:
     """Maximize r^T pi(z) over local-budget-admissible perturbed graphs.
 
@@ -102,11 +103,11 @@ def optimize_local(
     r is one reward of shape (n,), or a stack of q rewards of shape (n, q)
     run in lockstep: then a LockstepResult holds one result per column, each
     bit for bit that of the column run alone. init, if given, is every
-    reward's starting configuration. An IterationCapError's column is the
-    first reward still unstable at the cap. A reward that flips nothing is
-    solved on G when G has the edges of S's unflipped graph (an asymmetric
-    G lacks the fixed reverse edges of its spanning tree); each result's
-    graph is the plain flipped graph.
+    reward's starting policy: (src, dst) rows of fragile edges to flip. An
+    IterationCapError's column is the first reward still unstable at the
+    cap. A reward that flips nothing is solved on G when G has the edges of
+    S's unflipped graph (an asymmetric G lacks the fixed reverse edges of
+    its spanning tree); each result's graph is the plain flipped graph.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
@@ -116,8 +117,8 @@ def optimize_local(
     stack = R.reshape(S.node_count, -1)
     q = stack.shape[1]
     flipped = np.zeros((q, S.fragile_count), dtype=bool)
-    if init is not None and len(init):
-        flipped[:, S.fragile_index_of(init.flips)] = True
+    if init is not None:
+        flipped[:, S.fragile_index_of(init)] = True
     m = S.fragile_count
     src = S.fragile_edges[:, 0]
     dst = S.fragile_edges[:, 1]
@@ -150,10 +151,8 @@ def optimize_local(
                     moved.append(j)
                     continue
             # fragile_edges is (src, dst)-sorted, and so is any masked subset
-            flips = S.fragile_edges[flipped[j]]
-            flips.setflags(write=False)
             results[j] = PolicyIterationResult(
-                policy=EdgePolicy(flips),
+                policy=_readonly(S.fragile_edges[flipped[j]]),
                 value=x,
                 iterations=k,
                 trace=traces[j],
@@ -241,7 +240,8 @@ def certify_local_all(
 
     y gives the class to defend per node (ground truth or predictions); when
     omitted, clean-graph predictions are used. A negative worst margin is a
-    non-robustness certificate and the stored witness reproduces it.
+    non-robustness certificate that the witness, the policy of the node's
+    (class, worst class) pair and shared by all its records, reproduces.
     From three classes on, G is ppr.factor_clean'd for the predictions
     and every pair's first round.
     """
@@ -255,32 +255,25 @@ def certify_local_all(
         y = models.predict(G, alpha, H)
     y = models.check_labels(y, G.node_count, K)
 
+    # worst[t, c]: node t's worst margin against c, +inf at its own class;
+    # argmin keeps the lowest class among equal margins
+    worst = np.full((G.node_count, K), np.inf)
     pairs = pair_worst_margins(G, S, alpha, H)
-    certs = []
-    for t in range(G.node_count):
-        yt = int(y[t])
-        worst_margin = np.inf
-        worst_class = yt
-        witness = EdgePolicy.empty()
-        for c in range(K):
-            if c == yt:
-                continue
-            margins, res = pairs[(yt, c)]
-            val = float(margins[t])
-            if val < worst_margin:
-                worst_margin = val
-                worst_class = c
-                witness = res.policy
-        robust = worst_margin > MARGIN_EPS
-        certs.append(
-            LocalCertificate(
-                node=t,
-                label=yt,
-                worst_class=worst_class,
-                worst_margin=worst_margin,
-                status="robust" if robust else "nonrobust",
-                witness=witness,
-                marginal=(-MARGIN_EPS < worst_margin <= MARGIN_EPS),
-            )
+    for (c1, c2), (margins, _) in pairs.items():
+        sel = y == c1
+        worst[sel, c2] = margins[sel]
+    worst_class = np.argmin(worst, axis=1)
+    worst_margin = worst[np.arange(G.node_count), worst_class]
+    return [
+        LocalCertificate(
+            node=t,
+            label=yt,
+            worst_class=c,
+            worst_margin=m,
+            status="robust" if m > MARGIN_EPS else "nonrobust",
+            witness=pairs[(yt, c)][1].policy,
+            marginal=(-MARGIN_EPS < m <= MARGIN_EPS),
         )
-    return certs
+        for t, (yt, c, m) in enumerate(zip(
+            y.tolist(), worst_class.tolist(), worst_margin.tolist()))
+    ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp_solver, models, policy_iter, ppr
 from ._parallel import map_parallel
-from .graph import DirectedGraph, EdgePolicy, PerturbationScenario, apply_policy
+from .graph import DirectedGraph, PerturbationScenario, _readonly, apply_policy
 from .policy_iter import MARGIN_EPS
 
 logger = logging.getLogger(__name__)
@@ -232,7 +232,7 @@ def assemble_relaxed_lp(
 
 def recover_pagerank(
     solution: lp_solver.LpSolution, instance: RelaxedLpInstance
-) -> tuple[np.ndarray, EdgePolicy, bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Recover PageRank scores, the configured policy, and integrality.
 
     pi_v = (1 - k_v / d_v) x_v with k_v the count of active "off" edges at
@@ -250,7 +250,7 @@ def recover_pagerank(
     integral = not np.any(off & on)
     flipped = np.where(S.fragile_in_base, off, on)
     pi = (1.0 - k / instance.degrees) * x[:n]
-    return np.maximum(pi, 0.0), EdgePolicy.from_pairs(S.fragile_edges[flipped]), integral
+    return np.maximum(pi, 0.0), _readonly(S.fragile_edges[flipped]), integral
 
 
 @dataclass(eq=False)
@@ -260,14 +260,14 @@ class GlobalCertificate:
     worst_class: int
     lower_bound_margin: float
     status: str                  # "robust" | "unknown" | "nonrobust-witnessed"
-    rounded_attack: EdgePolicy
+    rounded_attack: np.ndarray   # flipped fragile edges (graph docstring)
     attack_verified: bool
     attacked_margin: float | None
 
 
 def _rounded_attack(
     solution: lp_solver.LpSolution, instance: RelaxedLpInstance
-) -> EdgePolicy:
+) -> np.ndarray:
     """Round edge activities to a budget-feasible candidate attack.
 
     Edge on iff x1 >= x0; flips violating a budget are dropped smallest
@@ -288,7 +288,7 @@ def _rounded_attack(
     rank = np.arange(cand.size) - np.searchsorted(src, src)
     kept = order[rank < S.local_budget[src]]
     kept = kept[np.lexsort((cand[kept], neg_w[kept]))][: S.global_budget]
-    return EdgePolicy.from_pairs(S.fragile_edges[np.sort(cand[kept])])
+    return _readonly(S.fragile_edges[np.sort(cand[kept])])
 
 
 def certify_global(
@@ -355,7 +355,7 @@ def certify_global(
         verified = False
         status = "robust" if best_bound > MARGIN_EPS else "unknown"
         if status != "robust":
-            attacked = apply_policy(G, S, attack)
+            attacked = apply_policy(S, attack)
             pi = ppr.ppr_rows(attacked, alpha, [t])[0]
             diffs = pi @ H
             margins = diffs[yt] - diffs

@@ -95,13 +95,13 @@ class WorstCaseBundle:
             sel = self.labels == a
             self.margins[sel, b] = x[self.nodes[sel], p]
 
-    def certified_ratio(self, eps: float = policy_iter.MARGIN_EPS) -> float:
+    def certified_ratio(self) -> float:
         worst = np.where(
             np.arange(self.class_count)[None, :] == self.labels[:, None],
             np.inf,
             self.margins,
         ).min(axis=1)
-        return float(np.mean(worst > eps))
+        return float(np.mean(worst > policy_iter.MARGIN_EPS))
 
 
 def compute_worst_bundle(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pagecert.graph import DirectedGraph, build_scenario
+from pagecert.graph import DirectedGraph, build_scenario, encode_edges
 from pagecert.ppr import ppr_rows
 
 
@@ -37,6 +37,16 @@ def random_instance(rng: np.random.Generator, n: int = 7, extra: int = 3,
         global_budget=global_budget,
     )
     return G, S
+
+
+def assert_policy_array(S, flips) -> None:
+    """flips is a policy of S: a read-only (k, 2) int64 array of rows of
+    S.fragile_edges, sorted by (src, dst) without repeats."""
+    assert flips.dtype == np.int64 and flips.ndim == 2 and flips.shape[1] == 2
+    assert not flips.flags.writeable
+    assert set(map(tuple, flips.tolist())) <= set(map(tuple, S.fragile_edges.tolist()))
+    keys = encode_edges(flips, S.node_count)
+    assert np.all(keys[1:] > keys[:-1])
 
 
 def bundle_ppr_rows(bundle) -> np.ndarray:

@@ -44,7 +44,7 @@ def _total_loss(
     signature: dict = {}
     if bundle is not None:
         signature["policies"] = {
-            k: frozenset(p.as_set()) for k, p in bundle.pair_policies.items()
+            k: frozenset(map(tuple, p.tolist())) for k, p in bundle.pair_policies.items()
         }
         if config.kind == "cem":
             idx = np.arange(len(bundle.labels))

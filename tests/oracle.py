@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pagecert.graph import DirectedGraph, EdgePolicy, PerturbationScenario
+from pagecert.graph import DirectedGraph, PerturbationScenario
 
 ENUM_CAP = 20
 
@@ -23,7 +23,7 @@ class EnumerationCapError(ValueError):
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
     optimum: float
-    policy: EdgePolicy
+    policy: np.ndarray
     enumerated: int
     extra: dict
 
@@ -93,7 +93,7 @@ def brute_force_pagerank_opt(
             best, best_tuple, best_mask = val, tup, mask
     return EnumerationResult(
         optimum=best,
-        policy=EdgePolicy.from_pairs(S.fragile_edges[best_mask]),
+        policy=S.fragile_edges[best_mask],
         enumerated=count,
         extra={},
     )
@@ -138,7 +138,7 @@ def brute_force_worst_margin(
                 best, best_tuple, best_mask, best_class = val, tup, mask, c
     return EnumerationResult(
         optimum=best,
-        policy=EdgePolicy.from_pairs(S.fragile_edges[best_mask]),
+        policy=S.fragile_edges[best_mask],
         enumerated=count,
         extra={"worst_class": best_class, "y": int(y_t)},
     )

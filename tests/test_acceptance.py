@@ -121,7 +121,7 @@ class TestCriterion2Soundness:
                 bound = min(bound, -sol.objective)
                 vec, pol, integral = qclp_global.recover_pagerank(sol, inst)
                 if integral:
-                    g2 = graph.apply_policy(G, S, pol)
+                    g2 = graph.apply_policy(S, pol)
                     pi = ppr_vector(g2, ALPHA, z)
                     assert np.max(np.abs(pi - vec)) <= 1e-7
                     recoveries += 1
@@ -361,7 +361,7 @@ class TestCriterion9KernelIdentities:
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             vec, pol, integral = qclp_global.recover_pagerank(sol, inst)
             if integral:
-                g2 = graph.apply_policy(G, S, pol)
+                g2 = graph.apply_policy(S, pol)
                 assert np.max(np.abs(
                     ppr_vector(g2, ALPHA, z) - vec
                 )) <= 1e-7

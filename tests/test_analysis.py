@@ -15,7 +15,7 @@ from pagecert.analysis import (
     write_certificates_jsonl,
     write_summary_csv,
 )
-from pagecert.graph import DirectedGraph, EdgePolicy, build_scenario
+from pagecert.graph import DirectedGraph, build_scenario
 from pagecert.models import save_logits_csv, load_logits_csv
 from pagecert.policy_iter import LocalCertificate, certify_local_all
 from pagecert.qclp_global import certify_global
@@ -29,7 +29,7 @@ def cert(node, label, margin, status="robust"):
     return LocalCertificate(
         node=node, label=label, worst_class=1 - label,
         worst_margin=margin, status=status,
-        witness=EdgePolicy.empty(), marginal=False,
+        witness=np.empty((0, 2), dtype=np.int64), marginal=False,
     )
 
 
@@ -120,7 +120,7 @@ class TestSerialization:
         H = rng.normal(size=(9, 3))
         certs = (certify_local_all(G, S, ALPHA, H)
                  + certify_global(G, S, ALPHA, H, targets=[0, 4]))
-        assert len({id(c.witness.flips) for c in certs[:9]}) < 9
+        assert len({id(c.witness) for c in certs[:9]}) < 9
         assert any(len(c.witness) for c in certs[:9])
         p = tmp_path / "c.jsonl"
         write_certificates_jsonl(certs, p)
@@ -144,14 +144,14 @@ class TestSerialization:
         H = rng.normal(size=(9, 3))
         certs = certify_local_all(G, S, ALPHA, H, y=np.arange(9) % 3)
         attacked = [c for c in certs if c.status == "nonrobust" and len(c.witness)]
-        assert len({id(c.witness.flips) for c in attacked}) < len(attacked)
+        assert len({id(c.witness) for c in attacked}) < len(attacked)
         assert len(attacked) < len(certs)
         p = tmp_path / "a.jsonl"
         write_attacks_jsonl(certs, p)
         assert p.read_text() == "".join(json.dumps({
             "node": int(c.node),
             "worst_margin": float(c.worst_margin),
-            "flips": c.witness.flips.tolist(),
+            "flips": c.witness.tolist(),
         }) + "\n" for c in attacked)
 
     def test_record_schema_keys(self, rng):

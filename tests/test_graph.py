@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pagecert.graph import (
     DirectedGraph,
-    EdgePolicy,
     GraphFormatError,
     ScenarioValidationError,
     apply_policy,
@@ -192,7 +191,7 @@ class TestApplyPolicy:
     def test_empty_policy_is_identity_perturbation(self):
         G = ring_graph(5, [(0, 2), (1, 3)])
         S = build_scenario(G, "remove-only")
-        got = apply_policy(G, S, EdgePolicy.empty())
+        got = apply_policy(S, np.empty((0, 2), dtype=np.int64))
         fixed = {(int(a), int(b)) for a, b in S.fixed_edges}
         frag_in_e = {(int(a), int(b)) for a, b in S.fragile_edges} & edge_set(G)
         assert edge_set(got) == fixed | frag_in_e
@@ -200,7 +199,7 @@ class TestApplyPolicy:
     def test_full_flip_removes_everything_removable(self):
         G = ring_graph(6, [(0, 3)])
         S = build_scenario(G, "remove-only")
-        got = apply_policy(G, S, EdgePolicy.from_pairs(S.fragile_edges))
+        got = apply_policy(S, S.fragile_edges)
         assert edge_set(got) == {(int(a), int(b)) for a, b in S.fixed_edges}
 
     def test_matches_set_algebra_oracle(self, rng):
@@ -209,15 +208,15 @@ class TestApplyPolicy:
         S = build_scenario(G, "add-and-remove")
         for _ in range(10):
             take = rng.random(S.fragile_count) < 0.3
-            P = EdgePolicy.from_pairs(S.fragile_edges[take])
+            P = S.fragile_edges[take]
             expected = set(edge_set(G))
-            for a, b in P.flips:
+            for a, b in P:
                 pair = (int(a), int(b))
                 if pair in expected:
                     expected.discard(pair)
                 else:
                     expected.add(pair)
-            got = apply_policy(G, S, P)
+            got = apply_policy(S, P)
             assert edge_set(got) == expected
 
     def test_unknown_flip_rejected(self):
@@ -225,7 +224,16 @@ class TestApplyPolicy:
         S = build_scenario(G, "remove-only")
         fixed_pair = tuple(int(v) for v in S.fixed_edges[0])
         with pytest.raises(ScenarioValidationError, match="not a fragile edge"):
-            apply_policy(G, S, EdgePolicy.from_pairs([fixed_pair]))
+            apply_policy(S, [fixed_pair])
+
+    @pytest.mark.parametrize("pair", [(0, 5), (2, -1)])
+    def test_out_of_range_pair_is_not_aliased(self, pair):
+        # on 3 nodes both pairs encode to key 5, that of fragile edge (1, 2)
+        S = build_scenario(ring_graph(3), "remove-only")
+        assert [1, 2] in S.fragile_edges.tolist()
+        with pytest.raises(ScenarioValidationError,
+                           match=re.escape(f"edge {pair} is not a fragile edge")):
+            apply_policy(S, [pair])
 
     def test_remove_only_graphs_bracketed_by_mst_and_e(self, rng):
         G = random_connected_graph(rng, 6, extra=2)
@@ -233,7 +241,7 @@ class TestApplyPolicy:
         fixed = {(int(a), int(b)) for a, b in S.fixed_edges}
         for _ in range(5):
             take = rng.random(S.fragile_count) < 0.5
-            got = apply_policy(G, S, EdgePolicy.from_pairs(S.fragile_edges[take]))
+            got = apply_policy(S, S.fragile_edges[take])
             assert fixed <= edge_set(got) <= edge_set(G)
             assert np.all(got.out_degree >= 1)
 
@@ -365,12 +373,12 @@ def test_policy_flip_involution(n, extra, seed):
     G = random_connected_graph(rng, n, extra=extra)
     S = build_scenario(G, "remove-only")
     take = rng.random(S.fragile_count) < 0.5
-    P = EdgePolicy.from_pairs(S.fragile_edges[take])
-    base = apply_policy(G, S, EdgePolicy.empty())
-    once = apply_policy(G, S, P)
+    P = S.fragile_edges[take]
+    base = apply_policy(S, np.empty((0, 2), dtype=np.int64))
+    once = apply_policy(S, P)
     keys_base = set(encode_edges(base.edges, n).tolist())
     keys_once = set(encode_edges(once.edges, n).tolist())
-    flipped_keys = set(encode_edges(P.flips, n).tolist()) if len(P) else set()
+    flipped_keys = set(encode_edges(P, n).tolist()) if len(P) else set()
     assert keys_once ^ keys_base == flipped_keys
 
 

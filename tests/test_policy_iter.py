@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagecert import ppr
-from pagecert.graph import DirectedGraph, apply_policy, build_scenario, flipped_graph
+from pagecert.graph import (
+    DirectedGraph, ScenarioValidationError, apply_policy, build_scenario, flipped_graph,
+)
 from pagecert.policy_iter import (
     IMPROVE_TOL,
     MARGIN_EPS,
@@ -17,7 +19,7 @@ from pagecert.policy_iter import (
 from pagecert.ppr import diffused_margins, ppr_vector
 
 import oracle
-from conftest import random_connected_graph, random_instance
+from conftest import assert_policy_array, random_connected_graph, random_instance, ring_graph
 
 ALPHA = 0.85
 
@@ -75,7 +77,7 @@ class TestOptimizeLocal:
             G, S = random_instance(r, 8, extra=3)
             res = optimize_local(G, S, ALPHA, r.normal(size=8))
             if len(res.policy):
-                per_node = np.bincount(res.policy.flips[:, 0], minlength=8)
+                per_node = np.bincount(res.policy[:, 0], minlength=8)
                 assert np.all(per_node <= S.local_budget)
 
     def test_value_monotone_across_iterations(self, rng):
@@ -115,6 +117,13 @@ class TestOptimizeLocal:
                    - (1 - ALPHA) * (z @ warm.value)) <= 1e-10
         assert warm.iterations <= cold.iterations
 
+    def test_out_of_range_init_pair_is_not_aliased(self):
+        # on 3 nodes (0, 5) encodes to the key of fragile edge (1, 2)
+        G = ring_graph(3)
+        S = build_scenario(G, "remove-only")
+        with pytest.raises(ScenarioValidationError, match=r"edge \(0, 5\)"):
+            optimize_local(G, S, ALPHA, np.ones(3), init=np.array([[0, 5]]))
+
     def test_near_tie_does_not_cycle(self):
         # Two fragile edges of one source score within ~1e-16 of each other
         # and used to swap places every round until the iteration cap.
@@ -133,11 +142,11 @@ class TestOptimizeLocal:
         r = np.zeros(16)
         r[6] = 1.0
         res = optimize_local(G, S, ALPHA, r)
-        per_node = np.bincount(res.policy.flips[:, 0], minlength=16)
+        per_node = np.bincount(res.policy[:, 0], minlength=16)
         assert np.all(per_node <= S.local_budget)
         again = optimize_local(G, S, ALPHA, r, init=res.policy)
         assert again.iterations == 1
-        assert np.array_equal(again.policy.flips, res.policy.flips)
+        assert np.array_equal(again.policy, res.policy)
 
 
 def select_by_full_sort(score, flipped, src, dst, budget):
@@ -284,7 +293,7 @@ class TestCertifyLocalAll:
         H = rng.normal(size=(8, 2))
         certs = certify_local_all(G, S, ALPHA, H)
         for c in certs:
-            attacked = apply_policy(G, S, c.witness)
+            attacked = apply_policy(S, c.witness)
             diff = diffused_margins(
                 attacked, ALPHA, H[:, c.label] - H[:, c.worst_class]
             )
@@ -316,6 +325,30 @@ class TestCertifyLocalAll:
                 assert c.status == "robust" and not c.marginal
             else:
                 assert c.status == "nonrobust"
+
+    def test_worst_class_tie_goes_to_the_lower_class(self, rng):
+        # columns 1 and 2 are equal, so a class-0 node's margins against
+        # them tie bit for bit: class 1 and pair (0, 1)'s policy win
+        G, S = random_instance(rng, 8, extra=3)
+        H = rng.normal(size=(8, 3))
+        H[:, 2] = H[:, 1]
+        certs = certify_local_all(G, S, ALPHA, H, y=np.zeros(8, dtype=np.int64))
+        policy = pair_worst_margins(G, S, ALPHA, H)[(0, 1)][1].policy
+        assert len(policy)
+        assert [c.worst_class for c in certs] == [1] * 8
+        assert len({id(c.witness) for c in certs}) == 1
+        assert np.array_equal(certs[0].witness, policy)
+
+    def test_witnesses_are_shared_policy_arrays(self, rng):
+        G, S = random_instance(rng, 9, extra=4)
+        H = rng.normal(size=(9, 3))
+        certs = certify_local_all(G, S, ALPHA, H, y=np.arange(9) % 3)
+        ids: dict[tuple[int, int], set[int]] = {}
+        for c in certs:
+            assert_policy_array(S, c.witness)
+            ids.setdefault((c.label, c.worst_class), set()).add(id(c.witness))
+        assert any(len(c.witness) for c in certs)
+        assert all(len(v) == 1 for v in ids.values())
 
     def test_pair_reduction_runs_all_ordered_pairs(self, rng):
         G, S = random_instance(rng, 5, extra=2)
@@ -355,7 +388,7 @@ class TestLockstepPairs:
             alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
             assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
             assert np.array_equal(res.value, alone.value)
-            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert np.array_equal(res.policy, alone.policy)
             assert res.iterations == alone.iterations == len(res.trace)
             assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
             assert np.array_equal(res.graph.edges, alone.graph.edges)
@@ -375,13 +408,13 @@ class TestLockstepPairs:
             r = -(H[:, c1] - H[:, c2])
             alone = optimize_local(F, S, ALPHA, r)
             assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
-            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert np.array_equal(res.policy, alone.policy)
             assert res.iterations == alone.iterations
             assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
             assert type(res.graph) is DirectedGraph
             # both first rounds are within the stated bound of the solution
             unfactored = optimize_local(G, S, ALPHA, r)
-            assert np.array_equal(res.policy.flips, unfactored.policy.flips)
+            assert np.array_equal(res.policy, unfactored.policy)
             x, y = res.trace[0], unfactored.trace[0]
             bound = sum(ppr.RESIDUAL_TOL * np.abs(r).max() + 2 * ppr._rounding_error(
                 G.out_degree.max(), ALPHA, np.abs(r).max(), np.abs(v).max()) / (1 - ALPHA)
@@ -401,7 +434,7 @@ class TestLockstepPairs:
         for scale in (1e-3, 1e3, 1e6, 1e9):
             for pair, (margins, res) in pair_worst_margins(G, S, ALPHA, scale * H).items():
                 m1, res1 = base[pair]
-                assert np.array_equal(res.policy.flips, res1.policy.flips)
+                assert np.array_equal(res.policy, res1.policy)
                 assert np.abs(margins / scale - m1).max() <= tol * np.abs(m1).max()
 
     def test_round_mixes_clean_and_perturbed_columns(self, rng):
@@ -441,7 +474,7 @@ class TestLockstepPairs:
         for j, res in enumerate(stack.results):
             alone = optimize_local(G, S, ALPHA, R[:, j])
             assert np.array_equal(res.value, alone.value)
-            assert np.array_equal(res.policy.flips, alone.policy.flips)
+            assert np.array_equal(res.policy, alone.policy)
             assert res.iterations == alone.iterations
         with pytest.raises(ppr.KernelInputError):
             optimize_local(G, S, ALPHA, np.zeros((30, 2, 1)))

@@ -22,7 +22,7 @@ from pagecert.qclp_global import (
 )
 
 import oracle
-from conftest import random_connected_graph, random_instance, ring_graph
+from conftest import assert_policy_array, random_connected_graph, random_instance, ring_graph
 
 ALPHA = 0.85
 
@@ -388,7 +388,7 @@ class TestRecovery:
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             vec, policy, integral = recover_pagerank(sol, inst)
             if integral:
-                g2 = apply_policy(G, S, policy)
+                g2 = apply_policy(S, policy)
                 pi = ppr_vector(g2, ALPHA, z)
                 assert np.max(np.abs(pi - vec)) <= 1e-7
 
@@ -433,10 +433,29 @@ class TestRoundedAttack:
         attack = _rounded_attack(sol, inst)
         # node 0 keeps (0, 2) over its tie (0, 3) by the lower edge index;
         # then B = 3 drops the smallest survivor, (1, 4)
-        assert attack.as_set() == {(0, 2), (1, 3), (2, 1)}
+        assert set(map(tuple, attack.tolist())) == {(0, 2), (1, 3), (2, 1)}
 
 
 class TestCertifyGlobal:
+    def test_attacks_and_recovered_policies_are_policy_arrays(self, rng):
+        G, S = random_instance(rng, 7, extra=3, global_budget=2)
+        H = rng.normal(size=(7, 2))
+        certs = certify_global(G, S, ALPHA, H, targets=range(7))
+        for c in certs:
+            assert_policy_array(S, c.rounded_attack)
+        assert any(len(c.rounded_attack) for c in certs)
+        recovered = 0
+        for t in range(7):
+            z = np.zeros(7)
+            z[t] = 1.0
+            inst = assemble_relaxed_lp(build_aux_mdp(G, S, ALPHA, H[:, 1] - H[:, 0]),
+                                       S, z, compute_upper_bounds(G, S, ALPHA))
+            _, policy, _ = recover_pagerank(
+                lp_solver.solve_lp(inst.lp, start=inst.clean_basis()), inst)
+            assert_policy_array(S, policy)
+            recovered += len(policy)
+        assert recovered
+
     def test_zero_budget_equals_clean_margin(self, rng):
         from pagecert.ppr import diffused_margins
         G, _ = random_instance(rng, 6, extra=2)
@@ -491,13 +510,13 @@ class TestCertifyGlobal:
         certs = certify_global(G, S, ALPHA, H, targets=range(7))
         for c in certs:
             if c.status == "nonrobust-witnessed":
-                attacked = apply_policy(G, S, c.rounded_attack)
+                attacked = apply_policy(S, c.rounded_attack)
                 diff = diffused_margins(attacked, ALPHA, H)
                 margins = [diff[c.node, c.label] - diff[c.node, k]
                            for k in range(2) if k != c.label]
                 assert min(margins) < 0
                 # admissibility of the rounded attack
-                per_node = (np.bincount(c.rounded_attack.flips[:, 0], minlength=7)
+                per_node = (np.bincount(c.rounded_attack[:, 0], minlength=7)
                             if len(c.rounded_attack) else np.zeros(7, dtype=int))
                 assert np.all(per_node <= S.local_budget)
                 assert len(c.rounded_attack) <= S.global_budget

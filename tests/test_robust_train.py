@@ -16,7 +16,7 @@ from pagecert.robust_train import (
     train_robust,
 )
 
-from conftest import bundle_ppr_rows, random_instance, ring_graph
+from conftest import assert_policy_array, bundle_ppr_rows, random_instance, ring_graph
 from gradcheck import grad_check
 
 ALPHA = 0.85
@@ -138,6 +138,15 @@ class TestBundle:
             )
             assert abs(got - c.worst_margin) <= 1e-9
 
+    def test_pair_policies_are_policy_arrays(self, rng):
+        G, S = random_instance(rng, 9, extra=4)
+        H = rng.normal(size=(9, 3))
+        bundle = compute_worst_bundle(G, S, ALPHA, H, np.arange(9), np.arange(9) % 3)
+        assert len(bundle.pair_policies) == 6
+        for p in bundle.pair_policies.values():
+            assert_policy_array(S, p)
+        assert any(len(p) for p in bundle.pair_policies.values())
+
     def test_stored_ppr_recomputable_from_witness_graph(self, rng):
         # the PageRank vector the gradient uses for (l, c) is a dense solve
         # on the stored witness graph: a unit margin gradient at (l, c)
@@ -232,7 +241,7 @@ class TestAdjointGradient:
         labels = rng.integers(K, size=nodes.size)
         labels[-3:] = labels[:2].tolist() + [(labels[0] + 1) % K]
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
-        assert any(len(p.as_set()) for p in bundle.pair_policies.values())
+        assert any(len(p) for p in bundle.pair_policies.values())
         own = np.arange(K)[None, :] == labels[:, None]
         margin = float(np.median(bundle.margins[~own]))
         _, dH = robust_loss_and_grad(kind, G, ALPHA, H, nodes, labels, bundle,
