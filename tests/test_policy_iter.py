@@ -19,7 +19,9 @@ from pagecert.policy_iter import (
 from pagecert.ppr import diffused_margins, ppr_vector
 
 import oracle
-from conftest import assert_policy_array, random_connected_graph, random_instance, ring_graph
+from conftest import (
+    assert_policy_array, random_connected_graph, random_instance, ring_graph,
+)
 
 ALPHA = 0.85
 

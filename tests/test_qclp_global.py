@@ -22,7 +22,9 @@ from pagecert.qclp_global import (
 )
 
 import oracle
-from conftest import assert_policy_array, random_connected_graph, random_instance, ring_graph
+from conftest import (
+    assert_policy_array, random_connected_graph, random_instance, ring_graph,
+)
 
 ALPHA = 0.85
 
