@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, edge_key_set
 from .policy_iter import LocalCertificate
 from .qclp_global import GlobalCertificate
 
@@ -159,34 +158,29 @@ def neighborhood_purity(G: DirectedGraph, labels: np.ndarray, v: int) -> float:
 
     v itself is excluded; an empty neighborhood gives 0.
     """
-    return _purity(_undirected_adjacency(G), np.asarray(labels, dtype=np.int64), int(v))
+    return float(_purities(G, labels)[int(v)])
 
 
-def _undirected_adjacency(G: DirectedGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(G.node_count)]
-    for s, d in G.edges.tolist():
-        adj[s].add(d)
-        adj[d].add(s)
-    return adj
-
-
-def _purity(adj: list[set[int]], labels: np.ndarray, v: int) -> float:
-    two = set(adj[v])
-    for u in adj[v]:
-        two |= adj[u]
-    two.discard(v)
-    if not two:
-        return 0.0
-    return sum(1 for u in two if labels[u] == labels[v]) / len(two)
-
-
-@dataclass(eq=False)
-class CertReport:
-    records: list
-    certified_ratio: float
-    certified_accuracy: float | None
-    degree_breakdown: list[tuple[int, float]]          # (out-degree, ratio)
-    purity_breakdown: list[tuple[float, float]]        # (bucket mid, mean margin)
+def _purities(G: DirectedGraph, labels) -> np.ndarray:
+    """neighborhood_purity of every node: the distinct (v, w) pairs of the
+    paths v-w and v-u-w of the undirected graph, v != w, counted per v."""
+    n = G.node_count
+    labels = np.asarray(labels, dtype=np.int64)
+    # sorted (src, dst) keys are also the CSR neighbour lists
+    keys, _ = edge_key_set(np.concatenate([G.edges, G.edges[:, ::-1]]), n)
+    src, dst = np.divmod(keys, n)
+    start = np.searchsorted(src, np.arange(n + 1))
+    # one (v, w) per edge (v, u) and neighbour w of u
+    width = start[dst + 1] - start[dst]
+    at = np.repeat(start[dst] - np.cumsum(width) + width, width)
+    pairs, _ = edge_key_set(np.column_stack((
+        np.concatenate([src, np.repeat(src, width)]),
+        np.concatenate([dst, dst[at + np.arange(at.size)]]))), n)
+    v, w = np.divmod(pairs, n)
+    other = v != w
+    total = np.bincount(v[other], minlength=n)
+    same = np.bincount(v[other & (labels[v] == labels[w])], minlength=n)
+    return np.divide(same, total, out=np.zeros(n), where=total > 0)
 
 
 def build_report(
@@ -194,35 +188,32 @@ def build_report(
     G: DirectedGraph,
     true_labels=None,
     purity_labels=None,
-) -> CertReport:
-    records = list(records)
+) -> list[tuple[str, float]]:
+    """summary.csv's (metric, value) rows: the certified ratio, the
+    certified accuracy (with true_labels), the certified ratio per
+    out-degree and the mean worst margin per purity bucket (with
+    purity_labels)."""
     heads = _heads(records)
-    ratio = certified_ratio(heads)
-    acc = (certified_accuracy(heads, true_labels)
-           if true_labels is not None else None)
-
-    by_degree: dict[int, list[bool]] = {}
-    for r in heads:
-        d = int(G.out_degree[r["node"]])
-        by_degree.setdefault(d, []).append(r["status"] == "robust")
-    degree_rows = [(d, sum(v) / len(v)) for d, v in sorted(by_degree.items())]
-
-    purity_rows: list[tuple[float, float]] = []
+    rows = [("certified_ratio", float(certified_ratio(heads)))]
+    if true_labels is not None:
+        rows.append(("certified_accuracy",
+                     float(certified_accuracy(heads, true_labels))))
+    nodes = np.array([r["node"] for r in heads], dtype=np.int64)
+    degree = G.out_degree[nodes]
+    robust = np.bincount(degree, weights=[r["status"] == "robust" for r in heads])
+    total = np.bincount(degree)
+    rows += [(f"degree_{d}_ratio", float(robust[d] / total[d]))
+             for d in np.flatnonzero(total)]
     if purity_labels is not None:
-        labels = np.asarray(purity_labels, dtype=np.int64)
-        adj = _undirected_adjacency(G)
         edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
-        buckets: dict[int, list[float]] = {}
-        for r in heads:
-            pur = _purity(adj, labels, int(r["node"]))
-            k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
-                    PURITY_BUCKETS - 1)
-            buckets.setdefault(max(k, 0), []).append(r["worst_margin"])
-        purity_rows = [
-            (float((edges[k] + edges[k + 1]) / 2), float(np.mean(vals)))
-            for k, vals in sorted(buckets.items())
-        ]
-    return CertReport(records, ratio, acc, degree_rows, purity_rows)
+        margins = np.array([r["worst_margin"] for r in heads], dtype=np.float64)
+        bucket = np.clip(np.searchsorted(
+            edges, _purities(G, purity_labels)[nodes], side="right") - 1,
+            0, PURITY_BUCKETS - 1)
+        rows += [(f"purity_{(edges[k] + edges[k + 1]) / 2:.2f}_mean_margin",
+                  float(np.mean(margins[bucket == k])))
+                 for k in np.flatnonzero(np.bincount(bucket))]
+    return rows
 
 
 def write_table_csv(path, header: list[str], rows) -> None:
@@ -235,12 +226,5 @@ def write_table_csv(path, header: list[str], rows) -> None:
             ) + "\n")
 
 
-def write_summary_csv(report: CertReport, path) -> None:
-    rows = [("certified_ratio", float(report.certified_ratio))]
-    if report.certified_accuracy is not None:
-        rows.append(("certified_accuracy", float(report.certified_accuracy)))
-    for d, ratio in report.degree_breakdown:
-        rows.append((f"degree_{d}_ratio", float(ratio)))
-    for mid, margin in report.purity_breakdown:
-        rows.append((f"purity_{mid:.2f}_mean_margin", float(margin)))
+def write_summary_csv(rows, path) -> None:
     write_table_csv(path, ["metric", "value"], rows)

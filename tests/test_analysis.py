@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pagecert.analysis import (
+    PURITY_BUCKETS,
     _flips_json,
+    _purities,
     build_report,
     certified_accuracy,
     certified_ratio,
@@ -18,7 +20,7 @@ from pagecert.analysis import (
 from pagecert.graph import DirectedGraph, build_scenario
 from pagecert.models import save_logits_csv, load_logits_csv
 from pagecert.policy_iter import LocalCertificate, certify_local_all
-from pagecert.qclp_global import certify_global
+from pagecert.qclp_global import GlobalCertificate, certify_global
 
 from conftest import random_instance
 
@@ -97,6 +99,96 @@ class TestPurity:
             assert 0.0 <= neighborhood_purity(G, labels, v) <= 1.0
 
 
+def set_purity(G, labels, v):
+    """Reference neighborhood_purity: the two-hop set of v by set unions
+    over a list of undirected neighbour sets."""
+    adj = [set() for _ in range(G.node_count)]
+    for s, d in G.edges.tolist():
+        adj[s].add(d)
+        adj[d].add(s)
+    two = set(adj[v])
+    for u in adj[v]:
+        two |= adj[u]
+    two.discard(v)
+    if not two:
+        return 0.0
+    return sum(1 for u in two if labels[u] == labels[v]) / len(two)
+
+
+def random_graph(rng, n):
+    """Random directed graph with self-loops and isolated nodes; the edge
+    set is empty about one time in five."""
+    m = 0 if rng.random() < 0.2 else int(rng.integers(1, n * n + 1))
+    return DirectedGraph.from_edges(
+        n, np.unique(rng.integers(0, n, size=(m, 2)), axis=0),
+        allow_self_loops=True)
+
+
+def dict_report(records, G, true_labels, purity_labels):
+    """Reference build_report: the summary rows grouped by dicts of lists,
+    one set-based purity per record."""
+    heads = [record_to_dict(r) for r in records]
+    rows = [("certified_ratio", certified_ratio(records))]
+    if true_labels is not None:
+        rows.append(("certified_accuracy", certified_accuracy(records, true_labels)))
+    by_degree = {}
+    for r in heads:
+        by_degree.setdefault(int(G.out_degree[r["node"]]), []).append(
+            r["status"] == "robust")
+    rows += [(f"degree_{d}_ratio", sum(v) / len(v)) for d, v in sorted(by_degree.items())]
+    if purity_labels is not None:
+        edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
+        buckets = {}
+        for r in heads:
+            pur = set_purity(G, purity_labels, r["node"])
+            k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
+                    PURITY_BUCKETS - 1)
+            buckets.setdefault(max(k, 0), []).append(r["worst_margin"])
+        rows += [(f"purity_{float((edges[k] + edges[k + 1]) / 2):.2f}_mean_margin",
+                  float(np.mean(v))) for k, v in sorted(buckets.items())]
+    return rows
+
+
+class TestAgainstSetReference:
+    def test_purities_bit_identical(self, rng):
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            G = random_graph(rng, n)
+            labels = rng.integers(-1, 3, size=n)
+            pur = _purities(G, labels)
+            ref = [set_purity(G, labels, v) for v in range(n)]
+            assert pur.tolist() == ref
+            assert [neighborhood_purity(G, labels, v) for v in range(n)] == ref
+
+    def test_report_rows_match_dict_reference(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            G = random_graph(rng, n)
+            labels = rng.integers(0, 3, size=n)
+            records = []
+            for v in rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist():
+                y = int(labels[v]) if rng.random() < 0.7 else int(rng.integers(0, 3))
+                margin = float(rng.choice([rng.normal(), 0.25, -0.25]))
+                robust = bool(rng.random() < 0.5)
+                if rng.random() < 0.5:
+                    records.append(LocalCertificate(
+                        node=v, label=y, worst_class=(y + 1) % 3, worst_margin=margin,
+                        status="robust" if robust else "nonrobust",
+                        witness=np.empty((0, 2), dtype=np.int64), marginal=False))
+                else:
+                    records.append(GlobalCertificate(
+                        node=v, label=y, worst_class=(y + 1) % 3,
+                        lower_bound_margin=margin,
+                        status="robust" if robust else "unknown",
+                        rounded_attack=np.empty((0, 2), dtype=np.int64),
+                        attack_verified=False, attacked_margin=None))
+            for true_labels, purity_labels in [(None, None), (labels, labels)]:
+                got = build_report(records, G, true_labels=true_labels,
+                                   purity_labels=purity_labels)
+                assert got == dict_report(records, G, true_labels, purity_labels)
+                assert all(type(value) is float for _, value in got)
+
+
 class TestSerialization:
     def test_jsonl_round_trip(self, tmp_path, rng):
         G, S = random_instance(rng, 6, extra=2)
@@ -167,11 +259,12 @@ class TestSerialization:
         H = rng.normal(size=(6, 2))
         certs = certify_local_all(G, S, ALPHA, H)
         labels = rng.integers(0, 2, size=6)
-        report = build_report(certs, G, true_labels=labels, purity_labels=labels)
-        assert 0.0 <= report.certified_ratio <= 1.0
-        assert report.certified_accuracy <= 1.0
+        rows = build_report(certs, G, true_labels=labels, purity_labels=labels)
+        values = dict(rows)
+        assert 0.0 <= values["certified_ratio"] <= 1.0
+        assert values["certified_accuracy"] <= 1.0
         p = tmp_path / "summary.csv"
-        write_summary_csv(report, p)
+        write_summary_csv(rows, p)
         text = p.read_text()
         assert text.startswith("metric,value\n")
         assert "certified_ratio" in text
