@@ -183,32 +183,26 @@ def _purities(G: DirectedGraph, labels) -> np.ndarray:
     return np.divide(same, total, out=np.zeros(n), where=total > 0)
 
 
-def build_report(
-    records,
-    G: DirectedGraph,
-    true_labels=None,
-    purity_labels=None,
-) -> list[tuple[str, float]]:
+def build_report(records, G: DirectedGraph, labels=None) -> list[tuple[str, float]]:
     """summary.csv's (metric, value) rows: the certified ratio, the
-    certified accuracy (with true_labels), the certified ratio per
-    out-degree and the mean worst margin per purity bucket (with
-    purity_labels)."""
+    certified accuracy, the certified ratio per out-degree and the mean
+    worst margin per purity bucket. Accuracy and purity need labels, a
+    class for every node of G."""
     heads = _heads(records)
     rows = [("certified_ratio", float(certified_ratio(heads)))]
-    if true_labels is not None:
-        rows.append(("certified_accuracy",
-                     float(certified_accuracy(heads, true_labels))))
+    if labels is not None:
+        rows.append(("certified_accuracy", float(certified_accuracy(heads, labels))))
     nodes = np.array([r["node"] for r in heads], dtype=np.int64)
     degree = G.out_degree[nodes]
     robust = np.bincount(degree, weights=[r["status"] == "robust" for r in heads])
     total = np.bincount(degree)
     rows += [(f"degree_{d}_ratio", float(robust[d] / total[d]))
              for d in np.flatnonzero(total)]
-    if purity_labels is not None:
+    if labels is not None:
         edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
         margins = np.array([r["worst_margin"] for r in heads], dtype=np.float64)
         bucket = np.clip(np.searchsorted(
-            edges, _purities(G, purity_labels)[nodes], side="right") - 1,
+            edges, _purities(G, labels)[nodes], side="right") - 1,
             0, PURITY_BUCKETS - 1)
         rows += [(f"purity_{(edges[k] + edges[k + 1]) / 2:.2f}_mean_margin",
                   float(np.mean(margins[bucket == k])))

@@ -215,12 +215,18 @@ def _changed_inputs(digests: dict[str, str], cfg: RunConfig) -> list[str]:
 
 
 def _load_inputs(cfg: RunConfig):
-    G = graph.load_graph(cfg["paths.graph"], symmetrize=cfg["graph.symmetrize"],
-                         restrict_lcc=cfg["graph.lcc"])
+    """The graph, its labels (None without paths.labels) and its nodes: the
+    input graph's node count and the input id of each loaded node. With
+    graph.lcc the loaded graph is the largest connected component, its
+    nodes numbered 0..n'-1 in increasing input id."""
+    G = graph.load_graph(cfg["paths.graph"], symmetrize=cfg["graph.symmetrize"])
+    count, kept = G.node_count, np.arange(G.node_count)
+    if cfg["graph.lcc"]:
+        G, kept = graph.largest_connected_component(G)
     y = None
     if cfg["paths.labels"]:
-        y = graph.load_labels(cfg["paths.labels"], G.node_count)
-    return G, y
+        y = graph.load_labels(cfg["paths.labels"], count)[kept]
+    return G, y, (count, kept)
 
 
 def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph):
@@ -236,25 +242,27 @@ def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph):
                                 global_budget=cfg["scenario.global_budget"])
 
 
-def _check_rows(what: str, M: np.ndarray, node_count: int) -> np.ndarray:
-    if M.shape[0] != node_count:
-        raise ConfigError(f"{what} rows {M.shape[0]} != node count {node_count}")
-    return M
+def _node_rows(what: str, M: np.ndarray, nodes) -> np.ndarray:
+    """The rows of the loaded nodes of M, which has one row per input node."""
+    count, kept = nodes
+    if M.shape[0] != count:
+        raise ConfigError(f"{what} rows {M.shape[0]} != node count {count}")
+    return M[kept]
 
 
-def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y):
+def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y, nodes):
     """Logits source, by precedence: external CSV, feature propagation
     (features + labels), one-hot label propagation."""
     if cfg["paths.logits"]:
-        return _check_rows("logits", models.load_logits_csv(cfg["paths.logits"]),
-                           G.node_count)
+        return _node_rows("logits", models.load_logits_csv(cfg["paths.logits"]),
+                          nodes)
     if y is None:
         raise ConfigError("need paths.logits or paths.labels to form logits")
     K = _class_count(cfg, y)
     if cfg["paths.features"]:
         reg = cfg["train.reg"]
         H, _ = models.feature_propagation_logits(
-            G, cfg["alpha"], _load_features(cfg, G.node_count), y,
+            G, cfg["alpha"], _load_features(cfg, nodes), y,
             reg=1e-2 if reg is None else reg, seed=cfg["seed"],
         )
         return H
@@ -268,11 +276,11 @@ def _class_count(cfg: RunConfig, y: np.ndarray) -> int:
     return K
 
 
-def _load_features(cfg: RunConfig, node_count: int) -> np.ndarray:
+def _load_features(cfg: RunConfig, nodes) -> np.ndarray:
     fpath = Path(cfg["paths.features"])
     X = (models.load_features_bin(fpath) if fpath.suffix == ".bin"
          else models.load_features_csv(fpath))
-    return _check_rows("features", X, node_count)
+    return _node_rows("features", X, nodes)
 
 
 def _sample_targets(cfg: RunConfig, node_count: int) -> np.ndarray:
@@ -344,9 +352,9 @@ def run(cfg: RunConfig) -> int:
         outputs += ["graph.tsv", "labels.tsv"]
 
     elif mode == "train":
-        G, y = _load_inputs(cfg)
+        G, y, nodes = _load_inputs(cfg)
         S = _build_scenario(cfg, G)
-        X = _load_features(cfg, G.node_count)
+        X = _load_features(cfg, nodes)
         train_idx, val_idx, _ = models.train_val_test_split(
             y, per_class=cfg["train.per_class"], seed=seed
         )
@@ -378,13 +386,13 @@ def run(cfg: RunConfig) -> int:
         outputs += ["model.bin", "history.csv", "logits.csv"]
 
     else:  # certify-local, attack, certify-global, report
-        G, y = _load_inputs(cfg)
+        G, y, nodes = _load_inputs(cfg)
         if mode == "report":
             certs = analysis.read_certificates_jsonl(cfg["paths.certificates"])
             analysis.check_nodes(certs, G.node_count, cfg["paths.certificates"])
         else:
             S = _build_scenario(cfg, G)
-            H = _logits_for(cfg, G, y)
+            H = _logits_for(cfg, G, y, nodes)
             outdir.mkdir(parents=True, exist_ok=True)
             graph.dump_scenario(S, outdir / "scenario.txt")
             outputs.append("scenario.txt")
@@ -398,9 +406,9 @@ def run(cfg: RunConfig) -> int:
             analysis.write_certificates_jsonl(certs, outdir / "certificates.jsonl")
             outputs.append("certificates.jsonl")
         full = y if y is not None and (y >= 0).all() else None
-        report = analysis.build_report(certs, G, true_labels=full, purity_labels=y)
+        rows = analysis.build_report(certs, G, labels=full)
         outdir.mkdir(parents=True, exist_ok=True)
-        analysis.write_summary_csv(report, outdir / "summary.csv")
+        analysis.write_summary_csv(rows, outdir / "summary.csv")
         outputs.append("summary.csv")
         if mode == "attack":
             analysis.write_attacks_jsonl(certs, outdir / "attacks.jsonl")

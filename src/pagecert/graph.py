@@ -427,7 +427,6 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
 def load_graph(
     path,
     symmetrize: bool = False,
-    restrict_lcc: bool = False,
     allow_self_loops: bool = False,
 ) -> DirectedGraph:
     """Read an edge-list file: one "src<TAB>dst" pair per line, '#' comments.
@@ -459,15 +458,13 @@ def load_graph(
         logger.warning("%s: deduplicated %d duplicate edges", path, dup)
     if symmetrize:
         keys, _ = edge_key_set(np.concatenate([e, e[:, ::-1]]), n)
-    G = DirectedGraph.from_edges(n, decode_keys(keys, n),
-                                 allow_self_loops=allow_self_loops)
-    if restrict_lcc:
-        G, _ = largest_connected_component(G)
-    return G
+    return DirectedGraph.from_edges(n, decode_keys(keys, n),
+                                    allow_self_loops=allow_self_loops)
 
 
 def load_labels(path, node_count: int) -> np.ndarray:
-    """Read "node<TAB>label" lines into an int array (-1 where unlabeled)."""
+    """Read "node<TAB>label" lines into an int array (-1 where unlabeled);
+    a node may repeat only with the same label."""
     path = Path(path)
     y = np.full(node_count, -1, dtype=np.int64)
     for lineno, line in read_lines(path, GraphFormatError):
@@ -482,6 +479,9 @@ def load_labels(path, node_count: int) -> np.ndarray:
             raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
         if lab < 0:
             raise GraphFormatError(f"{path}:{lineno}: negative class id {lab}")
+        if y[v] not in (-1, lab):
+            raise GraphFormatError(f"{path}:{lineno}: node {v} has label {y[v]} "
+                                   f"on an earlier line, {lab} here")
         y[v] = lab
     return y
 

@@ -124,23 +124,23 @@ def random_graph(rng, n):
         allow_self_loops=True)
 
 
-def dict_report(records, G, true_labels, purity_labels):
+def dict_report(records, G, labels):
     """Reference build_report: the summary rows grouped by dicts of lists,
     one set-based purity per record."""
     heads = [record_to_dict(r) for r in records]
     rows = [("certified_ratio", certified_ratio(records))]
-    if true_labels is not None:
-        rows.append(("certified_accuracy", certified_accuracy(records, true_labels)))
+    if labels is not None:
+        rows.append(("certified_accuracy", certified_accuracy(records, labels)))
     by_degree = {}
     for r in heads:
         by_degree.setdefault(int(G.out_degree[r["node"]]), []).append(
             r["status"] == "robust")
     rows += [(f"degree_{d}_ratio", sum(v) / len(v)) for d, v in sorted(by_degree.items())]
-    if purity_labels is not None:
+    if labels is not None:
         edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
         buckets = {}
         for r in heads:
-            pur = set_purity(G, purity_labels, r["node"])
+            pur = set_purity(G, labels, r["node"])
             k = min(int(np.searchsorted(edges, pur, side="right")) - 1,
                     PURITY_BUCKETS - 1)
             buckets.setdefault(max(k, 0), []).append(r["worst_margin"])
@@ -182,10 +182,9 @@ class TestAgainstSetReference:
                         status="robust" if robust else "unknown",
                         rounded_attack=np.empty((0, 2), dtype=np.int64),
                         attack_verified=False, attacked_margin=None))
-            for true_labels, purity_labels in [(None, None), (labels, labels)]:
-                got = build_report(records, G, true_labels=true_labels,
-                                   purity_labels=purity_labels)
-                assert got == dict_report(records, G, true_labels, purity_labels)
+            for given in (None, labels):
+                got = build_report(records, G, labels=given)
+                assert got == dict_report(records, G, given)
                 assert all(type(value) is float for _, value in got)
 
 
@@ -259,7 +258,7 @@ class TestSerialization:
         H = rng.normal(size=(6, 2))
         certs = certify_local_all(G, S, ALPHA, H)
         labels = rng.integers(0, 2, size=6)
-        rows = build_report(certs, G, true_labels=labels, purity_labels=labels)
+        rows = build_report(certs, G, labels=labels)
         values = dict(rows)
         assert 0.0 <= values["certified_ratio"] <= 1.0
         assert values["certified_accuracy"] <= 1.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pagecert import graph, policy_iter, ppr, robust_train
+from pagecert import analysis, graph, policy_iter, ppr, robust_train
 from pagecert.cli import load_config, main, resolve_config
 from pagecert.graph import generate_sbm, sbm_block_labels
 from pagecert.models import FEATURES_MAGIC, save_features_bin
@@ -334,6 +334,30 @@ class TestPipelines:
         assert f"{lpath}:3: negative class id -3" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
 
+    def test_conflicting_label_is_reported(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, "dup")
+        lpath = tmp_path / "labels.tsv"
+        lpath.write_text(lpath.read_text() + "0\t0\n")   # node 0 again, same label
+        assert main(["--config", str(cfg)]) == 0
+        lpath.write_text("0\t1\n1\t1\n0\t0\n")
+        assert main(["--config", str(cfg), "--set", f"paths.output={tmp_path / 'dup2'}"]) == 4
+        assert (f"{lpath}:3: node 0 has label 1 on an earlier line, 0 here"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "dup2").exists()
+
+    def test_summary_accuracy_and_purity_need_complete_labels(self, tmp_path):
+        # an unlabelled node is no class of its own: purity, like accuracy,
+        # is left out of the summary unless every node has a label
+        cfg = base_config(tmp_path, "full")
+        assert main(["--config", str(cfg)]) == 0
+        metrics = (tmp_path / "full" / "summary.csv").read_text()
+        assert "certified_accuracy" in metrics and "purity_" in metrics
+        (tmp_path / "labels.tsv").write_text("0\t0\n11\t1\n")
+        assert main(["--config", str(cfg), "--set", f"paths.output={tmp_path / 'part'}"]) == 0
+        metrics = (tmp_path / "part" / "summary.csv").read_text()
+        assert "certified_accuracy" not in metrics and "purity_" not in metrics
+        assert "degree_" in metrics
+
     @pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
     @pytest.mark.parametrize("margin", ['"abc"', "null"])
     def test_non_numeric_margin_is_reported(self, tmp_path, capsys, margin,
@@ -563,6 +587,64 @@ train.per_class = 4
         cfg = self._train_config(tmp_path, extra="train.patience = 0")
         assert main(["--config", str(cfg)]) == 0
         assert [c.patience for c in seen] == [0]
+
+    # components {0, 1} and {2, 3, 4, 5}: graph.lcc keeps input nodes 2..5
+    # as nodes 0..3
+    LCC_GRAPH = "0\t1\n2\t3\n3\t4\n4\t2\n2\t5\n"
+    LCC_LABELS = np.array([0, 1, 1, 0, 1, 0])
+    LCC_ROWS = np.arange(12.0).reshape(6, 2)
+
+    def _lcc_config(self, tmp_path, mode, extra):
+        (tmp_path / "g.tsv").write_text(self.LCC_GRAPH)
+        (tmp_path / "l.tsv").write_text(
+            "".join(f"{v}\t{c}\n" for v, c in enumerate(self.LCC_LABELS)))
+        (tmp_path / "rows.csv").write_text(
+            "".join(f"{a!r},{b!r}\n" for a, b in self.LCC_ROWS.tolist()))
+        cfg = tmp_path / "lcc.cfg"
+        cfg.write_text(
+            f"mode = {mode}\npaths.graph = {tmp_path / 'g.tsv'}\n"
+            f"paths.labels = {tmp_path / 'l.tsv'}\npaths.output = {tmp_path / 'out'}\n"
+            "graph.symmetrize = true\ngraph.lcc = true\nscenario.strength = 2\n"
+            + extra)
+        return cfg
+
+    def test_lcc_keeps_logits_and_labels_on_their_nodes(self, tmp_path, monkeypatch):
+        seen = {}
+        certify, report = policy_iter.certify_local_all, analysis.build_report
+
+        def record_logits(G, S, alpha, H):
+            seen["H"] = H
+            return certify(G, S, alpha, H)
+
+        def record_labels(certs, G, labels=None):
+            seen["labels"] = labels
+            return report(certs, G, labels=labels)
+
+        monkeypatch.setattr(policy_iter, "certify_local_all", record_logits)
+        monkeypatch.setattr(analysis, "build_report", record_labels)
+        cfg = self._lcc_config(tmp_path, "certify-local",
+                               f"paths.logits = {tmp_path / 'rows.csv'}\n")
+        assert main(["--config", str(cfg)]) == 0
+        assert seen["H"].tolist() == self.LCC_ROWS[2:].tolist()
+        assert seen["labels"].tolist() == self.LCC_LABELS[2:].tolist()
+        records = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
+        assert [json.loads(r)["node"] for r in records] == [0, 1, 2, 3]
+
+    def test_lcc_keeps_features_and_labels_on_their_nodes(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def record(model, X, y, G, *rest, **options):
+            seen.update(X=X, y=y, n=G.node_count)
+            return model, []
+
+        monkeypatch.setattr(robust_train, "train_robust", record)
+        cfg = self._lcc_config(tmp_path, "train",
+                               f"paths.features = {tmp_path / 'rows.csv'}\n"
+                               "train.per_class = 1\n")
+        assert main(["--config", str(cfg)]) == 0
+        assert seen["n"] == 4
+        assert seen["X"].tolist() == self.LCC_ROWS[2:].tolist()
+        assert seen["y"].tolist() == self.LCC_LABELS[2:].tolist()
 
     def test_certify_with_feature_propagation_logits(self, tmp_path):
         gpath, lpath = write_fixture(tmp_path, n=16, p_in=0.8, p_out=0.05)

@@ -76,7 +76,7 @@ class TestLoadGraph:
         p = tmp_path / "g.tsv"
         # triangle 0-1-2 plus isolated pair 3-4
         p.write_text("0\t1\n1\t0\n1\t2\n2\t1\n2\t0\n0\t2\n3\t4\n4\t3\n")
-        G = load_graph(p, restrict_lcc=True)
+        G, _ = largest_connected_component(load_graph(p))
         assert G.node_count == 3
         assert G.edge_count == 6
 
