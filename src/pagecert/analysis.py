@@ -1,4 +1,4 @@
-"""Aggregate metrics and plot-ready tables over certificate records."""
+"""The certificate table, its JSON-lines files, and the summary metrics over it."""
 
 from __future__ import annotations
 
@@ -9,48 +9,37 @@ from pathlib import Path
 import numpy as np
 
 from .graph import DirectedGraph, edge_key_set
-from .policy_iter import LocalCertificate
-from .qclp_global import GlobalCertificate
 
-# the keys every record has, local or global, before its flips
-HEAD_KEYS = ("node", "y", "worst_class", "worst_margin", "status", "bound_type")
+# the certificate table's columns and their types: the JSON-lines keys in
+# order, then "witness", each row's flip array, written as "witness_flips"
+COLUMNS = {"node": np.int64, "y": np.int64, "worst_class": np.int64,
+           "worst_margin": np.float64, "status": object, "bound_type": object,
+           "marginal": bool, "attack_verified": bool, "witness": object}
+# the keys every record has, local or global, before its route's flag
+HEAD_KEYS = tuple(COLUMNS)[:6]
 # equal-width purity buckets over [0, 1] in the summary's purity breakdown
 PURITY_BUCKETS = 5
+# the most one- and two-hop paths _purities expands at once, unless one node
+# has more: its index arrays then stay within a few tens of MB
+PURITY_BLOCK_PATHS = 1 << 18
+_INT64 = range(-2**63, 2**63)
 
 
 class CertificateFormatError(ValueError):
     """A certificates file line that is not a record for the loaded graph."""
 
 
-def _record_head(rec) -> tuple[dict, np.ndarray]:
-    """Every key of a record but the last, "witness_flips", and its flips."""
-    if isinstance(rec, LocalCertificate):
-        return {
-            "node": int(rec.node),
-            "y": int(rec.label),
-            "worst_class": int(rec.worst_class),
-            "worst_margin": float(rec.worst_margin),
-            "status": rec.status,
-            "bound_type": "exact",
-            "marginal": bool(rec.marginal),
-        }, rec.witness
-    if isinstance(rec, GlobalCertificate):
-        return {
-            "node": int(rec.node),
-            "y": int(rec.label),
-            "worst_class": int(rec.worst_class),
-            "worst_margin": float(rec.lower_bound_margin),
-            "status": rec.status,
-            "bound_type": "lower",
-            "attack_verified": bool(rec.attack_verified),
-        }, rec.rounded_attack
-    raise TypeError(f"not a certificate record: {type(rec)!r}")
+def certificate_table(**columns) -> np.recarray:
+    """The certificates as one record array, a row per certified node.
 
-
-def record_to_dict(rec) -> dict:
-    """Flatten a certificate into the JSON-lines schema (stable key order)."""
-    head, flips = _record_head(rec)
-    return {**head, "witness_flips": flips.tolist()}
+    The columns come in the order given, each as its COLUMNS type. A route's
+    table has the HEAD_KEYS columns, its flag ("marginal" for the local
+    route, "attack_verified" for the global one) and "witness", an object
+    array of (k, 2) flip arrays; a table read back from a file has the
+    HEAD_KEYS columns. Rows iterate as np.record with attribute access.
+    """
+    return np.rec.fromarrays([np.asarray(v, COLUMNS[k]) for k, v in columns.items()],
+                             names=list(columns))
 
 
 def _flips_json(flips: np.ndarray) -> str:
@@ -79,25 +68,38 @@ def _write_spliced_jsonl(path, rows, key: str) -> None:
 
 
 def write_certificates_jsonl(records, path) -> None:
-    """One json.dumps(record_to_dict(rec)) line per record."""
-    _write_spliced_jsonl(path, map(_record_head, records), "witness_flips")
+    """One line per row of a route's table: json.dumps of its columns as a
+    dict, in column order, with the witness last as "witness_flips"."""
+    names = records.dtype.names
+    # zip stops at the names, before the row's witness
+    _write_spliced_jsonl(path, zip(
+        (dict(zip(names[:-1], row)) for row in records.tolist()),
+        records.witness), "witness_flips")
 
 
 def write_attacks_jsonl(records, path) -> None:
     """One {"node", "worst_margin", "flips"} line per non-robust local
     certificate with a non-empty witness."""
+    witness = records.witness
+    sizes = np.fromiter(map(len, witness), np.int64, len(witness))
+    hit = np.flatnonzero((records.status == "nonrobust") & (sizes > 0))
     _write_spliced_jsonl(path, (
-        ({"node": int(c.node), "worst_margin": float(c.worst_margin)},
-         c.witness)
-        for c in records if c.status == "nonrobust" and len(c.witness)
+        ({"node": node, "worst_margin": margin}, flips)
+        for node, margin, flips in zip(records.node[hit].tolist(),
+                                       records.worst_margin[hit].tolist(),
+                                       witness[hit])
     ), "flips")
 
 
-def read_certificates_jsonl(path) -> list[dict]:
-    """Each line's record; a line that is not a JSON object with every
-    HEAD_KEYS key, an integer node and a worst_margin that is a finite
-    float64 number is an error naming path:line."""
-    out = []
+def read_certificates_jsonl(path) -> np.recarray:
+    """The HEAD_KEYS columns of every line's record, as a certificate table.
+
+    A line is an error naming path:line unless it is a JSON object with
+    every HEAD_KEYS key, each of its column's type: node, y and worst_class
+    ints in the int64 range, worst_margin a finite float64 number, status
+    and bound_type strings.
+    """
+    columns: dict[str, list] = {k: [] for k in HEAD_KEYS}
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -108,49 +110,44 @@ def read_certificates_jsonl(path) -> list[dict]:
             except ValueError:           # bad JSON or bad UTF-8
                 rec = None
             if not (isinstance(rec, dict) and all(k in rec for k in HEAD_KEYS)
-                    and type(rec["node"]) is int
+                    and all(type(rec[k]) is int and rec[k] in _INT64
+                            for k in ("node", "y", "worst_class"))
                     and type(rec["worst_margin"]) in (int, float)
                     # false for NaN, infinities and ints beyond float64
-                    and abs(rec["worst_margin"]) <= sys.float_info.max):
+                    and abs(rec["worst_margin"]) <= sys.float_info.max
+                    and type(rec["status"]) is str
+                    and type(rec["bound_type"]) is str):
                 raise CertificateFormatError(
                     f"{path}:{lineno}: not a certificate record")
-            out.append(rec)
-    return out
+            for k, col in columns.items():
+                col.append(rec[k])
+    return certificate_table(**columns)
 
 
-def check_nodes(records: list[dict], node_count: int, path) -> None:
+def check_nodes(records, node_count: int, path) -> None:
     """Reject the first record whose node is not in [0, node_count)."""
-    for r in records:
-        if not 0 <= r["node"] < node_count:
-            raise CertificateFormatError(
-                f"{path}: node {r['node']} outside [0, {node_count}) of the graph")
-
-
-def _heads(records) -> list[dict]:
-    """Each record as its JSON-lines head; records read back from a file
-    already have that shape."""
-    return [r if isinstance(r, dict) else _record_head(r)[0] for r in records]
+    node = records.node
+    bad = node[(node < 0) | (node >= node_count)]
+    if bad.size:
+        raise CertificateFormatError(
+            f"{path}: node {bad[0]} outside [0, {node_count}) of the graph")
 
 
 def certified_ratio(records) -> float:
-    heads = _heads(records)
-    if not heads:
+    if not len(records):
         return 0.0
-    return sum(r["status"] == "robust" for r in heads) / len(heads)
+    return np.count_nonzero(records.status == "robust") / len(records)
 
 
 def certified_accuracy(records, true_labels) -> float:
     """Fraction of scored nodes that are certified robust and whose defended
     class matches the true label: a lower bound on worst-case accuracy."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
-    heads = _heads(records)
-    if not heads:
+    if not len(records):
         return 0.0
-    good = sum(
-        1 for r in heads
-        if r["status"] == "robust" and r["y"] == int(true_labels[r["node"]])
-    )
-    return good / len(heads)
+    good = np.count_nonzero((records.status == "robust")
+                            & (records.y == true_labels[records.node]))
+    return good / len(records)
 
 
 def neighborhood_purity(G: DirectedGraph, labels: np.ndarray, v: int) -> float:
@@ -163,23 +160,39 @@ def neighborhood_purity(G: DirectedGraph, labels: np.ndarray, v: int) -> float:
 
 def _purities(G: DirectedGraph, labels) -> np.ndarray:
     """neighborhood_purity of every node: the distinct (v, w) pairs of the
-    paths v-w and v-u-w of the undirected graph, v != w, counted per v."""
+    paths v-w and v-u-w of the undirected graph, v != w, counted per v.
+
+    The paths are expanded for blocks of whole source nodes v, at most
+    PURITY_BLOCK_PATHS of them per block unless one node has more.
+    """
     n = G.node_count
     labels = np.asarray(labels, dtype=np.int64)
     # sorted (src, dst) keys are also the CSR neighbour lists
     keys, _ = edge_key_set(np.concatenate([G.edges, G.edges[:, ::-1]]), n)
     src, dst = np.divmod(keys, n)
     start = np.searchsorted(src, np.arange(n + 1))
-    # one (v, w) per edge (v, u) and neighbour w of u
+    # edge (v, u) has one path v-u and one v-u-w per neighbour w of u;
+    # before_node[v]: the paths of every edge of the nodes before v
     width = start[dst + 1] - start[dst]
-    at = np.repeat(start[dst] - np.cumsum(width) + width, width)
-    pairs, _ = edge_key_set(np.column_stack((
-        np.concatenate([src, np.repeat(src, width)]),
-        np.concatenate([dst, dst[at + np.arange(at.size)]]))), n)
-    v, w = np.divmod(pairs, n)
-    other = v != w
-    total = np.bincount(v[other], minlength=n)
-    same = np.bincount(v[other & (labels[v] == labels[w])], minlength=n)
+    before_node = np.concatenate([[0], np.cumsum(width + 1)])[start]
+    total = np.zeros(n, dtype=np.int64)
+    same = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            before_node, before_node[lo] + PURITY_BLOCK_PATHS, side="right")) - 1)
+        e = slice(start[lo], start[hi])
+        s, d, wd = src[e], dst[e], width[e]
+        at = np.repeat(start[d] - np.cumsum(wd) + wd, wd)
+        pairs, _ = edge_key_set(np.column_stack((
+            np.concatenate([s, np.repeat(s, wd)]),
+            np.concatenate([d, dst[at + np.arange(at.size)]]))), n)
+        v, w = np.divmod(pairs, n)
+        other = v != w
+        total[lo:hi] = np.bincount(v[other] - lo, minlength=hi - lo)
+        same[lo:hi] = np.bincount(v[other & (labels[v] == labels[w])] - lo,
+                                  minlength=hi - lo)
+        lo = hi
     return np.divide(same, total, out=np.zeros(n), where=total > 0)
 
 
@@ -188,19 +201,18 @@ def build_report(records, G: DirectedGraph, labels=None) -> list[tuple[str, floa
     certified accuracy, the certified ratio per out-degree and the mean
     worst margin per purity bucket. Accuracy and purity need labels, a
     class for every node of G."""
-    heads = _heads(records)
-    rows = [("certified_ratio", float(certified_ratio(heads)))]
+    rows = [("certified_ratio", float(certified_ratio(records)))]
     if labels is not None:
-        rows.append(("certified_accuracy", float(certified_accuracy(heads, labels))))
-    nodes = np.array([r["node"] for r in heads], dtype=np.int64)
+        rows.append(("certified_accuracy", float(certified_accuracy(records, labels))))
+    nodes = records.node
     degree = G.out_degree[nodes]
-    robust = np.bincount(degree, weights=[r["status"] == "robust" for r in heads])
+    robust = np.bincount(degree, weights=records.status == "robust")
     total = np.bincount(degree)
     rows += [(f"degree_{d}_ratio", float(robust[d] / total[d]))
              for d in np.flatnonzero(total)]
     if labels is not None:
         edges = np.linspace(0.0, 1.0, PURITY_BUCKETS + 1)
-        margins = np.array([r["worst_margin"] for r in heads], dtype=np.float64)
+        margins = records.worst_margin
         bucket = np.clip(np.searchsorted(
             edges, _purities(G, labels)[nodes], side="right") - 1,
             0, PURITY_BUCKETS - 1)

@@ -229,10 +229,11 @@ def _load_inputs(cfg: RunConfig):
     return G, y, (count, kept)
 
 
-def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph):
+def _build_scenario(cfg: RunConfig, G: graph.DirectedGraph, nodes):
     """The configured scenario; a sink node of G, on which no PageRank solve
-    is defined, is refused here, before any output is written."""
-    sinks = np.flatnonzero(G.out_degree == 0)
+    is defined, is refused here, before any output is written, and named by
+    its input id (nodes as from _load_inputs)."""
+    sinks = nodes[1][G.out_degree == 0]
     if sinks.size:
         raise graph.GraphFormatError(
             f"{cfg['paths.graph']}: node {sinks[0]} has no outgoing edge, which "
@@ -353,7 +354,7 @@ def run(cfg: RunConfig) -> int:
 
     elif mode == "train":
         G, y, nodes = _load_inputs(cfg)
-        S = _build_scenario(cfg, G)
+        S = _build_scenario(cfg, G, nodes)
         X = _load_features(cfg, nodes)
         train_idx, val_idx, _ = models.train_val_test_split(
             y, per_class=cfg["train.per_class"], seed=seed
@@ -391,7 +392,7 @@ def run(cfg: RunConfig) -> int:
             certs = analysis.read_certificates_jsonl(cfg["paths.certificates"])
             analysis.check_nodes(certs, G.node_count, cfg["paths.certificates"])
         else:
-            S = _build_scenario(cfg, G)
+            S = _build_scenario(cfg, G, nodes)
             H = _logits_for(cfg, G, y, nodes)
             outdir.mkdir(parents=True, exist_ok=True)
             graph.dump_scenario(S, outdir / "scenario.txt")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, ppr
+from . import analysis, models, ppr
 from .graph import DirectedGraph, PerturbationScenario, _readonly, flipped_graph
 
 IMPROVE_TOL = 1e-12
@@ -74,17 +74,6 @@ class PolicyIterationResult:
 class LockstepResult:
     results: list[PolicyIterationResult]   # one per reward column
     iterations: int                        # lockstep rounds: the most any reward ran
-
-
-@dataclass(eq=False)
-class LocalCertificate:
-    node: int
-    label: int                   # class the margin is defended for
-    worst_class: int
-    worst_margin: float
-    status: str                  # "robust" | "nonrobust"
-    witness: np.ndarray          # its worst pair's policy, shared by that pair
-    marginal: bool               # |margin| within numerical noise of zero
 
 
 def optimize_local(
@@ -235,15 +224,18 @@ def certify_local_all(
     alpha: float,
     H: np.ndarray,
     y: np.ndarray | None = None,
-) -> list[LocalCertificate]:
+) -> np.recarray:
     """Exact worst-case-margin certificates for every node under local budgets.
 
-    y gives the class to defend per node (ground truth or predictions); when
-    omitted, clean-graph predictions are used. A negative worst margin is a
-    non-robustness certificate that the witness, the policy of the node's
-    (class, worst class) pair and shared by all its records, reproduces.
-    From three classes on, G is ppr.factor_clean'd for the predictions
-    and every pair's first round.
+    Returns the certificate table (analysis.certificate_table), one row per
+    node t: y, the class defended (ground truth or predictions; when
+    omitted, clean-graph predictions), the worst class and worst margin,
+    status "robust" above MARGIN_EPS and "nonrobust" otherwise, "marginal"
+    for a margin within MARGIN_EPS of zero, and the witness, the policy of
+    the (y, worst class) pair, one array shared by the rows of that pair. A
+    negative worst margin is a non-robustness certificate that the witness
+    reproduces. From three classes on, G is ppr.factor_clean'd for the
+    predictions and every pair's first round.
     """
     H = models.check_logits(H)
     K = H.shape[1]
@@ -256,24 +248,23 @@ def certify_local_all(
     y = models.check_labels(y, G.node_count, K)
 
     # worst[t, c]: node t's worst margin against c, +inf at its own class;
-    # argmin keeps the lowest class among equal margins
+    # argmin keeps the lowest class among equal margins. policies[c1 * K + c2]
+    # is pair (c1, c2)'s policy, set by index: a slice assignment would
+    # broadcast policies of equal shape into one array
     worst = np.full((G.node_count, K), np.inf)
-    pairs = pair_worst_margins(G, S, alpha, H)
-    for (c1, c2), (margins, _) in pairs.items():
+    policies = np.empty(K * K, dtype=object)
+    for (c1, c2), (margins, res) in pair_worst_margins(G, S, alpha, H).items():
         sel = y == c1
         worst[sel, c2] = margins[sel]
+        policies[c1 * K + c2] = res.policy
     worst_class = np.argmin(worst, axis=1)
     worst_margin = worst[np.arange(G.node_count), worst_class]
-    return [
-        LocalCertificate(
-            node=t,
-            label=yt,
-            worst_class=c,
-            worst_margin=m,
-            status="robust" if m > MARGIN_EPS else "nonrobust",
-            witness=pairs[(yt, c)][1].policy,
-            marginal=(-MARGIN_EPS < m <= MARGIN_EPS),
-        )
-        for t, (yt, c, m) in enumerate(zip(
-            y.tolist(), worst_class.tolist(), worst_margin.tolist()))
-    ]
+    robust = worst_margin > MARGIN_EPS
+    return analysis.certificate_table(
+        node=np.arange(G.node_count), y=y, worst_class=worst_class,
+        worst_margin=worst_margin,
+        status=np.where(robust, "robust", "nonrobust"),
+        bound_type=np.full(G.node_count, "exact"),
+        marginal=~robust & (worst_margin > -MARGIN_EPS),
+        witness=policies[y * K + worst_class],
+    )

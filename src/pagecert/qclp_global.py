@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp_solver, models, policy_iter, ppr
+from . import analysis, lp_solver, models, policy_iter, ppr
 from ._parallel import map_parallel
 from .graph import DirectedGraph, PerturbationScenario, _readonly, apply_policy
 from .policy_iter import MARGIN_EPS
@@ -253,18 +253,6 @@ def recover_pagerank(
     return np.maximum(pi, 0.0), _readonly(S.fragile_edges[flipped]), integral
 
 
-@dataclass(eq=False)
-class GlobalCertificate:
-    node: int
-    label: int
-    worst_class: int
-    lower_bound_margin: float
-    status: str                  # "robust" | "unknown" | "nonrobust-witnessed"
-    rounded_attack: np.ndarray   # flipped fragile edges (graph docstring)
-    attack_verified: bool
-    attacked_margin: float | None
-
-
 def _rounded_attack(
     solution: lp_solver.LpSolution, instance: RelaxedLpInstance
 ) -> np.ndarray:
@@ -299,15 +287,18 @@ def certify_global(
     targets,
     y: np.ndarray | None = None,
     bound_method: str = "closed_form",
-) -> list[GlobalCertificate]:
+) -> np.recarray:
     """Margin lower bounds for the targets under local plus global budgets.
 
     Per target t and class c != y_t, one relaxed LP is solved with teleport
     e_t and reward -(H[:, y_t] - H[:, c]); its objective L upper-bounds the
-    adversary, so min_c(-L) lower-bounds the worst-case margin. A positive
-    bound certifies robustness; otherwise the rounded LP attack is replayed
-    exactly and, if the margin goes negative, reported as a witnessed
-    non-robustness.
+    adversary, so min_c(-L) lower-bounds the worst-case margin. A bound
+    above MARGIN_EPS certifies robustness; otherwise the rounded LP attack
+    is replayed exactly and, if the margin goes below -MARGIN_EPS, reported
+    as a witnessed non-robustness. Returns the certificate table
+    (analysis.certificate_table), one row per target: the bound as
+    worst_margin, status "robust", "unknown" or "nonrobust-witnessed",
+    "attack_verified" for the last, and the rounded attack as witness.
     """
     H = models.check_logits(H)
     K = H.shape[1]
@@ -351,8 +342,6 @@ def certify_global(
                 best = (-sol.objective, c, sol, inst)
         best_bound, best_class, best_solution, best_instance = best
         attack = _rounded_attack(best_solution, best_instance)
-        attacked_margin = None
-        verified = False
         status = "robust" if best_bound > MARGIN_EPS else "unknown"
         if status != "robust":
             attacked = apply_policy(S, attack)
@@ -360,19 +349,17 @@ def certify_global(
             diffs = pi @ H
             margins = diffs[yt] - diffs
             margins[yt] = np.inf
-            attacked_margin = float(margins.min())
-            if attacked_margin < -MARGIN_EPS:
+            if margins.min() < -MARGIN_EPS:
                 status = "nonrobust-witnessed"
-                verified = True
-        return GlobalCertificate(
-            node=t,
-            label=yt,
-            worst_class=best_class,
-            lower_bound_margin=float(best_bound),
-            status=status,
-            rounded_attack=attack,
-            attack_verified=verified,
-            attacked_margin=attacked_margin,
-        )
+        return t, yt, best_class, best_bound, status, attack
 
-    return map_parallel(run, targets)
+    rows = map_parallel(run, targets)
+    node, y_t, worst_class, bound, status, attack = zip(*rows)
+    status = np.array(status, dtype=object)
+    return analysis.certificate_table(
+        node=node, y=y_t, worst_class=worst_class, worst_margin=bound,
+        status=status, bound_type=np.full(len(rows), "lower"),
+        attack_verified=status == "nonrobust-witnessed",
+        # one element per attack: np.array would stack attacks of equal shape
+        witness=np.fromiter(attack, dtype=object, count=len(rows)),
+    )

@@ -76,7 +76,7 @@ class TestCriterion1Exactness:
             certs = policy_iter.certify_local_all(G, S, ALPHA, H)
             for t in rng.choice(n, size=3, replace=False):
                 br = oracle.brute_force_worst_margin(
-                    G, S, ALPHA, H, int(t), y_t=certs[t].label
+                    G, S, ALPHA, H, int(t), y_t=certs[t].y
                 )
                 assert abs(certs[t].worst_margin - br.optimum) <= 1e-8
                 checks += 1

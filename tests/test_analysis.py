@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,50 +9,67 @@ from pagecert.analysis import (
     _flips_json,
     _purities,
     build_report,
+    certificate_table,
     certified_accuracy,
     certified_ratio,
     neighborhood_purity,
     read_certificates_jsonl,
-    record_to_dict,
     write_attacks_jsonl,
     write_certificates_jsonl,
     write_summary_csv,
 )
 from pagecert.graph import DirectedGraph, build_scenario
 from pagecert.models import save_logits_csv, load_logits_csv
-from pagecert.policy_iter import LocalCertificate, certify_local_all
-from pagecert.qclp_global import GlobalCertificate, certify_global
+from pagecert.policy_iter import certify_local_all
+from pagecert.qclp_global import certify_global
 
 from conftest import random_instance
 
 ALPHA = 0.85
 
 
-def cert(node, label, margin, status="robust"):
-    return LocalCertificate(
-        node=node, label=label, worst_class=1 - label,
+def table(rows, flag="marginal"):
+    """A certificate table of (node, y, worst_margin, status) rows, with
+    worst class y + 1 mod 3, empty witnesses and the route's flag false:
+    "marginal" for a local table, "attack_verified" for a global one."""
+    node, y, margin, status = list(zip(*rows)) or [()] * 4
+    witness = np.empty(len(node), dtype=object)
+    for i in range(len(node)):
+        witness[i] = np.empty((0, 2), dtype=np.int64)
+    return certificate_table(
+        node=node, y=y, worst_class=(np.asarray(y, np.int64) + 1) % 3,
         worst_margin=margin, status=status,
-        witness=np.empty((0, 2), dtype=np.int64), marginal=False,
-    )
+        bound_type=["exact" if flag == "marginal" else "lower"] * len(node),
+        **{flag: np.zeros(len(node), dtype=bool)}, witness=witness)
+
+
+def record_to_dict(c) -> dict:
+    """Reference certificates.jsonl line of one table row, key by key."""
+    flag = "marginal" if c.bound_type == "exact" else "attack_verified"
+    return {"node": int(c.node), "y": int(c.y), "worst_class": int(c.worst_class),
+            "worst_margin": float(c.worst_margin), "status": str(c.status),
+            "bound_type": str(c.bound_type), flag: bool(c[flag]),
+            "witness_flips": c.witness.tolist()}
 
 
 class TestCertifiedAccuracy:
     def test_all_robust_all_correct(self):
-        records = [cert(i, 0, 1.0) for i in range(4)]
+        records = table([(i, 0, 1.0, "robust") for i in range(4)])
         assert certified_accuracy(records, np.zeros(4, dtype=int)) == 1.0
 
     def test_none_robust(self):
-        records = [cert(i, 0, -1.0, status="nonrobust") for i in range(4)]
+        records = table([(i, 0, -1.0, "nonrobust") for i in range(4)])
         assert certified_accuracy(records, np.zeros(4, dtype=int)) == 0.0
 
     def test_mixed_hand_count(self):
         # 10 nodes: 6 robust, of which 4 correctly predicted; 4 nonrobust
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 0])
-        records = []
+        rows = []
         for i in range(6):
-            records.append(cert(i, 0, 0.5))          # robust, label 0
+            rows.append((i, 0, 0.5, "robust"))          # robust, label 0
         for i in range(6, 10):
-            records.append(cert(i, 0, -0.5, "nonrobust"))
+            rows.append((i, 0, -0.5, "nonrobust"))
+        records = table(rows)
         assert certified_accuracy(records, truth) == 4 / 10
         assert certified_ratio(records) == 6 / 10
 
@@ -60,7 +78,7 @@ class TestCertifiedAccuracy:
         H = rng.normal(size=(8, 2))
         certs = certify_local_all(G, S, ALPHA, H)
         truth = rng.integers(0, 2, size=8)
-        clean_acc = float(np.mean([c.label == truth[c.node] for c in certs]))
+        clean_acc = float(np.mean([c.y == truth[c.node] for c in certs]))
         assert certified_accuracy(certs, truth) <= clean_acc + 1e-12
 
 
@@ -160,28 +178,39 @@ class TestAgainstSetReference:
             assert pur.tolist() == ref
             assert [neighborhood_purity(G, labels, v) for v in range(n)] == ref
 
+    def test_purities_memory_is_bounded(self):
+        # a 2,000-leaf star has 4 million two-hop paths (leaf-hub-leaf);
+        # expanded at once, their index arrays peak near 190 MB
+        leaves = np.arange(1, 2001)
+        hub = np.zeros(2000, dtype=np.int64)
+        G = DirectedGraph.from_edges(2001, np.concatenate([
+            np.column_stack((hub, leaves)), np.column_stack((leaves, hub))]))
+        labels = np.arange(2001) % 3
+        tracemalloc.start()
+        try:
+            pur = _purities(G, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # every node sees the 2,000 others, a third of them in its class
+        same = np.bincount(labels)[labels] - 1
+        assert pur.tolist() == (same / 2000).tolist()
+
     def test_report_rows_match_dict_reference(self, rng):
         for _ in range(60):
             n = int(rng.integers(1, 13))
             G = random_graph(rng, n)
             labels = rng.integers(0, 3, size=n)
-            records = []
+            local = rng.random() < 0.5
+            rows = []
             for v in rng.permutation(n)[:int(rng.integers(0, n + 1))].tolist():
                 y = int(labels[v]) if rng.random() < 0.7 else int(rng.integers(0, 3))
                 margin = float(rng.choice([rng.normal(), 0.25, -0.25]))
                 robust = bool(rng.random() < 0.5)
-                if rng.random() < 0.5:
-                    records.append(LocalCertificate(
-                        node=v, label=y, worst_class=(y + 1) % 3, worst_margin=margin,
-                        status="robust" if robust else "nonrobust",
-                        witness=np.empty((0, 2), dtype=np.int64), marginal=False))
-                else:
-                    records.append(GlobalCertificate(
-                        node=v, label=y, worst_class=(y + 1) % 3,
-                        lower_bound_margin=margin,
-                        status="robust" if robust else "unknown",
-                        rounded_attack=np.empty((0, 2), dtype=np.int64),
-                        attack_verified=False, attacked_margin=None))
+                rows.append((v, y, margin, "robust" if robust
+                             else "nonrobust" if local else "unknown"))
+            records = table(rows, "marginal" if local else "attack_verified")
             for given in (None, labels):
                 got = build_report(records, G, labels=given)
                 assert got == dict_report(records, G, given)
@@ -209,10 +238,19 @@ class TestSerialization:
         G, _ = random_instance(rng, 9, extra=4)
         S = build_scenario(G, "remove-only", strength=9, global_budget=3)
         H = rng.normal(size=(9, 3))
-        certs = (certify_local_all(G, S, ALPHA, H)
-                 + certify_global(G, S, ALPHA, H, targets=[0, 4]))
-        assert len({id(c.witness) for c in certs[:9]}) < 9
-        assert any(len(c.witness) for c in certs[:9])
+        certs = certify_local_all(G, S, ALPHA, H)
+        assert len({id(c.witness) for c in certs}) < 9
+        assert any(len(c.witness) for c in certs)
+        p = tmp_path / "c.jsonl"
+        write_certificates_jsonl(certs, p)
+        assert p.read_text() == "".join(
+            json.dumps(record_to_dict(c)) + "\n" for c in certs)
+
+    def test_global_file_is_one_record_to_dict_per_line(self, tmp_path, rng):
+        G, _ = random_instance(rng, 9, extra=4)
+        S = build_scenario(G, "remove-only", strength=9, global_budget=3)
+        H = rng.normal(size=(9, 3))
+        certs = certify_global(G, S, ALPHA, H, targets=[0, 4, 7])
         p = tmp_path / "c.jsonl"
         write_certificates_jsonl(certs, p)
         assert p.read_text() == "".join(
@@ -245,11 +283,15 @@ class TestSerialization:
             "flips": c.witness.tolist(),
         }) + "\n" for c in attacked)
 
-    def test_record_schema_keys(self, rng):
+    def test_record_schema_keys(self, tmp_path, rng):
         G, S = random_instance(rng, 5, extra=2)
         H = rng.normal(size=(5, 2))
         certs = certify_local_all(G, S, ALPHA, H)
-        d = record_to_dict(certs[0])
+        assert certs.dtype.names == ("node", "y", "worst_class", "worst_margin",
+                                     "status", "bound_type", "marginal", "witness")
+        p = tmp_path / "c.jsonl"
+        write_certificates_jsonl(certs, p)
+        d = json.loads(p.read_text().splitlines()[0])
         assert list(d) == ["node", "y", "worst_class", "worst_margin",
                            "status", "bound_type", "marginal", "witness_flips"]
 

@@ -260,19 +260,25 @@ class TestPipelines:
         assert (tmp_path / "sbm" / "labels.tsv").exists()
 
     def test_report_mode(self, tmp_path):
-        cfg = base_config(tmp_path, "src")
-        main(["--config", str(cfg)])
-        certs = tmp_path / "src" / "certificates.jsonl"
-        gpath = tmp_path / "graph.tsv"
-        lpath = tmp_path / "labels.tsv"
-        rcfg = tmp_path / "r.cfg"
-        rcfg.write_text(
-            f"mode = report\npaths.graph = {gpath}\npaths.labels = {lpath}\n"
-            f"paths.certificates = {certs}\n"
-            f"paths.output = {tmp_path / 'rep'}\n"
-        )
-        assert main(["--config", str(rcfg)]) == 0
-        assert (tmp_path / "rep" / "summary.csv").exists()
+        # report on either route's certificates.jsonl writes the summary.csv
+        # that the certify run wrote
+        for mode in ("certify-local", "certify-global"):
+            cfg = base_config(tmp_path, mode, mode=mode,
+                              extra="scenario.global_budget = 2")
+            assert main(["--config", str(cfg)]) == 0
+            certs = tmp_path / mode / "certificates.jsonl"
+            gpath = tmp_path / "graph.tsv"
+            lpath = tmp_path / "labels.tsv"
+            rcfg = tmp_path / "r.cfg"
+            rcfg.write_text(
+                f"mode = report\npaths.graph = {gpath}\npaths.labels = {lpath}\n"
+                f"paths.certificates = {certs}\n"
+                f"paths.output = {tmp_path / 'rep'}\n"
+            )
+            assert main(["--config", str(rcfg)]) == 0
+            summary = (tmp_path / "rep" / "summary.csv").read_bytes()
+            assert b"purity_" in summary
+            assert summary == (tmp_path / mode / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("lines, message", [
         ([GOOD_RECORD, "{oops"], "c.jsonl:2: not a certificate record"),
@@ -281,7 +287,20 @@ class TestPipelines:
          "c.jsonl:3: not a certificate record"),
         ([GOOD_RECORD.replace('"node": 0', '"node": 99')],
          "c.jsonl: node 99 outside [0, 12)"),
-    ], ids=["not-json", "not-utf8", "missing-keys", "node-out-of-range"])
+        ([GOOD_RECORD, GOOD_RECORD.replace('"y": 0', '"y": "a"')],
+         "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, GOOD_RECORD.replace('"y": 0', '"y": 1.5')],
+         "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, GOOD_RECORD.replace('"status": "robust"', '"status": 7')],
+         "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, GOOD_RECORD.replace('"worst_class": 1', '"worst_class": [1]')],
+         "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, GOOD_RECORD.replace('"bound_type": "exact"', '"bound_type": null')],
+         "c.jsonl:2: not a certificate record"),
+        ([GOOD_RECORD, GOOD_RECORD.replace('"node": 0', f'"node": {2**70}')],
+         "c.jsonl:2: not a certificate record"),
+    ], ids=["not-json", "not-utf8", "missing-keys", "node-out-of-range", "y-string",
+            "y-float", "status-int", "worst-class-list", "bound-type-null", "node-2^70"])
     def test_bad_certificates_file_is_reported(self, tmp_path, capsys, lines,
                                                message):
         gpath, lpath = write_fixture(tmp_path)
@@ -476,6 +495,20 @@ train.per_class = 4
         (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n2\t0\n3\t1\n")
         assert main(["--config", str(cfg), "--set", f"mode={mode}"]) == 4
         assert (f"validation error: {gpath}: node 3 has no outgoing edge"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("mode", ["certify-local", "certify-global", "train"])
+    def test_sink_node_is_named_by_its_input_id_under_lcc(self, tmp_path, capsys, mode):
+        # the largest component {2, 3, 4, 5} is renumbered 0..3, so the sink,
+        # input node 5, is node 3 of the loaded graph
+        cfg = self._train_config(tmp_path,
+                                 extra="graph.symmetrize = false\ngraph.lcc = true")
+        gpath = tmp_path / "graph.tsv"
+        gpath.write_text("0\t1\n1\t0\n2\t3\n3\t4\n4\t2\n2\t5\n")
+        (tmp_path / "labels.tsv").write_text("".join(f"{v}\t{v % 2}\n" for v in range(6)))
+        assert main(["--config", str(cfg), "--set", f"mode={mode}"]) == 4
+        assert (f"validation error: {gpath}: node 5 has no outgoing edge"
                 in capsys.readouterr().err)
         assert not (tmp_path / "train").exists()
 

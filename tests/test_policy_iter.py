@@ -256,7 +256,7 @@ class TestCertifyLocalAll:
             clean = np.min([diff[c.node, y] - diff[c.node, k]
                             for k in range(3) if k != y])
             assert abs(c.worst_margin - clean) <= 1e-9
-            assert c.label == y
+            assert c.y == y
 
     def test_single_class_onehot_everything_robust(self, rng):
         G, S = random_instance(rng, 6, extra=2)
@@ -274,7 +274,7 @@ class TestCertifyLocalAll:
             certs = certify_local_all(G, S, ALPHA, H)
             for t in range(8):
                 br = oracle.brute_force_worst_margin(
-                    G, S, ALPHA, H, t, y_t=certs[t].label
+                    G, S, ALPHA, H, t, y_t=certs[t].y
                 )
                 assert abs(certs[t].worst_margin - br.optimum) <= 1e-8
 
@@ -285,7 +285,7 @@ class TestCertifyLocalAll:
         certs = certify_local_all(G, S, ALPHA, H)
         for t in (0, 3, 5):
             br = oracle.brute_force_worst_margin(
-                G, S, ALPHA, H, t, y_t=certs[t].label
+                G, S, ALPHA, H, t, y_t=certs[t].y
             )
             assert abs(certs[t].worst_margin - br.optimum) <= 1e-8
             assert certs[t].worst_class == br.extra["worst_class"]
@@ -297,7 +297,7 @@ class TestCertifyLocalAll:
         for c in certs:
             attacked = apply_policy(S, c.witness)
             diff = diffused_margins(
-                attacked, ALPHA, H[:, c.label] - H[:, c.worst_class]
+                attacked, ALPHA, H[:, c.y] - H[:, c.worst_class]
             )
             assert abs(diff[c.node] - c.worst_margin) <= 1e-9
 
@@ -306,7 +306,7 @@ class TestCertifyLocalAll:
         H = rng.normal(size=(6, 2))
         y = np.array([0, 1, 0, 1, 0, 1])
         certs = certify_local_all(G, S, ALPHA, H, y=y)
-        assert [c.label for c in certs] == y.tolist()
+        assert [c.y for c in certs] == y.tolist()
 
     def test_identical_columns_give_zero_margin_nonrobust(self, rng):
         # a clean prediction tie: worst margin is exactly 0, reported
@@ -348,7 +348,7 @@ class TestCertifyLocalAll:
         ids: dict[tuple[int, int], set[int]] = {}
         for c in certs:
             assert_policy_array(S, c.witness)
-            ids.setdefault((c.label, c.worst_class), set()).add(id(c.witness))
+            ids.setdefault((c.y, c.worst_class), set()).add(id(c.witness))
         assert any(len(c.witness) for c in certs)
         assert all(len(v) == 1 for v in ids.values())
 

@@ -444,8 +444,8 @@ class TestCertifyGlobal:
         H = rng.normal(size=(7, 2))
         certs = certify_global(G, S, ALPHA, H, targets=range(7))
         for c in certs:
-            assert_policy_array(S, c.rounded_attack)
-        assert any(len(c.rounded_attack) for c in certs)
+            assert_policy_array(S, c.witness)
+        assert any(len(c.witness) for c in certs)
         recovered = 0
         for t in range(7):
             z = np.zeros(7)
@@ -466,9 +466,9 @@ class TestCertifyGlobal:
         certs = certify_global(G, S, ALPHA, H, targets=[0, 2, 4])
         diff = diffused_margins(G, ALPHA, H)
         for c in certs:
-            clean = np.min([diff[c.node, c.label] - diff[c.node, k]
-                            for k in range(2) if k != c.label])
-            assert abs(c.lower_bound_margin - clean) <= 1e-7
+            clean = np.min([diff[c.node, c.y] - diff[c.node, k]
+                            for k in range(2) if k != c.y])
+            assert abs(c.worst_margin - clean) <= 1e-7
 
     @pytest.mark.parametrize("targets", [[-1], [6], [0, 6]])
     def test_out_of_range_target_rejected(self, rng, targets):
@@ -501,9 +501,9 @@ class TestCertifyGlobal:
             certs = certify_global(G, S, ALPHA, H, targets=range(6))
             for c in certs:
                 br = oracle.brute_force_worst_margin(
-                    G, S, ALPHA, H, c.node, y_t=c.label, respect_global=True
+                    G, S, ALPHA, H, c.node, y_t=c.y, respect_global=True
                 )
-                assert c.lower_bound_margin <= br.optimum + 1e-8
+                assert c.worst_margin <= br.optimum + 1e-8
 
     def test_witnessed_attacks_verified_exactly(self, rng):
         from pagecert.ppr import diffused_margins
@@ -512,16 +512,16 @@ class TestCertifyGlobal:
         certs = certify_global(G, S, ALPHA, H, targets=range(7))
         for c in certs:
             if c.status == "nonrobust-witnessed":
-                attacked = apply_policy(S, c.rounded_attack)
+                attacked = apply_policy(S, c.witness)
                 diff = diffused_margins(attacked, ALPHA, H)
-                margins = [diff[c.node, c.label] - diff[c.node, k]
-                           for k in range(2) if k != c.label]
+                margins = [diff[c.node, c.y] - diff[c.node, k]
+                           for k in range(2) if k != c.y]
                 assert min(margins) < 0
                 # admissibility of the rounded attack
-                per_node = (np.bincount(c.rounded_attack[:, 0], minlength=7)
-                            if len(c.rounded_attack) else np.zeros(7, dtype=int))
+                per_node = (np.bincount(c.witness[:, 0], minlength=7)
+                            if len(c.witness) else np.zeros(7, dtype=int))
                 assert np.all(per_node <= S.local_budget)
-                assert len(c.rounded_attack) <= S.global_budget
+                assert len(c.witness) <= S.global_budget
 
     def test_statuses_partition(self, rng):
         G, S = random_instance(rng, 6, extra=2, global_budget=2)
@@ -539,7 +539,7 @@ class TestCertifyGlobal:
         tight = certify_global(G, S, ALPHA, H, targets=range(6),
                                bound_method="policy_opt")
         for a, b in zip(loose, tight):
-            assert b.lower_bound_margin >= a.lower_bound_margin - 1e-9
+            assert b.worst_margin >= a.worst_margin - 1e-9
 
 
 def addrem_relaxed_lp(seed):

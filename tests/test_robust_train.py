@@ -129,12 +129,12 @@ class TestBundle:
         G, S = random_instance(rng, 7, extra=2)
         H = rng.normal(size=(7, 2))
         certs = certify_local_all(G, S, ALPHA, H)
-        y = np.array([c.label for c in certs])
+        y = np.array([c.y for c in certs])
         nodes = np.arange(7)
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, y)
         for c in certs:
             got = min(
-                bundle.margins[c.node, k] for k in range(2) if k != c.label
+                bundle.margins[c.node, k] for k in range(2) if k != c.y
             )
             assert abs(got - c.worst_margin) <= 1e-9
 
