@@ -77,21 +77,25 @@ KEYS = {
     "targets.seed": (int, 0, "sampling seed", 0),
     "train.loss": (("ce", "rce", "cem"), "ce", "ce | rce | cem", None),
     "train.margin": (float, 1.0, "hinge margin M", 0),
-    "train.lr": (float, 1e-2, "learning rate", None),
+    "train.lr": (float, 1e-2, "learning rate", 0),
     "train.reg": (float, None,
                   "L2 weight: weight decay in train (default 5e-2); penalty of "
                   "the feature-propagation logistic fit in certify modes (default 1e-2)",
-                  None),
+                  0),
     "train.patience": (int, 100, "early-stopping patience", 0),
     "train.epochs": (int, 1000, "max epochs", 1),
     "train.hidden": (int, 64, "hidden width (0 = linear)", 0),
-    "train.cadence": (int, 1, "inner-problem recompute cadence", 1),
     "train.per_class": (int, 20, "labeled nodes per class for train and val splits", 1),
     "sbm.n": (int, None, "node count", 1),
     "sbm.blocks": (int, None, "block count", 1),
     "sbm.p_in": (float, None, "within-block edge probability", None),
     "sbm.p_out": (float, None, "cross-block edge probability", None),
 }
+
+# the input paths whose SHA-256 a manifest records, and the only keys its
+# "input_digests" may hold
+DIGESTED_KEYS = ("paths.graph", "paths.labels", "paths.features", "paths.logits",
+                 "paths.certificates")
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -113,7 +117,7 @@ def load_config(path) -> dict[str, str]:
 
 def load_manifest(path) -> dict:
     """A manifest's JSON object: "config" and the optional "input_digests"
-    map keys to strings."""
+    map keys to strings, the digests' keys from DIGESTED_KEYS."""
     try:
         manifest = json.loads(Path(path).read_bytes())
     except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
@@ -124,6 +128,10 @@ def load_manifest(path) -> dict:
                for p in parts):
         raise ConfigError(f'manifest {path} needs "config" (and any "input_digests") '
                           f'to be objects of strings')
+    for key in parts[1]:
+        if key not in DIGESTED_KEYS:
+            raise ConfigError(f"manifest {path}: input_digests key {key!r} is not "
+                              f"an input path ({', '.join(DIGESTED_KEYS)})")
     return manifest
 
 
@@ -206,7 +214,7 @@ def _changed_inputs(digests: dict[str, str], cfg: RunConfig) -> list[str]:
     """Recorded input keys whose file is now missing or has another digest."""
     changed = []
     for key, digest in sorted(digests.items()):
-        p = cfg.values.get(key)  # manifest keys come from outside and may be unknown
+        p = cfg[key]
         if not p or not Path(p).is_file():
             changed.append(f"{key} (missing)")
         elif _sha256(Path(p)) != digest:
@@ -296,8 +304,7 @@ def _sample_targets(cfg: RunConfig, node_count: int) -> np.ndarray:
 
 def _write_manifest(cfg: RunConfig, outdir: Path, outputs: list[str]) -> None:
     digests = {}
-    for key in ("paths.graph", "paths.labels", "paths.features",
-                "paths.logits", "paths.certificates"):
+    for key in DIGESTED_KEYS:
         p = cfg[key]
         if p and Path(p).exists():
             digests[key] = _sha256(Path(p))
@@ -364,7 +371,6 @@ def run(cfg: RunConfig) -> int:
         config = robust_train.RobustLossConfig(
             kind=cfg["train.loss"],
             hinge_margin=cfg["train.margin"],
-            recompute_every=cfg["train.cadence"],
             learning_rate=cfg["train.lr"],
             weight_decay=5e-2 if reg is None else reg,
             patience=cfg["train.patience"],

@@ -12,6 +12,7 @@ the clean graph) XOR (flipped).
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +21,9 @@ from pathlib import Path
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# the most nodes whose edge keys src * N + dst, at most N**2 - 1, fit in int64
+MAX_NODE_COUNT = math.isqrt(2**63)
 
 
 class GraphFormatError(ValueError):
@@ -80,10 +84,12 @@ class DirectedGraph:
         node_count: int,
         edges,
         allow_self_loops: bool = False,
-        dedupe: bool = False,
     ) -> "DirectedGraph":
         if node_count <= 0:
             raise GraphFormatError("graph must have at least one node")
+        if node_count > MAX_NODE_COUNT:
+            raise GraphFormatError(f"node count {node_count} above {MAX_NODE_COUNT}, "
+                                   "the most whose edge keys fit in int64")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= node_count:
@@ -95,9 +101,7 @@ class DirectedGraph:
                 raise GraphFormatError(f"self-loop at node {bad} not allowed")
         keys, dup = edge_key_set(e, node_count)
         if dup:
-            if not dedupe:
-                raise GraphFormatError(f"{dup} duplicate edges")
-            logger.warning("deduplicated %d duplicate edges", dup)
+            raise GraphFormatError(f"{dup} duplicate edges")
         e = decode_keys(keys, node_count)
         deg = np.bincount(e[:, 0], minlength=node_count).astype(np.int64)
         return cls(node_count, _readonly(e), _readonly(deg))
@@ -424,15 +428,12 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def load_graph(
-    path,
-    symmetrize: bool = False,
-    allow_self_loops: bool = False,
-) -> DirectedGraph:
+def load_graph(path, symmetrize: bool = False) -> DirectedGraph:
     """Read an edge-list file: one "src<TAB>dst" pair per line, '#' comments.
 
-    Duplicate edges are deduplicated with a logged count. With symmetrize,
-    the reverse of every edge is added (recommended for citation graphs).
+    Duplicate edges are deduplicated with a logged count; a self-loop is
+    refused. With symmetrize, the reverse of every edge is added
+    (recommended for citation graphs).
     """
     path = Path(path)
     edges = []
@@ -446,9 +447,13 @@ def load_graph(
             raise GraphFormatError(
                 f"{path}:{lineno}: non-integer node id in {line!r}"
             ) from None
-        # a negative id would alias another edge's key
+        # a negative id, or one whose edge keys overflow int64, would alias
+        # another edge's key
         if min(edges[-1]) < 0:
             raise GraphFormatError(f"{path}:{lineno}: negative node id in {line!r}")
+        if max(edges[-1]) >= MAX_NODE_COUNT:
+            raise GraphFormatError(f"{path}:{lineno}: node id above "
+                                   f"{MAX_NODE_COUNT - 1} in {line!r}")
     if not edges:
         raise GraphFormatError(f"{path}: empty graph")
     e = np.asarray(edges, dtype=np.int64)
@@ -458,8 +463,7 @@ def load_graph(
         logger.warning("%s: deduplicated %d duplicate edges", path, dup)
     if symmetrize:
         keys, _ = edge_key_set(np.concatenate([e, e[:, ::-1]]), n)
-    return DirectedGraph.from_edges(n, decode_keys(keys, n),
-                                    allow_self_loops=allow_self_loops)
+    return DirectedGraph.from_edges(n, decode_keys(keys, n))
 
 
 def load_labels(path, node_count: int) -> np.ndarray:

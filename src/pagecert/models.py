@@ -23,6 +23,12 @@ logger = logging.getLogger(__name__)
 FEATURES_MAGIC = b"PCFB1\n"
 MODEL_MAGIC = b"PCMLP1\n"
 
+# feature propagation's logistic fit: gradient step, step cap, and the
+# gradient norm at which it stops
+FIT_STEP = 0.5
+FIT_ITERATION_CAP = 20000
+FIT_GRAD_TOL = 1e-8
+
 
 class ModelError(ValueError):
     pass
@@ -155,9 +161,6 @@ def feature_propagation_logits(
     labels: np.ndarray,
     reg: float = 1e-2,
     seed: int = 0,
-    lr: float = 0.5,
-    max_iter: int = 20000,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diffuse features, fit multinomial logistic regression, return H = X W.
 
@@ -180,7 +183,7 @@ def feature_propagation_logits(
 
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(X.shape[1], K))
-    for _ in range(max_iter):
+    for _ in range(FIT_ITERATION_CAP):
         Z = Xl @ W
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
@@ -188,13 +191,13 @@ def feature_propagation_logits(
         grad = Xl.T @ (P - onehot) / rows.size + reg * W
         if not np.all(np.isfinite(grad)):
             raise ModelError("logistic fit diverged (non-finite gradient)")
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= FIT_GRAD_TOL:
             break
-        W -= lr * grad
+        W -= FIT_STEP * grad
     else:
         logger.warning(
-            "logistic fit stopped at max_iter with gradient norm %.3e",
-            float(np.linalg.norm(grad)),
+            "logistic fit stopped after %d steps with gradient norm %.3e",
+            FIT_ITERATION_CAP, float(np.linalg.norm(grad)),
         )
     return X @ W, W
 

@@ -12,10 +12,10 @@ One loop serves every caller: optimize_local takes one reward or a stack
 of rewards, advances the stack in lockstep, solving all live rewards'
 graphs in one ppr.solve_transport call per round, and a reward leaves the
 stack when its flips stop changing. pair_worst_margins runs all K(K-1)
-class pairs as one stack. A round solves the rewards that flip nothing
-(all of round 1, unless init flips) on G itself when G has the edges of
-S's unflipped graph, so a ppr.factor_clean'd G serves them from its
-inverse.
+class pairs as one stack. Every reward starts unflipped. A round solves
+the rewards that flip nothing (all of round 1) on G itself when G has the
+edges of S's unflipped graph, so a ppr.factor_clean'd G serves them from
+its inverse.
 
 Ties: a flip that is already selected keeps its place unless a rival beats
 it by more than IMPROVE_TOL, so two flips whose scores differ only by
@@ -81,7 +81,6 @@ def optimize_local(
     S: PerturbationScenario,
     alpha: float,
     r: np.ndarray,
-    init: np.ndarray | None = None,
 ) -> PolicyIterationResult | LockstepResult:
     """Maximize r^T pi(z) over local-budget-admissible perturbed graphs.
 
@@ -91,10 +90,8 @@ def optimize_local(
 
     r is one reward of shape (n,), or a stack of q rewards of shape (n, q)
     run in lockstep: then a LockstepResult holds one result per column, each
-    bit for bit that of the column run alone. init, if given, is every
-    reward's starting policy: (src, dst) rows of fragile edges to flip. An
-    IterationCapError's column is the first reward still unstable at the
-    cap. A reward that flips nothing is solved on G when G has the edges of
+    bit for bit that of the column run alone. An IterationCapError's column
+    is the first reward still unstable at the cap. A reward that flips nothing is solved on G when G has the edges of
     S's unflipped graph (an asymmetric G lacks the fixed reverse edges of
     its spanning tree); each result's graph is the plain flipped graph.
     """
@@ -105,10 +102,8 @@ def optimize_local(
         raise ppr.KernelInputError("reward vector must be finite")
     stack = R.reshape(S.node_count, -1)
     q = stack.shape[1]
-    flipped = np.zeros((q, S.fragile_count), dtype=bool)
-    if init is not None:
-        flipped[:, S.fragile_index_of(init)] = True
     m = S.fragile_count
+    flipped = np.zeros((q, m), dtype=bool)
     src = S.fragile_edges[:, 0]
     dst = S.fragile_edges[:, 1]
     sign = np.where(S.fragile_in_base, -1.0, 1.0)

@@ -41,7 +41,6 @@ class RobustLossConfig:
 
     kind: str = "ce"              # "ce" | "rce" | "cem"
     hinge_margin: float = 1.0     # only used by "cem"
-    recompute_every: int = 1      # epochs between inner-problem refreshes
     learning_rate: float = 1e-2
     weight_decay: float = 5e-2
     patience: int = 100
@@ -52,8 +51,6 @@ class RobustLossConfig:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.hinge_margin < 0:
             raise ValueError("hinge margin must be nonnegative")
-        if self.recompute_every < 1:
-            raise ValueError("recompute cadence must be >= 1")
 
 
 @dataclass(eq=False)
@@ -74,26 +71,6 @@ class WorstCaseBundle:
     alpha: float
     pair_policies: dict = field(default_factory=dict)
     pair_graphs: dict = field(default_factory=dict)
-
-    def _pairs(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """The stored pair graphs and their first and second classes."""
-        c1, c2 = np.array(list(self.pair_graphs), dtype=np.int64).T
-        return list(self.pair_graphs.values()), c1, c2
-
-    def refresh_margins(self, H: np.ndarray) -> None:
-        """Re-evaluate margins on the stored graphs for new logits H: one
-        forward solve of every pair's column H[:, c1] - H[:, c2].
-
-        Exact while the stored graphs stay optimal; between solves of the
-        inner problem this is the Danskin-fixed surrogate, an upper bound
-        on the worst-case margins.
-        """
-        graphs, c1, c2 = self._pairs()
-        x = (1.0 - self.alpha) * ppr.solve_transport(
-            graphs, self.alpha, H[:, c1] - H[:, c2])
-        for p, (a, b) in enumerate(zip(c1, c2)):
-            sel = self.labels == a
-            self.margins[sel, b] = x[self.nodes[sel], p]
 
     def certified_ratio(self) -> float:
         worst = np.where(
@@ -190,14 +167,14 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
     """Map margin gradients to logit-space gradients by one adjoint solve
     on the stored pair graphs (module docstring; Danskin: the graphs are
     treated as constants)."""
-    graphs, c1, c2 = bundle._pairs()
+    c1, c2 = np.array(list(bundle.pair_graphs), dtype=np.int64).T
     # column p of s: g[l, c2] at node nodes[l] for every l labeled c1;
     # add.at sums the entries of a node listed more than once
     s = np.zeros((n, c1.size))
     mine = bundle.labels[:, None] == c1[None, :]
     np.add.at(s, bundle.nodes, np.where(mine, g_margins[:, c2], 0.0))
     x = (1.0 - bundle.alpha) * ppr.solve_transport(
-        graphs, bundle.alpha, s, transpose=True)
+        list(bundle.pair_graphs.values()), bundle.alpha, s, transpose=True)
     # column p enters dH[:, c1] with a plus and dH[:, c2] with a minus
     dH = np.zeros((n, bundle.class_count))
     np.add.at(dH.T, c1, x.T)
@@ -277,10 +254,9 @@ def train_robust(
     parameters by that criterion are restored at the end. History rows
     carry (epoch, loss, val_loss, certified_ratio).
 
-    The inner problem is solved every config.recompute_every epochs. An
-    epoch in between refreshes the margins on the stored pair graphs, which
-    need not be worst-case for its logits, so its certified_ratio is NaN,
-    as it is for every epoch of kind "ce".
+    Every epoch of kind "rce" or "cem" solves the inner problem at its own
+    logits, so its loss gradient is the exact Danskin gradient (module
+    docstring); kind "ce" solves none, and its certified_ratio is NaN.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -288,7 +264,6 @@ def train_robust(
     val_idx = np.asarray(val_idx, dtype=np.int64)
     labels = y[train_idx]
     model = model.copy()
-    bundle = None
     history: list[dict] = []
     best_val = np.inf
     best_params = model.params_flat()
@@ -299,13 +274,10 @@ def train_robust(
         H, acts = models.mlp_forward(model, X)
         # one clean diffusion per epoch serves the train and the val loss
         Hd = ppr.diffused_margins(G, alpha, H)
-        cert_ratio = float("nan")
+        bundle, cert_ratio = None, float("nan")
         if config.kind in ("rce", "cem"):
-            if epoch % config.recompute_every == 0:
-                bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
-                cert_ratio = bundle.certified_ratio()
-            else:
-                bundle.refresh_margins(H)
+            bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
+            cert_ratio = bundle.certified_ratio()
         loss, dH = robust_loss_and_grad(
             config.kind, G, alpha, H, train_idx, labels, bundle,
             config.hinge_margin, Hd=Hd,

@@ -9,7 +9,7 @@ def ring_graph(n: int, chords=()) -> DirectedGraph:
     """Symmetric ring 0-1-...-(n-1)-0 plus optional undirected chords."""
     pairs = [(i, (i + 1) % n) for i in range(n)] + list(chords)
     edges = [(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
-    return DirectedGraph.from_edges(n, edges, dedupe=True)
+    return DirectedGraph.from_edges(n, np.unique(edges, axis=0))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: int = 3

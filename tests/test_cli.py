@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pagecert import analysis, graph, policy_iter, ppr, robust_train
+from pagecert import analysis, cli, graph, policy_iter, ppr, robust_train
 from pagecert.cli import load_config, main, resolve_config
 from pagecert.graph import generate_sbm, sbm_block_labels
 from pagecert.models import FEATURES_MAGIC, save_features_bin
@@ -77,13 +77,15 @@ class TestConfigValidation:
         assert any("bogus.key" in w for w in warnings)
 
     def test_solver_method_key_is_gone(self, tmp_path, capsys):
-        # the graph's size picks the PageRank solver and the LP tolerances
-        # are fixed; an old config that still sets one of these warns and runs
+        # the graph's size picks the PageRank solver, the LP tolerances are
+        # fixed, and every robust-training epoch solves the inner problem; an
+        # old config that still sets one of these warns and runs
         assert main(["--list-keys"]) == 0
         listed = capsys.readouterr().out
         for i, setting in enumerate(["solver.method = dense",
                                      "solver.lp_feasibility = 1e-6",
-                                     "solver.lp_optimality = 1e-8"]):
+                                     "solver.lp_optimality = 1e-8",
+                                     "train.cadence = 3"]):
             key = setting.split(" = ")[0]
             cfg = base_config(tmp_path, f"sm{i}", extra=setting)
             _, warnings = validate_config(cfg)
@@ -95,12 +97,13 @@ class TestConfigValidation:
         "solver.bound_method = bogus",
         "train.margin = -1",
         "train.epochs = 0",
-        "train.cadence = 0",
         "train.per_class = 0",
         "train.patience = -1",
         "train.hidden = -1",
         "sbm.p_out = abc",
         "train.lr = abc",
+        "train.lr = -1",
+        "train.reg = -0.5",
         "targets.count = abc",
         "graph.symmetrize = maybe",
         "graph.lcc = sure",
@@ -144,9 +147,18 @@ class TestConfigValidation:
         ("--from-manifest", b'{"config": {"seed": 3}}', "objects of strings"),
         ("--from-manifest", b'{"config": {"seed": "3"}, "input_digests": []}',
          "objects of strings"),
+        ("--from-manifest", b'{"config": {"seed": "3"}, "input_digests": {"alpha": "abc"}}',
+         "input_digests key 'alpha' is not an input path"),
+        ("--from-manifest",
+         b'{"config": {"seed": "3"}, "input_digests": {"graph.lcc": "abc"}}',
+         "input_digests key 'graph.lcc' is not an input path"),
+        ("--from-manifest",
+         b'{"config": {"seed": "3"}, "input_digests": {"paths.output": "abc"}}',
+         "input_digests key 'paths.output' is not an input path"),
     ], ids=["config-not-utf8", "manifest-not-json", "manifest-not-utf8",
             "manifest-no-config", "manifest-not-object", "manifest-non-string",
-            "manifest-digests-not-object"])
+            "manifest-digests-not-object", "manifest-digest-of-number-key",
+            "manifest-digest-of-bool-key", "manifest-digest-of-output"])
     def test_unreadable_config_or_manifest(self, tmp_path, capsys, flag, content,
                                            message):
         path = tmp_path / "in.txt"
@@ -426,6 +438,45 @@ train.per_class = 4
 """.strip() + "\n"
         )
         return cfg
+
+    def test_every_key_is_read_by_some_pipeline(self, tmp_path, monkeypatch):
+        # a key that no run reads is an option nobody can set; resolve_config
+        # parses every key, so only the reads of cli.run count
+        read, reading = set(), [False]
+        getitem, run = cli.RunConfig.__getitem__, cli.run
+
+        def record(cfg, key):
+            if reading[0]:
+                read.add(key)
+            return getitem(cfg, key)
+
+        def traced_run(cfg):
+            reading[0] = True
+            try:
+                return run(cfg)
+            finally:
+                reading[0] = False
+
+        monkeypatch.setattr(cli.RunConfig, "__getitem__", record)
+        monkeypatch.setattr(cli, "run", traced_run)
+        cfg = self._train_config(tmp_path, extra="train.epochs = 2")
+        runs = {
+            "sbm": ["mode=gen-sbm", "sbm.n=12", "sbm.blocks=2", "sbm.p_in=0.7",
+                    "sbm.p_out=0.1"],
+            "train": [],
+            "labels": ["mode=certify-local", "paths.features="],
+            "features": ["mode=certify-local"],
+            "logits": ["mode=certify-local", f"paths.logits={tmp_path / 'train' / 'logits.csv'}"],
+            "global": ["mode=certify-global", "targets.count=3"],
+            "attack": ["mode=attack"],
+            "report": ["mode=report",
+                       f"paths.certificates={tmp_path / 'labels' / 'certificates.jsonl'}"],
+        }
+        for name, settings in runs.items():
+            argv = [a for s in settings + [f"paths.output={tmp_path / name}"]
+                    for a in ("--set", s)]
+            assert main(["--config", str(cfg)] + argv) == 0, name
+        assert read == set(cli.KEYS)
 
     def test_train_mode(self, tmp_path):
         cfg = self._train_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pagecert.graph import (
+    MAX_NODE_COUNT,
     DirectedGraph,
     GraphFormatError,
     ScenarioValidationError,
@@ -93,8 +94,26 @@ class TestLoadGraph:
         p.write_text("0\t0\n0\t1\n1\t0\n")
         with pytest.raises(GraphFormatError, match="self-loop"):
             load_graph(p)
-        G = load_graph(p, allow_self_loops=True)
-        assert G.edge_count == 3
+
+    @pytest.mark.parametrize("line", ["3037000499\t0", "0\t4000000000",
+                                      "1\t" + "9" * 30])
+    def test_node_id_whose_edge_keys_overflow_names_line(self, tmp_path, line):
+        # src * N + dst wraps around int64 once N exceeds 3,037,000,499; the
+        # loader used to report a wrapped key's endpoint as out of range, or
+        # crash on an id beyond int64
+        p = tmp_path / "g.tsv"
+        p.write_text(f"0\t1\n3037000498\t0\n{line}\n")
+        with pytest.raises(GraphFormatError,
+                           match=re.escape(f"{p}:3: node id above 3037000498")):
+            load_graph(p)
+
+    def test_node_count_whose_edge_keys_overflow_is_refused(self):
+        # the largest key, N**2 - 1, must fit in int64; 2**62 nodes would also
+        # ask for an out-degree array larger than any address space
+        assert (MAX_NODE_COUNT**2 - 1 <= np.iinfo(np.int64).max
+                < (MAX_NODE_COUNT + 1)**2 - 1)
+        with pytest.raises(GraphFormatError, match=f"node count {2**62} above"):
+            DirectedGraph.from_edges(2**62, [(0, 1)])
 
 
 class TestBuildScenario:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pagecert import models
 from pagecert.graph import DirectedGraph, generate_sbm, sbm_block_labels
 from pagecert.models import (
     MODEL_MAGIC,
@@ -140,12 +141,13 @@ class TestPredict:
 
 
 class TestFeaturePropagation:
-    def test_memorizes_separable_labels(self, rng):
+    def test_memorizes_separable_labels(self, rng, monkeypatch):
+        monkeypatch.setattr(models, "FIT_STEP", 1.0)
+        monkeypatch.setattr(models, "FIT_ITERATION_CAP", 50000)
         G = random_connected_graph(rng, 8, extra=3)
         y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         X = np.eye(8)
-        H, W = feature_propagation_logits(G, ALPHA, X, y, reg=1e-4, lr=1.0,
-                                          max_iter=50000)
+        H, W = feature_propagation_logits(G, ALPHA, X, y, reg=1e-4)
         diff = diffused_margins(G, ALPHA, H)
         assert np.all(np.argmax(diff, axis=1) == y)
 
@@ -156,7 +158,8 @@ class TestFeaturePropagation:
         assert np.all(H == 0.0)
         assert np.all(predict(G, ALPHA, np.zeros((5, 2)) + 0.0) == 0)
 
-    def test_sbm_block_features_generalize(self):
+    def test_sbm_block_features_generalize(self, monkeypatch):
+        monkeypatch.setattr(models, "FIT_STEP", 1.0)
         G = generate_sbm(30, 2, 0.6, 0.05, seed=4)
         labels = sbm_block_labels(30, 2)
         X = np.zeros((30, 2))
@@ -164,7 +167,7 @@ class TestFeaturePropagation:
         y_train = np.full(30, -1)
         train = [0, 1, 2, 15, 16, 17]
         y_train[train] = labels[train]
-        H, _ = feature_propagation_logits(G, ALPHA, X, y_train, reg=1e-3, lr=1.0)
+        H, _ = feature_propagation_logits(G, ALPHA, X, y_train, reg=1e-3)
         pred = predict(G, ALPHA, H)
         test = np.setdiff1d(np.arange(30), train)
         acc = float(np.mean(pred[test] == labels[test]))
@@ -177,12 +180,13 @@ class TestFeaturePropagation:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_degenerate_fit_reports_divergence(self, rng):
+    def test_degenerate_fit_reports_divergence(self, rng, monkeypatch):
+        monkeypatch.setattr(models, "FIT_STEP", 1e9)
         G = random_connected_graph(rng, 5, extra=1)
         X = rng.normal(size=(5, 2)) * 1e6
         y = np.array([0, 1, 0, 1, -1])
         with pytest.raises(ModelError, match="diverged"):
-            feature_propagation_logits(G, ALPHA, X, y, lr=1e9)
+            feature_propagation_logits(G, ALPHA, X, y)
 
 
 class TestSplitAndIo:

@@ -233,8 +233,9 @@ class TestDenseSolve:
         edges = rng.integers(0, n, size=(160, 2))
         loops = np.repeat(np.arange(0, n, 3), 2).reshape(-1, 2)
         ring = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
-        G = DirectedGraph.from_edges(n, np.concatenate([edges, loops, ring]),
-                                     allow_self_loops=True, dedupe=True)
+        G = DirectedGraph.from_edges(
+            n, np.unique(np.concatenate([edges, loops, ring]), axis=0),
+            allow_self_loops=True)
         assert np.any(G.edges[:, 0] == G.edges[:, 1])
         b = rng.normal(size=(n, 3))
         P = transition_matrix(G).toarray()
@@ -385,9 +386,9 @@ def solver_graphs(draw):
         spokes = np.array([(h, v) for h in hubs for v in range(n)])
         edges = np.concatenate([ring, extra, spokes, spokes[:, ::-1]])
         edges = edges[edges[:, 0] != edges[:, 1]]
-        return [DirectedGraph.from_edges(n, edges, dedupe=True)]
+        return [DirectedGraph.from_edges(n, np.unique(edges, axis=0))]
     edges = np.concatenate([ring, extra])
-    G = DirectedGraph.from_edges(n, edges[edges[:, 0] != edges[:, 1]], dedupe=True)
+    G = DirectedGraph.from_edges(n, np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0))
     S = build_scenario(G, "remove-only")
     return [flipped_graph(S, rng.random(S.fragile_count) < draw(st.floats(0, 1)))
             for _ in range(draw(st.integers(1, 4)))]
@@ -527,10 +528,10 @@ def clean_graphs(draw):
         spokes = np.array([(h, v) for h in hubs for v in range(n)])
         edges = np.concatenate([ring, extra, spokes, spokes[:, ::-1]])
         edges = edges[edges[:, 0] != edges[:, 1]]
-        return DirectedGraph.from_edges(n, edges, dedupe=True)
+        return DirectedGraph.from_edges(n, np.unique(edges, axis=0))
     loops = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
     edges = np.concatenate([ring, extra, np.column_stack((loops, loops))])
-    return DirectedGraph.from_edges(n, edges, allow_self_loops=True, dedupe=True)
+    return DirectedGraph.from_edges(n, np.unique(edges, axis=0), allow_self_loops=True)
 
 
 class TestCleanOperator:
