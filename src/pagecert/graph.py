@@ -532,7 +532,7 @@ def load_scenario(path) -> PerturbationScenario:
         except ValueError:
             vals = None
         if (vals is None or len(vals) != arity[key]
-                or key == "node_count" and vals[0] < 1):
+                or key == "node_count" and not 1 <= vals[0] <= MAX_NODE_COUNT):
             raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
         if key in ("local_budget", "global_budget") and vals[-1] < 0:
             raise ScenarioValidationError(

@@ -350,6 +350,7 @@ class TestScenarioRoundTrip:
         "fixed 0 1 9",         # used to be accepted
         "fragile 2 3",
         "node_count -2",       # used to raise a bare numpy ValueError
+        "node_count 4611686018427387904",  # 2**62: edge keys overflow int64
         "local_budget 0 -4",   # these two used to name no line
         "global_budget -1",
         "fixed 0 \xff",          # used to raise a bare UnicodeDecodeError
