@@ -92,8 +92,7 @@ KEYS = {
     "sbm.p_out": (float, None, "cross-block edge probability", None),
 }
 
-# the input paths whose SHA-256 a manifest records, and the only keys its
-# "input_digests" may hold
+# the inputs a manifest digests: the only keys its "input_digests" may hold
 DIGESTED_KEYS = ("paths.graph", "paths.labels", "paths.features", "paths.logits",
                  "paths.certificates")
 

@@ -12,7 +12,6 @@ the clean graph) XOR (flipped).
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 # the most nodes whose edge keys src * N + dst, at most N**2 - 1, fit in int64
-MAX_NODE_COUNT = math.isqrt(2**63)
+MAX_NODE_COUNT = 3037000499   # isqrt(2**63)
 
 
 class GraphFormatError(ValueError):

@@ -23,8 +23,7 @@ logger = logging.getLogger(__name__)
 FEATURES_MAGIC = b"PCFB1\n"
 MODEL_MAGIC = b"PCMLP1\n"
 
-# feature propagation's logistic fit: gradient step, step cap, and the
-# gradient norm at which it stops
+# feature propagation's logistic fit: step size, step cap, gradient norm to stop at
 FIT_STEP = 0.5
 FIT_ITERATION_CAP = 20000
 FIT_GRAD_TOL = 1e-8

@@ -91,9 +91,10 @@ def optimize_local(
     r is one reward of shape (n,), or a stack of q rewards of shape (n, q)
     run in lockstep: then a LockstepResult holds one result per column, each
     bit for bit that of the column run alone. An IterationCapError's column
-    is the first reward still unstable at the cap. A reward that flips nothing is solved on G when G has the edges of
-    S's unflipped graph (an asymmetric G lacks the fixed reverse edges of
-    its spanning tree); each result's graph is the plain flipped graph.
+    is the first reward still unstable at the cap. A reward that flips
+    nothing is solved on G when G has the edges of S's unflipped graph (an
+    asymmetric G lacks the fixed reverse edges of its spanning tree); each
+    result's graph is the plain flipped graph.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):

@@ -147,7 +147,8 @@ class TestConfigValidation:
         ("--from-manifest", b'{"config": {"seed": 3}}', "objects of strings"),
         ("--from-manifest", b'{"config": {"seed": "3"}, "input_digests": []}',
          "objects of strings"),
-        ("--from-manifest", b'{"config": {"seed": "3"}, "input_digests": {"alpha": "abc"}}',
+        ("--from-manifest",
+         b'{"config": {"seed": "3"}, "input_digests": {"alpha": "abc"}}',
          "input_digests key 'alpha' is not an input path"),
         ("--from-manifest",
          b'{"config": {"seed": "3"}, "input_digests": {"graph.lcc": "abc"}}',
@@ -466,7 +467,8 @@ train.per_class = 4
             "train": [],
             "labels": ["mode=certify-local", "paths.features="],
             "features": ["mode=certify-local"],
-            "logits": ["mode=certify-local", f"paths.logits={tmp_path / 'train' / 'logits.csv'}"],
+            "logits": ["mode=certify-local",
+                       f"paths.logits={tmp_path / 'train' / 'logits.csv'}"],
             "global": ["mode=certify-global", "targets.count=3"],
             "attack": ["mode=attack"],
             "report": ["mode=report",
