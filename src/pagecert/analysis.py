@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DirectedGraph, edge_key_set
+from .graph import INT64, DirectedGraph, edge_key_set
 
 # the certificate table's columns and their types: the JSON-lines keys in
 # order, then "witness", each row's flip array, written as "witness_flips"
@@ -22,7 +22,6 @@ PURITY_BUCKETS = 5
 # the most one- and two-hop paths _purities expands at once, unless one node
 # has more: its index arrays then stay within a few tens of MB
 PURITY_BLOCK_PATHS = 1 << 18
-_INT64 = range(-2**63, 2**63)
 
 
 class CertificateFormatError(ValueError):
@@ -50,45 +49,21 @@ def _flips_json(flips: np.ndarray) -> str:
     return "[" + rows % tuple(flips.ravel().tolist()) + "]"
 
 
-def _write_spliced_jsonl(path, rows, key: str) -> None:
-    """One json.dumps({**head, key: flips.tolist()}) line per (head, flips).
-
-    Rows often share one flips array (the local records of one class pair
-    share their witness), so each distinct array is serialised once and
-    spliced in as the last key.
-    """
+def write_certificates_jsonl(records, path) -> None:
+    """One line per row of a route's table: json.dumps of its columns as a
+    dict, in column order, with the witness last as "witness_flips"; each
+    distinct witness array (the local rows of one class pair share one) is
+    serialised once and spliced in."""
+    # every column but the witness; zip stops there, before the row's witness
+    names = records.dtype.names[:-1]
     flips_json: dict[int, tuple[np.ndarray, str]] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
-        for head, flips in rows:
+        for row, flips in zip(records.tolist(), records.witness):
             # the array is kept in the entry, so its id is not reused
             if id(flips) not in flips_json:
                 flips_json[id(flips)] = (flips, _flips_json(flips))
-            fh.write(f'{json.dumps(head)[:-1]}, "{key}": '
-                     f"{flips_json[id(flips)][1]}}}\n")
-
-
-def write_certificates_jsonl(records, path) -> None:
-    """One line per row of a route's table: json.dumps of its columns as a
-    dict, in column order, with the witness last as "witness_flips"."""
-    names = records.dtype.names
-    # zip stops at the names, before the row's witness
-    _write_spliced_jsonl(path, zip(
-        (dict(zip(names[:-1], row)) for row in records.tolist()),
-        records.witness), "witness_flips")
-
-
-def write_attacks_jsonl(records, path) -> None:
-    """One {"node", "worst_margin", "flips"} line per non-robust local
-    certificate with a non-empty witness."""
-    witness = records.witness
-    sizes = np.fromiter(map(len, witness), np.int64, len(witness))
-    hit = np.flatnonzero((records.status == "nonrobust") & (sizes > 0))
-    _write_spliced_jsonl(path, (
-        ({"node": node, "worst_margin": margin}, flips)
-        for node, margin, flips in zip(records.node[hit].tolist(),
-                                       records.worst_margin[hit].tolist(),
-                                       witness[hit])
-    ), "flips")
+            head = json.dumps(dict(zip(names, row)))
+            fh.write(f'{head[:-1]}, "witness_flips": {flips_json[id(flips)][1]}}}\n')
 
 
 def read_certificates_jsonl(path) -> np.recarray:
@@ -110,7 +85,7 @@ def read_certificates_jsonl(path) -> np.recarray:
             except ValueError:           # bad JSON or bad UTF-8
                 rec = None
             if not (isinstance(rec, dict) and all(k in rec for k in HEAD_KEYS)
-                    and all(type(rec[k]) is int and rec[k] in _INT64
+                    and all(type(rec[k]) is int and rec[k] in INT64
                             for k in ("node", "y", "worst_class"))
                     and type(rec["worst_margin"]) in (int, float)
                     # false for NaN, infinities and ints beyond float64

@@ -40,7 +40,6 @@ _REQUIRED = {
     "certify-local": ["paths.graph", "paths.output"],
     "certify-global": ["paths.graph", "paths.output"],
     "train": ["paths.graph", "paths.features", "paths.labels", "paths.output"],
-    "attack": ["paths.graph", "paths.output"],
     "gen-sbm": ["paths.output", "sbm.n", "sbm.blocks", "sbm.p_in", "sbm.p_out"],
     "report": ["paths.graph", "paths.certificates", "paths.output"],
 }
@@ -52,7 +51,7 @@ _REQUIRED = {
 # mode, so its two readers supply it.
 KEYS = {
     "mode": (tuple(_REQUIRED), None,
-             "certify-local | certify-global | train | attack | gen-sbm | report", None),
+             "certify-local | certify-global | train | gen-sbm | report", None),
     "alpha": (float, 0.85, "damping factor (default 0.85)", None),
     "seed": (int, 0, "base RNG seed", 0),
     "paths.graph": (str, None, "edge-list input", None),
@@ -391,7 +390,7 @@ def run(cfg: RunConfig) -> int:
         models.save_logits_csv(H, outdir / "logits.csv")
         outputs += ["model.bin", "history.csv", "logits.csv"]
 
-    else:  # certify-local, attack, certify-global, report
+    else:  # certify-local, certify-global, report
         G, y, nodes = _load_inputs(cfg)
         if mode == "report":
             certs = analysis.read_certificates_jsonl(cfg["paths.certificates"])
@@ -416,9 +415,6 @@ def run(cfg: RunConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         analysis.write_summary_csv(rows, outdir / "summary.csv")
         outputs.append("summary.csv")
-        if mode == "attack":
-            analysis.write_attacks_jsonl(certs, outdir / "attacks.jsonl")
-            outputs.append("attacks.jsonl")
 
     _write_manifest(cfg, outdir, outputs)
     return 0

@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 # the most nodes whose edge keys src * N + dst, at most N**2 - 1, fit in int64
 MAX_NODE_COUNT = 3037000499   # isqrt(2**63)
+INT64 = range(-2**63, 2**63)   # the Python ints that fit in an int64
 
 
 class GraphFormatError(ValueError):
@@ -467,7 +468,8 @@ def load_graph(path, symmetrize: bool = False) -> DirectedGraph:
 
 def load_labels(path, node_count: int) -> np.ndarray:
     """Read "node<TAB>label" lines into an int array (-1 where unlabeled);
-    a node may repeat only with the same label."""
+    a node may repeat only with the same label, and a class id is below
+    node_count, as the N x K logits are sized by the largest one."""
     path = Path(path)
     y = np.full(node_count, -1, dtype=np.int64)
     for lineno, line in read_lines(path, GraphFormatError):
@@ -482,6 +484,9 @@ def load_labels(path, node_count: int) -> np.ndarray:
             raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
         if lab < 0:
             raise GraphFormatError(f"{path}:{lineno}: negative class id {lab}")
+        if lab >= node_count:
+            raise GraphFormatError(f"{path}:{lineno}: class id {lab} not below "
+                                   f"the node count {node_count}")
         if y[v] not in (-1, lab):
             raise GraphFormatError(f"{path}:{lineno}: node {v} has label {y[v]} "
                                    f"on an earlier line, {lab} here")
@@ -512,8 +517,9 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
 
 
 def load_scenario(path) -> PerturbationScenario:
-    """Inverse of dump_scenario; a malformed line, a negative budget or a
-    node id outside [0, node_count) is an error naming path:line."""
+    """Inverse of dump_scenario; a malformed line (a field outside int64
+    among them), a negative budget or a node id outside [0, node_count) is
+    an error naming path:line."""
     path = Path(path)
     n = None
     bg = None
@@ -531,6 +537,7 @@ def load_scenario(path) -> PerturbationScenario:
         except ValueError:
             vals = None
         if (vals is None or len(vals) != arity[key]
+                or any(v not in INT64 for v in vals)
                 or key == "node_count" and not 1 <= vals[0] <= MAX_NODE_COUNT):
             raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
         if key in ("local_budget", "global_budget") and vals[-1] < 0:

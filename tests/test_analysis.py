@@ -14,7 +14,6 @@ from pagecert.analysis import (
     certified_ratio,
     neighborhood_purity,
     read_certificates_jsonl,
-    write_attacks_jsonl,
     write_certificates_jsonl,
     write_summary_csv,
 )
@@ -264,24 +263,6 @@ class TestSerialization:
     ], ids=["empty", "one-row", "random", "large-ids"])
     def test_flips_json_is_json_dumps(self, flips):
         assert _flips_json(flips) == json.dumps(flips.tolist())
-
-    def test_attacks_file_is_one_dump_per_line(self, tmp_path, rng):
-        # nodes of one class pair share one witness array, which the writer
-        # serialises once; the bytes must match dumping every line whole
-        G, _ = random_instance(rng, 9, extra=4)
-        S = build_scenario(G, "remove-only", strength=9)
-        H = rng.normal(size=(9, 3))
-        certs = certify_local_all(G, S, ALPHA, H, y=np.arange(9) % 3)
-        attacked = [c for c in certs if c.status == "nonrobust" and len(c.witness)]
-        assert len({id(c.witness) for c in attacked}) < len(attacked)
-        assert len(attacked) < len(certs)
-        p = tmp_path / "a.jsonl"
-        write_attacks_jsonl(certs, p)
-        assert p.read_text() == "".join(json.dumps({
-            "node": int(c.node),
-            "worst_margin": float(c.worst_margin),
-            "flips": c.witness.tolist(),
-        }) + "\n" for c in attacked)
 
     def test_record_schema_keys(self, tmp_path, rng):
         G, S = random_instance(rng, 5, extra=2)

@@ -254,13 +254,6 @@ class TestPipelines:
         # carry a verified attack
         assert not any(r["attack_verified"] for r in records)
 
-    def test_attack_mode_writes_witnesses(self, tmp_path):
-        cfg = base_config(tmp_path, "atk", mode="attack",
-                          extra="scenario.strength = 12")
-        assert main(["--config", str(cfg)]) == 0
-        out = tmp_path / "atk"
-        assert (out / "attacks.jsonl").exists()
-
     def test_gen_sbm_mode(self, tmp_path):
         cfg = tmp_path / "g.cfg"
         cfg.write_text(
@@ -366,6 +359,18 @@ class TestPipelines:
         assert f"{lpath}:3: negative class id -3" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
 
+    @pytest.mark.parametrize("lab", [2**62, 10**23])
+    def test_class_id_beyond_node_count_is_reported(self, tmp_path, capsys, lab):
+        # such ids used to size the N x K logits past memory (2**62) or
+        # overflow int64 (10**23), each a traceback and exit 1
+        cfg = base_config(tmp_path, "big")
+        lpath = tmp_path / "labels.tsv"
+        lpath.write_text(f"0\t0\n1\t1\n5\t{lab}\n")
+        assert main(["--config", str(cfg)]) == 4
+        assert (f"{lpath}:3: class id {lab} not below the node count 12"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "big").exists()
+
     def test_conflicting_label_is_reported(self, tmp_path, capsys):
         cfg = base_config(tmp_path, "dup")
         lpath = tmp_path / "labels.tsv"
@@ -441,9 +446,10 @@ train.per_class = 4
         return cfg
 
     def test_every_key_is_read_by_some_pipeline(self, tmp_path, monkeypatch):
-        # a key that no run reads is an option nobody can set; resolve_config
-        # parses every key, so only the reads of cli.run count
-        read, reading = set(), [False]
+        # a key that no run reads is an option nobody can set, and a mode that
+        # no run takes is a path nobody tests; resolve_config parses every
+        # key, so only the reads of cli.run count
+        read, modes, reading = set(), set(), [False]
         getitem, run = cli.RunConfig.__getitem__, cli.run
 
         def record(cfg, key):
@@ -452,6 +458,7 @@ train.per_class = 4
             return getitem(cfg, key)
 
         def traced_run(cfg):
+            modes.add(getitem(cfg, "mode"))
             reading[0] = True
             try:
                 return run(cfg)
@@ -470,7 +477,6 @@ train.per_class = 4
             "logits": ["mode=certify-local",
                        f"paths.logits={tmp_path / 'train' / 'logits.csv'}"],
             "global": ["mode=certify-global", "targets.count=3"],
-            "attack": ["mode=attack"],
             "report": ["mode=report",
                        f"paths.certificates={tmp_path / 'labels' / 'certificates.jsonl'}"],
         }
@@ -479,6 +485,7 @@ train.per_class = 4
                     for a in ("--set", s)]
             assert main(["--config", str(cfg)] + argv) == 0, name
         assert read == set(cli.KEYS)
+        assert modes == set(cli._REQUIRED)
 
     def test_train_mode(self, tmp_path):
         cfg = self._train_config(tmp_path)
@@ -619,34 +626,29 @@ train.per_class = 4
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
-    def test_certify_local_and_attack_load_no_scipy(self, tmp_path):
+    def test_certify_local_loads_no_scipy(self, tmp_path):
         # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely, so a
         # local run on the largest such graph needs no sparse matrix
         gpath, lpath = write_fixture(tmp_path, n=512, blocks=3, p_in=0.05,
                                      p_out=0.005)
-        cfgs = []
-        for mode in ("certify-local", "attack"):
-            cfg = tmp_path / f"{mode}.cfg"
-            cfg.write_text(f"mode = {mode}\nalpha = 0.85\npaths.graph = {gpath}\n"
-                           f"paths.labels = {lpath}\npaths.output = {tmp_path / mode}\n"
-                           "scenario.mode = remove-only\nscenario.strength = 4\n")
-            cfgs.append(str(cfg))
+        cfg = tmp_path / "local.cfg"
+        cfg.write_text(f"mode = certify-local\nalpha = 0.85\npaths.graph = {gpath}\n"
+                       f"paths.labels = {lpath}\npaths.output = {tmp_path / 'local'}\n"
+                       "scenario.mode = remove-only\nscenario.strength = 4\n")
         src = Path(__file__).resolve().parents[1] / "src"
         script = (
             "import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import pagecert.cli\n"
-            f"for cfg in {cfgs!r}:\n"
-            "    assert pagecert.cli.main(['--config', cfg]) == 0\n"
-            "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         proc = subprocess.run([sys.executable, "-I", "-c", script],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
-        certs = (tmp_path / "certify-local" / "certificates.jsonl").read_text()
+        assert proc.stdout.splitlines() == ["[]"]
+        certs = (tmp_path / "local" / "certificates.jsonl").read_text()
         assert len(certs.splitlines()) == 512
-        assert (tmp_path / "attack" / "attacks.jsonl").stat().st_size > 0
 
     def test_unusable_output_fails_before_training(self, tmp_path, capsys,
                                                    monkeypatch):

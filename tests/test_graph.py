@@ -354,6 +354,10 @@ class TestScenarioRoundTrip:
         "local_budget 0 -4",   # these two used to name no line
         "global_budget -1",
         "fixed 0 \xff",          # used to raise a bare UnicodeDecodeError
+        "fixed 0 99999999999999999999999",  # these three beyond int64 used
+        "fragile 99999999999999999999999 1",  # to raise a bare OverflowError
+        "local_budget 0 99999999999999999999999",
+        "global_budget 99999999999999999999999",  # used to be clamped to |F|
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line):
         p = tmp_path / "scenario.txt"
@@ -383,6 +387,18 @@ class TestLabels:
         p.write_text("0\t1\n3\t-3\n")
         with pytest.raises(GraphFormatError, match=re.escape(f"{p}:2: negative class id -3")):
             load_labels(p, 4)
+
+    @pytest.mark.parametrize("lab", [3, 2**62, 10**23])
+    def test_class_id_at_or_above_node_count(self, tmp_path, lab):
+        # 10**23 used to overflow int64 at y[v] = lab; 2**62 passed, and
+        # sized the N x K logits past memory
+        p = tmp_path / "labels.tsv"
+        p.write_text(f"0\t1\n1\t{lab}\n")
+        with pytest.raises(GraphFormatError, match=re.escape(
+                f"{p}:2: class id {lab} not below the node count 3")):
+            load_labels(p, 3)
+        p.write_text("0\t1\n1\t2\n")
+        assert list(load_labels(p, 3)) == [1, 2, -1]
 
 
 @settings(max_examples=40, deadline=None)
