@@ -11,8 +11,9 @@ pair certifies all nodes at once.
 One loop serves every caller: optimize_local takes one reward or a stack
 of rewards, advances the stack in lockstep, solving all live rewards'
 graphs in one ppr.solve_transport call per round, and a reward leaves the
-stack when its flips stop changing. pair_worst_margins runs all K(K-1)
-class pairs as one stack. Every reward starts unflipped. A round solves
+stack when its flips stop changing. pair_worst_margins runs the K(K-1)
+class pairs as one stack, or those of the classes certify_local_all
+defends. Every reward starts unflipped. A round solves
 the rewards that flip nothing (all of round 1) on G itself when G has the
 edges of S's unflipped graph, so a ppr.factor_clean'd G serves them from
 its inverse.
@@ -183,8 +184,11 @@ def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
     return take
 
 
-def class_pairs(class_count: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(class_count) for b in range(class_count) if a != b]
+def class_pairs(class_count: int, defended=None) -> list[tuple[int, int]]:
+    """Ordered pairs (a, b) of distinct classes, a among defended (all
+    classes when None)."""
+    first = range(class_count) if defended is None else sorted(set(defended))
+    return [(a, b) for a in first for b in range(class_count) if a != b]
 
 
 def pair_worst_margins(
@@ -192,8 +196,10 @@ def pair_worst_margins(
     S: PerturbationScenario,
     alpha: float,
     H: np.ndarray,
+    defended=None,
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
-    """Optimize every ordered class pair (c1, c2) in one lockstep run.
+    """Optimize every ordered class pair (c1, c2), c1 among defended (every
+    class when None), in one lockstep run.
 
     Returns, per pair, the vector of worst-case margins
     min over admissible graphs of pi(e_t)^T (H[:, c1] - H[:, c2]) for every
@@ -203,7 +209,7 @@ def pair_worst_margins(
     optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2])).
     """
     H = models.check_logits(H)
-    pairs = class_pairs(H.shape[1])
+    pairs = class_pairs(H.shape[1], defended)
     c1, c2 = np.array(pairs).T
     try:
         stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
@@ -244,12 +250,15 @@ def certify_local_all(
     y = models.check_labels(y, G.node_count, K)
 
     # worst[t, c]: node t's worst margin against c, +inf at its own class;
-    # argmin keeps the lowest class among equal margins. policies[c1 * K + c2]
-    # is pair (c1, c2)'s policy, set by index: a slice assignment would
+    # argmin keeps the lowest class among equal margins. Only pairs (c1, c2)
+    # with a node of class c1 are run, as no other pair is read: (number of
+    # classes in y) * (K - 1) pairs, not K(K - 1). policies[c1 * K + c2] is
+    # pair (c1, c2)'s policy, set by index: a slice assignment would
     # broadcast policies of equal shape into one array
     worst = np.full((G.node_count, K), np.inf)
     policies = np.empty(K * K, dtype=object)
-    for (c1, c2), (margins, res) in pair_worst_margins(G, S, alpha, H).items():
+    for (c1, c2), (margins, res) in pair_worst_margins(
+            G, S, alpha, H, np.unique(y).tolist()).items():
         sel = y == c1
         worst[sel, c2] = margins[sel]
         policies[c1 * K + c2] = res.policy

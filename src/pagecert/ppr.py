@@ -21,10 +21,10 @@ solve_transport also takes a sequence of graphs on the same nodes, one
 right-hand-side column each, as policy iteration solves every live class
 pair's graph in one call per round. The dense path stacks their matrices
 into one LU call (per DENSE_STACK_BYTES of matrices); the iterative path
-builds one block-diagonal CSR of all the graphs (transition_matrix takes a
-sequence too) and runs BiCGSTAB on every (graph, column) system at once,
-each stopping on its own. Either way each column is bit for bit what a
-single-graph call returns.
+builds one block-diagonal operator of all the graphs (transition_matrix
+takes a sequence too) and runs BiCGSTAB on every (graph, column) system at
+once, each stopping on its own. Either way each column is bit for bit what
+a single-graph call returns.
 
 Factored graphs: a caller that solves on one graph of at most DENSE_LIMIT
 nodes many times (train_robust, and certify_local_all with three classes
@@ -37,10 +37,9 @@ stable as an LU solve is, and near a = 1 it can miss the bound: a column
 that does takes one step of iterative refinement. Every column returned
 passes the residual test above, so the same bound holds.
 
-scipy is loaded only where it is used: transition_matrix (the iterative
-path above DENSE_LIMIT) and graph.largest_connected_component. Local and
-global certificates and training on a graph of at most DENSE_LIMIT nodes
-run on numpy alone.
+Every path runs on numpy alone. The iterative path's operator is a
+JaggedMatrix: its product sums each row in the order of scipy's CSR
+product, from +0.0, so it returns scipy's bits without loading scipy.
 
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the
@@ -53,14 +52,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import DirectedGraph
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DENSE_LIMIT = 512
 DENSE_STACK_BYTES = 1 << 25   # bytes of matrices per stacked dense LU solve
@@ -85,39 +80,77 @@ def _edge_weights(G: DirectedGraph) -> np.ndarray:
     return np.repeat(1.0 / deg, deg)
 
 
-def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph]) -> sp.csr_matrix:
-    """Row-stochastic P = D^-1 A; errors on zero out-degree nodes.
+@dataclass(frozen=True, eq=False)
+class JaggedMatrix:
+    """A square sparse matrix in jagged-diagonal order (Saad, "Iterative
+    Methods for Sparse Linear Systems", 2nd ed., SIAM 2003, section 3.4).
 
-    Given a sequence of graphs on the same n nodes, the block-diagonal CSR
-    of their P, block j on rows j*n .. (j+1)*n - 1, with int32 indices
-    where they fit. Each G.edges is sorted by (src, dst) without
-    duplicates, so its dst column is already the block's CSR column index
-    array and its row pointers are the cumulative out-degrees; the arrays
-    are filled in place.
+    The rows are ordered by entry count, most first; row i takes place
+    rank[i] of that order, so the rows holding a k-th entry take places
+    0 .. size_k - 1. Step k holds those k-th entries, cols and data
+    [ptr[k], ptr[k] + size_k), in that order. A product adds step k's
+    products into a zero-initialised accumulator, so each row sums its
+    entries in their given order starting from +0.0, as scipy's CSR
+    product does, and each column of a many-column y as it would alone.
     """
-    import scipy.sparse as sp
 
+    rank: np.ndarray                # each row's place, most entries first
+    ptr: np.ndarray                 # step bounds into cols and data
+    cols: np.ndarray                # intp, which take reads without a copy
+    data: np.ndarray
+    counts: np.ndarray              # entries of each row
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        """The product with y of shape (n,) or (n, c)."""
+        acc = np.zeros(y.shape)
+        data = self.data if y.ndim == 1 else self.data[:, None]
+        bounds = self.ptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            t = y.take(self.cols[lo:hi], axis=0)
+            t *= data[lo:hi]
+            acc[:hi - lo] += t
+        return acc.take(self.rank, axis=0)
+
+
+def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph],
+                      transpose: bool = False) -> JaggedMatrix:
+    """Row-stochastic P = D^-1 A, or P^T; errors on zero out-degree nodes.
+
+    Given a sequence of graphs on the same n nodes, the block-diagonal
+    stack of their P[^T], block j on rows j*n .. (j+1)*n - 1. Each G.edges
+    is sorted by (src, dst) without duplicates, so a row of P holds its
+    entries in column order, and a row of P^T in source order after a
+    stable sort on the destination: the orders of scipy's canonical CSR of
+    P and of its .T.tocsr(). Each entry goes straight to its place in the
+    jagged-diagonal arrays, one graph at a time.
+    """
     graphs = [G] if isinstance(G, DirectedGraph) else list(G)
     if not graphs or any(g.node_count != graphs[0].node_count for g in graphs):
         raise KernelInputError("need one or more graphs on the same nodes")
     n = graphs[0].node_count
-    nnz = sum(g.edge_count for g in graphs)
-    dim = len(graphs) * n
-    idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx)
-    indptr = np.zeros(dim + 1, dtype=idx)
-    lo = 0
+    counts = np.concatenate([np.bincount(g.edges[:, int(transpose)], minlength=n)
+                             for g in graphs])
+    rank = np.empty_like(counts)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(counts.size)
+    # sizes[k] rows hold a k-th entry
+    sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
+    ptr = np.concatenate(([0], np.cumsum(sizes)))
+    cols = np.empty(ptr[-1], dtype=counts.dtype)
+    data = np.empty(ptr[-1])
     for j, g in enumerate(graphs):
-        hi = lo + g.edge_count
-        data[lo:hi] = _edge_weights(g)
-        indices[lo:hi] = g.edges[:, 1]
-        indices[lo:hi] += j * n
-        rows = indptr[j * n + 1:(j + 1) * n + 1]
-        np.cumsum(g.out_degree, out=rows)
-        rows += lo
-        lo = hi
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+        row, col = g.edges.T
+        w = _edge_weights(g)
+        if transpose:
+            by_dst = np.argsort(col, kind="stable")
+            row, col, w = col[by_dst], row[by_dst], w[by_dst]
+        # row is sorted: an entry's step is its place within its row
+        row_counts = counts[j * n:(j + 1) * n]
+        step = np.arange(row.size) - np.repeat(np.cumsum(row_counts) - row_counts,
+                                               row_counts)
+        at = ptr[step] + rank[j * n + row]
+        cols[at] = col + j * n
+        data[at] = w
+    return JaggedMatrix(rank, ptr, cols, data, counts)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -338,20 +371,18 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     from its x with r^ = r.
     """
     q, n, c = b.shape
-    A = transition_matrix(graphs)
-    if transpose:
-        A = A.T.tocsr()
-    A.data *= alpha
+    A = transition_matrix(graphs, transpose)
+    np.multiply(A.data, alpha, out=A.data)
     # each block's most nonzeros in a row, for each of its c systems
-    row_nnz = np.repeat(np.diff(A.indptr).reshape(q, n).max(axis=1), c)
+    row_nnz = np.repeat(A.counts.reshape(q, n).max(axis=1), c)
     B = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(q * c, n)
 
     def matvec(y):
-        """alpha * M y: one CSR product over the (q * n, c) layout that the
-        block-diagonal operator acts on, copied each way when c > 1. scipy
-        sums each entry in the same order for any c, so a system's result
-        does not depend on the systems beside it; the result is C-ordered,
-        as dot needs."""
+        """alpha * M y: one product over the (q * n, c) layout that the
+        block-diagonal operator acts on, copied each way when c > 1. Each
+        entry sums in the same order for any c (JaggedMatrix), so a
+        system's result does not depend on the systems beside it; the
+        result is C-ordered, as dot needs."""
         ay = A @ y.reshape(q, c, n).transpose(0, 2, 1).reshape(q * n, c)
         return np.ascontiguousarray(ay.reshape(q, n, c).transpose(0, 2, 1)
                                     ).reshape(q * c, n)

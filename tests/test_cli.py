@@ -627,28 +627,32 @@ train.per_class = 4
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
     def test_certify_local_loads_no_scipy(self, tmp_path):
-        # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely, so a
-        # local run on the largest such graph needs no sparse matrix
-        gpath, lpath = write_fixture(tmp_path, n=512, blocks=3, p_in=0.05,
-                                     p_out=0.005)
-        cfg = tmp_path / "local.cfg"
-        cfg.write_text(f"mode = certify-local\nalpha = 0.85\npaths.graph = {gpath}\n"
-                       f"paths.labels = {lpath}\npaths.output = {tmp_path / 'local'}\n"
-                       "scenario.mode = remove-only\nscenario.strength = 4\n")
+        # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely and
+        # larger ones by BiCGSTAB on a numpy operator, so local runs on
+        # either side of the limit load no scipy module
+        sizes = (512, 600)
         src = Path(__file__).resolve().parents[1] / "src"
-        script = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
-            "import pagecert.cli\n"
-            f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        )
+        script = f"import sys\nsys.path.insert(0, {str(src)!r})\nimport pagecert.cli\n"
+        for n in sizes:
+            (tmp_path / str(n)).mkdir()
+            gpath, lpath = write_fixture(tmp_path / str(n), n=n, blocks=3, p_in=0.05,
+                                         p_out=0.005)
+            cfg = tmp_path / f"local{n}.cfg"
+            cfg.write_text(f"mode = certify-local\nalpha = 0.85\npaths.graph = {gpath}\n"
+                           f"paths.labels = {lpath}\n"
+                           f"paths.output = {tmp_path / str(n) / 'local'}\n"
+                           "scenario.mode = remove-only\nscenario.strength = 4\n")
+            script += (
+                f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            )
         proc = subprocess.run([sys.executable, "-I", "-c", script],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
-        certs = (tmp_path / "local" / "certificates.jsonl").read_text()
-        assert len(certs.splitlines()) == 512
+        assert proc.stdout.splitlines() == ["[]"] * len(sizes)
+        for n in sizes:
+            certs = (tmp_path / str(n) / "local" / "certificates.jsonl").read_text()
+            assert len(certs.splitlines()) == n
 
     def test_unusable_output_fails_before_training(self, tmp_path, capsys,
                                                    monkeypatch):

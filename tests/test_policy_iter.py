@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagecert import ppr
+from pagecert import policy_iter, ppr
 from pagecert.graph import (
     DirectedGraph, apply_policy, build_scenario, flipped_graph,
 )
@@ -331,6 +331,33 @@ class TestCertifyLocalAll:
             ids.setdefault((c.y, c.worst_class), set()).add(id(c.witness))
         assert any(len(c.witness) for c in certs)
         assert all(len(v) == 1 for v in ids.values())
+
+    def test_runs_only_the_pairs_of_defended_classes(self, rng, monkeypatch):
+        # class 2 relabelled 9, classes 2..8 empty with logits far below:
+        # only the pairs (y, c) of a class y some node has are run, 3 * 9
+        # and not 10 * 9, and the certificates are those of the 3 classes
+        G, S = random_instance(rng, 9, extra=4)
+        H3 = rng.normal(size=(9, 3))
+        y3 = np.arange(9) % 3
+        before = certify_local_all(G, S, ALPHA, H3, y=y3)
+        H = np.full((9, 10), -100.0)
+        H[:, [0, 1, 9]] = H3
+        relabel = np.array([0, 1, 9])
+        columns = []
+        run = policy_iter.optimize_local
+        monkeypatch.setattr(policy_iter, "optimize_local",
+                            lambda G, S, alpha, r: columns.append(r.shape[1])
+                            or run(G, S, alpha, r))
+        after = certify_local_all(G, S, ALPHA, H, y=relabel[y3])
+        assert columns == [27]
+        assert np.array_equal(after.y, relabel[before.y])
+        assert np.array_equal(after.worst_class, relabel[before.worst_class])
+        assert np.array_equal(after.worst_margin, before.worst_margin)
+        assert np.array_equal(after.status, before.status)
+        assert np.array_equal(after.marginal, before.marginal)
+        assert any(len(w) for w in before.witness)
+        for a, b in zip(after.witness, before.witness):
+            assert np.array_equal(a, b)
 
     def test_pair_reduction_runs_all_ordered_pairs(self, rng):
         G, S = random_instance(rng, 5, extra=2)

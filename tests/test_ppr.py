@@ -34,6 +34,47 @@ def dense_transition(G: DirectedGraph) -> np.ndarray:
     return A / A.sum(axis=1)[:, None]
 
 
+def scipy_transition(graphs, transpose: bool = False):
+    """scipy's canonical CSR of the block-diagonal stack of the graphs' P, or
+    its .T.tocsr(), built from the edge lists alone: the reference whose
+    rows and products transition_matrix must match bit for bit."""
+    import scipy.sparse as sp
+    blocks = [sp.csr_matrix((1.0 / G.out_degree[G.edges[:, 0]], G.edges.T),
+                            shape=(G.node_count, G.node_count)) for G in graphs]
+    P = sp.block_diag(blocks, format="csr")
+    assert P.has_canonical_format
+    return P.T.tocsr() if transpose else P
+
+
+def jagged_rows(P):
+    """Each row's (columns, values) of a JaggedMatrix, in its summation order."""
+    steps = np.arange(P.counts.max(initial=0))
+    return [(P.cols[P.ptr[steps[:k]] + r], P.data[P.ptr[steps[:k]] + r])
+            for r, k in zip(P.rank, P.counts)]
+
+
+def assert_same_rows(P, ref) -> None:
+    """Each row of the JaggedMatrix P holds the scipy CSR ref's row: the same
+    columns and values, in the same order."""
+    assert np.array_equal(P.counts, np.diff(ref.indptr))
+    for r, (cols, data) in enumerate(jagged_rows(P)):
+        lo, hi = ref.indptr[r], ref.indptr[r + 1]
+        assert np.array_equal(cols, ref.indices[lo:hi])
+        assert np.array_equal(data, ref.data[lo:hi])
+
+
+def hub_graph(rng: np.random.Generator, n: int = 14) -> DirectedGraph:
+    """Node 0 links to every other node and no node links to it, so P's row
+    0 and P^T's row 1 have n - 1 > 8 entries and P^T's row 0 has none;
+    nodes 5 and 7 have self-loops; the other edges are a ring on 1..n-1
+    and random chords."""
+    edges = ([(0, v) for v in range(1, n)] + [(v, 1) for v in range(2, n)]
+             + [(v, v % (n - 1) + 1) for v in range(1, n)] + [(5, 5), (7, 7)])
+    chords = rng.integers(1, n, size=(2 * n, 2))
+    return DirectedGraph.from_edges(
+        n, np.unique(np.concatenate([edges, chords]), axis=0), allow_self_loops=True)
+
+
 def dense_ppr(G: DirectedGraph, alpha: float, z: np.ndarray) -> np.ndarray:
     """Independent dense-inversion oracle."""
     P = dense_transition(G)
@@ -171,7 +212,7 @@ class TestSolverAgreement:
         r = rng.normal(size=40)
         monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)  # stationary iteration
         x = solve_transport(G, 0.99, r)
-        res = x - 0.99 * (transition_matrix(G) @ x) - r
+        res = x - 0.99 * (scipy_transition([G]) @ x) - r
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(r) * 10
 
 
@@ -189,7 +230,7 @@ class TestTransitionMatrix:
         # Hub 0 links both ways to every node, 1..8 form a ring, and the
         # fragile set holds self-loops and chords. flipped_graph hands an
         # unsorted edge list to DirectedGraph.from_edges, whose (src, dst)
-        # order without duplicates is what the CSR build relies on.
+        # order without duplicates is what the build relies on.
         n = 9
         fixed = ([(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)]
                  + [(v, v % (n - 1) + 1) for v in range(1, n)])
@@ -200,20 +241,21 @@ class TestTransitionMatrix:
                            fragile_edges=fragile)
         Gf = flipped_graph(S, np.arange(S.fragile_count) % 3 != 1)
         assert np.any(Gf.edges[:, 0] == Gf.edges[:, 1])
-        P = transition_matrix(Gf)
-        assert P.has_canonical_format
-        assert P.nnz == Gf.edge_count
-        assert np.array_equal(P.toarray(), dense_transition(Gf))
+        for transpose in (False, True):
+            P = transition_matrix(Gf, transpose)
+            ref = scipy_transition([Gf], transpose)
+            assert P.counts.sum() == P.cols.size == Gf.edge_count
+            assert_same_rows(P, ref)
+            dense = dense_transition(Gf)
+            assert np.array_equal(P @ np.eye(n), dense.T if transpose else dense)
 
     def test_sequence_is_block_diagonal(self, rng):
-        import scipy.sparse as sp
         graphs = [random_connected_graph(rng, 7, extra=k) for k in (1, 3, 5)]
-        P = transition_matrix(graphs)
-        ref = sp.block_diag([transition_matrix(G) for G in graphs], format="csr")
-        assert P.shape == ref.shape == (21, 21)
-        assert np.array_equal(P.indptr, ref.indptr)
-        assert np.array_equal(P.indices, ref.indices)
-        assert np.array_equal(P.data, ref.data)
+        for transpose in (False, True):
+            P = transition_matrix(graphs, transpose)
+            ref = scipy_transition(graphs, transpose)
+            assert P.counts.size == ref.shape[0] == 21
+            assert_same_rows(P, ref)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_zero_out_degree_in_any_block_rejected(self, rng, bad):
@@ -221,6 +263,56 @@ class TestTransitionMatrix:
         graphs[bad] = DirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
         with pytest.raises(KernelInputError, match="no outgoing edge"):
             transition_matrix(graphs)
+
+
+class TestJaggedProduct:
+    """The product of transition_matrix's operator is bit for bit scipy's
+    CSR product: each row sums its entries in CSR order from +0.0, for P and
+    P^T, one column or many, one graph or a block-diagonal stack."""
+
+    @staticmethod
+    def _y(rng, n, c):
+        # magnitudes spread over 24 orders, so another summation order
+        # changes the last bits
+        shape = (n,) if c is None else (n, c)
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("c", [None, 1, 5])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_bit_identical_to_scipy_csr(self, rng, transpose, c, blocks):
+        graphs = [hub_graph(rng) for _ in range(blocks)]
+        P = transition_matrix(graphs, transpose)
+        ref = scipy_transition(graphs, transpose)
+        for _ in range(5):
+            y = self._y(rng, 14 * blocks, c)
+            got = P @ y
+            assert got.shape == y.shape
+            assert np.array_equal(got, ref @ y)
+        # the rows the docstring names: a hub of more than 8 entries, and
+        # for P^T an empty row, +0.0 as scipy's
+        assert P.counts.max() > 8
+        if transpose:
+            assert P.counts[0] == 0 and np.all(np.signbit(got[0]) == 0)
+
+    def test_hub_row_is_a_sequential_sum(self, rng):
+        # hub row 0 of P sums w * (1 + 1e20 - 1e20 + 1) over columns 1..4:
+        # in order that is w, while a pairwise sum, as np.sum takes from 8
+        # terms on, adds (w + 1e20 w) + (-1e20 w + w) and gets 0
+        G = hub_graph(rng)
+        P = transition_matrix(G)
+        y = np.zeros(14)
+        y[1:5] = [1.0, 1e20, -1e20, 1.0]
+        cols, data = jagged_rows(P)[0]
+        assert cols.size > 8 and np.array_equal(cols[:4], [1, 2, 3, 4])
+        assert (P @ y)[0] == data[0] == (scipy_transition([G]) @ y)[0]
+        assert np.sum(data * y[cols]) == 0.0
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        G = DirectedGraph.from_edges(2, [(0, 1), (1, 0)])
+        y = np.array([-0.0, -0.0])
+        assert np.array_equal(np.signbit(transition_matrix(G) @ y), [False, False])
+        assert np.array_equal(np.signbit(scipy_transition([G]) @ y), [False, False])
 
 
 class TestDenseSolve:
@@ -238,7 +330,7 @@ class TestDenseSolve:
             allow_self_loops=True)
         assert np.any(G.edges[:, 0] == G.edges[:, 1])
         b = rng.normal(size=(n, 3))
-        P = transition_matrix(G).toarray()
+        P = scipy_transition([G]).toarray()
         expected = np.linalg.solve(
             np.eye(n) - ALPHA * (P.T if transpose else P), b)
         got = solve_transport(G, ALPHA, b, transpose=transpose)
