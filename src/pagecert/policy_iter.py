@@ -187,7 +187,7 @@ def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
 def class_pairs(class_count: int, defended=None) -> list[tuple[int, int]]:
     """Ordered pairs (a, b) of distinct classes, a among defended (all
     classes when None)."""
-    first = range(class_count) if defended is None else sorted(set(defended))
+    first = range(class_count) if defended is None else defended
     return [(a, b) for a in first for b in range(class_count) if a != b]
 
 
