@@ -11,9 +11,9 @@ pair certifies all nodes at once.
 One loop serves every caller: optimize_local takes one reward or a stack
 of rewards, advances the stack in lockstep, solving all live rewards'
 graphs in one ppr.solve_transport call per round, and a reward leaves the
-stack when its flips stop changing. pair_worst_margins runs the K(K-1)
-class pairs as one stack, or those of the classes certify_local_all
-defends. Every reward starts unflipped. A round solves
+stack when its flips stop changing. pair_worst_margins runs the class
+pairs (c1, c2) of the classes c1 its caller defends, all K for
+robust_train, as one stack. Every reward starts unflipped. A round solves
 the rewards that flip nothing (all of round 1) on G itself when G has the
 edges of S's unflipped graph, so a ppr.factor_clean'd G serves them from
 its inverse.
@@ -184,11 +184,9 @@ def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
     return take
 
 
-def class_pairs(class_count: int, defended=None) -> list[tuple[int, int]]:
-    """Ordered pairs (a, b) of distinct classes, a among defended (all
-    classes when None)."""
-    first = range(class_count) if defended is None else defended
-    return [(a, b) for a in first for b in range(class_count) if a != b]
+def class_pairs(class_count: int, defended) -> list[tuple[int, int]]:
+    """Ordered pairs (a, b) of distinct classes, a among defended."""
+    return [(a, b) for a in defended for b in range(class_count) if a != b]
 
 
 def pair_worst_margins(
@@ -196,10 +194,10 @@ def pair_worst_margins(
     S: PerturbationScenario,
     alpha: float,
     H: np.ndarray,
-    defended=None,
+    defended,
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
-    """Optimize every ordered class pair (c1, c2), c1 among defended (every
-    class when None), in one lockstep run.
+    """Optimize every ordered class pair (c1, c2), c1 among defended, in
+    one lockstep run.
 
     Returns, per pair, the vector of worst-case margins
     min over admissible graphs of pi(e_t)^T (H[:, c1] - H[:, c2]) for every
@@ -236,18 +234,24 @@ def certify_local_all(
     for a margin within MARGIN_EPS of zero, and the witness, the policy of
     the (y, worst class) pair, one array shared by the rows of that pair. A
     negative worst margin is a non-robustness certificate that the witness
-    reproduces. From three classes on, G is ppr.factor_clean'd for the
-    predictions and every pair's first round.
+    reproduces. When the predictions and every pair's first round are four
+    clean systems or more, G is ppr.factor_clean'd for them.
     """
     H = models.check_logits(H)
     K = H.shape[1]
-    # the inverse costs about four LU factorizations, more than the three
-    # clean systems of two classes (the predictions, two pairs' first round)
-    if K > 2:
+    # clean systems: the predictions, if made here, and the first round of
+    # each pair run, K - 1 per defended class (every class, until the
+    # predictions tell). The inverse costs about four LU factorizations,
+    # so it pays from four such systems on.
+    if y is None:
+        clean = 1 + K * (K - 1)
+    else:
+        y = models.check_labels(y, G.node_count, K)
+        clean = np.unique(y).size * (K - 1)
+    if clean >= 4:
         G = ppr.factor_clean(G, alpha)
     if y is None:
-        y = models.predict(G, alpha, H)
-    y = models.check_labels(y, G.node_count, K)
+        y = models.check_labels(models.predict(G, alpha, H), G.node_count, K)
 
     # worst[t, c]: node t's worst margin against c, +inf at its own class;
     # argmin keeps the lowest class among equal margins. Only pairs (c1, c2)

@@ -3,7 +3,8 @@
 All three operations reduce to solving (I - a*M) x = rhs where M is the
 row-stochastic transition matrix P = D^-1 A or its transpose. Graphs of up
 to DENSE_LIMIT nodes use a dense LU solve; larger ones use BiCGSTAB on the
-sparse operator. The graph's size alone picks the solver; no option does.
+sparse operator. The graph's size alone picks the solver and the operator;
+no option does.
 
 Error bound: both paths return a solution only when the evaluated residual
 of each system satisfies ||rhs - (I - a*M) x|| <= (1 - a) * RESIDUAL_TOL *
@@ -27,8 +28,8 @@ once, each stopping on its own. Either way each column is bit for bit what
 a single-graph call returns.
 
 Factored graphs: a caller that solves on one graph of at most DENSE_LIMIT
-nodes many times (train_robust, and certify_local_all with three classes
-or more) replaces it by factor_clean's FactoredGraph, which carries the
+nodes many times (train_robust, and certify_local_all from four clean
+systems on) replaces it by factor_clean's FactoredGraph, which carries the
 dense I - a*P that the LU path would build and its inverse.
 solve_transport serves such a graph's columns, in both orientations, with
 one matrix-vector product by the inverse each, and checks them on that
@@ -37,9 +38,15 @@ stable as an LU solve is, and near a = 1 it can miss the bound: a column
 that does takes one step of iterative refinement. Every column returned
 passes the residual test above, so the same bound holds.
 
-Every path runs on numpy alone. The iterative path's operator is a
-JaggedMatrix: its product sums each row in the order of scipy's CSR
-product, from +0.0, so it returns scipy's bits without loading scipy.
+The iterative path's operator is a JaggedMatrix up to JAGGED_LIMIT nodes
+and JAGGED_STEPS entries in a row, scipy's CSR above either. The
+JaggedMatrix product sums each row in the order of scipy's CSR product,
+from +0.0, so it returns scipy's bits without loading scipy, but it costs
+2-4x scipy's product, plus a round of numpy calls per entry of the
+longest row. Within the limits scipy's import (about 0.1 s and 15 MB)
+costs more than that, beyond them less (certify-local, remove-only, one
+process: the JaggedMatrix ahead at 1,000 nodes, even at 1,400, and behind
+from a row of 128 entries on). Every other path runs on numpy alone.
 
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the
@@ -58,6 +65,8 @@ import numpy as np
 from .graph import DirectedGraph
 
 DENSE_LIMIT = 512
+JAGGED_LIMIT = 1024           # nodes; scipy's CSR above (module docstring)
+JAGGED_STEPS = 64             # entries in a row; scipy's CSR above
 DENSE_STACK_BYTES = 1 << 25   # bytes of matrices per stacked dense LU solve
 RESIDUAL_TOL = 1e-10          # bound on ||x - x*|| / ||rhs|| (module docstring)
 
@@ -98,7 +107,11 @@ class JaggedMatrix:
     ptr: np.ndarray                 # step bounds into cols and data
     cols: np.ndarray                # intp, which take reads without a copy
     data: np.ndarray
-    counts: np.ndarray              # entries of each row
+
+    def __imul__(self, scale: float) -> "JaggedMatrix":
+        """Every entry scaled in place, as a scipy matrix's *= does."""
+        np.multiply(self.data, scale, out=self.data)
+        return self
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         """The product with y of shape (n,) or (n, c)."""
@@ -113,16 +126,14 @@ class JaggedMatrix:
 
 
 def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph],
-                      transpose: bool = False) -> JaggedMatrix:
+                      transpose: bool = False):
     """Row-stochastic P = D^-1 A, or P^T; errors on zero out-degree nodes.
 
     Given a sequence of graphs on the same n nodes, the block-diagonal
-    stack of their P[^T], block j on rows j*n .. (j+1)*n - 1. Each G.edges
-    is sorted by (src, dst) without duplicates, so a row of P holds its
-    entries in column order, and a row of P^T in source order after a
-    stable sort on the destination: the orders of scipy's canonical CSR of
-    P and of its .T.tocsr(). Each entry goes straight to its place in the
-    jagged-diagonal arrays, one graph at a time.
+    stack of their P[^T], block j on rows j*n .. (j+1)*n - 1: a
+    JaggedMatrix up to JAGGED_LIMIT nodes and JAGGED_STEPS entries in a
+    row, scipy's CSR otherwise (module docstring). Their products agree
+    bit for bit.
     """
     graphs = [G] if isinstance(G, DirectedGraph) else list(G)
     if not graphs or any(g.node_count != graphs[0].node_count for g in graphs):
@@ -130,6 +141,22 @@ def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph],
     n = graphs[0].node_count
     counts = np.concatenate([np.bincount(g.edges[:, int(transpose)], minlength=n)
                              for g in graphs])
+    if n > JAGGED_LIMIT or counts.max() > JAGGED_STEPS:
+        P = _csr(graphs)
+        return P.T.tocsr() if transpose else P
+    return _jagged(graphs, counts, transpose)
+
+
+def _jagged(graphs, counts: np.ndarray, transpose: bool) -> JaggedMatrix:
+    """The JaggedMatrix of the graphs' P[^T], given each row's entry count.
+
+    Each G.edges is sorted by (src, dst) without duplicates, so a row of P
+    holds its entries in column order, and a row of P^T in source order
+    after a stable sort on the destination: the orders of scipy's canonical
+    CSR of P and of its .T.tocsr(). Each entry goes straight to its place
+    in the jagged-diagonal arrays, one graph at a time.
+    """
+    n = graphs[0].node_count
     rank = np.empty_like(counts)
     rank[np.argsort(-counts, kind="stable")] = np.arange(counts.size)
     # sizes[k] rows hold a k-th entry
@@ -150,7 +177,35 @@ def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph],
         at = ptr[step] + rank[j * n + row]
         cols[at] = col + j * n
         data[at] = w
-    return JaggedMatrix(rank, ptr, cols, data, counts)
+    return JaggedMatrix(rank, ptr, cols, data)
+
+
+def _csr(graphs):
+    """scipy's block-diagonal CSR of the graphs' P, with int32 indices
+    where they fit. Each G.edges is sorted by (src, dst) without
+    duplicates, so its dst column is already the block's CSR column index
+    array and its row pointers are the cumulative out-degrees; the arrays
+    are filled in place."""
+    import scipy.sparse as sp
+
+    n = graphs[0].node_count
+    nnz = sum(g.edge_count for g in graphs)
+    dim = len(graphs) * n
+    idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    lo = 0
+    for j, g in enumerate(graphs):
+        hi = lo + g.edge_count
+        data[lo:hi] = _edge_weights(g)
+        indices[lo:hi] = g.edges[:, 1]
+        indices[lo:hi] += j * n
+        rows = indptr[j * n + 1:(j + 1) * n + 1]
+        np.cumsum(g.out_degree, out=rows)
+        rows += lo
+        lo = hi
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -372,17 +427,17 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     """
     q, n, c = b.shape
     A = transition_matrix(graphs, transpose)
-    np.multiply(A.data, alpha, out=A.data)
+    A *= alpha
     # each block's most nonzeros in a row, for each of its c systems
-    row_nnz = np.repeat(A.counts.reshape(q, n).max(axis=1), c)
+    row_nnz = np.repeat([_row_nnz(g, transpose) for g in graphs], c)
     B = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(q * c, n)
 
     def matvec(y):
         """alpha * M y: one product over the (q * n, c) layout that the
         block-diagonal operator acts on, copied each way when c > 1. Each
-        entry sums in the same order for any c (JaggedMatrix), so a
-        system's result does not depend on the systems beside it; the
-        result is C-ordered, as dot needs."""
+        entry sums in the same order for any c (JaggedMatrix, as scipy's
+        CSR product), so a system's result does not depend on the systems
+        beside it; the result is C-ordered, as dot needs."""
         ay = A @ y.reshape(q, c, n).transpose(0, 2, 1).reshape(q * n, c)
         return np.ascontiguousarray(ay.reshape(q, n, c).transpose(0, 2, 1)
                                     ).reshape(q * c, n)

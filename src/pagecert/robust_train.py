@@ -102,7 +102,7 @@ def compute_worst_bundle(
     margins = np.zeros((nodes.size, K))
     pair_policies = {}
     pair_graphs = {}
-    pairs = policy_iter.pair_worst_margins(G, S, alpha, H)
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, range(K))
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
         if not sel.size:

@@ -315,7 +315,7 @@ class TestCertifyLocalAll:
         H = rng.normal(size=(8, 3))
         H[:, 2] = H[:, 1]
         certs = certify_local_all(G, S, ALPHA, H, y=np.zeros(8, dtype=np.int64))
-        policy = pair_worst_margins(G, S, ALPHA, H)[(0, 1)][1].policy
+        policy = pair_worst_margins(G, S, ALPHA, H, range(3))[(0, 1)][1].policy
         assert len(policy)
         assert [c.worst_class for c in certs] == [1] * 8
         assert len({id(c.witness) for c in certs}) == 1
@@ -331,6 +331,24 @@ class TestCertifyLocalAll:
             ids.setdefault((c.y, c.worst_class), set()).add(id(c.witness))
         assert any(len(c.witness) for c in certs)
         assert all(len(v) == 1 for v in ids.values())
+
+    def test_factors_from_four_clean_systems(self, rng, monkeypatch):
+        # clean systems: the predictions when made here, and K - 1 first
+        # rounds per defended class (all K while predicting)
+        G, S = random_instance(rng, 9, extra=4)
+        H = rng.normal(size=(9, 3))
+        factored = []
+        real = ppr.factor_clean
+        monkeypatch.setattr(ppr, "factor_clean",
+                            lambda G, alpha: factored.append(1) or real(G, alpha))
+        cases = [(H[:, :2], None, False),            # 1 + 2
+                 (H, None, True),                    # 1 + 6
+                 (H, np.zeros(9, dtype=int), False),  # 2
+                 (H, np.arange(9) % 2, True)]        # 4
+        for logits, y, expect in cases:
+            factored.clear()
+            certify_local_all(G, S, ALPHA, logits, y=y)
+            assert bool(factored) == expect
 
     def test_runs_only_the_pairs_of_defended_classes(self, rng, monkeypatch):
         # class 2 relabelled 9, classes 2..8 empty with logits far below:
@@ -362,8 +380,8 @@ class TestCertifyLocalAll:
     def test_pair_reduction_runs_all_ordered_pairs(self, rng):
         G, S = random_instance(rng, 5, extra=2)
         H = rng.normal(size=(5, 3))
-        pairs = pair_worst_margins(G, S, ALPHA, H)
-        assert set(pairs) == set(class_pairs(3))
+        pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
+        assert set(pairs) == set(class_pairs(3, range(3)))
         # each pair's margins are minima over admissible graphs, so they
         # cannot exceed the clean margins
         clean = diffused_margins(G, ALPHA, H)
@@ -390,7 +408,7 @@ class TestLockstepPairs:
         if stationary:
             monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
         G, S, H = self._instance(rng)
-        pairs = pair_worst_margins(G, S, ALPHA, H)
+        pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
         # pairs leave the loop in different rounds
         assert len({res.iterations for _, res in pairs.values()}) > 1
         for (c1, c2), (margins, res) in pairs.items():
@@ -409,7 +427,7 @@ class TestLockstepPairs:
         dense_solve = ppr._dense_solve
         monkeypatch.setattr(ppr, "_dense_solve", lambda graphs, *args: factored.append(
             len(graphs)) or dense_solve(graphs, *args))
-        pairs = pair_worst_margins(F, S, ALPHA, H)
+        pairs = pair_worst_margins(F, S, ALPHA, H, range(3))
         # round 1 (all six pairs, no flips) is the inverse's alone: no LU
         assert sum(factored) == sum(res.iterations - 1 for _, res in pairs.values())
         assert len({res.iterations for _, res in pairs.values()}) > 1
@@ -437,11 +455,12 @@ class TestLockstepPairs:
         G = generate_sbm(60, 3, 0.3, 0.05, seed=0)
         S = build_scenario(G, "remove-only", strength=6)
         H = np.random.default_rng(0).normal(size=(60, 3))
-        base = pair_worst_margins(G, S, ALPHA, H)
+        base = pair_worst_margins(G, S, ALPHA, H, range(3))
         assert sum(len(res.policy) for _, res in base.values()) > 100
         tol = 1e3 * np.finfo(np.float64).eps
         for scale in (1e-3, 1e3, 1e6, 1e9):
-            for pair, (margins, res) in pair_worst_margins(G, S, ALPHA, scale * H).items():
+            for pair, (margins, res) in pair_worst_margins(
+                    G, S, ALPHA, scale * H, range(3)).items():
                 m1, res1 = base[pair]
                 assert np.array_equal(res.policy, res1.policy)
                 assert np.abs(margins / scale - m1).max() <= tol * np.abs(m1).max()
@@ -492,17 +511,17 @@ class TestLockstepPairs:
         import pagecert.policy_iter as pi_mod
         from pagecert.policy_iter import IterationCapError
         G, S, H = self._instance(rng)
-        rounds = {pair: res.iterations
-                  for pair, (_, res) in pair_worst_margins(G, S, ALPHA, H).items()}
+        pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
+        rounds = {pair: res.iterations for pair, (_, res) in pairs.items()}
         cap = min(rounds.values())
-        failing = [pair for pair in class_pairs(3) if rounds[pair] > cap]
+        failing = [pair for pair in class_pairs(3, range(3)) if rounds[pair] > cap]
         assert failing and len(failing) < len(rounds)
         c1, c2 = failing[0]
         alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
         monkeypatch.setattr(pi_mod, "ITERATION_CAP", cap)
         with pytest.raises(IterationCapError) as exc:
-            pair_worst_margins(G, S, ALPHA, H)
+            pair_worst_margins(G, S, ALPHA, H, range(3))
         assert f"class pair ({c1}, {c2})" in str(exc.value)
-        assert class_pairs(3)[exc.value.column] == (c1, c2)
+        assert class_pairs(3, range(3))[exc.value.column] == (c1, c2)
         assert len(exc.value.trace) == cap
         assert all(np.array_equal(a, b) for a, b in zip(exc.value.trace, alone.trace))

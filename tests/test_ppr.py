@@ -47,16 +47,17 @@ def scipy_transition(graphs, transpose: bool = False):
 
 
 def jagged_rows(P):
-    """Each row's (columns, values) of a JaggedMatrix, in its summation order."""
-    steps = np.arange(P.counts.max(initial=0))
-    return [(P.cols[P.ptr[steps[:k]] + r], P.data[P.ptr[steps[:k]] + r])
-            for r, k in zip(P.rank, P.counts)]
+    """Each row's (columns, values) of a JaggedMatrix, in its summation order:
+    the row at place r has an entry in each step of more than r rows."""
+    starts, sizes = P.ptr[:-1], np.diff(P.ptr)
+    return [(P.cols[starts[sizes > r] + r], P.data[starts[sizes > r] + r])
+            for r in P.rank]
 
 
 def assert_same_rows(P, ref) -> None:
     """Each row of the JaggedMatrix P holds the scipy CSR ref's row: the same
     columns and values, in the same order."""
-    assert np.array_equal(P.counts, np.diff(ref.indptr))
+    assert isinstance(P, ppr.JaggedMatrix) and P.rank.size == ref.shape[0]
     for r, (cols, data) in enumerate(jagged_rows(P)):
         lo, hi = ref.indptr[r], ref.indptr[r + 1]
         assert np.array_equal(cols, ref.indices[lo:hi])
@@ -244,7 +245,7 @@ class TestTransitionMatrix:
         for transpose in (False, True):
             P = transition_matrix(Gf, transpose)
             ref = scipy_transition([Gf], transpose)
-            assert P.counts.sum() == P.cols.size == Gf.edge_count
+            assert P.cols.size == Gf.edge_count
             assert_same_rows(P, ref)
             dense = dense_transition(Gf)
             assert np.array_equal(P @ np.eye(n), dense.T if transpose else dense)
@@ -254,7 +255,7 @@ class TestTransitionMatrix:
         for transpose in (False, True):
             P = transition_matrix(graphs, transpose)
             ref = scipy_transition(graphs, transpose)
-            assert P.counts.size == ref.shape[0] == 21
+            assert ref.shape[0] == 21
             assert_same_rows(P, ref)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
@@ -291,9 +292,9 @@ class TestJaggedProduct:
             assert np.array_equal(got, ref @ y)
         # the rows the docstring names: a hub of more than 8 entries, and
         # for P^T an empty row, +0.0 as scipy's
-        assert P.counts.max() > 8
+        assert P.ptr.size - 1 > 8
         if transpose:
-            assert P.counts[0] == 0 and np.all(np.signbit(got[0]) == 0)
+            assert jagged_rows(P)[0][0].size == 0 and np.all(np.signbit(got[0]) == 0)
 
     def test_hub_row_is_a_sequential_sum(self, rng):
         # hub row 0 of P sums w * (1 + 1e20 - 1e20 + 1) over columns 1..4:
@@ -313,6 +314,37 @@ class TestJaggedProduct:
         y = np.array([-0.0, -0.0])
         assert np.array_equal(np.signbit(transition_matrix(G) @ y), [False, False])
         assert np.array_equal(np.signbit(scipy_transition([G]) @ y), [False, False])
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("limit", ["JAGGED_LIMIT", "JAGGED_STEPS"])
+    def test_scipy_csr_above_either_limit(self, rng, monkeypatch, limit, transpose):
+        # at the limit: 14 nodes, or the most entries in a row of P[^T]
+        graphs = [hub_graph(rng) for _ in range(3)]
+        size = 14 if limit == "JAGGED_LIMIT" else max(
+            int(np.bincount(G.edges[:, int(transpose)]).max()) for G in graphs)
+        monkeypatch.setattr(ppr, limit, size)
+        assert isinstance(transition_matrix(graphs, transpose), ppr.JaggedMatrix)
+        monkeypatch.setattr(ppr, limit, size - 1)
+        P = transition_matrix(graphs, transpose)
+        ref = scipy_transition(graphs, transpose)
+        assert P.format == "csr"
+        assert np.array_equal(P.indptr, ref.indptr)
+        assert np.array_equal(P.indices, ref.indices)
+        assert np.array_equal(P.data, ref.data)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bicgstab_solves_agree_bit_for_bit(self, rng, monkeypatch, transpose):
+        # the same BiCGSTAB systems, one graph and a stack, on either operator
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        G = hub_graph(rng)
+        graphs = [hub_graph(rng) for _ in range(3)]
+        b, bs = rng.normal(size=(14, 4)), rng.normal(size=(14, 3))
+        jagged = (solve_transport(G, ALPHA, b, transpose),
+                  solve_transport(graphs, ALPHA, bs, transpose))
+        monkeypatch.setattr(ppr, "JAGGED_LIMIT", 0)
+        csr = (solve_transport(G, ALPHA, b, transpose),
+               solve_transport(graphs, ALPHA, bs, transpose))
+        assert all(np.array_equal(a, c) for a, c in zip(jagged, csr))
 
 
 class TestDenseSolve:
