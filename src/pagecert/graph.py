@@ -395,29 +395,18 @@ def largest_connected_component(G: DirectedGraph) -> tuple[DirectedGraph, np.nda
     Returns the relabeled subgraph and the array of kept original node ids
     (kept_ids[new_id] == old_id). Among components of equal size the one
     with the smallest node id is kept.
-
-    Components by hooking and pointer jumping (Shiloach and Vishkin, "An
-    O(log n) parallel connectivity algorithm", J. Algorithms 3, 1982):
-    every node points to a smaller or equal id, each round hooks the root
-    of an edge's larger-rooted end to the other end's root, then jumps
-    every pointer to its root, until both ends of every edge share one.
-    Each component's root is then its smallest node.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     e = G.edges
-    root = np.arange(G.node_count)
-    while True:
-        a, b = root[e[:, 0]], root[e[:, 1]]
-        split = a != b
-        if not split.any():
-            break
-        a, b = a[split], b[split]
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-    keep = root == int(np.argmax(np.bincount(root)))
+    a = sp.coo_matrix(
+        (np.ones(e.shape[0]), (e[:, 0], e[:, 1])),
+        shape=(G.node_count, G.node_count),
+    )
+    _, comp = connected_components(a, directed=True, connection="weak")
+    counts = np.bincount(comp)
+    keep = comp == int(np.argmax(counts))
     kept_ids = np.nonzero(keep)[0]
     remap = -np.ones(G.node_count, dtype=np.int64)
     remap[kept_ids] = np.arange(kept_ids.size)

@@ -628,8 +628,9 @@ train.per_class = 4
 
     def test_certify_local_loads_no_scipy(self, tmp_path):
         # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely and
-        # larger ones by BiCGSTAB on a numpy operator, so local runs on
-        # either side of the limit load no scipy module
+        # larger ones, up to ppr.JAGGED_LIMIT nodes and ppr.JAGGED_STEPS
+        # entries in a row, by BiCGSTAB on a numpy operator, so local runs
+        # on either side of DENSE_LIMIT load no scipy module
         sizes = (512, 600)
         src = Path(__file__).resolve().parents[1] / "src"
         script = f"import sys\nsys.path.insert(0, {str(src)!r})\nimport pagecert.cli\n"

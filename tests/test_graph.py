@@ -323,30 +323,6 @@ class TestLcc:
         assert list(kept) == [1, 2, 6]
         assert edge_set(sub) == {(1, 0), (2, 1)}
 
-    def test_matches_scipy_weak_components(self):
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-        rng = np.random.default_rng(7)
-        ties = 0
-        for _ in range(400):
-            n = int(rng.integers(1, 30))
-            e = np.unique(rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)),
-                          axis=0).reshape(-1, 2)
-            G = DirectedGraph.from_edges(n, e, allow_self_loops=True)
-            _, comp = connected_components(
-                coo_matrix((np.ones(len(e)), e.T), shape=(n, n)),
-                directed=True, connection="weak")
-            sizes = np.bincount(comp)
-            ties += np.count_nonzero(sizes == sizes.max()) > 1
-            expect = np.flatnonzero(comp == np.argmax(sizes))
-            sub, kept = largest_connected_component(G)
-            assert np.array_equal(kept, expect)
-            inside = np.isin(e, expect).all(axis=1)
-            assert edge_set(sub) == {(int(np.searchsorted(expect, a)),
-                                      int(np.searchsorted(expect, b)))
-                                     for a, b in e[inside]}
-        assert ties > 40
-
 
 class TestScenarioRoundTrip:
     def test_dump_load(self, rng, tmp_path):
