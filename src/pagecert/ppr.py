@@ -46,7 +46,7 @@ from +0.0, so it returns scipy's bits without loading scipy, but it costs
 longest row. Within the limits scipy's import (about 0.1 s and 15 MB)
 costs more than that, beyond them less (certify-local, remove-only, one
 process: the JaggedMatrix ahead at 1,000 nodes, even at 1,400, and behind
-from a row of 128 entries on). Every other path runs on numpy alone.
+from a row of 128 entries on). The other paths here run on numpy alone.
 
 Orientation: the PageRank vector is computed with the transpose,
 pi(z) = (1-a) (I - a*P^T)^-1 z, which is the orientation under which the
