@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import INT64, DirectedGraph, edge_key_set
+from .graph import DirectedGraph, edge_key_set
 
 # the certificate table's columns and their types: the JSON-lines keys in
 # order, then "witness", each row's flip array, written as "witness_flips"
@@ -17,6 +17,7 @@ COLUMNS = {"node": np.int64, "y": np.int64, "worst_class": np.int64,
            "marginal": bool, "attack_verified": bool, "witness": object}
 # the keys every record has, local or global, before its route's flag
 HEAD_KEYS = tuple(COLUMNS)[:6]
+INT64 = range(-2**63, 2**63)   # the Python ints that fit in an int64
 # equal-width purity buckets over [0, 1] in the summary's purity breakdown
 PURITY_BUCKETS = 5
 # the most one- and two-hop paths _purities expands at once, unless one node

@@ -47,8 +47,7 @@ _REQUIRED = {
 
 # key -> (kind, default, doc, least). kind is int, float, bool, str or the
 # tuple of allowed strings; a None default leaves the key unset; least is the
-# smallest value a numeric key accepts. train.reg's default depends on the
-# mode, so its two readers supply it.
+# smallest value a numeric key accepts.
 KEYS = {
     "mode": (tuple(_REQUIRED), None,
              "certify-local | certify-global | train | gen-sbm | report", None),
@@ -77,10 +76,7 @@ KEYS = {
     "train.loss": (("ce", "rce", "cem"), "ce", "ce | rce | cem", None),
     "train.margin": (float, 1.0, "hinge margin M", 0),
     "train.lr": (float, 1e-2, "learning rate", 0),
-    "train.reg": (float, None,
-                  "L2 weight: weight decay in train (default 5e-2); penalty of "
-                  "the feature-propagation logistic fit in certify modes (default 1e-2)",
-                  0),
+    "train.reg": (float, 5e-2, "weight decay (default 5e-2)", 0),
     "train.patience": (int, 100, "early-stopping patience", 0),
     "train.epochs": (int, 1000, "max epochs", 1),
     "train.hidden": (int, 64, "hidden width (0 = linear)", 0),
@@ -267,11 +263,8 @@ def _logits_for(cfg: RunConfig, G: graph.DirectedGraph, y, nodes):
         raise ConfigError("need paths.logits or paths.labels to form logits")
     K = _class_count(cfg, y)
     if cfg["paths.features"]:
-        reg = cfg["train.reg"]
         H, _ = models.feature_propagation_logits(
-            G, cfg["alpha"], _load_features(cfg, nodes), y,
-            reg=1e-2 if reg is None else reg, seed=cfg["seed"],
-        )
+            G, cfg["alpha"], _load_features(cfg, nodes), y, seed=cfg["seed"])
         return H
     return models.label_propagation_logits(y, G.node_count, K)
 
@@ -365,12 +358,11 @@ def run(cfg: RunConfig) -> int:
             y, per_class=cfg["train.per_class"], seed=seed
         )
         K = _class_count(cfg, y)
-        reg = cfg["train.reg"]
         config = robust_train.RobustLossConfig(
             kind=cfg["train.loss"],
             hinge_margin=cfg["train.margin"],
             learning_rate=cfg["train.lr"],
-            weight_decay=5e-2 if reg is None else reg,
+            weight_decay=cfg["train.reg"],
             patience=cfg["train.patience"],
             max_epochs=cfg["train.epochs"],
         )

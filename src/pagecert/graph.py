@@ -23,7 +23,6 @@ logger = logging.getLogger(__name__)
 
 # the most nodes whose edge keys src * N + dst, at most N**2 - 1, fit in int64
 MAX_NODE_COUNT = 3037000499   # isqrt(2**63)
-INT64 = range(-2**63, 2**63)   # the Python ints that fit in an int64
 
 
 class GraphFormatError(ValueError):
@@ -515,53 +514,3 @@ def dump_scenario(S: PerturbationScenario, path) -> None:
             for i in range(0, len(rows), block):
                 part = rows[i:i + block]
                 fh.write(f"{key} %d %d\n" * len(part) % tuple(part.ravel().tolist()))
-
-
-def load_scenario(path) -> PerturbationScenario:
-    """Inverse of dump_scenario; a malformed line (a field outside int64
-    among them), a negative budget or a node id outside [0, node_count) is
-    an error naming path:line."""
-    path = Path(path)
-    n = None
-    bg = None
-    arity = {"node_count": 1, "global_budget": 1, "local_budget": 2,
-             "fixed": 2, "fragile": 2, "base": 2}
-    # key -> (lineno, node or src, budget or dst) per line
-    rows: dict[str, list[tuple[int, int, int]]] = {
-        "local_budget": [], "fixed": [], "fragile": [], "base": []}
-    for lineno, line in read_lines(path, ScenarioValidationError):
-        key, *fields = line.split()
-        if key not in arity:
-            raise ScenarioValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            vals = [int(f) for f in fields]
-        except ValueError:
-            vals = None
-        if (vals is None or len(vals) != arity[key]
-                or any(v not in INT64 for v in vals)
-                or key == "node_count" and not 1 <= vals[0] <= MAX_NODE_COUNT):
-            raise ScenarioValidationError(f"{path}:{lineno}: malformed line")
-        if key in ("local_budget", "global_budget") and vals[-1] < 0:
-            raise ScenarioValidationError(
-                f"{path}:{lineno}: budgets must be nonnegative")
-        if key == "node_count":
-            n = vals[0]
-        elif key == "global_budget":
-            bg = vals[0]
-        else:
-            rows[key].append((lineno, *vals))
-    if n is None:
-        raise ScenarioValidationError(f"{path}: missing node_count")
-    parts = {}
-    for key, got in rows.items():
-        a = np.asarray(got, dtype=np.int64).reshape(-1, 3)
-        ids = a[:, 1:2] if key == "local_budget" else a[:, 1:]
-        bad = np.nonzero(((ids < 0) | (ids >= n)).any(axis=1))[0]
-        if bad.size:
-            raise ScenarioValidationError(
-                f"{path}:{a[bad[0], 0]}: node id outside [0, {n})")
-        parts[key] = a[:, 1:]
-    b = np.zeros(n, dtype=np.int64)
-    b[parts["local_budget"][:, 0]] = parts["local_budget"][:, 1]
-    keys = [edge_key_set(parts[k], n)[0] for k in ("fixed", "fragile", "base")]
-    return _make_scenario(n, *keys, b, bg)

@@ -270,46 +270,22 @@ def load_features_csv(path) -> np.ndarray:
     return X
 
 
-def save_features_bin(X: np.ndarray, path) -> None:
-    """Binary feature file: magic, int64 dims, row-major float64 data."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    with Path(path).open("wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<qq", X.shape[0], X.shape[1]))
-        fh.write(X.tobytes())
-
-
-def _read_binary(path, magic: bytes, what: str) -> memoryview:
-    """A binary file's bytes after its magic."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(magic):
-        raise ModelError(f"{path}: bad {what} magic")
-    return memoryview(raw)[len(magic):]
-
-
-def _read_dims(path, buf: memoryview, offset: int, count: int) -> tuple[int, ...]:
-    """count nonnegative int64 header fields of buf, from offset."""
-    if len(buf) < offset + 8 * count:
-        raise ModelError(f"{path}: header cut short")
-    dims = struct.unpack_from(f"<{count}q", buf, offset)
-    if any(v < 0 for v in dims):
-        raise ModelError(f"{path}: negative dimension in header {dims}")
-    return dims
-
-
-def _read_floats(path, buf: memoryview, offset: int, count: int) -> np.ndarray:
-    """The rest of buf from offset, which must be exactly count float64s
-    (a read-only view)."""
-    if len(buf) - offset != 8 * count:
-        raise ModelError(f"{path}: payload has {len(buf) - offset} bytes, "
-                         f"the header needs {8 * count}")
-    return np.frombuffer(buf[offset:], dtype=np.float64)
-
-
 def load_features_bin(path) -> np.ndarray:
-    buf = _read_binary(path, FEATURES_MAGIC, "feature-file")
-    n, d = _read_dims(path, buf, 0, 2)
-    X = _read_floats(path, buf, 16, n * d).reshape(n, d).copy()
+    """Binary feature file: magic, int64 dims n and d, then n * d row-major
+    float64 values."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(FEATURES_MAGIC):
+        raise ModelError(f"{path}: bad feature-file magic")
+    head = len(FEATURES_MAGIC) + 16
+    if len(raw) < head:
+        raise ModelError(f"{path}: header cut short")
+    n, d = struct.unpack_from("<qq", raw, len(FEATURES_MAGIC))
+    if n < 0 or d < 0:
+        raise ModelError(f"{path}: negative dimension in header {(n, d)}")
+    if len(raw) - head != 8 * n * d:
+        raise ModelError(f"{path}: payload has {len(raw) - head} bytes, "
+                         f"the header needs {8 * n * d}")
+    X = np.frombuffer(raw, dtype=np.float64, offset=head).reshape(n, d).copy()
     if not np.isfinite(X).all():
         raise ModelError(f"{path}: value not finite")
     return X
@@ -326,17 +302,3 @@ def save_model(model: MlpModel, path) -> None:
         for w, b in zip(model.weights, model.biases):
             fh.write(np.ascontiguousarray(w).tobytes())
             fh.write(np.ascontiguousarray(b).tobytes())
-
-
-def load_model(path) -> MlpModel:
-    buf = _read_binary(path, MODEL_MAGIC, "checkpoint")
-    (layers,) = _read_dims(path, buf, 0, 1)
-    flat = _read_dims(path, buf, 8, 2 * layers)
-    dims = list(zip(flat[::2], flat[1::2]))
-    values = _read_floats(path, buf, 8 + 16 * layers, sum(a * b + b for a, b in dims))
-    weights, biases = [], []
-    for a, b in dims:
-        weights.append(values[:a * b].reshape(a, b).copy())
-        biases.append(values[a * b:a * b + b].copy())
-        values = values[a * b + b:]
-    return MlpModel(weights, biases)

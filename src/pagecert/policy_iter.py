@@ -208,7 +208,8 @@ def pair_worst_margins(
     """
     H = models.check_logits(H)
     pairs = class_pairs(H.shape[1], defended)
-    c1, c2 = np.array(pairs).T
+    # reshaped, so that an empty defended list runs no column
+    c1, c2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     try:
         stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
     except IterationCapError as exc:

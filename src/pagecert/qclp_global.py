@@ -311,8 +311,11 @@ def certify_global(
         y = models.predict(G, alpha, H)
     y = models.check_labels(y, G.node_count, K)
 
+    # only the pairs (y_t, c) of the targets' classes are read; a bincount,
+    # not np.unique, whose first call imports numpy.ma
+    defended = np.flatnonzero(np.bincount(y[targets], minlength=K)).tolist()
     mdps = {(c1, c2): build_aux_mdp(G, S, alpha, -(H[:, c1] - H[:, c2]))
-            for c1 in range(K) for c2 in range(K) if c1 != c2}
+            for c1, c2 in policy_iter.class_pairs(K, defended)}
 
     cache = None
     if bound_method == "policy_opt":

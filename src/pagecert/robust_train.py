@@ -91,9 +91,9 @@ def compute_worst_bundle(
 ) -> WorstCaseBundle:
     """Solve the inner problem for every labeled node and rival class.
 
-    Pairs whose first class labels no node are solved too (one run covers
-    all nodes) but not stored. The margins are the runs' own, with no
-    further solve.
+    Only the pairs whose first class labels a node are solved (one run
+    covers all nodes). The margins are the runs' own, with no further
+    solve.
     """
     H = models.check_logits(H)
     K = H.shape[1]
@@ -102,11 +102,11 @@ def compute_worst_bundle(
     margins = np.zeros((nodes.size, K))
     pair_policies = {}
     pair_graphs = {}
-    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, range(K))
+    # a bincount, not np.unique, whose first call imports numpy.ma
+    defended = np.flatnonzero(np.bincount(labels, minlength=K)).tolist()
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, defended)
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
-        if not sel.size:
-            continue
         pair_policies[(c1, c2)] = res.policy
         pair_graphs[(c1, c2)] = res.graph
         margins[sel, c2] = pair_margins[nodes[sel]]

@@ -1,7 +1,11 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pagecert.graph import DirectedGraph, build_scenario, encode_edges
+from pagecert.models import FEATURES_MAGIC, MODEL_MAGIC, MlpModel
 from pagecert.ppr import ppr_rows
 
 
@@ -60,6 +64,31 @@ def bundle_ppr_rows(bundle) -> np.ndarray:
         sel = np.nonzero(bundle.labels == c1)[0]
         rows[sel, c2] = ppr_rows(g, bundle.alpha, bundle.nodes[sel])
     return rows
+
+
+def save_features_bin(X: np.ndarray, path) -> None:
+    """The binary feature file models.load_features_bin reads: magic, int64
+    dims, row-major float64 data."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Path(path).write_bytes(FEATURES_MAGIC + struct.pack("<qq", *X.shape) + X.tobytes())
+
+
+def load_model(path) -> MlpModel:
+    """The model of a models.save_model checkpoint: magic, layer count,
+    per-layer dims, then each layer's row-major weights and biases."""
+    raw = Path(path).read_bytes()
+    assert raw.startswith(MODEL_MAGIC)
+    pos = len(MODEL_MAGIC)
+    (layers,) = struct.unpack_from("<q", raw, pos)
+    flat = struct.unpack_from(f"<{2 * layers}q", raw, pos + 8)
+    values = np.frombuffer(raw, dtype=np.float64, offset=pos + 8 + 16 * layers)
+    weights, biases = [], []
+    for a, b in zip(flat[::2], flat[1::2]):
+        weights.append(values[:a * b].reshape(a, b).copy())
+        biases.append(values[a * b:a * b + b].copy())
+        values = values[a * b + b:]
+    assert not values.size
+    return MlpModel(weights, biases)
 
 
 @pytest.fixture

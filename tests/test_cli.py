@@ -11,7 +11,9 @@ import pytest
 from pagecert import analysis, cli, graph, policy_iter, ppr, robust_train
 from pagecert.cli import load_config, main, resolve_config
 from pagecert.graph import generate_sbm, sbm_block_labels
-from pagecert.models import FEATURES_MAGIC, save_features_bin
+from pagecert.models import FEATURES_MAGIC
+
+from conftest import save_features_bin
 
 
 def write_fixture(tmp_path, n=12, blocks=2, p_in=0.7, p_out=0.1, seed=2):
@@ -773,17 +775,21 @@ train.per_class = 4
         assert main(["--config", str(cfg)]) == code
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body, message", [
-        (struct.pack("<q", 12), "header cut short"),
-        (struct.pack("<qq", -1, 2), "negative dimension"),
-        (struct.pack("<qq", 12, 2) + bytes(8 * 23),
+    @pytest.mark.parametrize("magic, body, message", [
+        (FEATURES_MAGIC, struct.pack("<q", 12), "header cut short"),
+        (FEATURES_MAGIC, struct.pack("<qq", -1, 2), "negative dimension"),
+        (FEATURES_MAGIC, struct.pack("<qq", 12, 2) + bytes(8 * 23),
          "payload has 184 bytes, the header needs 192"),
-        (struct.pack("<qq", 12, 2) + bytes(8 * 25),
+        (FEATURES_MAGIC, struct.pack("<qq", 12, 2) + bytes(8 * 25),
          "payload has 200 bytes, the header needs 192"),
-    ], ids=["short-header", "negative-dims", "short-payload", "long-payload"])
-    def test_malformed_bin_features_are_reported(self, tmp_path, capsys, body, message):
+        (b"PCFB2\n", struct.pack("<qq", 12, 2) + bytes(8 * 24),
+         "bad feature-file magic"),
+    ], ids=["short-header", "negative-dims", "short-payload", "long-payload",
+            "bad-magic"])
+    def test_malformed_bin_features_are_reported(self, tmp_path, capsys, magic, body,
+                                                 message):
         feats = tmp_path / "x.bin"
-        feats.write_bytes(FEATURES_MAGIC + body)
+        feats.write_bytes(magic + body)
         cfg = base_config(tmp_path, "bb", extra=f"paths.features = {feats}")
         assert main(["--config", str(cfg)]) == 4
         assert f"{feats}: {message}" in capsys.readouterr().err

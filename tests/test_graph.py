@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagecert.graph import (
@@ -20,7 +20,6 @@ from pagecert.graph import (
     largest_connected_component,
     load_graph,
     load_labels,
-    load_scenario,
     sbm_block_labels,
 )
 
@@ -325,18 +324,6 @@ class TestLcc:
 
 
 class TestScenarioRoundTrip:
-    def test_dump_load(self, rng, tmp_path):
-        G = random_connected_graph(rng, 6, extra=2)
-        S = build_scenario(G, "remove-only", strength=9, global_budget=3)
-        p = tmp_path / "scenario.txt"
-        dump_scenario(S, p)
-        S2 = load_scenario(p)
-        assert np.array_equal(S.fixed_edges, S2.fixed_edges)
-        assert np.array_equal(S.fragile_edges, S2.fragile_edges)
-        assert np.array_equal(S.local_budget, S2.local_budget)
-        assert S.global_budget == S2.global_budget
-        assert np.array_equal(S.fragile_in_base, S2.fragile_in_base)
-
     def test_file_is_one_line_per_row(self, rng, tmp_path):
         # sections are formatted in blocks of lines; 270 nodes give more
         # fragile pairs than one block holds
@@ -352,29 +339,6 @@ class TestScenarioRoundTrip:
                            ("base", S.base_edges)]:
             lines += [f"{key} {int(a)} {int(b)}" for a, b in edges]
         assert p.read_text(encoding="utf-8") == "".join(f"{ln}\n" for ln in lines)
-
-    @pytest.mark.parametrize("line", [
-        "local_budget -1 1",   # used to set the last node's budget
-        "local_budget 7 1",    # used to raise a bare IndexError
-        "fixed 0 1 9",         # used to be accepted
-        "fragile 2 3",
-        "node_count -2",       # used to raise a bare numpy ValueError
-        "node_count 4611686018427387904",  # 2**62: edge keys overflow int64
-        "local_budget 0 -4",   # these two used to name no line
-        "global_budget -1",
-        "fixed 0 \xff",          # used to raise a bare UnicodeDecodeError
-        "fixed 0 99999999999999999999999",  # these three beyond int64 used
-        "fragile 99999999999999999999999 1",  # to raise a bare OverflowError
-        "local_budget 0 99999999999999999999999",
-        "global_budget 99999999999999999999999",  # used to be clamped to |F|
-    ])
-    def test_bad_line_names_path_and_line(self, tmp_path, line):
-        p = tmp_path / "scenario.txt"
-        p.write_text("# pagecert scenario v1\nnode_count 3\nglobal_budget 1\n"
-                     "fixed 0 1\nfixed 1 2\nfixed 2 0\n" + line + "\n",
-                     encoding="latin-1")
-        with pytest.raises(ScenarioValidationError, match=re.escape(f"{p}:7: ")):
-            load_scenario(p)
 
 
 class TestLabels:
@@ -502,10 +466,9 @@ def _assert_same_scenario(a, b):
         assert np.array_equal(x, y), name
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=30, deadline=None)
 @given(st.integers(3, 9), st.integers(0, 2**31 - 1))
-def test_custom_and_loaded_scenarios_ignore_row_order_and_repeats(tmp_path, n, seed):
+def test_custom_scenarios_ignore_row_order_and_repeats(n, seed):
     S = _scenario("custom", n, np.random.default_rng(seed))
     G = random_connected_graph(np.random.default_rng(seed), n, extra=3)  # S's graph
     rng = np.random.default_rng(seed + 1)
@@ -513,20 +476,10 @@ def test_custom_and_loaded_scenarios_ignore_row_order_and_repeats(tmp_path, n, s
                            fragile_edges=_messy(S.fragile_edges, rng))
     _assert_same_scenario(messy, S)
 
-    lines = ["# pagecert scenario v1", f"node_count {n}",
-             f"global_budget {S.global_budget}"]
-    lines += [f"local_budget {v} {int(b)}" for v, b in enumerate(S.local_budget)]
-    for key, edges in [("fixed", S.fixed_edges), ("fragile", S.fragile_edges),
-                       ("base", S.base_edges)]:
-        lines += [f"{key} {int(a)} {int(b)}" for a, b in _messy(edges, rng)]
-    p = tmp_path / "scenario.txt"
-    p.write_text("".join(f"{ln}\n" for ln in rng.permutation(lines[1:])))
-    _assert_same_scenario(load_scenario(p), S)
-
 
 def test_edge_sets_need_no_numpy_set_routines(tmp_path, monkeypatch):
-    """Loading, every scenario mode and a scenario reload run on sorted keys:
-    no np.unique, union1d or intersect1d, and setdiff1d only on unique keys."""
+    """Loading and every scenario mode run on sorted keys: no np.unique,
+    union1d or intersect1d, and setdiff1d only on unique keys."""
     def banned(*args, **kwargs):
         raise AssertionError("numpy set routine called")
 
@@ -547,5 +500,4 @@ def test_edge_sets_need_no_numpy_set_routines(tmp_path, monkeypatch):
         assert S.fragile_count
     S = build_scenario(G, "custom", fixed_edges=S.fixed_edges,
                        fragile_edges=S.fragile_edges[::-1])
-    dump_scenario(S, tmp_path / "scenario.txt")
-    _assert_same_scenario(load_scenario(tmp_path / "scenario.txt"), S)
+    assert S.fragile_count

@@ -541,6 +541,24 @@ class TestCertifyGlobal:
         for a, b in zip(loose, tight):
             assert b.worst_margin >= a.worst_margin - 1e-9
 
+    def test_builds_only_the_pairs_of_the_targets_classes(self, rng, monkeypatch):
+        # 5 classes, both targets of class 1: 4 aux MDPs, not 5 * 4, and the
+        # certificates of a run whose targets hold every class
+        G, S = random_instance(rng, 6, extra=2, global_budget=2)
+        H = rng.normal(size=(6, 5))
+        y = np.array([1, 0, 1, 2, 3, 4])
+        every = certify_global(G, S, ALPHA, H, targets=range(6), y=y)
+        built = []
+        build = qclp_global.build_aux_mdp
+        monkeypatch.setattr(qclp_global, "build_aux_mdp",
+                            lambda *args: built.append(args[3]) or build(*args))
+        certs = certify_global(G, S, ALPHA, H, targets=[0, 2], y=y)
+        assert len(built) == 4
+        for name in ("y", "worst_class", "worst_margin", "status"):
+            assert np.array_equal(certs[name], every[name][[0, 2]])
+        for a, b in zip(certs.witness, every.witness[[0, 2]]):
+            assert np.array_equal(a, b)
+
 
 def addrem_relaxed_lp(seed):
     """An add-and-remove relaxed LP on a small SBM: the instance family on

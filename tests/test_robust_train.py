@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pagecert import ppr
+from pagecert import policy_iter, ppr
 from pagecert.graph import DirectedGraph, build_scenario, generate_sbm, sbm_block_labels
 from pagecert.models import MlpModel, init_mlp, mlp_logits
 from pagecert.policy_iter import certify_local_all
@@ -209,6 +209,37 @@ class TestBundle:
                     want[:, c] -= g[l, c] * rows[l, c]
         assert np.allclose(_margin_grads_to_H(bundle, g, n), want,
                            rtol=0.0, atol=1e-13)
+
+    def test_runs_only_the_pairs_of_labelled_classes(self, rng, monkeypatch):
+        # training labels {0, 4} of 5 classes: 2 * 4 reward columns, not
+        # 5 * 4, and the margins, policies and graphs of a run of every
+        # pair; no labels run no column
+        G, S = random_instance(rng, 9, extra=4)
+        H = rng.normal(size=(9, 5))
+        nodes = np.array([0, 3, 5, 8, 3])
+        labels = np.array([0, 4, 4, 0, 0])
+        every = policy_iter.pair_worst_margins(G, S, ALPHA, H, range(5))
+        columns = []
+        run = policy_iter.optimize_local
+        monkeypatch.setattr(policy_iter, "optimize_local",
+                            lambda G, S, alpha, r: columns.append(r.shape[1])
+                            or run(G, S, alpha, r))
+        bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
+        assert columns == [8]
+        empty = compute_worst_bundle(G, S, ALPHA, H, nodes[:0], labels[:0])
+        assert columns == [8, 0] and empty.margins.shape == (0, 5)
+        assert not empty.pair_graphs
+        assert sorted(bundle.pair_graphs) == [(a, b) for a in (0, 4)
+                                              for b in range(5) if a != b]
+        assert any(len(p) for p in bundle.pair_policies.values())
+        for l, (v, c1) in enumerate(zip(nodes.tolist(), labels.tolist())):
+            for c2 in range(5):
+                margins, res = every[(c1, c2)] if c2 != c1 else (np.zeros(9), None)
+                assert bundle.margins[l, c2] == margins[v]
+                if res is not None:
+                    assert np.array_equal(bundle.pair_policies[(c1, c2)], res.policy)
+                    assert np.array_equal(bundle.pair_graphs[(c1, c2)].edges,
+                                          res.graph.edges)
 
 
 def hub_instance(rng, n: int = 60, hubs: int = 3):
