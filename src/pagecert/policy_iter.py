@@ -11,9 +11,11 @@ pair certifies all nodes at once.
 One loop serves every caller: optimize_local takes one reward or a stack
 of rewards, advances the stack in lockstep, solving all live rewards'
 graphs in one ppr.solve_transport call per round, and a reward leaves the
-stack when its flips stop changing. pair_worst_margins runs the class
-pairs (c1, c2) of the classes c1 its caller defends, all K for
-robust_train, as one stack. Every reward starts unflipped. A round solves
+stack when its flips stop changing. A round hands its graphs to ppr as a
+stream that builds each one as ppr reads it, so no list of them outlives
+the operator built from them. pair_worst_margins runs the class pairs
+(c1, c2) of the classes c1 its caller defends, all K for robust_train, as
+one stack. Every reward starts unflipped. A round solves
 the rewards that flip nothing (all of round 1) on G itself when G has the
 edges of S's unflipped graph, so a ppr.factor_clean'd G serves them from
 its inverse.
@@ -39,12 +41,14 @@ the optimal graph, and the worst margins pi(e_t)^T h of every node t are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import analysis, models, ppr
-from .graph import DirectedGraph, PerturbationScenario, _readonly, flipped_graph
+from .graph import (DirectedGraph, PerturbationScenario, _readonly, apply_policy,
+                    flipped_graph)
 
 IMPROVE_TOL = 1e-12
 ITERATION_CAP = 100
@@ -68,7 +72,25 @@ class PolicyIterationResult:
     value: np.ndarray                      # final mean-reward vector x
     iterations: int
     trace: list[np.ndarray]
-    graph: DirectedGraph                   # the optimal perturbed graph
+    scenario: PerturbationScenario = field(repr=False)   # the policy's S
+
+    @cached_property
+    def graph(self) -> DirectedGraph:
+        """The optimal perturbed graph, built on first read."""
+        return apply_policy(self.scenario, self.policy)
+
+
+class _Lazy:
+    """fn mapped over items as a pass reads them. Nothing holds a value
+    after the pass has read it, and each pass calls fn afresh, so a
+    wrapper of ppr.solve_transport that reads the graphs first still hands
+    them all on."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+
+    def __iter__(self):
+        return map(self.fn, self.items)
 
 
 @dataclass(eq=False)
@@ -94,8 +116,9 @@ def optimize_local(
     bit for bit that of the column run alone. An IterationCapError's column
     is the first reward still unstable at the cap. A reward that flips
     nothing is solved on G when G has the edges of S's unflipped graph (an
-    asymmetric G lacks the fixed reverse edges of its spanning tree); each
-    result's graph is the plain flipped graph.
+    asymmetric G lacks the fixed reverse edges of its spanning tree). A
+    round's graphs are built as ppr reads them and held by no list; each
+    result's graph, the plain flipped graph, is built on first read.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
@@ -111,6 +134,12 @@ def optimize_local(
     sign = np.where(S.fragile_in_base, -1.0, 1.0)
     unflipped_is_G = np.array_equal(G.edges, flipped_graph(S, np.zeros(m, bool)).edges)
 
+    def graph(j):
+        """Reward j's graph this round."""
+        if unflipped_is_G and not flipped[j].any():
+            return G
+        return flipped_graph(S, flipped[j])
+
     traces: list[list[np.ndarray]] = [[] for _ in range(q)]
     results: list[PolicyIterationResult | None] = [None] * q
     live = list(range(q))
@@ -118,10 +147,7 @@ def optimize_local(
     for k in range(1, ITERATION_CAP + 1):
         if not live:
             break
-        graphs = [flipped_graph(S, flipped[j]) for j in live]
-        X = ppr.solve_transport(
-            [G if unflipped_is_G and not flipped[j].any() else g
-             for j, g in zip(live, graphs)], alpha, stack[:, live])
+        X = ppr.solve_transport(_Lazy(graph, live), alpha, stack[:, live])
         moved = []
         for i, j in enumerate(live):
             x, r = X[:, i], stack[:, j]
@@ -142,7 +168,7 @@ def optimize_local(
                 value=x,
                 iterations=k,
                 trace=traces[j],
-                graph=graphs[i],
+                scenario=S,
             )
         live = moved
     if live:
@@ -248,7 +274,7 @@ def certify_local_all(
         clean = 1 + K * (K - 1)
     else:
         y = models.check_labels(y, G.node_count, K)
-        clean = np.unique(y).size * (K - 1)
+        clean = np.count_nonzero(np.bincount(y, minlength=K)) * (K - 1)
     if clean >= 4:
         G = ppr.factor_clean(G, alpha)
     if y is None:
@@ -262,8 +288,10 @@ def certify_local_all(
     # broadcast policies of equal shape into one array
     worst = np.full((G.node_count, K), np.inf)
     policies = np.empty(K * K, dtype=object)
+    # a bincount, not np.unique, whose first call imports numpy.ma
+    defended = np.flatnonzero(np.bincount(y, minlength=K)).tolist()
     for (c1, c2), (margins, res) in pair_worst_margins(
-            G, S, alpha, H, np.unique(y).tolist()).items():
+            G, S, alpha, H, defended).items():
         sel = y == c1
         worst[sel, c2] = margins[sel]
         policies[c1 * K + c2] = res.policy

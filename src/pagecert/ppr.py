@@ -18,14 +18,18 @@ residual of even the exact solution exceeds it. At a = 0.85, with at most
 40 nonzeros in any row of M, 2e / (1 - a) is under 1% of RESIDUAL_TOL *
 ||rhs||.
 
-solve_transport also takes a sequence of graphs on the same nodes, one
+solve_transport also takes many graphs on the same nodes, one
 right-hand-side column each, as policy iteration solves every live class
-pair's graph in one call per round. The dense path stacks their matrices
-into one LU call (per DENSE_STACK_BYTES of matrices); the iterative path
-builds one block-diagonal operator of all the graphs (transition_matrix
-takes a sequence too) and runs BiCGSTAB on every (graph, column) system at
-once, each stopping on its own. Either way each column is bit for bit what
-a single-graph call returns.
+pair's graph in one call per round. It reads them once, in order, so they
+may come as a one-pass stream that builds each graph as it is read. The
+dense path lists them and stacks their matrices into one LU call (per
+DENSE_STACK_BYTES of matrices). The iterative path hands the stream to
+transition_matrix, which keeps of each graph only its rows' entry counts,
+its column array and its nodes' 1/out_degree, and then lays out one
+block-diagonal operator of all the graphs; no graph is held while
+BiCGSTAB runs on every (graph, column) system at once, each stopping on
+its own. Either way each column is bit for bit what a single-graph call
+returns.
 
 Factored graphs: a caller that solves on one graph of at most DENSE_LIMIT
 nodes many times (train_robust, and certify_local_all from four clean
@@ -57,7 +61,7 @@ vector x solving (I - a*P) x = r.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +83,13 @@ class KernelInputError(ValueError):
     """Invalid graph, damping factor, or right-hand side."""
 
 
-def _edge_weights(G: DirectedGraph) -> np.ndarray:
-    """1/out_degree of each edge's source, in G.edges order (sorted by
-    source, so one repeat per node); errors on zero out-degree nodes."""
+def _source_weights(G: DirectedGraph) -> np.ndarray:
+    """1/out_degree of each node; errors on zero out-degree nodes."""
     deg = G.out_degree
     if np.any(deg == 0):
         bad = int(np.nonzero(deg == 0)[0][0])
         raise KernelInputError(f"node {bad} has no outgoing edge")
-    return np.repeat(1.0 / deg, deg)
+    return 1.0 / deg
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,38 +128,59 @@ class JaggedMatrix:
         return acc.take(self.rank, axis=0)
 
 
-def transition_matrix(G: DirectedGraph | Sequence[DirectedGraph],
+def transition_matrix(G: DirectedGraph | Iterable[DirectedGraph],
                       transpose: bool = False):
     """Row-stochastic P = D^-1 A, or P^T; errors on zero out-degree nodes.
 
-    Given a sequence of graphs on the same n nodes, the block-diagonal
-    stack of their P[^T], block j on rows j*n .. (j+1)*n - 1: a
-    JaggedMatrix up to JAGGED_LIMIT nodes and JAGGED_STEPS entries in a
-    row, scipy's CSR otherwise (module docstring). Their products agree
-    bit for bit.
+    Given graphs on the same n nodes, in a sequence or a one-pass stream,
+    the block-diagonal stack of their P[^T], block j on rows j*n ..
+    (j+1)*n - 1: a JaggedMatrix up to JAGGED_LIMIT nodes and JAGGED_STEPS
+    entries in a row, scipy's CSR otherwise (module docstring). Their
+    products agree bit for bit. Each graph is read once, and only its
+    _rows are kept while the operator is laid out.
     """
-    graphs = [G] if isinstance(G, DirectedGraph) else list(G)
-    if not graphs or any(g.node_count != graphs[0].node_count for g in graphs):
+    blocks = [_rows(g, transpose)
+              for g in ([G] if isinstance(G, DirectedGraph) else G)]
+    if not blocks or any(b[0].size != blocks[0][0].size for b in blocks):
         raise KernelInputError("need one or more graphs on the same nodes")
-    n = graphs[0].node_count
-    counts = np.concatenate([np.bincount(g.edges[:, int(transpose)], minlength=n)
-                             for g in graphs])
-    if n > JAGGED_LIMIT or counts.max() > JAGGED_STEPS:
-        P = _csr(graphs)
-        return P.T.tocsr() if transpose else P
-    return _jagged(graphs, counts, transpose)
+    counts = np.concatenate([b[0] for b in blocks])
+    if blocks[0][0].size > JAGGED_LIMIT or counts.max() > JAGGED_STEPS:
+        return _csr(blocks, counts, transpose)
+    return _jagged(blocks, counts, transpose)
 
 
-def _jagged(graphs, counts: np.ndarray, transpose: bool) -> JaggedMatrix:
-    """The JaggedMatrix of the graphs' P[^T], given each row's entry count.
+def _rows(G: DirectedGraph, transpose: bool):
+    """All that the operator needs of G's P[^T]: each row's entry count,
+    the entries' columns row by row, and each node's 1/out_degree, from
+    which _weights gives the entries' values.
 
-    Each G.edges is sorted by (src, dst) without duplicates, so a row of P
+    G.edges is sorted by (src, dst) without duplicates, so a row of P
     holds its entries in column order, and a row of P^T in source order
-    after a stable sort on the destination: the orders of scipy's canonical
-    CSR of P and of its .T.tocsr(). Each entry goes straight to its place
-    in the jagged-diagonal arrays, one graph at a time.
+    after a stable sort on the destination: the orders of scipy's
+    canonical CSR of P and of its .T.tocsr().
     """
-    n = graphs[0].node_count
+    weight = _source_weights(G)
+    if transpose:
+        dst = G.edges[:, 1]
+        return (np.bincount(dst, minlength=G.node_count),
+                G.edges[np.argsort(dst, kind="stable"), 0], weight)
+    # a copy, as a view would keep G's edge array alive
+    return G.out_degree, G.edges[:, 1].copy(), weight
+
+
+def _weights(block, transpose: bool) -> np.ndarray:
+    """The values of a _rows block's entries, in its order: each entry's
+    source's 1/out_degree, the source being the row of P and the column of
+    P^T."""
+    counts, cols, weight = block
+    return weight[cols] if transpose else np.repeat(weight, counts)
+
+
+def _jagged(blocks, counts: np.ndarray, transpose: bool) -> JaggedMatrix:
+    """The JaggedMatrix of the _rows blocks, given every row's entry count.
+    Each entry goes straight to its place in the jagged-diagonal arrays,
+    one block at a time."""
+    n = blocks[0][0].size
     rank = np.empty_like(counts)
     rank[np.argsort(-counts, kind="stable")] = np.arange(counts.size)
     # sizes[k] rows hold a k-th entry
@@ -164,46 +188,38 @@ def _jagged(graphs, counts: np.ndarray, transpose: bool) -> JaggedMatrix:
     ptr = np.concatenate(([0], np.cumsum(sizes)))
     cols = np.empty(ptr[-1], dtype=counts.dtype)
     data = np.empty(ptr[-1])
-    for j, g in enumerate(graphs):
-        row, col = g.edges.T
-        w = _edge_weights(g)
-        if transpose:
-            by_dst = np.argsort(col, kind="stable")
-            row, col, w = col[by_dst], row[by_dst], w[by_dst]
-        # row is sorted: an entry's step is its place within its row
-        row_counts = counts[j * n:(j + 1) * n]
-        step = np.arange(row.size) - np.repeat(np.cumsum(row_counts) - row_counts,
+    for j, block in enumerate(blocks):
+        row_counts, col, _ = block
+        # an entry's step is its place within its row
+        step = np.arange(col.size) - np.repeat(np.cumsum(row_counts) - row_counts,
                                                row_counts)
-        at = ptr[step] + rank[j * n + row]
+        at = ptr[step] + np.repeat(rank[j * n:(j + 1) * n], row_counts)
         cols[at] = col + j * n
-        data[at] = w
+        data[at] = _weights(block, transpose)
     return JaggedMatrix(rank, ptr, cols, data)
 
 
-def _csr(graphs):
-    """scipy's block-diagonal CSR of the graphs' P, with int32 indices
-    where they fit. Each G.edges is sorted by (src, dst) without
-    duplicates, so its dst column is already the block's CSR column index
-    array and its row pointers are the cumulative out-degrees; the arrays
-    are filled in place."""
+def _csr(blocks, counts: np.ndarray, transpose: bool):
+    """scipy's block-diagonal CSR of the _rows blocks, with int32 indices
+    where they fit: the row pointers are the cumulative entry counts, and
+    each block's columns and values fill its stretch of the arrays in
+    place."""
     import scipy.sparse as sp
 
-    n = graphs[0].node_count
-    nnz = sum(g.edge_count for g in graphs)
-    dim = len(graphs) * n
+    n = blocks[0][0].size
+    nnz = int(counts.sum())
+    dim = counts.size
     idx = np.int32 if max(nnz, dim) < np.iinfo(np.int32).max else np.int64
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=idx)
     indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
     lo = 0
-    for j, g in enumerate(graphs):
-        hi = lo + g.edge_count
-        data[lo:hi] = _edge_weights(g)
-        indices[lo:hi] = g.edges[:, 1]
+    for j, block in enumerate(blocks):
+        hi = lo + block[1].size
+        data[lo:hi] = _weights(block, transpose)
+        indices[lo:hi] = block[1]
         indices[lo:hi] += j * n
-        rows = indptr[j * n + 1:(j + 1) * n + 1]
-        np.cumsum(g.out_degree, out=rows)
-        rows += lo
         lo = hi
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
@@ -219,20 +235,20 @@ def _iteration_cap(alpha: float) -> int:
 
 
 def solve_transport(
-    G: DirectedGraph | Sequence[DirectedGraph],
+    G: DirectedGraph | Iterable[DirectedGraph],
     alpha: float,
     rhs: np.ndarray,
     transpose: bool = False,
 ) -> np.ndarray:
     """Solve (I - alpha * P[^T]) x = rhs for one or many right-hand sides.
 
-    G is one graph, with rhs of shape (n,) or (n, k), or a sequence of q
-    graphs on the same n nodes, with rhs of shape (n, q): column j is solved
-    on graphs[j], bit for bit as a single-graph call would solve it. A
-    FactoredGraph's columns are served from its inverse, the others by
-    dense LU up to DENSE_LIMIT nodes and BiCGSTAB above; either way each
-    column is within the module docstring's error bound of the exact
-    solution.
+    G is one graph, with rhs of shape (n,) or (n, k), or q graphs on the
+    same n nodes, in a sequence or a one-pass stream, with rhs of shape
+    (n, q): column j is solved on the j-th graph, bit for bit as a
+    single-graph call would solve it. A FactoredGraph's columns are served
+    from its inverse, the others by dense LU up to DENSE_LIMIT nodes and
+    BiCGSTAB above; either way each column is within the module
+    docstring's error bound of the exact solution.
     """
     alpha = _check_alpha(alpha)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -246,27 +262,43 @@ def solve_transport(
         cols = rhs.reshape(n, -1)
         graphs = [G] * cols.shape[1]
     else:
-        graphs, cols = list(G), rhs
-        n = graphs[0].node_count if graphs else 0
-        if (not graphs or rhs.shape != (n, len(graphs))
-                or any(g.node_count != n for g in graphs)):
+        if rhs.ndim != 2:
             raise KernelInputError(
-                f"{len(graphs)} graphs on {n} nodes need an ({n}, {len(graphs)}) "
-                f"right-hand side, got {rhs.shape}"
-            )
+                f"many graphs need an (n, graphs) right-hand side, got {rhs.shape}")
+        graphs, cols = _checked(G, *rhs.shape), rhs
     # one block per column
-    b = np.ascontiguousarray(cols.T).reshape(len(graphs), n, 1)
+    b = np.ascontiguousarray(cols.T).reshape(cols.shape[1], cols.shape[0], 1)
     x = _solve_blocks(graphs, alpha, b, transpose)
     return x[:, :, 0].T.reshape(rhs.shape)
 
 
+def _checked(graphs, n: int, q: int):
+    """The graphs, passed on as they are read: each must be on n nodes,
+    and there must be q of them."""
+    count = 0
+    for g in graphs:
+        if g.node_count != n:
+            raise KernelInputError(f"graph {count} is on {g.node_count} nodes, "
+                                   f"the right-hand side on {n}")
+        count += 1
+        yield g
+    if count != q:
+        raise KernelInputError(f"{count} graphs on {n} nodes need an ({n}, {count}) "
+                               f"right-hand side, got ({n}, {q})")
+
+
 def _solve_blocks(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.ndarray:
-    """x[j] = (I - alpha * P_j[^T])^-1 b[j]: the blocks of each FactoredGraph
-    from its inverse, the rest in one dense or iterative solve."""
-    solve = _dense_solve if b.shape[1] <= DENSE_LIMIT else _bicgstab_solve
+    """x[j] = (I - alpha * P_j[^T])^-1 b[j], each graph read once, in
+    order. Above DENSE_LIMIT nodes the graphs stream into one BiCGSTAB
+    solve (factor_clean leaves such graphs unfactored); up to it, the
+    blocks of each FactoredGraph come from its inverse, the rest from one
+    dense solve."""
+    if b.shape[1] > DENSE_LIMIT:
+        return _bicgstab_solve(graphs, alpha, b, transpose)
+    graphs = list(graphs)
     factored = {id(g): g for g in graphs if isinstance(g, FactoredGraph)}
     if not factored:
-        return solve(graphs, alpha, b, transpose)
+        return _dense_solve(graphs, alpha, b, transpose)
     x = np.empty_like(b)
     rest = np.ones(len(graphs), dtype=bool)
     for F in factored.values():
@@ -274,7 +306,8 @@ def _solve_blocks(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.nd
         x[mine] = _factored_solve(F, alpha, b[mine], transpose)
         rest &= ~mine
     if rest.any():
-        x[rest] = solve([g for g, r in zip(graphs, rest) if r], alpha, b[rest], transpose)
+        x[rest] = _dense_solve([g for g, r in zip(graphs, rest) if r], alpha,
+                               b[rest], transpose)
     return x
 
 
@@ -304,7 +337,8 @@ def _dense_matrices(graphs, alpha: float, transpose: bool) -> np.ndarray:
         src, dst = G.edges.T
         if transpose:
             src, dst = dst, src
-        M[j, src, dst] = -(alpha * _edge_weights(G))
+        # G.edges is sorted by source: one repeat of its weight per node
+        M[j, src, dst] = -(alpha * np.repeat(_source_weights(G), G.out_degree))
     M.reshape(len(graphs), n * n)[:, :: n + 1] += 1.0
     return M
 
@@ -313,6 +347,17 @@ def _row_nnz(G: DirectedGraph, transpose: bool) -> int:
     """Most nonzeros in a row of P[^T]: the largest in- or out-degree."""
     deg = np.bincount(G.edges[:, 1], minlength=G.node_count) if transpose else G.out_degree
     return int(deg.max())
+
+
+def _block_row_nnz(A, q: int) -> np.ndarray:
+    """Most nonzeros in a row of each of the q diagonal blocks of
+    transition_matrix's operator A."""
+    if isinstance(A, JaggedMatrix):
+        # a block's longest row is its first in place, and the row at
+        # place r has an entry in each step of more than r rows
+        first = A.rank.reshape(q, -1).min(axis=1)
+        return np.count_nonzero(np.diff(A.ptr) > first[:, None], axis=1)
+    return np.diff(A.indptr).reshape(q, -1).max(axis=1)
 
 
 def _residual_test(b, Mx, x, row_nnz, alpha: float, transpose: bool):
@@ -429,7 +474,7 @@ def _bicgstab_solve(graphs, alpha: float, b: np.ndarray, transpose: bool) -> np.
     A = transition_matrix(graphs, transpose)
     A *= alpha
     # each block's most nonzeros in a row, for each of its c systems
-    row_nnz = np.repeat([_row_nnz(g, transpose) for g in graphs], c)
+    row_nnz = np.repeat(_block_row_nnz(A, q), c)
     B = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(q * c, n)
 
     def matvec(y):

@@ -632,7 +632,8 @@ train.per_class = 4
         # ppr solves graphs of at most ppr.DENSE_LIMIT nodes densely and
         # larger ones, up to ppr.JAGGED_LIMIT nodes and ppr.JAGGED_STEPS
         # entries in a row, by BiCGSTAB on a numpy operator, so local runs
-        # on either side of DENSE_LIMIT load no scipy module
+        # on either side of DENSE_LIMIT load no scipy module; nor numpy.ma,
+        # which np.unique imports on its first call
         sizes = (512, 600)
         src = Path(__file__).resolve().parents[1] / "src"
         script = f"import sys\nsys.path.insert(0, {str(src)!r})\nimport pagecert.cli\n"
@@ -647,7 +648,8 @@ train.per_class = 4
                            "scenario.mode = remove-only\nscenario.strength = 4\n")
             script += (
                 f"assert pagecert.cli.main(['--config', {str(cfg)!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy') or m == 'numpy.ma'))\n"
             )
         proc = subprocess.run([sys.executable, "-I", "-c", script],
                               capture_output=True, text=True, timeout=120)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,18 +409,59 @@ class TestLockstepPairs:
     def test_matches_separate_runs(self, rng, monkeypatch, stationary):
         if stationary:
             monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        G, _, H = self._instance(rng)
+        for mode in ("remove-only", "add-and-remove"):
+            S = build_scenario(G, mode, strength=8)
+            pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
+            # pairs leave the loop in different rounds
+            assert len({res.iterations for _, res in pairs.values()}) > 1
+            for (c1, c2), (margins, res) in pairs.items():
+                alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
+                assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
+                assert np.array_equal(res.value, alone.value)
+                assert np.array_equal(res.policy, alone.policy)
+                assert res.iterations == alone.iterations == len(res.trace)
+                assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
+                assert np.array_equal(res.graph.edges, alone.graph.edges)
+                assert np.array_equal(res.graph.edges,
+                                      apply_policy(S, res.policy).edges)
+
+    def test_holds_no_round_graph_while_iterating(self, rng, monkeypatch):
+        # a round's flipped graphs stream into the operator's build: none is
+        # still held while BiCGSTAB runs its products
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
         G, S, H = self._instance(rng)
+        made, alive = [], []
+        real = policy_iter.flipped_graph
+        monkeypatch.setattr(policy_iter, "flipped_graph", lambda S, mask: made.append(
+            weakref.ref(g := real(S, mask))) or g)
+        matmul = ppr.JaggedMatrix.__matmul__
+        monkeypatch.setattr(ppr.JaggedMatrix, "__matmul__", lambda A, y: alive.append(
+            sum(ref() is not None for ref in made)) or matmul(A, y))
         pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
-        # pairs leave the loop in different rounds
-        assert len({res.iterations for _, res in pairs.values()}) > 1
-        for (c1, c2), (margins, res) in pairs.items():
-            alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
-            assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
-            assert np.array_equal(res.value, alone.value)
-            assert np.array_equal(res.policy, alone.policy)
-            assert res.iterations == alone.iterations == len(res.trace)
-            assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
-            assert np.array_equal(res.graph.edges, alone.graph.edges)
+        # rounds after the first solve several flipped graphs at once
+        assert sum(res.iterations - 1 for _, res in pairs.values()) > len(pairs)
+        assert alive and max(alive) <= 1
+
+    @pytest.mark.parametrize("limit", [ppr.DENSE_LIMIT, 0], ids=["dense", "iterative"])
+    def test_builds_each_round_graph_once(self, rng, monkeypatch, limit):
+        # one flipped_graph per live reward and round, at most, and one for
+        # the unflipped graph's check; a reward that flips nothing is
+        # solved on G, with no graph built for it
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", limit)
+        G, S, H = self._instance(rng)
+        built, runs = [], []
+        real = policy_iter.flipped_graph
+        monkeypatch.setattr(policy_iter, "flipped_graph",
+                            lambda S, mask: built.append(mask.any()) or real(S, mask))
+        run = policy_iter.optimize_local
+        monkeypatch.setattr(policy_iter, "optimize_local",
+                            lambda *args: runs.append(run(*args)) or runs[-1])
+        certify_local_all(G, S, ALPHA, H)
+        live = sum(res.iterations for stack in runs for res in stack.results)
+        assert built.count(False) == 1
+        # round 1 of each reward is solved on G
+        assert len(built) <= live + 1 - len(runs[0].results)
 
     def test_factored_first_round_matches_separate_runs(self, rng, monkeypatch):
         G, S, H = self._instance(rng)

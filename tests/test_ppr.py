@@ -258,6 +258,18 @@ class TestTransitionMatrix:
             assert ref.shape[0] == 21
             assert_same_rows(P, ref)
 
+    @pytest.mark.parametrize("limit", [ppr.JAGGED_LIMIT, 0], ids=["jagged", "csr"])
+    def test_block_row_nnz_from_the_operator(self, rng, monkeypatch, limit):
+        # BiCGSTAB reads the graphs once, so each block's most entries in a
+        # row, for its rounding allowance, come from the operator
+        monkeypatch.setattr(ppr, "JAGGED_LIMIT", limit)
+        graphs = [hub_graph(rng), random_connected_graph(rng, 14, extra=3),
+                  hub_graph(rng)]
+        for transpose in (False, True):
+            A = transition_matrix(iter(graphs), transpose)
+            assert np.array_equal(ppr._block_row_nnz(A, 3),
+                                  [ppr._row_nnz(G, transpose) for G in graphs])
+
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_zero_out_degree_in_any_block_rejected(self, rng, bad):
         graphs = [random_connected_graph(rng, 5, extra=2) for _ in range(3)]
