@@ -14,8 +14,8 @@ graphs in one ppr.solve_transport call per round, and a reward leaves the
 stack when its flips stop changing. A round hands its graphs to ppr as a
 stream that builds each one as ppr reads it, so no list of them outlives
 the operator built from them. pair_worst_margins runs the class pairs
-(c1, c2) of the classes c1 its caller defends, all K for robust_train, as
-one stack. Every reward starts unflipped. A round solves
+(c1, c2) of the classes c1 that label the nodes its caller defends, as one
+stack. Every reward starts unflipped. A round solves
 the rewards that flip nothing (all of round 1) on G itself when G has the
 edges of S's unflipped graph, so a ppr.factor_clean'd G serves them from
 its inverse.
@@ -41,14 +41,12 @@ the optimal graph, and the worst margins pi(e_t)^T h of every node t are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, models, ppr
-from .graph import (DirectedGraph, PerturbationScenario, _readonly, apply_policy,
-                    flipped_graph)
+from .graph import DirectedGraph, PerturbationScenario, _readonly, flipped_graph
 
 IMPROVE_TOL = 1e-12
 ITERATION_CAP = 100
@@ -57,12 +55,11 @@ MARGIN_EPS = 1e-7
 
 class IterationCapError(RuntimeError):
     """Policy iteration for `what` failed to stabilize within ITERATION_CAP
-    rounds; carries the reward column that did not and its value trace."""
+    rounds; carries the reward column that did not."""
 
-    def __init__(self, what: str, trace: list[np.ndarray], column: int = 0):
+    def __init__(self, what: str, column: int = 0):
         super().__init__(f"policy iteration for {what} exceeded "
                          f"{ITERATION_CAP} iterations (tie cycling?)")
-        self.trace = trace
         self.column = column
 
 
@@ -71,26 +68,6 @@ class PolicyIterationResult:
     policy: np.ndarray                     # flipped fragile edges (graph docstring)
     value: np.ndarray                      # final mean-reward vector x
     iterations: int
-    trace: list[np.ndarray]
-    scenario: PerturbationScenario = field(repr=False)   # the policy's S
-
-    @cached_property
-    def graph(self) -> DirectedGraph:
-        """The optimal perturbed graph, built on first read."""
-        return apply_policy(self.scenario, self.policy)
-
-
-class _Lazy:
-    """fn mapped over items as a pass reads them. Nothing holds a value
-    after the pass has read it, and each pass calls fn afresh, so a
-    wrapper of ppr.solve_transport that reads the graphs first still hands
-    them all on."""
-
-    def __init__(self, fn, items):
-        self.fn, self.items = fn, items
-
-    def __iter__(self):
-        return map(self.fn, self.items)
 
 
 @dataclass(eq=False)
@@ -117,8 +94,7 @@ def optimize_local(
     is the first reward still unstable at the cap. A reward that flips
     nothing is solved on G when G has the edges of S's unflipped graph (an
     asymmetric G lacks the fixed reverse edges of its spanning tree). A
-    round's graphs are built as ppr reads them and held by no list; each
-    result's graph, the plain flipped graph, is built on first read.
+    round's graphs are built as ppr reads them and held by no list.
     """
     R = np.asarray(r, dtype=np.float64)
     if R.shape[:1] != (S.node_count,) or R.ndim not in (1, 2):
@@ -140,18 +116,16 @@ def optimize_local(
             return G
         return flipped_graph(S, flipped[j])
 
-    traces: list[list[np.ndarray]] = [[] for _ in range(q)]
     results: list[PolicyIterationResult | None] = [None] * q
     live = list(range(q))
     alpha = float(alpha)
     for k in range(1, ITERATION_CAP + 1):
         if not live:
             break
-        X = ppr.solve_transport(_Lazy(graph, live), alpha, stack[:, live])
+        X = ppr.solve_transport(map(graph, live), alpha, stack[:, live])
         moved = []
         for i, j in enumerate(live):
             x, r = X[:, i], stack[:, j]
-            traces[j].append(x)
             if m:
                 # a selected flip loses its place only to a rival better by
                 # more than IMPROVE_TOL
@@ -167,12 +141,10 @@ def optimize_local(
                 policy=_readonly(S.fragile_edges[flipped[j]]),
                 value=x,
                 iterations=k,
-                trace=traces[j],
-                scenario=S,
             )
         live = moved
     if live:
-        raise IterationCapError(f"reward column {live[0]}", traces[live[0]], live[0])
+        raise IterationCapError(f"reward column {live[0]}", live[0])
     if R.ndim == 1:
         return results[0]
     return LockstepResult(results, max((res.iterations for res in results), default=0))
@@ -210,8 +182,11 @@ def _select(score: np.ndarray, flipped: np.ndarray, src: np.ndarray,
     return take
 
 
-def class_pairs(class_count: int, defended) -> list[tuple[int, int]]:
-    """Ordered pairs (a, b) of distinct classes, a among defended."""
+def class_pairs(class_count: int, labels) -> list[tuple[int, int]]:
+    """Ordered pairs (a, b) of distinct classes, a the label of some node
+    defended: the only pairs whose margins a certificate reads."""
+    # a bincount, not np.unique, whose first call imports numpy.ma
+    defended = np.flatnonzero(np.bincount(labels, minlength=class_count)).tolist()
     return [(a, b) for a in defended for b in range(class_count) if a != b]
 
 
@@ -220,10 +195,10 @@ def pair_worst_margins(
     S: PerturbationScenario,
     alpha: float,
     H: np.ndarray,
-    defended,
+    labels,
 ) -> dict[tuple[int, int], tuple[np.ndarray, PolicyIterationResult]]:
-    """Optimize every ordered class pair (c1, c2), c1 among defended, in
-    one lockstep run.
+    """Optimize every ordered class pair (c1, c2), c1 the label of some
+    node defended (class_pairs), in one lockstep run.
 
     Returns, per pair, the vector of worst-case margins
     min over admissible graphs of pi(e_t)^T (H[:, c1] - H[:, c2]) for every
@@ -233,14 +208,14 @@ def pair_worst_margins(
     optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2])).
     """
     H = models.check_logits(H)
-    pairs = class_pairs(H.shape[1], defended)
-    # reshaped, so that an empty defended list runs no column
+    pairs = class_pairs(H.shape[1], labels)
+    # reshaped, so that no labels run no column
     c1, c2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     try:
         stack = optimize_local(G, S, alpha, -(H[:, c1] - H[:, c2]))
     except IterationCapError as exc:
         raise IterationCapError(
-            f"class pair {pairs[exc.column]}", exc.trace, exc.column) from None
+            f"class pair {pairs[exc.column]}", exc.column) from None
     return {pair: (-(1.0 - alpha) * res.value, res)
             for pair, res in zip(pairs, stack.results)}
 
@@ -274,7 +249,7 @@ def certify_local_all(
         clean = 1 + K * (K - 1)
     else:
         y = models.check_labels(y, G.node_count, K)
-        clean = np.count_nonzero(np.bincount(y, minlength=K)) * (K - 1)
+        clean = len(class_pairs(K, y))
     if clean >= 4:
         G = ppr.factor_clean(G, alpha)
     if y is None:
@@ -288,10 +263,7 @@ def certify_local_all(
     # broadcast policies of equal shape into one array
     worst = np.full((G.node_count, K), np.inf)
     policies = np.empty(K * K, dtype=object)
-    # a bincount, not np.unique, whose first call imports numpy.ma
-    defended = np.flatnonzero(np.bincount(y, minlength=K)).tolist()
-    for (c1, c2), (margins, res) in pair_worst_margins(
-            G, S, alpha, H, defended).items():
+    for (c1, c2), (margins, res) in pair_worst_margins(G, S, alpha, H, y).items():
         sel = y == c1
         worst[sel, c2] = margins[sel]
         policies[c1 * K + c2] = res.policy

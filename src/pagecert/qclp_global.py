@@ -112,7 +112,7 @@ def policy_opt_graph_cache(
             return policy_iter.optimize_local(G, S, alpha, e_v).value
         except policy_iter.IterationCapError as exc:
             raise policy_iter.IterationCapError(
-                f"the policy_opt bound of node {v}", exc.trace, v) from None
+                f"the policy_opt bound of node {v}", v) from None
 
     return np.column_stack(map_parallel(run, range(n)))
 
@@ -311,11 +311,9 @@ def certify_global(
         y = models.predict(G, alpha, H)
     y = models.check_labels(y, G.node_count, K)
 
-    # only the pairs (y_t, c) of the targets' classes are read; a bincount,
-    # not np.unique, whose first call imports numpy.ma
-    defended = np.flatnonzero(np.bincount(y[targets], minlength=K)).tolist()
+    # only the pairs (y_t, c) of the targets' classes are read
     mdps = {(c1, c2): build_aux_mdp(G, S, alpha, -(H[:, c1] - H[:, c2]))
-            for c1, c2 in policy_iter.class_pairs(K, defended)}
+            for c1, c2 in policy_iter.class_pairs(K, y[targets])}
 
     cache = None
     if bound_method == "policy_opt":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models, policy_iter, ppr
-from .graph import DirectedGraph, PerturbationScenario
+from .graph import DirectedGraph, PerturbationScenario, apply_policy
 from .models import MlpModel
 
 
@@ -102,13 +102,11 @@ def compute_worst_bundle(
     margins = np.zeros((nodes.size, K))
     pair_policies = {}
     pair_graphs = {}
-    # a bincount, not np.unique, whose first call imports numpy.ma
-    defended = np.flatnonzero(np.bincount(labels, minlength=K)).tolist()
-    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, defended)
+    pairs = policy_iter.pair_worst_margins(G, S, alpha, H, labels)
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
         pair_policies[(c1, c2)] = res.policy
-        pair_graphs[(c1, c2)] = res.graph
+        pair_graphs[(c1, c2)] = apply_policy(S, res.policy)
         margins[sel, c2] = pair_margins[nodes[sel]]
     return WorstCaseBundle(
         nodes=nodes, labels=labels, class_count=K, margins=margins,

@@ -1,9 +1,11 @@
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pagecert import ppr
 from pagecert.graph import DirectedGraph, build_scenario, encode_edges
 from pagecert.models import FEATURES_MAGIC, MODEL_MAGIC, MlpModel
 from pagecert.ppr import ppr_rows
@@ -89,6 +91,41 @@ def load_model(path) -> MlpModel:
         values = values[a * b + b:]
     assert not values.size
     return MlpModel(weights, biases)
+
+
+class SolveSpy:
+    """Wraps ppr.solve_transport. Inside a run(), each right-hand-side
+    column's solution of every call is recorded, in call order, under the
+    column's bytes. Policy iteration solves a reward r once a round, so
+    values[r.tobytes()] lists its value of each round."""
+
+    def __init__(self, monkeypatch):
+        self.values = None
+        solve = ppr.solve_transport
+
+        def spy(G, alpha, rhs, transpose=False):
+            X = solve(G, alpha, rhs, transpose)
+            if self.values is not None:
+                cols = np.asarray(rhs, dtype=np.float64).reshape(len(X), -1)
+                for r, x in zip(cols.T, X.reshape(len(X), -1).T):
+                    self.values.setdefault(r.tobytes(), []).append(x.copy())
+            return X
+
+        monkeypatch.setattr(ppr, "solve_transport", spy)
+
+    @contextmanager
+    def run(self):
+        """A fresh record for the solves of one run, kept after it ends."""
+        self.values = values = {}
+        try:
+            yield values
+        finally:
+            self.values = None
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    return SolveSpy(monkeypatch)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -84,12 +85,16 @@ class TestOptimizeLocal:
                 per_node = np.bincount(res.policy[:, 0], minlength=8)
                 assert np.all(per_node <= S.local_budget)
 
-    def test_value_monotone_across_iterations(self, rng):
+    def test_value_monotone_across_iterations(self, rng, solves):
         for seed in range(8):
             r = np.random.default_rng(seed)
             G, S = random_instance(r, 8, extra=4)
-            res = optimize_local(G, S, ALPHA, r.normal(size=8) * 3)
-            for a, b in zip(res.trace, res.trace[1:]):
+            reward = r.normal(size=8) * 3
+            with solves.run() as values:
+                res = optimize_local(G, S, ALPHA, reward)
+            rounds = values[reward.tobytes()]
+            assert len(rounds) == res.iterations
+            for a, b in zip(rounds, rounds[1:]):
                 assert np.all(b >= a - 1e-8)
 
     def test_policy_independent_of_teleport(self, rng):
@@ -102,14 +107,17 @@ class TestOptimizeLocal:
             best = oracle.brute_force_pagerank_opt(G, S, ALPHA, r, z)
             assert abs((1 - ALPHA) * (z @ res.value) - best.optimum) <= 1e-8
 
-    def test_iteration_cap_raises_with_trace(self, rng, monkeypatch):
+    def test_iteration_cap_raises(self, rng, monkeypatch, solves):
         import pagecert.policy_iter as pi_mod
         from pagecert.policy_iter import IterationCapError
         G, S = random_instance(rng, 7, extra=3)
         monkeypatch.setattr(pi_mod, "ITERATION_CAP", 0)
-        with pytest.raises(IterationCapError) as exc:
-            optimize_local(G, S, ALPHA, rng.normal(size=7))
-        assert isinstance(exc.value.trace, list)
+        r = rng.normal(size=7)
+        with solves.run() as values, pytest.raises(IterationCapError) as exc:
+            optimize_local(G, S, ALPHA, r)
+        assert "reward column 0 exceeded 0 " in str(exc.value)
+        assert exc.value.column == 0
+        assert len(values.get(r.tobytes(), [])) == pi_mod.ITERATION_CAP
 
     def test_near_tie_does_not_cycle(self):
         # Two fragile edges of one source score within ~1e-16 of each other
@@ -392,7 +400,8 @@ class TestCertifyLocalAll:
             # taken from the policy value, bit for bit the diffused margins
             # on the optimal graph
             h = H[:, c1] - H[:, c2]
-            assert np.array_equal(margins, diffused_margins(res.graph, ALPHA, h))
+            assert np.array_equal(
+                margins, diffused_margins(apply_policy(S, res.policy), ALPHA, h))
 
 
 class TestLockstepPairs:
@@ -406,25 +415,48 @@ class TestLockstepPairs:
         return G, S, rng.normal(size=(30, 3))
 
     @pytest.mark.parametrize("stationary", [False, True])
-    def test_matches_separate_runs(self, rng, monkeypatch, stationary):
+    def test_matches_separate_runs(self, rng, monkeypatch, solves, stationary):
         if stationary:
             monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
         G, _, H = self._instance(rng)
         for mode in ("remove-only", "add-and-remove"):
             S = build_scenario(G, mode, strength=8)
-            pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
+            with solves.run() as lockstep:
+                pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
             # pairs leave the loop in different rounds
             assert len({res.iterations for _, res in pairs.values()}) > 1
             for (c1, c2), (margins, res) in pairs.items():
-                alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
+                r = -(H[:, c1] - H[:, c2])
+                with solves.run() as separate:
+                    alone = optimize_local(G, S, ALPHA, r)
+                rounds, alone_rounds = lockstep[r.tobytes()], separate[r.tobytes()]
                 assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
                 assert np.array_equal(res.value, alone.value)
                 assert np.array_equal(res.policy, alone.policy)
-                assert res.iterations == alone.iterations == len(res.trace)
-                assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
-                assert np.array_equal(res.graph.edges, alone.graph.edges)
-                assert np.array_equal(res.graph.edges,
-                                      apply_policy(S, res.policy).edges)
+                assert res.iterations == alone.iterations == len(rounds) == len(alone_rounds)
+                assert all(np.array_equal(a, b) for a, b in zip(rounds, alone_rounds))
+                assert np.array_equal(apply_policy(S, res.policy).edges,
+                                      apply_policy(S, alone.policy).edges)
+
+    def test_keeps_only_the_round_solutions_a_result_reads(self, rng, monkeypatch):
+        # a finished reward's value is a column of its last round's
+        # solution; no other round's solution outlives the run
+        G, S, H = self._instance(rng)
+        solved = []
+        solve = ppr.solve_transport
+
+        def spy(*args, **kwargs):
+            X = solve(*args, **kwargs)
+            solved.append(weakref.ref(X if X.base is None else X.base))
+            return X
+
+        monkeypatch.setattr(ppr, "solve_transport", spy)
+        pairs = pair_worst_margins(G, S, ALPHA, H, range(3))
+        gc.collect()
+        alive = [X for X in (ref() for ref in solved) if X is not None]
+        assert len(solved) > 2 and alive
+        for X in alive:
+            assert any(res.value.base is X for _, res in pairs.values())
 
     def test_holds_no_round_graph_while_iterating(self, rng, monkeypatch):
         # a round's flipped graphs stream into the operator's build: none is
@@ -463,29 +495,32 @@ class TestLockstepPairs:
         # round 1 of each reward is solved on G
         assert len(built) <= live + 1 - len(runs[0].results)
 
-    def test_factored_first_round_matches_separate_runs(self, rng, monkeypatch):
+    def test_factored_first_round_matches_separate_runs(self, rng, monkeypatch, solves):
         G, S, H = self._instance(rng)
         F = ppr.factor_clean(G, ALPHA)
         factored = []
         dense_solve = ppr._dense_solve
         monkeypatch.setattr(ppr, "_dense_solve", lambda graphs, *args: factored.append(
             len(graphs)) or dense_solve(graphs, *args))
-        pairs = pair_worst_margins(F, S, ALPHA, H, range(3))
+        with solves.run() as lockstep:
+            pairs = pair_worst_margins(F, S, ALPHA, H, range(3))
         # round 1 (all six pairs, no flips) is the inverse's alone: no LU
         assert sum(factored) == sum(res.iterations - 1 for _, res in pairs.values())
         assert len({res.iterations for _, res in pairs.values()}) > 1
         for (c1, c2), (margins, res) in pairs.items():
             r = -(H[:, c1] - H[:, c2])
-            alone = optimize_local(F, S, ALPHA, r)
+            with solves.run() as separate:
+                alone = optimize_local(F, S, ALPHA, r)
             assert np.array_equal(margins, -(1.0 - ALPHA) * alone.value)
             assert np.array_equal(res.policy, alone.policy)
             assert res.iterations == alone.iterations
-            assert all(np.array_equal(a, b) for a, b in zip(res.trace, alone.trace))
-            assert type(res.graph) is DirectedGraph
+            rounds = lockstep[r.tobytes()]
+            assert all(np.array_equal(a, b) for a, b in zip(rounds, separate[r.tobytes()]))
             # both first rounds are within the stated bound of the solution
-            unfactored = optimize_local(G, S, ALPHA, r)
+            with solves.run() as plain:
+                unfactored = optimize_local(G, S, ALPHA, r)
             assert np.array_equal(res.policy, unfactored.policy)
-            x, y = res.trace[0], unfactored.trace[0]
+            x, y = rounds[0], plain[r.tobytes()][0]
             bound = sum(ppr.RESIDUAL_TOL * np.abs(r).max() + 2 * ppr._rounding_error(
                 G.out_degree.max(), ALPHA, np.abs(r).max(), np.abs(v).max()) / (1 - ALPHA)
                 for v in (x, y))
@@ -520,7 +555,7 @@ class TestLockstepPairs:
         assert np.array_equal(X[:, 2], ppr.solve_transport(F, ALPHA, R[:, 2]))
         assert np.array_equal(X[:, 1], ppr.solve_transport(g, ALPHA, R[:, 1]))
 
-    def test_factored_operator_of_another_graph_is_ignored(self, rng):
+    def test_factored_operator_of_another_graph_is_ignored(self, rng, solves):
         # on an asymmetric graph the scenario fixes both directions of its
         # spanning tree, so the unflipped graph has edges G lacks and G's
         # inverse must not solve it
@@ -532,9 +567,12 @@ class TestLockstepPairs:
         assert not np.array_equal(
             G.edges, flipped_graph(S, np.zeros(S.fragile_count, bool)).edges)
         r = rng.normal(size=30)
-        a = optimize_local(ppr.factor_clean(G, ALPHA), S, ALPHA, r)
-        b = optimize_local(G, S, ALPHA, r)
-        assert all(np.array_equal(x, y) for x, y in zip(a.trace, b.trace))
+        with solves.run() as factored:
+            optimize_local(ppr.factor_clean(G, ALPHA), S, ALPHA, r)
+        with solves.run() as plain:
+            optimize_local(G, S, ALPHA, r)
+        a, b = factored[r.tobytes()], plain[r.tobytes()]
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_optimize_local_takes_a_reward_stack(self, rng):
         G, S, H = self._instance(rng)
@@ -550,7 +588,7 @@ class TestLockstepPairs:
         with pytest.raises(ppr.KernelInputError):
             optimize_local(G, S, ALPHA, np.zeros((30, 2, 1)))
 
-    def test_cap_error_names_the_pair_and_carries_its_trace(self, rng, monkeypatch):
+    def test_cap_error_names_the_pair(self, rng, monkeypatch, solves):
         import pagecert.policy_iter as pi_mod
         from pagecert.policy_iter import IterationCapError
         G, S, H = self._instance(rng)
@@ -560,11 +598,14 @@ class TestLockstepPairs:
         failing = [pair for pair in class_pairs(3, range(3)) if rounds[pair] > cap]
         assert failing and len(failing) < len(rounds)
         c1, c2 = failing[0]
-        alone = optimize_local(G, S, ALPHA, -(H[:, c1] - H[:, c2]))
+        r = -(H[:, c1] - H[:, c2])
+        with solves.run() as separate:
+            optimize_local(G, S, ALPHA, r)
         monkeypatch.setattr(pi_mod, "ITERATION_CAP", cap)
-        with pytest.raises(IterationCapError) as exc:
+        with solves.run() as capped, pytest.raises(IterationCapError) as exc:
             pair_worst_margins(G, S, ALPHA, H, range(3))
         assert f"class pair ({c1}, {c2})" in str(exc.value)
         assert class_pairs(3, range(3))[exc.value.column] == (c1, c2)
-        assert len(exc.value.trace) == cap
-        assert all(np.array_equal(a, b) for a, b in zip(exc.value.trace, alone.trace))
+        rounds = capped[r.tobytes()]
+        assert len(rounds) == cap
+        assert all(np.array_equal(a, b) for a, b in zip(rounds, separate[r.tobytes()]))

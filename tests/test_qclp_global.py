@@ -221,21 +221,23 @@ class TestUpperBounds:
                     np.testing.assert_allclose(xbar / bound_slack(S), pi_max,
                                                rtol=1e-12)
 
-    def test_cap_error_names_the_node(self, monkeypatch):
+    def test_cap_error_names_the_node(self, monkeypatch, solves):
         import pagecert.policy_iter as pi_mod
         G, _ = largest_connected_component(generate_sbm(22, 2, 0.5, 0.1, 0))
         S = build_scenario(G, "remove-only", strength=4)
         # the first node whose run needs a second round is the one named
-        ran = [optimize_local(G, S, ALPHA, np.eye(G.node_count)[v])
-               for v in range(G.node_count)]
+        e = np.eye(G.node_count)
+        with solves.run() as separate:
+            ran = [optimize_local(G, S, ALPHA, e[v]) for v in range(G.node_count)]
         node = next(v for v, res in enumerate(ran) if res.iterations > 1)
         monkeypatch.setattr(pi_mod, "ITERATION_CAP", 1)
-        with pytest.raises(IterationCapError) as exc:
+        with solves.run() as capped, pytest.raises(IterationCapError) as exc:
             policy_opt_graph_cache(G, S, ALPHA)
         assert f"the policy_opt bound of node {node} exceeded 1 " in str(exc.value)
         assert exc.value.column == node
-        assert len(exc.value.trace) == 1
-        assert np.array_equal(exc.value.trace[0], ran[node].trace[0])
+        rounds = capped[e[node].tobytes()]
+        assert len(rounds) == 1
+        assert np.array_equal(rounds[0], separate[e[node].tobytes()][0])
 
     def test_policy_opt_tighter_than_closed_form(self, rng):
         G, S = random_instance(rng, 7, extra=3)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pagecert import policy_iter, ppr
-from pagecert.graph import DirectedGraph, build_scenario, generate_sbm, sbm_block_labels
+from pagecert.graph import (
+    DirectedGraph, apply_policy, build_scenario, generate_sbm, sbm_block_labels,
+)
 from pagecert.models import MlpModel, init_mlp, mlp_logits
 from pagecert.policy_iter import certify_local_all
 from pagecert.ppr import diffused_margins
@@ -239,7 +241,7 @@ class TestBundle:
                 if res is not None:
                     assert np.array_equal(bundle.pair_policies[(c1, c2)], res.policy)
                     assert np.array_equal(bundle.pair_graphs[(c1, c2)].edges,
-                                          res.graph.edges)
+                                          apply_policy(S, res.policy).edges)
 
 
 def hub_instance(rng, n: int = 60, hubs: int = 3):
@@ -460,9 +462,14 @@ class TestTrainRobust:
         S = build_scenario(G, "remove-only", strength=3)
         calls = []
         solve_transport = ppr.solve_transport
-        monkeypatch.setattr(ppr, "solve_transport", lambda g, *args, **kwargs: calls.append(
-            [g] if isinstance(g, DirectedGraph) else list(g))
-            or solve_transport(g, *args, **kwargs))
+
+        def spy(g, *args, **kwargs):
+            # a stream of graphs is read once: hand on the list read here
+            calls.append([g] if isinstance(g, DirectedGraph) else list(g))
+            return solve_transport(g if isinstance(g, DirectedGraph) else calls[-1],
+                                   *args, **kwargs)
+
+        monkeypatch.setattr(ppr, "solve_transport", spy)
         config = RobustLossConfig(kind="cem", max_epochs=6, patience=20)
         train_robust(init_mlp(2, 4, 2, seed=11), X, y, G, S, ALPHA, config,
                      train_idx, val_idx)
