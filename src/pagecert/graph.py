@@ -105,10 +105,6 @@ class DirectedGraph:
         deg = np.bincount(e[:, 0], minlength=node_count).astype(np.int64)
         return cls(node_count, _readonly(e), _readonly(deg))
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.edges.shape[0])
-
     def edge_keys(self) -> np.ndarray:
         """Sorted int64 keys of all edges."""
         return encode_edges(self.edges, self.node_count)

@@ -23,7 +23,9 @@ logger = logging.getLogger(__name__)
 FEATURES_MAGIC = b"PCFB1\n"
 MODEL_MAGIC = b"PCMLP1\n"
 
-# feature propagation's logistic fit: step size, step cap, gradient norm to stop at
+# feature propagation's logistic fit: L2 weight on W, step size, step cap,
+# gradient norm to stop at
+FIT_REG = 1e-2
 FIT_STEP = 0.5
 FIT_ITERATION_CAP = 20000
 FIT_GRAD_TOL = 1e-8
@@ -75,33 +77,15 @@ def label_propagation_logits(labels, node_count: int, class_count: int) -> np.nd
 
 @dataclass(eq=False)
 class MlpModel:
-    """Fully connected net with rectifier hidden layers: sizes[0] inputs,
-    sizes[-1] logits."""
+    """Fully connected net with rectifier hidden layers: weights[0] takes the
+    features, weights[-1] gives the logits."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],
                         [b.copy() for b in self.biases])
-
-    def params_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
-
-    def set_params_flat(self, theta: np.ndarray) -> None:
-        pos = 0
-        for w in self.weights:
-            w[...] = theta[pos: pos + w.size].reshape(w.shape)
-            pos += w.size
-        for b in self.biases:
-            b[...] = theta[pos: pos + b.size].reshape(b.shape)
-            pos += b.size
 
 
 def init_mlp(d_in: int, hidden: int, k: int, seed: int = 0) -> MlpModel:
@@ -158,7 +142,6 @@ def feature_propagation_logits(
     alpha: float,
     X: np.ndarray,
     labels: np.ndarray,
-    reg: float = 1e-2,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diffuse features, fit multinomial logistic regression, return H = X W.
@@ -187,7 +170,7 @@ def feature_propagation_logits(
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
-        grad = Xl.T @ (P - onehot) / rows.size + reg * W
+        grad = Xl.T @ (P - onehot) / rows.size + FIT_REG * W
         if not np.all(np.isfinite(grad)):
             raise ModelError("logistic fit diverged (non-finite gradient)")
         if np.linalg.norm(grad) <= FIT_GRAD_TOL:

@@ -33,7 +33,8 @@ class BoundError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryMdp:
-    """Total-reward decision process on original plus per-fragile-edge states.
+    """Total-reward decision process on the original nodes of a scenario S
+    plus one state per fragile edge of S; its edges are S's.
 
     Original state i has one action: probability alpha/d_i to each fixed
     successor and 1/d_i to each of its fragile-edge states, reward r_i,
@@ -42,16 +43,13 @@ class AuxiliaryMdp:
     -r_i) and on (to j w.p. alpha, reward 0). Rows may be substochastic.
     """
 
-    node_count: int
     alpha: float
     rewards: np.ndarray          # r_i for original nodes
-    fixed_edges: np.ndarray
-    fragile_edges: np.ndarray
     degrees: np.ndarray          # d_i per original node
 
 
 def build_aux_mdp(
-    G: DirectedGraph, S: PerturbationScenario, alpha: float, r: np.ndarray
+    S: PerturbationScenario, alpha: float, r: np.ndarray
 ) -> AuxiliaryMdp:
     """Auxiliary decision process whose unconstrained optimum solves the
     PageRank-reward optimization on the original graph."""
@@ -60,12 +58,7 @@ def build_aux_mdp(
         raise BoundError("reward vector has wrong length")
     degrees = _fixed_out_counts(S) + S.fragile_out_counts()
     return AuxiliaryMdp(
-        node_count=S.node_count,
-        alpha=float(alpha),
-        rewards=r,
-        fixed_edges=S.fixed_edges,
-        fragile_edges=S.fragile_edges,
-        degrees=degrees.astype(np.int64),
+        alpha=float(alpha), rewards=r, degrees=degrees.astype(np.int64),
     )
 
 
@@ -312,7 +305,7 @@ def certify_global(
     y = models.check_labels(y, G.node_count, K)
 
     # only the pairs (y_t, c) of the targets' classes are read
-    mdps = {(c1, c2): build_aux_mdp(G, S, alpha, -(H[:, c1] - H[:, c2]))
+    mdps = {(c1, c2): build_aux_mdp(S, alpha, -(H[:, c1] - H[:, c2]))
             for c1, c2 in policy_iter.class_pairs(K, y[targets])}
 
     cache = None

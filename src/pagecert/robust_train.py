@@ -60,8 +60,8 @@ class WorstCaseBundle:
     margins[l, c] = worst margin of node nodes[l] between its class and c
     (0 at its own class). pair_graphs[(c1, c2)] is the (c1, c2)-optimal
     perturbed graph, solved at alpha, for every pair whose first class
-    labels a node; pair_policies holds its flips. Margins and their
-    gradients are solves on these graphs (module docstring).
+    labels a node: the bundle's one form of each pair's graph. Margins and
+    their gradients are solves on these graphs (module docstring).
     """
 
     nodes: np.ndarray            # (L,)
@@ -69,7 +69,6 @@ class WorstCaseBundle:
     class_count: int
     margins: np.ndarray          # (L, K)
     alpha: float
-    pair_policies: dict = field(default_factory=dict)
     pair_graphs: dict = field(default_factory=dict)
 
     def certified_ratio(self) -> float:
@@ -100,17 +99,15 @@ def compute_worst_bundle(
     nodes = np.asarray(nodes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     margins = np.zeros((nodes.size, K))
-    pair_policies = {}
     pair_graphs = {}
     pairs = policy_iter.pair_worst_margins(G, S, alpha, H, labels)
     for (c1, c2), (pair_margins, res) in pairs.items():
         sel = np.nonzero(labels == c1)[0]
-        pair_policies[(c1, c2)] = res.policy
         pair_graphs[(c1, c2)] = apply_policy(S, res.policy)
         margins[sel, c2] = pair_margins[nodes[sel]]
     return WorstCaseBundle(
         nodes=nodes, labels=labels, class_count=K, margins=margins,
-        alpha=alpha, pair_policies=pair_policies, pair_graphs=pair_graphs,
+        alpha=alpha, pair_graphs=pair_graphs,
     )
 
 
@@ -164,7 +161,10 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
                        n: int) -> np.ndarray:
     """Map margin gradients to logit-space gradients by one adjoint solve
     on the stored pair graphs (module docstring; Danskin: the graphs are
-    treated as constants)."""
+    treated as constants). A bundle with no pairs solves nothing."""
+    dH = np.zeros((n, bundle.class_count))
+    if not bundle.pair_graphs:
+        return dH
     c1, c2 = np.array(list(bundle.pair_graphs), dtype=np.int64).T
     # column p of s: g[l, c2] at node nodes[l] for every l labeled c1;
     # add.at sums the entries of a node listed more than once
@@ -174,7 +174,6 @@ def _margin_grads_to_H(bundle: WorstCaseBundle, g_margins: np.ndarray,
     x = (1.0 - bundle.alpha) * ppr.solve_transport(
         list(bundle.pair_graphs.values()), bundle.alpha, s, transpose=True)
     # column p enters dH[:, c1] with a plus and dH[:, c2] with a minus
-    dH = np.zeros((n, bundle.class_count))
     np.add.at(dH.T, c1, x.T)
     np.subtract.at(dH.T, c2, x.T)
     return dH
@@ -208,16 +207,14 @@ def robust_loss_and_grad(
     labels: np.ndarray,
     bundle: WorstCaseBundle | None,
     hinge_margin: float,
-    Hd: np.ndarray | None = None,
+    Hd: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Loss value and dLoss/dH for one of the three training losses.
 
-    Hd, the clean diffused logits of H, is solved for when not given. The
+    Hd is the clean diffused logits of H; kind "rce" does not read it. The
     bundle's margins must be those of H: fresh from compute_worst_bundle
     at H, or refreshed for it.
     """
-    if kind != "rce" and Hd is None:
-        Hd = ppr.diffused_margins(G, alpha, H)
     if kind == "ce":
         return (_clean_ce_loss(Hd, nodes, labels),
                 _clean_ce_grad(G, alpha, Hd, nodes, labels))
@@ -264,7 +261,7 @@ def train_robust(
     model = model.copy()
     history: list[dict] = []
     best_val = np.inf
-    best_params = model.params_flat()
+    best = model.copy()
     bad_epochs = 0
     G = ppr.factor_clean(G, alpha)
 
@@ -295,7 +292,7 @@ def train_robust(
         )
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = model.params_flat()
+            best = model.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -308,5 +305,4 @@ def train_robust(
         for b, db in zip(model.biases, dbs):
             b -= config.learning_rate * db
 
-    model.set_params_flat(best_params)
-    return model, history
+    return best, history

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pagecert import models
+from pagecert import models, ppr
 from pagecert.graph import DirectedGraph, PerturbationScenario
 from pagecert.models import MlpModel
 from pagecert.robust_train import (
@@ -39,12 +39,12 @@ def _total_loss(
         bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
     loss, _ = robust_loss_and_grad(
         config.kind, G, alpha, H, train_idx, labels, bundle,
-        config.hinge_margin,
+        config.hinge_margin, Hd=ppr.diffused_margins(G, alpha, H),
     )
     signature: dict = {}
     if bundle is not None:
-        signature["policies"] = {
-            k: frozenset(map(tuple, p.tolist())) for k, p in bundle.pair_policies.items()
+        signature["graphs"] = {
+            k: g.edges.tobytes() for k, g in bundle.pair_graphs.items()
         }
         if config.kind == "cem":
             idx = np.arange(len(bundle.labels))
@@ -76,8 +76,10 @@ def grad_check(
     """Central finite differences of the full loss vs the analytic gradient.
 
     Each probe re-solves the inner problem; parameters whose stencil
-    endpoints disagree on the optimal policies sit on a kink of the
+    endpoints disagree on the optimal pair graphs sit on a kink of the
     piecewise-linear inner optimum and are flagged rather than scored.
+    Parameters are indexed as the analytic gradient is: every weight
+    array, then every bias array, each in flat order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -90,28 +92,28 @@ def grad_check(
         bundle = compute_worst_bundle(G, S, alpha, H, train_idx, labels)
     _, dH = robust_loss_and_grad(
         config.kind, G, alpha, H, train_idx, labels, bundle,
-        config.hinge_margin,
+        config.hinge_margin, Hd=ppr.diffused_margins(G, alpha, H),
     )
     dws, dbs = models.mlp_backward(model, acts, dH)
     analytic = np.concatenate(
         [dw.ravel() for dw in dws] + [db.ravel() for db in dbs]
     )
 
-    theta0 = model.params_flat()
     probe = model.copy()
+    entries = [(a, k) for a in probe.weights + probe.biases
+               for k in range(a.size)]
     max_err = 0.0
     kinks: list[int] = []
     checked = 0
-    for i in range(theta0.size):
-        theta = theta0.copy()
-        theta[i] = theta0[i] + h
-        probe.set_params_flat(theta)
+    for i, (a, k) in enumerate(entries):
+        theta0 = a.flat[k]
+        a.flat[k] = theta0 + h
         f_plus, pol_plus = _total_loss(probe, X, y, G, S, alpha, config,
                                        train_idx)
-        theta[i] = theta0[i] - h
-        probe.set_params_flat(theta)
+        a.flat[k] = theta0 - h
         f_minus, pol_minus = _total_loss(probe, X, y, G, S, alpha, config,
                                          train_idx)
+        a.flat[k] = theta0
         if pol_plus != pol_minus:
             kinks.append(i)
             continue

@@ -114,7 +114,7 @@ class TestCriterion2Soundness:
                 if c == yt:
                     continue
                 r = -(H[:, yt] - H[:, c])
-                mdp = qclp_global.build_aux_mdp(G, S, ALPHA, r)
+                mdp = qclp_global.build_aux_mdp(S, ALPHA, r)
                 inst = qclp_global.assemble_relaxed_lp(mdp, S, z, xbar)
                 sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
                 assert sol.status == "optimal"
@@ -138,7 +138,7 @@ class TestCriterion2Soundness:
                 )
                 c = (yt + 1) % K
                 r = -(H[:, yt] - H[:, c])
-                mdp = qclp_global.build_aux_mdp(G, S_full, ALPHA, r)
+                mdp = qclp_global.build_aux_mdp(S_full, ALPHA, r)
                 inst = qclp_global.assemble_relaxed_lp(
                     mdp, S_full, z,
                     qclp_global.compute_upper_bounds(G, S_full, ALPHA),
@@ -357,7 +357,7 @@ class TestCriterion9KernelIdentities:
             t = int(rng.integers(0, n))
             z = np.zeros(n)
             z[t] = 1.0
-            mdp = qclp_global.build_aux_mdp(G, S, ALPHA, r)
+            mdp = qclp_global.build_aux_mdp(S, ALPHA, r)
             inst = qclp_global.assemble_relaxed_lp(
                 mdp, S, z, qclp_global.compute_upper_bounds(G, S, ALPHA)
             )

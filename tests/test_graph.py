@@ -36,7 +36,7 @@ class TestLoadGraph:
         p.write_text("0\t1\n1\t0\n")
         G = load_graph(p)
         assert G.node_count == 2
-        assert G.edge_count == 2
+        assert len(G.edges) == 2
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -55,7 +55,7 @@ class TestLoadGraph:
         p.write_text("0\t1\n0\t1\n1\t0\n")
         with caplog.at_level("WARNING"):
             G = load_graph(p)
-        assert G.edge_count == 2
+        assert len(G.edges) == 2
         assert "1 duplicate" in caplog.text
 
     def test_symmetrize(self, tmp_path):
@@ -69,7 +69,7 @@ class TestLoadGraph:
         p.write_text("0\t1\n1\t0\n")
         with caplog.at_level("WARNING"):
             G = load_graph(p, symmetrize=True)
-        assert G.edge_count == 2
+        assert len(G.edges) == 2
         assert "duplicate" not in caplog.text
 
     def test_lcc_restriction(self, tmp_path):
@@ -78,7 +78,7 @@ class TestLoadGraph:
         p.write_text("0\t1\n1\t0\n1\t2\n2\t1\n2\t0\n0\t2\n3\t4\n4\t3\n")
         G, _ = largest_connected_component(load_graph(p))
         assert G.node_count == 3
-        assert G.edge_count == 6
+        assert len(G.edges) == 6
 
     @pytest.mark.parametrize("line", ["2\t-1", "-1\t2"])
     def test_negative_node_id_names_line(self, tmp_path, line):
@@ -267,11 +267,11 @@ class TestApplyPolicy:
 class TestGenerateSbm:
     def test_complete_graph_at_p_one(self):
         G = generate_sbm(4, 1, 1.0, 0.0, seed=0)
-        assert G.edge_count == 12
+        assert len(G.edges) == 12
 
     def test_empty_at_p_zero(self):
         G = generate_sbm(100, 2, 0.0, 0.0, seed=0)
-        assert G.edge_count == 0
+        assert len(G.edges) == 0
 
     def test_edge_count_within_three_sigma(self):
         n, blocks, p_in, p_out = 200, 2, 0.05, 0.005
@@ -284,7 +284,7 @@ class TestGenerateSbm:
         mean = 2 * (same * p_in + diff * p_out)
         var = 4 * (same * p_in * (1 - p_in) + diff * p_out * (1 - p_out))
         G = generate_sbm(n, blocks, p_in, p_out, seed=7)
-        assert abs(G.edge_count - mean) <= 3 * np.sqrt(var)
+        assert abs(len(G.edges) - mean) <= 3 * np.sqrt(var)
 
     def test_symmetric_pairs(self):
         G = generate_sbm(30, 3, 0.3, 0.02, seed=1)

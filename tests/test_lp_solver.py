@@ -401,7 +401,7 @@ def sbm_relaxed_lp():
     r = np.where(np.arange(50) < 25, -1.0, 1.0)
     z = np.zeros(50)
     z[0] = 1.0
-    return assemble_relaxed_lp(build_aux_mdp(G, S, 0.85, r), S, z,
+    return assemble_relaxed_lp(build_aux_mdp(S, 0.85, r), S, z,
                                compute_upper_bounds(G, S, 0.85))
 
 

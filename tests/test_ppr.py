@@ -245,7 +245,7 @@ class TestTransitionMatrix:
         for transpose in (False, True):
             P = transition_matrix(Gf, transpose)
             ref = scipy_transition([Gf], transpose)
-            assert P.cols.size == Gf.edge_count
+            assert P.cols.size == len(Gf.edges)
             assert_same_rows(P, ref)
             dense = dense_transition(Gf)
             assert np.array_equal(P @ np.eye(n), dense.T if transpose else dense)

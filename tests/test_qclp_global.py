@@ -29,16 +29,16 @@ from conftest import (
 ALPHA = 0.85
 
 
-def aux_policy_value(mdp, on_mask: np.ndarray) -> np.ndarray:
+def aux_policy_value(mdp, S, on_mask: np.ndarray) -> np.ndarray:
     """Value vector of a deterministic on/off policy over all states of the
-    auxiliary process, by one dense solve of (I - T) val = rew on its
-    original plus per-fragile-edge states."""
-    n = mdp.node_count
-    m = mdp.fragile_edges.shape[0]
+    auxiliary process of scenario S, by one dense solve of (I - T) val = rew
+    on its original plus per-fragile-edge states."""
+    n = S.node_count
+    m = S.fragile_edges.shape[0]
     on_mask = np.asarray(on_mask, dtype=bool)
     size = n + m
-    fs, fd = mdp.fixed_edges.T
-    src, dst = mdp.fragile_edges.T
+    fs, fd = S.fixed_edges.T
+    src, dst = S.fragile_edges.T
     aux = n + np.arange(m)
     # aux state e goes on to dst with prob alpha, or back off to src
     rows = np.concatenate([fs, src, aux])
@@ -61,10 +61,10 @@ class TestAuxMdp:
         G = DirectedGraph.from_edges(4, edges)
         S = build_scenario(G, "remove-only")
         r = rng.normal(size=4)
-        mdp = build_aux_mdp(G, S, ALPHA, r)
-        assert mdp.node_count + mdp.fragile_edges.shape[0] == 4
+        mdp = build_aux_mdp(S, ALPHA, r)
+        assert S.node_count + S.fragile_edges.shape[0] == 4
         # the auxiliary value equals the mean reward of the plain chain
-        val = aux_policy_value(mdp, np.zeros(0, dtype=bool))
+        val = aux_policy_value(mdp, S, np.zeros(0, dtype=bool))
         x = mean_reward(G, ALPHA, r)
         assert np.allclose(val, x, atol=1e-10)
 
@@ -76,8 +76,8 @@ class TestAuxMdp:
             fragile_edges=[(0, 2)],
             local_budgets=[1, 0, 0, 0],
         )
-        mdp = build_aux_mdp(G, S, ALPHA, rng.normal(size=4))
-        assert mdp.node_count + mdp.fragile_edges.shape[0] == 5
+        mdp = build_aux_mdp(S, ALPHA, rng.normal(size=4))
+        assert S.node_count + S.fragile_edges.shape[0] == 5
         assert mdp.degrees[0] == G.out_degree[0]
 
     def test_policy_value_matches_mean_reward_on_flipped_graph(self, rng):
@@ -85,14 +85,14 @@ class TestAuxMdp:
         # mean reward on the corresponding perturbed graph
         G, S = random_instance(rng, 6, extra=2)
         r = rng.normal(size=6)
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         for _ in range(5):
             on = rng.random(S.fragile_count) < 0.5
             # "on" means present; flips are relative to the clean graph
             present = on
             edges = np.concatenate([S.fixed_edges, S.fragile_edges[present]])
             g2 = DirectedGraph.from_edges(6, edges, allow_self_loops=True)
-            val = aux_policy_value(mdp, on)
+            val = aux_policy_value(mdp, S, on)
             x = mean_reward(g2, ALPHA, r)
             assert np.allclose(val[:6], x, atol=1e-9)
 
@@ -101,9 +101,9 @@ class TestAuxMdp:
         # reward: bouncing i -> v_ij -> i adds r_i - r_i = 0
         G, S = random_instance(rng, 4, extra=1)
         r = rng.normal(size=4)
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         off = np.zeros(S.fragile_count, dtype=bool)
-        val = aux_policy_value(mdp, off)
+        val = aux_policy_value(mdp, S, off)
         for e, (i, _) in enumerate(S.fragile_edges):
             assert abs(val[4 + e] - (val[i] - r[i])) <= 1e-9
 
@@ -112,9 +112,9 @@ class TestAuxMdp:
         rng = np.random.default_rng(42)
         G, S = random_instance(rng, 4, extra=1)
         r = rng.normal(size=4)
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         on = rng.random(S.fragile_count) < 0.5
-        val = aux_policy_value(mdp, on)
+        val = aux_policy_value(mdp, S, on)
 
         succ_fixed = {v: [] for v in range(4)}
         for s, d in S.fixed_edges:
@@ -258,7 +258,7 @@ class TestAssembleLp:
             fragile_edges=[(0, 2), (2, 0)],
             local_budgets=[1, 0, 1],
         )
-        mdp = build_aux_mdp(G, S, ALPHA, np.ones(3))
+        mdp = build_aux_mdp(S, ALPHA, np.ones(3))
         inst = assemble_relaxed_lp(
             mdp, S, np.array([1.0, 0, 0]),
             compute_upper_bounds(G, S, ALPHA),
@@ -295,7 +295,7 @@ class TestAssembleLp:
                            global_budget=0)
         r = rng.normal(size=6)
         z = rng.dirichlet(np.ones(6))
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         clean = r @ ppr_vector(G, ALPHA, z)
@@ -309,7 +309,7 @@ class TestAssembleLp:
             G, S = random_instance(rng, 6, extra=2)  # B defaults to |F|
             r = rng.normal(size=6)
             z = rng.dirichlet(np.ones(6))
-            mdp = build_aux_mdp(G, S, ALPHA, r)
+            mdp = build_aux_mdp(S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
@@ -328,7 +328,7 @@ class TestAssembleLp:
                                    global_budget=int(rng.integers(0, 4)))
             r = rng.normal(size=n)
             z = rng.dirichlet(np.ones(n))
-            mdp = build_aux_mdp(G, S, ALPHA, r)
+            mdp = build_aux_mdp(S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
@@ -346,7 +346,7 @@ class TestAssembleLp:
         for B in range(0, S0.fragile_count + 1):
             S = build_scenario(G, "remove-only",
                                local_budgets=S0.local_budget, global_budget=B)
-            mdp = build_aux_mdp(G, S, ALPHA, r)
+            mdp = build_aux_mdp(S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z, xbar)
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
             assert sol.objective >= prev - 1e-9
@@ -356,7 +356,7 @@ class TestAssembleLp:
         G, S = random_instance(rng, 6, extra=2, global_budget=2)
         r = rng.normal(size=6)
         z = rng.dirichlet(np.ones(6))
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         d = mdp.degrees
@@ -372,7 +372,7 @@ class TestRecovery:
         G = ring_graph(4, [(0, 2)])
         S = build_scenario(G, "remove-only")
         # build a synthetic instance to use the recovery machinery directly
-        mdp = build_aux_mdp(G, S, ALPHA, np.zeros(4))
+        mdp = build_aux_mdp(S, ALPHA, np.zeros(4))
         assert mdp.degrees[0] >= 2
         k, d, x = 2, 4, 1.0
         assert (1 - k / d) * x == 0.5
@@ -386,7 +386,7 @@ class TestRecovery:
             t = int(r2.integers(0, 6))
             z = np.zeros(6)
             z[t] = 1.0
-            mdp = build_aux_mdp(G, S, ALPHA, r)
+            mdp = build_aux_mdp(S, ALPHA, r)
             inst = assemble_relaxed_lp(mdp, S, z,
                                        compute_upper_bounds(G, S, ALPHA))
             sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
@@ -406,7 +406,7 @@ class TestRecovery:
         r[2] = 1.0  # rewards additions toward 2
         z = np.zeros(5)
         z[0] = 1.0
-        mdp = build_aux_mdp(G, S, ALPHA, r)
+        mdp = build_aux_mdp(S, ALPHA, r)
         inst = assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())
         vec, policy, integral = recover_pagerank(sol, inst)
@@ -425,7 +425,7 @@ class TestRoundedAttack:
         S = build_scenario(G, "custom", fixed_edges=fixed,
                            fragile_edges=fragile,
                            local_budgets=[1, 2, 1, 0, 0], global_budget=3)
-        mdp = build_aux_mdp(G, S, ALPHA, np.zeros(5))
+        mdp = build_aux_mdp(S, ALPHA, np.zeros(5))
         inst = assemble_relaxed_lp(mdp, S, np.full(5, 0.2),
                                    compute_upper_bounds(G, S, ALPHA))
         # |x1 - x0| per edge: .5, .5 (tie), .25, .125, .375 (turned off),
@@ -452,7 +452,7 @@ class TestCertifyGlobal:
         for t in range(7):
             z = np.zeros(7)
             z[t] = 1.0
-            inst = assemble_relaxed_lp(build_aux_mdp(G, S, ALPHA, H[:, 1] - H[:, 0]),
+            inst = assemble_relaxed_lp(build_aux_mdp(S, ALPHA, H[:, 1] - H[:, 0]),
                                        S, z, compute_upper_bounds(G, S, ALPHA))
             _, policy, _ = recover_pagerank(
                 lp_solver.solve_lp(inst.lp, start=inst.clean_basis()), inst)
@@ -553,7 +553,7 @@ class TestCertifyGlobal:
         built = []
         build = qclp_global.build_aux_mdp
         monkeypatch.setattr(qclp_global, "build_aux_mdp",
-                            lambda *args: built.append(args[3]) or build(*args))
+                            lambda *args: built.append(args[2]) or build(*args))
         certs = certify_global(G, S, ALPHA, H, targets=[0, 2], y=y)
         assert len(built) == 4
         for name in ("y", "worst_class", "worst_margin", "status"):
@@ -574,7 +574,7 @@ def addrem_relaxed_lp(seed):
                        global_budget=int(rng.integers(0, 12)))
     z = np.zeros(N)
     z[int(rng.integers(N))] = 1.0
-    mdp = build_aux_mdp(G, S, ALPHA, rng.normal(size=N))
+    mdp = build_aux_mdp(S, ALPHA, rng.normal(size=N))
     return assemble_relaxed_lp(mdp, S, z, compute_upper_bounds(G, S, ALPHA))
 
 
@@ -585,7 +585,7 @@ class TestCleanBasis:
         # the start basis, which must be the clean graph's occupation
         G, S = random_instance(rng, 7, extra=3, mode=mode, global_budget=2)
         z = rng.dirichlet(np.ones(7))
-        inst = assemble_relaxed_lp(build_aux_mdp(G, S, ALPHA, np.zeros(7)), S, z,
+        inst = assemble_relaxed_lp(build_aux_mdp(S, ALPHA, np.zeros(7)), S, z,
                                    compute_upper_bounds(G, S, ALPHA))
         assert inst.clean_basis().size == np.count_nonzero(inst.lp.senses == "=")
         sol = lp_solver.solve_lp(inst.lp, start=inst.clean_basis())

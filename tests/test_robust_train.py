@@ -140,14 +140,19 @@ class TestBundle:
             )
             assert abs(got - c.worst_margin) <= 1e-9
 
-    def test_pair_policies_are_policy_arrays(self, rng):
+    def test_pair_graphs_are_perturbed_graphs(self, rng):
         G, S = random_instance(rng, 9, extra=4)
         H = rng.normal(size=(9, 3))
-        bundle = compute_worst_bundle(G, S, ALPHA, H, np.arange(9), np.arange(9) % 3)
-        assert len(bundle.pair_policies) == 6
-        for p in bundle.pair_policies.values():
-            assert_policy_array(S, p)
-        assert any(len(p) for p in bundle.pair_policies.values())
+        labels = np.arange(9) % 3
+        bundle = compute_worst_bundle(G, S, ALPHA, H, np.arange(9), labels)
+        pairs = policy_iter.pair_worst_margins(G, S, ALPHA, H, labels)
+        assert len(bundle.pair_graphs) == 6
+        assert sorted(bundle.pair_graphs) == sorted(pairs)
+        for key, (_, res) in pairs.items():
+            assert_policy_array(S, res.policy)
+            assert np.array_equal(bundle.pair_graphs[key].edges,
+                                  apply_policy(S, res.policy).edges)
+        assert any(len(res.policy) for _, res in pairs.values())
 
     def test_stored_ppr_recomputable_from_witness_graph(self, rng):
         # the PageRank vector the gradient uses for (l, c) is a dense solve
@@ -233,13 +238,13 @@ class TestBundle:
         assert not empty.pair_graphs
         assert sorted(bundle.pair_graphs) == [(a, b) for a in (0, 4)
                                               for b in range(5) if a != b]
-        assert any(len(p) for p in bundle.pair_policies.values())
+        assert any(not np.array_equal(g.edges, G.edges)
+                   for g in bundle.pair_graphs.values())
         for l, (v, c1) in enumerate(zip(nodes.tolist(), labels.tolist())):
             for c2 in range(5):
                 margins, res = every[(c1, c2)] if c2 != c1 else (np.zeros(9), None)
                 assert bundle.margins[l, c2] == margins[v]
                 if res is not None:
-                    assert np.array_equal(bundle.pair_policies[(c1, c2)], res.policy)
                     assert np.array_equal(bundle.pair_graphs[(c1, c2)].edges,
                                           apply_policy(S, res.policy).edges)
 
@@ -274,11 +279,12 @@ class TestAdjointGradient:
         labels = rng.integers(K, size=nodes.size)
         labels[-3:] = labels[:2].tolist() + [(labels[0] + 1) % K]
         bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
-        assert any(len(p) for p in bundle.pair_policies.values())
+        assert any(not np.array_equal(g.edges, G.edges)
+                   for g in bundle.pair_graphs.values())
         own = np.arange(K)[None, :] == labels[:, None]
         margin = float(np.median(bundle.margins[~own]))
         _, dH = robust_loss_and_grad(kind, G, ALPHA, H, nodes, labels, bundle,
-                                     margin)
+                                     margin, Hd=ppr.diffused_margins(G, ALPHA, H))
         if kind == "rce":
             g, want = _rce_grad_margins(bundle), np.zeros((n, K))
         else:
@@ -305,6 +311,30 @@ class TestAdjointGradient:
         e = ppr._rounding_error(row_nnz, ALPHA, 1.0, 1.0 / (1.0 - ALPHA))
         bound = 2 * np.abs(g).sum() * ((1.0 - ALPHA) * ppr.RESIDUAL_TOL + 2 * e)
         assert err.sum(axis=0).max() <= bound
+
+    @pytest.mark.parametrize("kind", ["rce", "cem"])
+    def test_bundle_without_pairs_solves_nothing(self, kind, monkeypatch):
+        # no training nodes: no pair graph, so the margin gradient is zero
+        # and no stack of pair graphs goes to a solve (above DENSE_LIMIT an
+        # empty stack is an input error)
+        from pagecert.robust_train import robust_loss_and_grad
+        monkeypatch.setattr(ppr, "DENSE_LIMIT", 0)
+        rng = np.random.default_rng(0)
+        G, S = random_instance(rng, 7, extra=3)
+        H = rng.normal(size=(7, 3))
+        nodes = labels = np.zeros(0, dtype=np.int64)
+        bundle = compute_worst_bundle(G, S, ALPHA, H, nodes, labels)
+        assert not bundle.pair_graphs
+        stacks = []
+        solve = ppr.solve_transport
+        monkeypatch.setattr(ppr, "solve_transport", lambda graphs, *a, **k:
+                            stacks.append(isinstance(graphs, list))
+                            or solve(graphs, *a, **k))
+        loss, dH = robust_loss_and_grad(kind, G, ALPHA, H, nodes, labels,
+                                        bundle, 1.0,
+                                        Hd=ppr.diffused_margins(G, ALPHA, H))
+        assert loss == 0.0 and dH.shape == H.shape and not dH.any()
+        assert not any(stacks)
 
 
 class TestGradCheck:
@@ -416,7 +446,8 @@ class TestTrainRobust:
         ce = RobustLossConfig(kind="ce", max_epochs=1, patience=10)
         m1, _ = train_robust(model, X, y, G, S, ALPHA, cem, train_idx, val_idx)
         m2, _ = train_robust(model, X, y, G, S, ALPHA, ce, train_idx, val_idx)
-        assert np.allclose(m1.params_flat(), m2.params_flat(), atol=1e-12)
+        for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_deterministic_trajectories(self):
         G, X, y, train_idx, val_idx = self._fixture(4)
@@ -428,8 +459,9 @@ class TestTrainRobust:
             trained, history = train_robust(
                 model, X, y, G, S, ALPHA, config, train_idx, val_idx
             )
-            outs.append((trained.params_flat(), history))
-        assert np.array_equal(outs[0][0], outs[1][0])
+            outs.append((trained.weights + trained.biases, history))
+        for a, b in zip(outs[0][0], outs[1][0]):
+            assert np.array_equal(a, b)
         assert outs[0][1] == outs[1][1]
 
     def test_one_clean_factorization_per_run(self, monkeypatch):
